@@ -8,41 +8,34 @@ the linearization identities in every state, and reconstructs the
 transform uniquely from moment data.
 """
 
-from .analytic import binary_convolutions, cauchy_value, f_compose_moments, \
-    law_moments, master_cauchy, meixner_atoms, meixner_cauchy, \
-    meixner_density, meixner_parameters, solve_subordination, \
-    stieltjes_density
+from .analytic import binary_convolutions, cauchy_value, law_moments, \
+    master_cauchy, meixner_atoms, meixner_cauchy, meixner_density, \
+    meixner_parameters, solve_subordination, stieltjes_density
 from .arrays import ALL_CELLS, DistributionArray, NamedLaw, SHAPES, \
     row_identical_array
 from .fock import FockModel, can_prepend, enumerate_words, q_class, \
     word_is_valid
 from .matricial import UnitSeries, assemble_matricial_r, b_elements, \
     compressed_residuals, invert_C, linearization_residuals, \
-    reconstruct_unique, scalar_r_as_unit_series
-from .moments import moments_from_cumulants, partition_contribution, \
-    smf_moments
-from .partitions import ColoredNCPartition, NCPartition, enumerate_admissible, \
-    enumerate_nc, label_and_admit, label_blocks
+    reconstruct_unique
+from .moments import smf_moments
+from .partitions import NCPartition, enumerate_nc
 from .series import FLOAT, RATIONAL, TruncatedSeries, as_scalar, compose, \
-    invert_pole_series, pole_product_is_one, r_from_moments
+    invert_pole_series, r_from_moments
 from .units import QCELLS, UnitElement, compression
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_CELLS", "ColoredNCPartition", "DistributionArray", "FLOAT",
-    "FockModel", "NCPartition", "NamedLaw", "QCELLS", "RATIONAL", "SHAPES",
-    "TruncatedSeries", "UnitElement", "UnitSeries", "as_scalar",
-    "assemble_matricial_r", "b_elements", "binary_convolutions",
-    "can_prepend", "cauchy_value", "compose", "compression",
-    "compressed_residuals", "enumerate_admissible", "enumerate_nc",
-    "enumerate_words", "f_compose_moments", "invert_C",
-    "invert_pole_series", "label_and_admit", "label_blocks",
-    "law_moments", "linearization_residuals", "master_cauchy",
-    "meixner_atoms", "meixner_cauchy", "meixner_density",
-    "meixner_parameters", "moments_from_cumulants",
-    "partition_contribution", "pole_product_is_one", "q_class",
+    "ALL_CELLS", "DistributionArray", "FLOAT", "FockModel", "NCPartition",
+    "NamedLaw", "QCELLS", "RATIONAL", "SHAPES", "TruncatedSeries",
+    "UnitElement", "UnitSeries", "as_scalar", "assemble_matricial_r",
+    "b_elements", "binary_convolutions", "can_prepend", "cauchy_value",
+    "compose", "compression", "compressed_residuals", "enumerate_nc",
+    "enumerate_words", "invert_C", "invert_pole_series", "law_moments",
+    "linearization_residuals", "master_cauchy", "meixner_atoms",
+    "meixner_cauchy", "meixner_density", "meixner_parameters", "q_class",
     "r_from_moments", "reconstruct_unique", "row_identical_array",
-    "scalar_r_as_unit_series", "smf_moments", "solve_subordination",
-    "stieltjes_density", "word_is_valid",
+    "smf_moments", "solve_subordination", "stieltjes_density",
+    "word_is_valid",
 ]

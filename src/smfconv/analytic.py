@@ -1,6 +1,6 @@
 """Cauchy-transform layer: the subordination recursion, the master formula
-for the convolution moments, the five binary convolution kinds with their
-closed-form cross-checks, and density extraction.
+for the convolution moments, the five binary convolution kinds as array
+shapes, and density extraction.
 
 Cauchy transforms are carried as moment generating functions: with
 w = 1/z, G(z) = w M(w), so G-composition arguments like R(G(z)) become
@@ -13,66 +13,69 @@ import cmath
 import math
 from typing import Dict, List, Sequence, Tuple
 
-from .arrays import Cell, DistributionArray, NamedLaw, row_identical_array
+from .arrays import ALL_CELLS, Cell, DistributionArray, NamedLaw, \
+    row_identical_array
 from .series import FLOAT, RATIONAL, TruncatedSeries, as_scalar, compose
 
 OFF = {1: 2, 2: 1}
 
 
-def _k_series(r_tail: TruncatedSeries, m_star: TruncatedSeries):
-    """R(w M*(w)) as a truncated series in w."""
-    return compose(r_tail, m_star.shift())
+def _subordination_map(k, resolvent):
+    """One step of the subordination fixed point, and the master formula.
+
+    *k* maps each cell to its K value, K_{i,j} = R_{i,j}(G*_{i,j}); cells
+    outside J carry zero.  Member (j,j) of the subordinate family pairs
+    K_{j,j} with K_{j',j}, member (j,j') pairs K_{j,j'} with K_{j',j}, and
+    the convolution itself pairs K_{1,1} with K_{2,2}.  ``resolvent(a, b)``
+    is 1/(z - a - b) in the caller's scalar algebra.  Returns the new
+    family and the master transform.
+    """
+    family = {}
+    for j in (1, 2):
+        family[(j, j)] = resolvent(k[(j, j)], k[(OFF[j], j)])
+        family[(j, OFF[j])] = resolvent(k[(j, OFF[j])], k[(OFF[j], j)])
+    return family, resolvent(k[(1, 1)], k[(2, 2)])
 
 
-def solve_subordination(array: DistributionArray,
-                        order: int) -> Dict[Cell, TruncatedSeries]:
-    """Moment generating functions of the four subordinate transforms.
+def _series_fixed_point(array: DistributionArray, order: int):
+    """Subordinate family and master moment series, as truncated series.
 
-    The fixed point is coefficient-triangular: coefficient n of each
-    series depends only on lower coefficients of the family, so iterating
-    the defining map order+1 times stabilizes every coefficient.
+    Transforms are moment generating functions in w = 1/z, so the
+    resolvent is (1 - (a + b) w)^-1 and K = R(w M*(w)).  The fixed point
+    is coefficient-triangular: coefficient n of each series depends only
+    on lower coefficients of the family, so after order iterations the
+    family is final and iteration order + 1 reproduces it exactly, with
+    the master series computed from the final family.
     """
     if array.order < order:
         raise ValueError("cumulant order %d < requested order %d"
                          % (array.order, order))
-    mode = array.mode
+    one = TruncatedSeries.one(order, array.mode)
 
-    # pad or cut each cell tail to the working order; the top coefficient
-    # of a K-series never reaches the truncated output, so this is exact
-    def pad(s):
-        coeffs = list(s.coeffs) + [as_scalar(0, mode)] * (order - s.order)
-        return TruncatedSeries(coeffs[:order + 1], mode)
+    def resolvent(a, b):
+        return (one - (a + b).shift()).reciprocal()
 
-    r = {cell: pad(array.r_series(cell))
-         for cell in ((1, 1), (1, 2), (2, 1), (2, 2))}
-    m_star = {cell: TruncatedSeries.one(order, mode) for cell in r}
-    one = TruncatedSeries.one(order, mode)
+    # the top coefficient of a K-series never reaches the truncated
+    # output, so cutting each cell tail to the working order is exact
+    padded = array.padded(order + 1)
+    r = {cell: padded.r_series(cell).truncate(order) for cell in ALL_CELLS}
+    m_star = {cell: one for cell in r}
     for _ in range(order + 1):
-        k = {cell: _k_series(r[cell], m_star[cell]) for cell in m_star}
-        new = {}
-        for j in (1, 2):
-            den = one - (k[(j, j)] + k[(OFF[j], j)]).shift()
-            new[(j, j)] = den.reciprocal()
-            den = one - (k[(j, OFF[j])] + k[(OFF[j], j)]).shift()
-            new[(j, OFF[j])] = den.reciprocal()
-        m_star = new
-    return m_star
+        k = {cell: compose(r[cell], m_star[cell].shift()) for cell in r}
+        m_star, master = _subordination_map(k, resolvent)
+    return m_star, master
+
+
+def solve_subordination(array: DistributionArray,
+                        order: int) -> Dict[Cell, TruncatedSeries]:
+    """Moment generating functions of the four subordinate transforms."""
+    return _series_fixed_point(array, order)[0]
 
 
 def master_cauchy(array: DistributionArray, order: int) -> TruncatedSeries:
     """Moment series of the convolution via the subordination family:
     M = 1 / (1 - w [K_{1,1} + K_{2,2}]) with K_{j,j} = R_{j,j}(w M*_{j,j})."""
-    m_star = solve_subordination(array, order)
-    mode = array.mode
-
-    def pad(s):
-        coeffs = list(s.coeffs) + [as_scalar(0, mode)] * (order - s.order)
-        return TruncatedSeries(coeffs[:order + 1], mode)
-
-    k11 = _k_series(pad(array.r_series((1, 1))), m_star[(1, 1)])
-    k22 = _k_series(pad(array.r_series((2, 2))), m_star[(2, 2)])
-    den = TruncatedSeries.one(order, mode) - (k11 + k22).shift()
-    return den.reciprocal()
+    return _series_fixed_point(array, order)[1]
 
 
 def law_moments(law: NamedLaw, order: int,
@@ -82,72 +85,15 @@ def law_moments(law: NamedLaw, order: int,
     return master_cauchy(array, order)
 
 
-def f_compose_moments(m1: TruncatedSeries,
-                      m2: TruncatedSeries) -> TruncatedSeries:
-    """Moment series of the monotone convolution via composition of
-    reciprocal Cauchy transforms, F = F1 o F2.
-
-    With N = 1/M, F(z) = z N(1/z) = 1/w + T(w) where T holds n_{k+1} at
-    index k; then F1(F2(z)) = F2(z) + S1(G2(z)) with S1(u) = (N1(u)-1)/u
-    and G2 = w M2(w), and the result converts back through M = 1/(1+wT).
-    """
-    order = min(m1.order, m2.order)
-    if order == 0:
-        return TruncatedSeries.one(0, m1.mode)
-    m1, m2 = m1.truncate(order), m2.truncate(order)
-    zero = (as_scalar(0, m1.mode),)
-    n1 = m1.reciprocal()
-    n2 = m2.reciprocal()
-    s1 = TruncatedSeries(n1.coeffs[1:] + zero, m1.mode)
-    t2 = TruncatedSeries(n2.coeffs[1:] + zero, m2.mode)
-    total = t2 + compose(s1, m2.shift())
-    den = TruncatedSeries.one(order, m1.mode) + total.shift()
-    return den.reciprocal()
-
-
 def binary_convolutions(law1: NamedLaw, law2: NamedLaw, kind: str,
                         order: int, mode: str = RATIONAL) -> TruncatedSeries:
     """Moment series of a binary convolution realized as an array shape.
 
-    kind is one of free, monotone, boolean, s_free, orthogonal.  The array
-    route (master_cauchy on the row-identical shape) is cross-checked
-    against the closed-form fixed-point equation of the kind; a mismatch
-    raises ArithmeticError.
+    kind is one of free, monotone, boolean, s_free, orthogonal; the result
+    is master_cauchy on the row-identical array of that shape.
     """
     array = row_identical_array(kind, law1, law2, max(order, 2), mode)
-    result = master_cauchy(array, order)
-
-    r1 = TruncatedSeries(law1.cumulants(order + 1, mode), mode)
-    r2 = TruncatedSeries(law2.cumulants(order + 1, mode), mode)
-    one = TruncatedSeries.one(order, mode)
-
-    def against(m_series, *terms):
-        den = one - sum(terms[1:], terms[0]).shift()
-        return m_series.agrees(den.reciprocal())
-
-    if kind == "free":
-        ok = against(result, compose(r1, result.shift()),
-                     compose(r2, result.shift()))
-    elif kind == "monotone":
-        g2 = law_moments(law2, order, mode)
-        ok = against(result, compose(r1, result.shift()),
-                     compose(r2, g2.shift()))
-    elif kind == "boolean":
-        g1 = law_moments(law1, order, mode)
-        g2 = law_moments(law2, order, mode)
-        ok = against(result, compose(r1, g1.shift()),
-                     compose(r2, g2.shift()))
-    elif kind == "s_free":
-        free = binary_convolutions(law1, law2, "free", order, mode)
-        ok = against(result, compose(r1, free.shift()))
-    elif kind == "orthogonal":
-        mono = binary_convolutions(law1, law2, "monotone", order, mode)
-        ok = against(result, compose(r1, mono.shift()))
-    else:
-        raise ValueError("unknown convolution kind %r" % (kind,))
-    if not ok:
-        raise ArithmeticError("closed-form cross-check failed for %r" % kind)
-    return result
+    return master_cauchy(array, order)
 
 
 # -- density extraction ------------------------------------------------------
@@ -157,7 +103,7 @@ def meixner_parameters(array: DistributionArray):
     """(a, b) when the array is square with semicircle(a) diagonal cells and
     equal point-mass(b) off-diagonal cells (a shared rate, b = c); else None.
     """
-    if array.J != frozenset(((1, 1), (1, 2), (2, 1), (2, 2))):
+    if array.J != frozenset(ALL_CELLS):
         return None
     p = array.order
     zero = as_scalar(0, array.mode)
@@ -217,30 +163,30 @@ def cauchy_value(array: DistributionArray, z: complex,
     """
     if z.imag <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
-    cells = ((1, 1), (1, 2), (2, 1), (2, 2))
-    r = {cell: [float(v) for v in array.r_series(cell).coeffs]
-         for cell in cells}
+    # cumulant tails highest order first, for Horner evaluation
+    r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
+         for cell in ALL_CELLS}
 
-    def r_eval(cell, u):
-        total = 0.0
-        for c in reversed(r[cell]):
-            total = total * u + c
-        return total
+    def k_values(g):
+        k = {}
+        for cell, u in g.items():
+            total = 0.0
+            for c in r[cell]:
+                total = total * u + c
+            k[cell] = total
+        return k
 
-    g = {cell: 1.0 / z for cell in cells}
+    def resolvent(a, b):
+        return 1.0 / (z - a - b)
+
+    g = {cell: 1.0 / z for cell in ALL_CELLS}
     for _ in range(max_iter):
-        k = {cell: r_eval(cell, g[cell]) for cell in cells}
-        new = {}
-        for j in (1, 2):
-            new[(j, j)] = 1.0 / (z - k[(j, j)] - k[(OFF[j], j)])
-            new[(j, OFF[j])] = 1.0 / (z - k[(j, OFF[j])] - k[(OFF[j], j)])
-        delta = max(abs(new[c] - g[c]) for c in cells)
-        g = {c: 0.5 * g[c] + 0.5 * new[c] for c in cells}
+        new, _ = _subordination_map(k_values(g), resolvent)
+        delta = max(abs(new[c] - g[c]) for c in ALL_CELLS)
+        g = {c: 0.5 * g[c] + 0.5 * new[c] for c in ALL_CELLS}
         if delta < tol:
             break
-    k11 = r_eval((1, 1), g[(1, 1)])
-    k22 = r_eval((2, 2), g[(2, 2)])
-    return 1.0 / (z - k11 - k22)
+    return _subordination_map(k_values(g), resolvent)[1]
 
 
 def stieltjes_density(array: DistributionArray, grid: Sequence[float],
@@ -251,7 +197,7 @@ def stieltjes_density(array: DistributionArray, grid: Sequence[float],
     pattern (then atoms come from residues); otherwise evaluates the
     subordination fixed point numerically and reports no atoms.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if array.mode != FLOAT:
         raise ValueError("density extraction requires float mode")

@@ -90,13 +90,10 @@ def parse_config(data: dict) -> JobConfig:
     cells = data.get("cells")
     if not isinstance(cells, dict) or not cells:
         raise ConfigError("config needs a non-empty cells object")
-    laws = {_parse_cell_key(k): _parse_law(v) for k, v in cells.items()}
-    if shape != "custom" and set(laws) != set(SHAPES[shape]):
-        raise ConfigError("cells %s do not match shape %r"
-                          % (sorted(cells), shape))
 
     order = data.get("order", 6)
-    if not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
+    if (isinstance(order, bool) or not isinstance(order, int)
+            or not 1 <= order <= MAX_ORDER):
         raise ConfigError("order must be an integer in 1..%d" % MAX_ORDER)
 
     engines = tuple(data.get("engines", list(ENGINES)))
@@ -107,6 +104,18 @@ def parse_config(data: dict) -> JobConfig:
     precision = data.get("precision", RATIONAL)
     if precision not in (RATIONAL, FLOAT):
         raise ConfigError("precision must be rational or float")
+
+    laws = {}
+    for key, spec in cells.items():
+        cell = _parse_cell_key(key)
+        try:
+            laws[cell] = _parse_law(spec)
+            laws[cell].cumulants(order, precision)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError("cell %s: bad law parameter (%s)" % (key, exc))
+    if shape != "custom" and set(laws) != set(SHAPES[shape]):
+        raise ConfigError("cells %s do not match shape %r"
+                          % (sorted(cells), shape))
 
     checks = tuple(data.get("checks", ()))
     if any(c not in CHECKS for c in checks):
@@ -119,7 +128,7 @@ def parse_config(data: dict) -> JobConfig:
             raise ConfigError("density block needs grid_min, grid_max, points")
         if precision != FLOAT:
             raise ConfigError("density extraction requires float precision")
-        if float(density.get("eps", 1e-3)) <= 0:
+        if not float(density.get("eps", 1e-3)) > 0:
             raise ConfigError("density eps must be positive")
 
     return JobConfig(shape=shape, laws=laws, order=order, engines=engines,

@@ -172,11 +172,6 @@ def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
     return out
 
 
-def scalar_r_as_unit_series(r: TruncatedSeries) -> UnitSeries:
-    """A scalar series as a multiple of the identity element."""
-    return UnitSeries.from_map({qc: r for qc in QCELLS})
-
-
 def _solve_b_value(model: FockModel, b_ops, mid_op, state: str, m: int):
     """Known-part of the level-(m+1) residual: everything except <b_m>."""
     sums = _alternating_sums(model, b_ops + [model.unit_op(
@@ -205,45 +200,23 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
     if set(row_cell) != {1, 2}:
         raise ValueError("reconstruction needs a cell in each row of J")
 
+    # B-side components read off moment data: state, middle operator
     mids = {
-        "phi": ("phi", model.total()),
-        "phi1": ("phi1", model.compressed_total(row_cell[1])),
-        "phi2": ("phi2", model.compressed_total(row_cell[2])),
+        (1, 1): ("phi", model.total()),
+        (2, 1): ("phi1", model.compressed_total(row_cell[1])),
+        (1, 2): ("phi2", model.compressed_total(row_cell[2])),
     }
-    zero = as_scalar(0, mode)
-    one = as_scalar(1, mode)
-    b_seq = {qc: [one] for qc in QCELLS}      # b_0..b_m per component
-    c_seq = {qc: [] for qc in QCELLS}         # c_1..c_m per component
+    b_tails = {qc: [] for qc in QCELLS}       # b_1..b_m per component
     b_ops = [model.unit_op(UnitElement.identity(mode))]
-
-    def c_from_b(qc, m):
-        # sum_{i+j=m} c_i b_j = 0, c_0 = b_0 = 1
-        s = zero
-        for i in range(1, m):
-            s += c_seq[qc][i - 1] * b_seq[qc][m - i]
-        return -b_seq[qc][m] - s
-
-    def b_from_c(qc, m):
-        s = zero
-        for i in range(1, m):
-            s += c_seq[qc][i - 1] * b_seq[qc][m - i]
-        return -s - c_seq[qc][m - 1]
-
     for m in range(1, order + 2):
-        values = {}
-        for state, (st, mid) in mids.items():
-            values[state] = _solve_b_value(model, b_ops, mid, st, m)
-        b_seq[(1, 1)].append(values["phi"])
-        b_seq[(2, 1)].append(values["phi1"])
-        b_seq[(1, 2)].append(values["phi2"])
-        for qc in ((1, 1), (2, 1), (1, 2)):
-            c_seq[qc].append(c_from_b(qc, m))
-        c22 = (c_seq[(2, 1)][m - 1] + c_seq[(1, 2)][m - 1]
-               - c_seq[(1, 1)][m - 1])
-        c_seq[(2, 2)].append(c22)
-        b_seq[(2, 2)].append(b_from_c((2, 2), m))
+        for qc, (state, mid) in mids.items():
+            b_tails[qc].append(_solve_b_value(model, b_ops, mid, state, m))
+        # invert_pole_series is an involution on tails: b <-> c
+        c = {qc: invert_pole_series(TruncatedSeries(b_tails[qc], mode))
+             for qc in mids}
+        c[(2, 2)] = c[(2, 1)] + c[(1, 2)] - c[(1, 1)]
+        b_tails[(2, 2)].append(invert_pole_series(c[(2, 2)]).coeffs[-1])
         b_ops.append(model.unit_op(UnitElement(
-            tuple(b_seq[qc][m] for qc in QCELLS), mode)))
+            tuple(b_tails[qc][-1] for qc in QCELLS), mode)))
 
-    return UnitSeries.from_map(
-        {qc: TruncatedSeries(c_seq[qc][:order + 1], mode) for qc in QCELLS})
+    return UnitSeries.from_map(c)

@@ -1,57 +1,19 @@
-"""Moments from cumulants: the classical free formula and the strongly
-matricially free convolution via labelled colored partitions."""
+"""Moments of the strongly matricially free convolution via labelled
+colored non-crossing partitions."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .arrays import DistributionArray
-from .partitions import ColoredNCPartition, enumerate_nc, forest
-from .series import RATIONAL, TruncatedSeries, as_scalar
-
-
-def moments_from_cumulants(cumulants: Sequence, order: int,
-                           mode: str = RATIONAL) -> TruncatedSeries:
-    """Single-measure moments m_0..m_order from cumulants r(1..).
-
-    m_n sums, over all non-crossing partitions of {1..n}, the product of
-    r(|block|) over blocks; missing cumulant orders count as zero.
-    """
-    r = [as_scalar(v, mode) for v in cumulants]
-    zero = as_scalar(0, mode)
-    out = [as_scalar(1, mode)]
-    for n in range(1, order + 1):
-        total = zero
-        for partition in enumerate_nc(n):
-            term = as_scalar(1, mode)
-            for block in partition.blocks:
-                k = len(block)
-                if k > len(r) or r[k - 1] == 0:
-                    term = zero
-                    break
-                term *= r[k - 1]
-            total += term
-        out.append(total)
-    return TruncatedSeries(out, mode)
-
-
-def partition_contribution(colored: ColoredNCPartition,
-                           array: DistributionArray):
-    """Product of r_label(|block|) over the blocks of an admitted coloring."""
-    cmap = array.cumulant_map()
-    term = as_scalar(1, array.mode)
-    for block, label in zip(colored.partition.blocks, colored.labels):
-        seq = cmap.get(label)
-        if seq is None or len(block) > len(seq):
-            return as_scalar(0, array.mode)
-        term *= seq[len(block) - 1]
-    return term
+from .partitions import enumerate_nc, forest
+from .series import TruncatedSeries
 
 
 def smf_moments(array: DistributionArray, order: int) -> TruncatedSeries:
-    """Moments m_0..m_order of the convolution of the array: the sum of
-    partition_contribution over all J-admissible colored partitions.
+    """Moments m_0..m_order of the convolution of the array: the sum, over
+    all J-admissible colored non-crossing partitions, of the product of
+    r_label(|block|) over the blocks.
 
     The coloring sum factorizes along the nesting forest, so it is
     evaluated blockwise with three accumulators per block (chain still
@@ -63,7 +25,7 @@ def smf_moments(array: DistributionArray, order: int) -> TruncatedSeries:
     and each covering block contributes its diagonal branches,
     r_{1,1} prod T_1 + r_{2,2} prod T_2.  Cells outside J are zero
     cumulants.  The equivalence with the literal coloring sum is pinned
-    by tests against enumerate_admissible.
+    by tests against the enumeration oracle in tests/oracles.py.
     """
     if array.order < order:
         raise ValueError("cumulant order %d < requested moment order %d"

@@ -1,20 +1,12 @@
-"""Non-crossing partitions of {1..m}, 2-colorings and matricial labels.
-
-A block's label is (c, c) when every enclosing block carries its own color
-c (or nothing encloses it), and (c, c') otherwise, where c' is the color of
-the nearest differently-colored enclosing block.  With two colors c' is
-simply the opposite color.  A colored partition is admitted for a shape set
-J iff every label lies in J; covering blocks always get diagonal labels.
-"""
+"""Non-crossing partitions of {1..m} and their nesting forests."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Tuple
+from typing import Tuple
 
 Block = Tuple[int, ...]
-Label = Tuple[int, int]
 
 MAX_POINTS = 14
 
@@ -88,22 +80,6 @@ class NCPartition:
                 stack.pop()
         return tuple(parents)
 
-    def forest_order(self) -> Tuple[int, ...]:
-        """Block indices so that every parent precedes its children."""
-        parents = self.parents()
-        order, placed = [], set()
-        pending = list(range(len(self.blocks)))
-        while pending:
-            rest = []
-            for k in pending:
-                if parents[k] is None or parents[k] in placed:
-                    order.append(k)
-                    placed.add(k)
-                else:
-                    rest.append(k)
-            pending = rest
-        return tuple(order)
-
 
 def forest(partition: NCPartition):
     """(parents, children per block, roots, parent-first order).
@@ -132,13 +108,6 @@ def forest(partition: NCPartition):
               tuple(order))
     object.__setattr__(partition, "_forest", result)
     return result
-
-
-@dataclass(frozen=True)
-class ColoredNCPartition:
-    partition: NCPartition
-    colors: Tuple[int, ...]
-    labels: Tuple[Label, ...]
 
 
 def _gaps(points: Tuple[int, ...], chosen: Tuple[int, ...]):
@@ -179,66 +148,3 @@ def enumerate_nc(m: int) -> Tuple[NCPartition, ...]:
         ordered = tuple(sorted((tuple(sorted(b)) for b in blocks), key=min))
         out.append(NCPartition(m, ordered))
     return tuple(out)
-
-
-def label_blocks(partition: NCPartition,
-                 colors: Sequence[int]) -> Tuple[Label, ...]:
-    """Labels induced by a block coloring, per the matricial rule."""
-    if len(colors) != len(partition.blocks):
-        raise ValueError("one color per block required")
-    if any(c not in (1, 2) for c in colors):
-        raise ValueError("colors must be 1 or 2")
-    parents, _, _, order = forest(partition)
-    labels: list[Label | None] = [None] * len(partition.blocks)
-    mono: list[bool] = [False] * len(partition.blocks)
-    for k in order:
-        c, p = colors[k], parents[k]
-        if p is None or (mono[p] and colors[p] == c):
-            labels[k] = (c, c)
-            mono[k] = True
-        else:
-            labels[k] = (c, 3 - c)
-            mono[k] = False
-    return tuple(labels)          # type: ignore[arg-type]
-
-
-def label_and_admit(partition: NCPartition, colors: Sequence[int],
-                    J) -> ColoredNCPartition | None:
-    """Label a coloring; None when some label falls outside J."""
-    labels = label_blocks(partition, colors)
-    if any(lbl not in J for lbl in labels):
-        return None
-    return ColoredNCPartition(partition, tuple(colors), labels)
-
-
-def _admissible_colorings(partition: NCPartition, J):
-    parents, _, _, order = forest(partition)
-    nblocks = len(partition.blocks)
-    colors: list[int] = [0] * nblocks
-    labels: list[Label] = [(0, 0)] * nblocks
-    mono: list[bool] = [False] * nblocks
-
-    def walk(i: int):
-        if i == nblocks:
-            yield ColoredNCPartition(partition, tuple(colors), tuple(labels))
-            return
-        k = order[i]
-        p = parents[k]
-        for c in (1, 2):
-            if p is None or (mono[p] and colors[p] == c):
-                lbl, m = (c, c), True
-            else:
-                lbl, m = (c, 3 - c), False
-            if lbl not in J:
-                continue
-            colors[k], labels[k], mono[k] = c, lbl, m
-            yield from walk(i + 1)
-
-    yield from walk(0)
-
-
-def enumerate_admissible(m: int, J) -> Iterator[ColoredNCPartition]:
-    """All J-admissible colored non-crossing partitions of {1..m}."""
-    J = frozenset(J)
-    for partition in enumerate_nc(m):
-        yield from _admissible_colorings(partition, J)

@@ -196,33 +196,16 @@ def invert_pole_series(reg: TruncatedSeries,
     """
     if order is None:
         order = reg.order
-    c = reg.truncate(order).coeffs if order <= reg.order else \
-        reg.coeffs + (as_scalar(0, reg.mode),) * (order - reg.order)
-    one = as_scalar(1, reg.mode)
-    b = [one]                       # b_0
+    zero = as_scalar(0, reg.mode)
+    c = reg.coeffs[:order + 1] + (zero,) * (order - reg.order)
+    b = [as_scalar(1, reg.mode)]    # b_0
     for m in range(1, order + 2):
         # sum_{i+j=m} c_i b_j = 0 with c_0 = 1 and c_i = c[i-1]
-        s = as_scalar(0, reg.mode)
+        s = zero
         for i in range(1, m + 1):
-            ci = c[i - 1] if i - 1 < len(c) else as_scalar(0, reg.mode)
-            s += ci * b[m - i]
+            s += c[i - 1] * b[m - i]
         b.append(-s)
     return TruncatedSeries(b[1:order + 2], reg.mode)
-
-
-def pole_product_is_one(reg: TruncatedSeries, tail: TruncatedSeries) -> bool:
-    """Check (1/z + reg(z)) * (z + z^2 tail(z)) == 1 up to the common order."""
-    reg._check(tail)
-    n = min(reg.order, tail.order)
-    b = (as_scalar(1, reg.mode),) + tail.coeffs     # b_0..b_{n+1}
-    c = (as_scalar(1, reg.mode),) + reg.coeffs      # c_0..c_{n+1}
-    for m in range(n + 2):
-        s = sum((c[i] * b[m - i] for i in range(m + 1)),
-                as_scalar(0, reg.mode))
-        want = as_scalar(1 if m == 0 else 0, reg.mode)
-        if not scalars_close(s, want):
-            return False
-    return True
 
 
 def r_from_moments(moments: TruncatedSeries) -> TruncatedSeries:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .series import RATIONAL, as_scalar, scalars_close
+from .series import RATIONAL, as_scalar
 
 QCELLS: Tuple[Tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
 
@@ -91,10 +91,6 @@ class UnitElement:
         """Value of the element under phi, phi1 or phi2."""
         idx = {"phi": (1, 1), "phi1": (2, 1), "phi2": (1, 2)}[state]
         return self.component(idx)
-
-    def close_to(self, other: "UnitElement", rel: float = 1e-10) -> bool:
-        return all(scalars_close(a, b, rel)
-                   for a, b in zip(self.beta, other.beta))
 
 
 def compression(i: int, j: int, mode: str = RATIONAL) -> UnitElement:

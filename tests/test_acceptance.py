@@ -19,14 +19,14 @@ from functools import lru_cache
 import pytest
 from scipy.integrate import quad
 
+from oracles import (enumerate_admissible, f_compose_moments,
+                     moments_from_cumulants, partition_contribution,
+                     scalar_r_as_unit_series)
 from smfconv import (DistributionArray, FockModel, NCPartition, NamedLaw,
                      SHAPES, TruncatedSeries, assemble_matricial_r, compose,
-                     compressed_residuals, enumerate_admissible,
-                     enumerate_nc, f_compose_moments, invert_C,
+                     compressed_residuals, enumerate_nc, invert_C,
                      linearization_residuals, master_cauchy, meixner_atoms,
-                     meixner_density, moments_from_cumulants,
-                     partition_contribution, r_from_moments,
-                     reconstruct_unique, scalar_r_as_unit_series,
+                     meixner_density, r_from_moments, reconstruct_unique,
                      smf_moments)
 
 SEED = 20260809

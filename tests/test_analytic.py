@@ -5,12 +5,13 @@ from fractions import Fraction as F
 import pytest
 from scipy.integrate import quad
 
+from oracles import (binary_fixed_point_rhs, f_compose_moments,
+                     moments_from_cumulants)
 from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
                      TruncatedSeries, binary_convolutions, cauchy_value,
-                     compose, f_compose_moments, law_moments, master_cauchy,
-                     meixner_atoms, meixner_cauchy, meixner_density,
-                     meixner_parameters, moments_from_cumulants, smf_moments,
-                     solve_subordination, stieltjes_density)
+                     compose, law_moments, master_cauchy, meixner_atoms,
+                     meixner_cauchy, meixner_density, meixner_parameters,
+                     smf_moments, solve_subordination, stieltjes_density)
 
 SEMI = NamedLaw.semicircle(1)
 
@@ -124,8 +125,8 @@ def test_boolean_kind_identity_law():
 
 
 def test_s_free_and_orthogonal_fixed_points():
-    # the defining series identities, checked here explicitly on top of
-    # the internal cross-checks inside binary_convolutions
+    # the defining series identities, with the inner transforms taken
+    # from binary_convolutions itself
     rng = random.Random(73)
     for _ in range(3):
         c1 = [F(rng.randint(-2, 2)) for _ in range(9)]
@@ -144,6 +145,23 @@ def test_s_free_and_orthogonal_fixed_points():
         den = TruncatedSeries.one(8) - compose(
             r1.truncate(8), mono.shift()).shift()
         assert orth == den.reciprocal()
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("kind", ["free", "monotone", "boolean", "s_free",
+                                  "orthogonal"])
+def test_binary_kinds_solve_their_closed_forms(kind, mode):
+    rng = random.Random("%s/%s" % (kind, mode))
+    for _ in range(3):
+        laws = [NamedLaw.custom([F(rng.randint(-3, 3), rng.randint(1, 3))
+                                 for _ in range(rng.randint(1, 7))])
+                for _ in range(2)]
+        if mode == FLOAT:
+            laws = [NamedLaw.custom([float(v) for v in law.params])
+                    for law in laws]
+        m = binary_convolutions(laws[0], laws[1], kind, 7, mode)
+        rhs = binary_fixed_point_rhs(m, laws[0], laws[1], kind, 7, mode)
+        assert m.agrees(rhs, 1e-10)
 
 
 def test_unknown_kind_rejected():
@@ -239,6 +257,8 @@ def test_stieltjes_grid_and_guards():
     assert len(atoms) == 1
     with pytest.raises(ValueError):
         stieltjes_density(arr, [0.0], 0.0)
+    with pytest.raises(ValueError):
+        stieltjes_density(arr, [0.0], float("nan"))
     with pytest.raises(ValueError):
         stieltjes_density(meixner_array("rational"), [0.0], 1e-6)
 

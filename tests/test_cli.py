@@ -139,13 +139,20 @@ def test_density_rejected_in_rational_mode(tmp_path, capsys):
     lambda c: c.update(version=2),
     lambda c: c.update(unexpected=True),
     lambda c: c["cells"].pop("1,1"),
+    lambda c: c.update(order=True),
+    lambda c: c["cells"]["1,2"].update(a=None),
+    lambda c: c["cells"]["1,2"].update(a=[1]),
+    lambda c: c["cells"]["1,2"].update(a="1/0"),
+    lambda c: c.update(precision="float") or c["cells"]["1,2"].update(a=None),
+    lambda c: c.update(precision="float") or c["cells"]["1,2"].update(a="1/0"),
 ])
 def test_bad_configs_exit_two(tmp_path, capsys, mutate):
     cfg = json.loads(json.dumps(SQUARE_SEMI))
     mutate(cfg)
-    code, _, err = run_cli(tmp_path, cfg, capsys=capsys)
+    code, out, err = run_cli(tmp_path, cfg, capsys=capsys)
     assert code == 2
-    assert "config error" in err
+    assert out == ""
+    assert err.startswith("config error") and err.count("\n") == 1
 
 
 def test_unreadable_config_exits_two(capsys):
@@ -234,3 +241,84 @@ def test_density_symmetric_without_shift(tmp_path, capsys):
     values = dict((round(x, 9), y) for x, y in dens["grid"])
     for x in (0.5, 1.0, 2.0):
         assert values[x] == pytest.approx(values[-x], rel=1e-9)
+
+
+# Reports recorded before the subordination map and the pole inversion were
+# each written once; any drift in the float path shows up here byte for byte.
+PINNED_FLOAT_CONFIG = {
+    "version": 1,
+    "shape": "square",
+    "cells": {
+        "1,1": {"kind": "semicircle", "a": "0.8"},
+        "2,2": {"kind": "semicircle", "a": "1.2"},
+        "1,2": {"kind": "point_mass", "b": "-0.3"},
+        "2,1": {"kind": "point_mass", "b": "0.25"},
+    },
+    "order": 6,
+    "precision": "float",
+    "density": {"grid_min": -4.0, "grid_max": 4.0, "points": 11,
+                "eps": 0.001},
+}
+
+PINNED_FLOAT_REPORT = (
+    '{"agreement":true,"density":{"atoms":[],"eps":0.001,"grid":[[-4.0,'
+    '3.1454444964309384e-05],[-3.2,7.147868539174836e-05],[-2.4,'
+    '0.09002792799943922],[-1.6,0.3312489835417363],[-0.7999999999999998,'
+    '0.17772381037890012],[0.0,0.16148897293061798],[0.7999999999999998,'
+    '0.17695656063580725],[1.5999999999999996,0.2810033885490872],'
+    '[2.4000000000000004,0.0003022011454564263],[3.2,'
+    '6.403067316148639e-05],[4.0,3.034957277358017e-05]]},'
+    '"engines":["partition","fock","analytic"],'
+    '"moments":{"analytic":[1.0,-0.0,2.0,-0.15999999999999998,'
+    '6.2379999999999995,-1.4758999999999998,22.488045],"fock":[1.0,0.0,'
+    '2.0,-0.15999999999999998,6.2379999999999995,-1.4758999999999995,'
+    '22.488045],"partition":[1.0,0.0,2.0,-0.15999999999999998,6.238,'
+    '-1.4759,22.488045]},"order":6,"precision":"float","shape":"square",'
+    '"version":1}'
+)
+
+PINNED_RATIONAL_CONFIG = {
+    "version": 1,
+    "shape": "square",
+    "cells": {
+        "1,1": ["1", "-2", "1", "0", "2", "1"],
+        "1,2": {"kind": "custom", "cumulants": ["2", "1/2", "0", "1"]},
+        "2,1": {"kind": "semicircle", "a": "2"},
+        "2,2": {"kind": "point_mass", "b": "-1/3"},
+    },
+    "order": 6,
+    "checks": ["axioms", "eq56", "eq611", "uniqueness"],
+}
+
+PINNED_RATIONAL_REPORT = (
+    '{"agreement":true,"checks":{"axioms":{"pass":true,"violations":[]},'
+    '"eq56":{"pass":true,"residuals":["1/1","0/1","0/1","0/1","0/1",'
+    '"0/1"]},"eq611":{"pass":true,"residuals":{"1,1":["1/1","0/1","0/1",'
+    '"0/1","0/1","0/1"],"1,2":["1/1","0/1","0/1","0/1","0/1","0/1"],"2,'
+    '1":["1/1","0/1","0/1","0/1","0/1","0/1"],"2,2":["1/1","0/1","0/1",'
+    '"0/1","0/1","0/1"]}},"uniqueness":{"pass":true}},'
+    '"engines":["partition","fock","analytic"],'
+    '"moments":{"analytic":["1/1","2/3","-14/9","-91/27","16/81",'
+    '"1319/243","-11960/729"],"fock":["1/1","2/3","-14/9","-91/27",'
+    '"16/81","1319/243","-11960/729"],"partition":["1/1","2/3","-14/9",'
+    '"-91/27","16/81","1319/243","-11960/729"]},"order":6,'
+    '"precision":"rational","shape":"square","version":1}'
+)
+
+
+@pytest.mark.parametrize("config,report", [
+    (PINNED_FLOAT_CONFIG, PINNED_FLOAT_REPORT),
+    (PINNED_RATIONAL_CONFIG, PINNED_RATIONAL_REPORT),
+], ids=["float_density", "rational_checks"])
+def test_pinned_reports_byte_identical(tmp_path, capsys, config, report):
+    code, out, _ = run_cli(tmp_path, config, capsys=capsys)
+    assert code == 0
+    assert out == report + "\n"
+
+
+def test_nan_eps_exits_two(tmp_path, capsys):
+    cfg = json.loads(json.dumps(MEIXNER))
+    cfg["density"]["eps"] = "nan"
+    code, _, err = run_cli(tmp_path, cfg, capsys=capsys)
+    assert code == 2
+    assert "eps must be positive" in err

@@ -3,12 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import (moments_from_cumulants, pole_product_is_one,
+                     scalar_r_as_unit_series)
 from smfconv import (DistributionArray, FockModel, NamedLaw, SHAPES,
                      TruncatedSeries, UnitSeries, assemble_matricial_r,
                      b_elements, compressed_residuals, invert_C,
-                     linearization_residuals, moments_from_cumulants,
-                     r_from_moments, reconstruct_unique,
-                     scalar_r_as_unit_series, smf_moments)
+                     linearization_residuals, r_from_moments,
+                     reconstruct_unique, smf_moments)
 
 
 def random_array(rng, J, order=8):
@@ -94,7 +95,6 @@ def test_invert_c_row_identical_components_match_scalar_route():
 
 
 def test_product_is_identity_componentwise():
-    from smfconv import pole_product_is_one
     rng = random.Random(41)
     for J in SHAPES.values():
         arr = random_array(rng, J, 7)
@@ -148,6 +148,23 @@ def test_reconstruct_round_trip():
         model = FockModel(arr, 7)
         rebuilt = reconstruct_unique(model, 6)
         assert rebuilt == assemble_matricial_r(arr, 6)
+
+
+def test_reconstruct_round_trip_float_mode():
+    rng = random.Random(59)
+    for J in SHAPES.values():
+        exact = random_array(rng, J, 7)
+        arr = DistributionArray.from_cumulants(
+            {cell: tuple(float(v) for v in seq) for cell, seq in exact.cells},
+            mode="float")
+        rebuilt = reconstruct_unique(FockModel(arr, 6), 5)
+        assert rebuilt.mode == "float"
+        assert rebuilt.agrees(assemble_matricial_r(arr, 5), 1e-9)
+        want = reconstruct_unique(FockModel(exact, 6), 5)
+        for qc in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for a, b in zip(want.component(qc).coeffs,
+                            rebuilt.component(qc).coeffs):
+                assert abs(float(a) - b) <= 1e-9 * max(1.0, abs(float(a)))
 
 
 def test_reconstruct_zero_array():

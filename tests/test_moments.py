@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from smfconv import (DistributionArray, NCPartition, SHAPES, TruncatedSeries,
-                     enumerate_admissible, enumerate_nc, f_compose_moments,
+from oracles import (enumerate_admissible, f_compose_moments,
                      label_and_admit, moments_from_cumulants,
-                     partition_contribution, smf_moments)
+                     partition_contribution)
+from smfconv import (DistributionArray, NCPartition, SHAPES, TruncatedSeries,
+                     enumerate_nc, smf_moments)
 
 
 def array_of(cums, order=None):

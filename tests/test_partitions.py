@@ -4,8 +4,8 @@ from itertools import product
 
 import pytest
 
-from smfconv import (NCPartition, enumerate_admissible, enumerate_nc,
-                     label_and_admit, label_blocks)
+from oracles import enumerate_admissible, label_and_admit, label_blocks
+from smfconv import NCPartition, enumerate_nc
 from smfconv.arrays import SHAPES
 
 SQUARE = SHAPES["square"]

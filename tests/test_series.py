@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import moments_from_cumulants, pole_product_is_one
 from smfconv import (FLOAT, RATIONAL, TruncatedSeries, compose,
-                     invert_pole_series, pole_product_is_one, r_from_moments)
-from smfconv.moments import moments_from_cumulants
+                     invert_pole_series, r_from_moments)
 
 
 def S(*coeffs, mode=RATIONAL):
