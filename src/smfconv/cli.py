@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .moments import smf_moments
 from .series import FLOAT, RATIONAL, TruncatedSeries, scalars_close
 
 MAX_ORDER = 12
+MAX_DENSITY_POINTS = 100_000
 ENGINES = ("partition", "fock", "analytic")
 CHECKS = ("axioms", "eq56", "eq611", "uniqueness")
 FLOAT_TOL = 1e-9
@@ -74,6 +76,21 @@ def _parse_law(spec) -> NamedLaw:
     raise ConfigError("unknown law kind %r" % kind)
 
 
+def _finite_number(value) -> bool:
+    """A JSON number (not a bool) that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:           # an int beyond the float range
+        return False
+
+
+def _require_finite(values, what: str) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("%s not finite in float precision" % what)
+
+
 def parse_config(data: dict) -> JobConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -110,9 +127,12 @@ def parse_config(data: dict) -> JobConfig:
         cell = _parse_cell_key(key)
         try:
             laws[cell] = _parse_law(spec)
-            laws[cell].cumulants(order, precision)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            cumulants = laws[cell].cumulants(order, precision)
+        except (TypeError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:
             raise ConfigError("cell %s: bad law parameter (%s)" % (key, exc))
+        if precision == FLOAT:
+            _require_finite(cumulants, "cell %s: cumulants" % key)
     if shape != "custom" and set(laws) != set(SHAPES[shape]):
         raise ConfigError("cells %s do not match shape %r"
                           % (sorted(cells), shape))
@@ -128,8 +148,20 @@ def parse_config(data: dict) -> JobConfig:
             raise ConfigError("density block needs grid_min, grid_max, points")
         if precision != FLOAT:
             raise ConfigError("density extraction requires float precision")
-        if not float(density.get("eps", 1e-3)) > 0:
-            raise ConfigError("density eps must be positive")
+        for key in ("grid_min", "grid_max"):
+            if not _finite_number(density[key]):
+                raise ConfigError("density %s must be a finite number" % key)
+        if not math.isfinite(float(density["grid_max"])
+                             - float(density["grid_min"])):
+            raise ConfigError("density window is wider than float precision")
+        eps = density.get("eps", 1e-3)
+        if not (_finite_number(eps) and eps > 0):
+            raise ConfigError("density eps must be positive and finite")
+        points = density["points"]
+        if (isinstance(points, bool) or not isinstance(points, int)
+                or not 2 <= points <= MAX_DENSITY_POINTS):
+            raise ConfigError("density points must be an integer in 2..%d"
+                              % MAX_DENSITY_POINTS)
 
     return JobConfig(shape=shape, laws=laws, order=order, engines=engines,
                      precision=precision, checks=checks, density=density)
@@ -176,6 +208,8 @@ def run(config: JobConfig) -> Tuple[dict, int]:
             moments[engine] = model.moments(config.order)
         elif engine == "analytic":
             moments[engine] = master_cauchy(array, config.order)
+        if mode == FLOAT:
+            _require_finite(moments[engine].coeffs, "%s moments" % engine)
     report["moments"] = {e: _render_series(m) for e, m in moments.items()}
 
     names = list(moments)
@@ -231,13 +265,14 @@ def run(config: JobConfig) -> Tuple[dict, int]:
 
     if config.density is not None:
         d = config.density
-        pts = int(d["points"])
+        pts = d["points"]
         lo, hi = float(d["grid_min"]), float(d["grid_max"])
         eps = float(d.get("eps", 1e-3))
-        if pts < 2:
-            raise ConfigError("density needs at least 2 grid points")
         grid = [lo + (hi - lo) * k / (pts - 1) for k in range(pts)]
-        rows, atoms = stieltjes_density(array, grid, eps)
+        try:
+            rows, atoms = stieltjes_density(array, grid, eps)
+        except OverflowError:
+            raise ConfigError("density grid overflows float precision")
         report["density"] = {
             "eps": eps,
             "grid": [[x, y] for x, y in rows],

@@ -115,6 +115,26 @@ class DiagonalOp:
         return out
 
 
+class CellPolynomial:
+    """c0 1_cell + c1 a + c2 a^2 + ... for one cell operator a, applied to
+    a vector one power of a at a time; the constant term sits on the
+    internal unit 1_cell, never on the global identity."""
+
+    __slots__ = ("unit", "a_op", "coeffs")
+
+    def __init__(self, unit: DiagonalOp, a_op: LinearOp, coeffs: Sequence):
+        self.unit, self.a_op, self.coeffs = unit, a_op, tuple(coeffs)
+
+    def apply(self, vec: Vector) -> Vector:
+        out = {w: self.coeffs[0] * v for w, v in self.unit.apply(vec).items()}
+        for c in self.coeffs[1:]:
+            vec = self.a_op.apply(vec)
+            if c != 0:
+                for w, v in vec.items():
+                    out[w] = out.get(w, 0) + c * v
+        return {w: v for w, v in out.items() if v != 0}
+
+
 class ComposedOp:
     __slots__ = ("factors",)
 
@@ -260,7 +280,7 @@ class FockModel:
         raise ValueError("state must be phi, phi1 or phi2")
 
     def _resolve(self, factor):
-        if isinstance(factor, (LinearOp, DiagonalOp, ComposedOp)):
+        if hasattr(factor, "apply"):
             return factor
         if isinstance(factor, UnitElement):
             return self.unit_op(factor)
@@ -274,9 +294,10 @@ class FockModel:
         """<(f_1 ... f_n) v, v> for the given state vector v.
 
         Factors are listed left to right as written in the product;
-        unit-algebra factors do not count against the depth budget, and a
-        raw LinearOp counts as one factor (callers building composite
-        operators keep their own depth accounting).
+        unit-algebra factors do not count against the depth budget, and any
+        other operator object (a LinearOp, a CellPolynomial) counts as one
+        factor (callers building composite operators keep their own depth
+        accounting).
         """
         heavy = sum(1 for f in factors
                     if not isinstance(f, (UnitElement, DiagonalOp)))
@@ -307,9 +328,7 @@ class FockModel:
         in the cell's state; must reproduce the input cumulants."""
         if order + 1 > self.depth:
             raise ValueError("need depth >= order + 1")
-        i, j = cell
-        state = "phi" if i == j else ("phi1" if j == 1 else "phi2")
-        vec = self.state_vector(state)
+        vec = self.state_vector(self._cell_state(cell))
         ref = next(iter(vec))
         op = self.toeplitz(cell)
         mom = [as_scalar(1, self.mode)]
@@ -338,42 +357,20 @@ class FockModel:
                                % (cell, w))
         return bad
 
-    def _poly_op(self, cell: Cell, coeffs: Sequence) -> LinearOp:
-        """coeffs[0]*1_cell + coeffs[1]*a_cell + coeffs[2]*a_cell^2 + ...
-
-        An element of the non-unital cell subalgebra: the constant term
-        sits on the internal unit, never on the global identity.
-        """
-        unit = UnitElement.internal_unit(*cell, self.mode)
-        a_op = self.toeplitz(cell)
-        cols: Dict[Word, dict] = {}
-        for w in self.words:
-            vec: Vector = {w: as_scalar(1, self.mode)}
-            acc: Dict[Word, object] = {}
-            f = unit.component(q_class(w))
-            if coeffs[0] != 0 and f != 0:
-                acc[w] = coeffs[0] * f
-            for c in coeffs[1:]:
-                vec = a_op.apply(vec)
-                if c != 0:
-                    for w2, v in vec.items():
-                        acc[w2] = acc.get(w2, 0) + c * v
-            entries = tuple((w2, v) for w2, v in acc.items() if v != 0)
-            if entries:
-                cols[w] = entries
-        return LinearOp(cols)
+    def _poly_op(self, cell: Cell, coeffs: Sequence) -> CellPolynomial:
+        """coeffs[0]*1_cell + coeffs[1]*a_cell + coeffs[2]*a_cell^2 + ...,
+        an element of the non-unital cell subalgebra."""
+        return CellPolynomial(self.unit(*cell), self.toeplitz(cell), coeffs)
 
     def _cell_state(self, cell: Cell) -> str:
         i, j = cell
         return "phi" if i == j else ("phi1" if j == 1 else "phi2")
 
-    def _centered_poly(self, cell: Cell, coeffs: Sequence) -> LinearOp:
+    def _centered_poly(self, cell: Cell, coeffs: Sequence) -> CellPolynomial:
         """Polynomial in the cell recentred into the kernel of its state."""
-        op = self._poly_op(cell, coeffs)
-        mean = self.state_moment(self._cell_state(cell), [op])
-        shifted = list(coeffs)
-        shifted[0] = shifted[0] - mean
-        return self._poly_op(cell, shifted)
+        mean = self.state_moment(self._cell_state(cell),
+                                 [self._poly_op(cell, coeffs)])
+        return self._poly_op(cell, [coeffs[0] - mean, *coeffs[1:]])
 
     def axiom_check(self, trials: int = 50, max_length: int = 5,
                     seed: int = 0) -> List[str]:

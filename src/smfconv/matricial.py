@@ -110,38 +110,43 @@ def b_elements(B: UnitSeries, count: int) -> List[UnitElement]:
     return out
 
 
-def _alternating_sums(model: FockModel, b_ops, mid_op, state: str,
-                      m_max: int):
-    """S_m = sum_{k=1}^m sum_{n1+..+nk=m-k} <b_{n1} M b_{n2} .. M b_{nk}>."""
-    base = model.state_vector(state)
-    ref = next(iter(base))
-    zero = as_scalar(0, model.mode)
+class _AlternatingTable:
+    """S_d = sum_{k=1}^d sum_{n1+..+nk=d-k} <b_{n1} M b_{n2} .. M b_{nk} v, v>
+    for one state vector v, built one anti-diagonal k + r = d at a time.
 
-    def vec_add(acc, v):
-        for w, c in v.items():
-            acc[w] = acc.get(w, zero) + c
-        return acc
+    U[k, r] sums the products over compositions of r into k parts, applied
+    to v.  b_r enters only through U[1, r], so the k >= 2 part of S_d needs
+    b_0..b_{d-2} alone, and a b_{d-1} not yet in b_ops counts as zero: that
+    is how reconstruct_unique solves for it.  Callers may append to b_ops.
+    """
 
-    # U[k][r] = sum over compositions of r into k parts, applied to base
-    U_prev = {r: b_ops[r].apply(base) for r in range(m_max)}
-    sums = []
-    for m in range(1, m_max + 1):
-        sums.append(U_prev.get(m - 1, {}).get(ref, zero))
-    level = U_prev
-    for k in range(2, m_max + 1):
-        nxt = {}
-        for r in range(m_max - k + 1):
+    def __init__(self, model: FockModel, b_ops: list, mid_op, state: str):
+        self.b_ops, self.mid = b_ops, mid_op
+        self.base = model.state_vector(state)
+        self.ref = next(iter(self.base))
+        self.zero = as_scalar(0, model.mode)
+        self.U: dict = {}
+        self.MU: dict = {}                # M U[k, r], each applied once
+
+    def _mid_u(self, k: int, r: int):
+        if (k, r) not in self.MU:
+            u = self.U[k, r] if k > 1 else self.b_ops[r].apply(self.base)
+            self.MU[k, r] = self.mid.apply(u)
+        return self.MU[k, r]
+
+    def sum(self, d: int):
+        zero = self.zero
+        total = (self.b_ops[d - 1].apply(self.base).get(self.ref, zero)
+                 if d - 1 < len(self.b_ops) else zero)
+        for k in range(2, d + 1):
             acc: dict = {}
-            for n1 in range(r + 1):
-                prev = level.get(r - n1)
-                if not prev:
-                    continue
-                vec_add(acc, b_ops[n1].apply(mid_op.apply(prev)))
-            nxt[r] = {w: c for w, c in acc.items() if c != 0}
-        for m in range(k, m_max + 1):
-            sums[m - 1] += nxt.get(m - k, {}).get(ref, zero)
-        level = nxt
-    return sums
+            for n1 in range(d - k + 1):
+                mu = self._mid_u(k - 1, d - k - n1)
+                for w, c in self.b_ops[n1].apply(mu).items():
+                    acc[w] = acc.get(w, zero) + c
+            self.U[k, d - k] = {w: c for w, c in acc.items() if c != 0}
+            total += self.U[k, d - k].get(self.ref, zero)
+        return total
 
 
 def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
@@ -151,7 +156,8 @@ def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
         raise ValueError("m_max %d exceeds model depth %d"
                          % (m_max, model.depth))
     b_ops = [model.unit_op(b) for b in b_elements(B, m_max)]
-    return _alternating_sums(model, b_ops, model.total(), "phi", m_max)
+    table = _AlternatingTable(model, b_ops, model.total(), "phi")
+    return [table.sum(d) for d in range(1, m_max + 1)]
 
 
 def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
@@ -166,17 +172,10 @@ def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
     b_ops = [model.unit_op(b) for b in b_elements(B, m_max)]
     out = {}
     for cell in sorted(model.J):
-        state = "phi1" if cell[0] == 1 else "phi2"
-        mid = model.compressed_total(cell)
-        out[cell] = _alternating_sums(model, b_ops, mid, state, m_max)
+        table = _AlternatingTable(model, b_ops, model.compressed_total(cell),
+                                  "phi1" if cell[0] == 1 else "phi2")
+        out[cell] = [table.sum(d) for d in range(1, m_max + 1)]
     return out
-
-
-def _solve_b_value(model: FockModel, b_ops, mid_op, state: str, m: int):
-    """Known-part of the level-(m+1) residual: everything except <b_m>."""
-    sums = _alternating_sums(model, b_ops + [model.unit_op(
-        UnitElement.zero(model.mode))], mid_op, state, m + 1)
-    return -sums[m]
 
 
 def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
@@ -200,20 +199,23 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
     if set(row_cell) != {1, 2}:
         raise ValueError("reconstruction needs a cell in each row of J")
 
-    # B-side components read off moment data: state, middle operator
-    mids = {
-        (1, 1): ("phi", model.total()),
-        (2, 1): ("phi1", model.compressed_total(row_cell[1])),
-        (1, 2): ("phi2", model.compressed_total(row_cell[2])),
+    # B-side components read off moment data, one table per state; the
+    # level-(m+1) sum vanishes, and b_m enters it only as <b_m v, v>
+    b_ops = [model.unit_op(UnitElement.identity(mode))]
+    tables = {
+        (1, 1): _AlternatingTable(model, b_ops, model.total(), "phi"),
+        (2, 1): _AlternatingTable(
+            model, b_ops, model.compressed_total(row_cell[1]), "phi1"),
+        (1, 2): _AlternatingTable(
+            model, b_ops, model.compressed_total(row_cell[2]), "phi2"),
     }
     b_tails = {qc: [] for qc in QCELLS}       # b_1..b_m per component
-    b_ops = [model.unit_op(UnitElement.identity(mode))]
     for m in range(1, order + 2):
-        for qc, (state, mid) in mids.items():
-            b_tails[qc].append(_solve_b_value(model, b_ops, mid, state, m))
+        for qc, table in tables.items():
+            b_tails[qc].append(-table.sum(m + 1))
         # invert_pole_series is an involution on tails: b <-> c
         c = {qc: invert_pole_series(TruncatedSeries(b_tails[qc], mode))
-             for qc in mids}
+             for qc in tables}
         c[(2, 2)] = c[(2, 1)] + c[(1, 2)] - c[(1, 1)]
         b_tails[(2, 2)].append(invert_pole_series(c[(2, 2)]).coeffs[-1])
         b_ops.append(model.unit_op(UnitElement(

@@ -4,8 +4,10 @@ Each oracle computes a quantity the library also computes, by a route
 that shares no code with the engine under test: literal enumeration of
 colored non-crossing partitions, the classical free moment-cumulant
 formula, composition of reciprocal Cauchy transforms, the pole product
-C(z) B(z) = 1 written out coefficientwise, and the closed-form fixed-point
-equations of the five binary convolution kinds.
+C(z) B(z) = 1 written out coefficientwise, the closed-form fixed-point
+equations of the five binary convolution kinds, cell polynomials of the
+Fock model as full column tables, and alternating sums written out one
+product per composition.
 
 Matricial labels: a block's label is (c, c) when every enclosing block
 carries its own color c (or nothing encloses it), and (c, c') otherwise,
@@ -17,12 +19,15 @@ always get diagonal labels.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
-from smfconv import (QCELLS, RATIONAL, DistributionArray, NamedLaw,
-                     NCPartition, TruncatedSeries, UnitSeries, as_scalar,
-                     compose, enumerate_nc)
+from smfconv import (QCELLS, RATIONAL, DistributionArray, FockModel,
+                     NamedLaw, NCPartition, TruncatedSeries, UnitElement,
+                     UnitSeries, as_scalar, compose, enumerate_nc,
+                     invert_pole_series, q_class)
+from smfconv.fock import LinearOp
 from smfconv.partitions import forest
 from smfconv.series import scalars_close
 
@@ -223,3 +228,82 @@ def pole_product_is_one(reg: TruncatedSeries, tail: TruncatedSeries) -> bool:
 def scalar_r_as_unit_series(r: TruncatedSeries) -> UnitSeries:
     """A scalar series as a multiple of the identity element."""
     return UnitSeries.from_map({qc: r for qc in QCELLS})
+
+
+# -- Fock-model cell polynomials and alternating sums ------------------------
+
+
+def poly_columns(model: FockModel, cell, coeffs: Sequence) -> LinearOp:
+    """coeffs[0]*1_cell + coeffs[1]*a_cell + coeffs[2]*a_cell^2 + ... as a
+    column table: one column per basis word, each built by applying the
+    powers of the cell operator to that word alone."""
+    unit = UnitElement.internal_unit(*cell, model.mode)
+    a_op = model.toeplitz(cell)
+    cols = {}
+    for w in model.words:
+        vec = {w: as_scalar(1, model.mode)}
+        acc: Dict = {}
+        f = unit.component(q_class(w))
+        if coeffs[0] != 0 and f != 0:
+            acc[w] = coeffs[0] * f
+        for c in coeffs[1:]:
+            vec = a_op.apply(vec)
+            if c != 0:
+                for w2, v in vec.items():
+                    acc[w2] = acc.get(w2, 0) + c * v
+        entries = tuple((w2, v) for w2, v in acc.items() if v != 0)
+        if entries:
+            cols[w] = entries
+    return LinearOp(cols)
+
+
+def composition_sum(model: FockModel, b_ops: Sequence, mid_op, state: str,
+                    m: int):
+    """S_m = sum over compositions p_1 + .. + p_k = m of
+    <b_{p_1 - 1} M b_{p_2 - 1} .. M b_{p_k - 1} v, v>, one product at a
+    time; a b index past the end of b_ops counts as a zero b."""
+    base = model.state_vector(state)
+    ref = next(iter(base))
+    total = as_scalar(0, model.mode)
+    for cuts in itertools.product((False, True), repeat=m - 1):
+        parts = [1]
+        for cut in cuts:
+            if cut:
+                parts.append(1)
+            else:
+                parts[-1] += 1
+        if max(parts) > len(b_ops):
+            continue
+        vec = base
+        for i, p in enumerate(reversed(parts)):
+            if i:
+                vec = mid_op.apply(vec)
+            vec = b_ops[p - 1].apply(vec)
+        total += vec.get(ref, as_scalar(0, model.mode))
+    return total
+
+
+def reconstruct_from_scratch(model: FockModel, order: int) -> UnitSeries:
+    """The matricial R-transform from moment data, each b_m solved from a
+    fresh composition sum: S_{m+1} = 0, where b_m enters only as
+    <b_m v, v>, so b_m's state component is minus S_{m+1} taken with b_m
+    left out.  q22 follows from C22 = C21 + C12 - C11."""
+    mode = model.mode
+    row = {i: next(c for c in ((i, i), (i, 3 - i)) if c in model.J)
+           for i in (1, 2)}
+    mids = {(1, 1): ("phi", model.total()),
+            (2, 1): ("phi1", model.compressed_total(row[1])),
+            (1, 2): ("phi2", model.compressed_total(row[2]))}
+    b_ops = [model.unit_op(UnitElement.identity(mode))]
+    tails = {qc: [] for qc in QCELLS}
+    for m in range(1, order + 2):
+        for qc, (state, mid) in mids.items():
+            tails[qc].append(-composition_sum(model, b_ops, mid, state,
+                                              m + 1))
+        c = {qc: invert_pole_series(TruncatedSeries(tails[qc], mode))
+             for qc in mids}
+        c[(2, 2)] = c[(2, 1)] + c[(1, 2)] - c[(1, 1)]
+        tails[(2, 2)].append(invert_pole_series(c[(2, 2)]).coeffs[-1])
+        b_ops.append(model.unit_op(UnitElement(
+            tuple(tails[qc][-1] for qc in QCELLS), mode)))
+    return UnitSeries.from_map(c)

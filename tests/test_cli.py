@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from smfconv import TruncatedSeries
-from smfconv.cli import main
+from smfconv.cli import MAX_DENSITY_POINTS, main
 
 SQUARE_SEMI = {
     "version": 1,
@@ -322,3 +325,106 @@ def test_nan_eps_exits_two(tmp_path, capsys):
     code, _, err = run_cli(tmp_path, cfg, capsys=capsys)
     assert code == 2
     assert "eps must be positive" in err
+
+
+def _finite_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+def _valid_density(block):
+    lo, hi, pts = block["grid_min"], block["grid_max"], block["points"]
+    eps = block.get("eps", 1e-3)
+    return (_finite_number(lo) and _finite_number(hi)
+            and math.isfinite(float(hi) - float(lo))
+            and _finite_number(eps) and eps > 0
+            and isinstance(pts, int) and not isinstance(pts, bool)
+            and 2 <= pts <= MAX_DENSITY_POINTS)
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                  st.lists(st.integers(), max_size=2))
+_FIELD = st.one_of(st.floats(-100, 100), st.integers(-100, 100),
+                   st.floats(), st.integers(-10 ** 400, 10 ** 400), _JUNK)
+_POINTS = st.one_of(st.integers(2, 50),
+                    st.integers(-3, MAX_DENSITY_POINTS + 3),
+                    st.integers(), st.floats(), _JUNK)
+
+
+class _EngineReached(Exception):
+    pass
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(block=st.fixed_dictionaries(
+    {"grid_min": _FIELD, "grid_max": _FIELD, "points": _POINTS},
+    optional={"eps": _FIELD}))
+@example(block={"grid_min": None, "grid_max": 1.0, "points": 5})
+@example(block={"grid_min": -1.0, "grid_max": None, "points": 5})
+@example(block={"grid_min": -1.0, "grid_max": 1.0, "points": None})
+@example(block={"grid_min": -1.0, "grid_max": 1.0, "points": 5, "eps": None})
+@example(block={"grid_min": "nan", "grid_max": 1.0, "points": 5})
+@example(block={"grid_min": -1.0, "grid_max": 1.0, "points": 2.9})
+@example(block={"grid_min": -1.0, "grid_max": 1.0, "points": 1})
+@example(block={"grid_min": -1e308, "grid_max": 1e308, "points": 5})
+@example(block={"grid_min": -1.0, "grid_max": 1.0, "points": 2})
+def test_density_block_validated_before_any_engine(tmp_path, capsys,
+                                                   monkeypatch, block):
+    # a bad block exits 2 with one line before the job starts; a good one
+    # reaches the job
+    def job(config):
+        raise _EngineReached
+
+    monkeypatch.setattr("smfconv.cli.run", job)
+    capsys.readouterr()
+    cfg = dict(MEIXNER, density=block)
+    if _valid_density(block):
+        with pytest.raises(_EngineReached):
+            run_cli(tmp_path, cfg, capsys=capsys)
+        return
+    code, out, err = run_cli(tmp_path, cfg, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: density") and err.count("\n") == 1
+
+
+def test_huge_density_grid_never_built(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("density grid evaluated")
+
+    monkeypatch.setattr("smfconv.cli.stieltjes_density", fail)
+    cfg = json.loads(json.dumps(MEIXNER))
+    cfg["density"]["points"] = 10 ** 12
+    code, out, err = run_cli(tmp_path, cfg, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: density points must be an integer in " \
+        "2..%d\n" % MAX_DENSITY_POINTS
+
+
+def test_density_grid_overflow_exits_two(tmp_path, capsys):
+    # a finite window whose closed-form evaluation overflows complex floats
+    cfg = json.loads(json.dumps(MEIXNER))
+    cfg["density"].update(grid_min=-1e300, grid_max=1e300, points=3)
+    code, out, err = run_cli(tmp_path, cfg, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: density grid overflows float precision\n"
+
+
+@pytest.mark.parametrize("cells,message", [
+    ({key: [1e308, 1e308] for key in ("1,1", "1,2", "2,1", "2,2")},
+     "partition moments not finite"),
+    ({"1,1": ["1e999"], "2,2": ["1"]}, "cell 1,1: bad law parameter"),
+    ({"1,1": [1e999], "2,2": ["1"]}, "cell 1,1: cumulants not finite"),
+], ids=["overflowing_moments", "huge_rational_string", "infinite_number"])
+def test_non_finite_float_values_exit_two(tmp_path, capsys, cells, message):
+    cfg = {"version": 1, "shape": "custom", "cells": cells, "order": 4,
+           "precision": "float"}
+    code, out, err = run_cli(tmp_path, cfg, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: " + message)
+    assert err.count("\n") == 1

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import poly_columns
 from smfconv import (DistributionArray, FockModel, SHAPES, TruncatedSeries,
                      UnitElement, can_prepend, enumerate_words,
                      smf_moments, word_is_valid)
@@ -177,6 +178,53 @@ def test_axiom_check_clean_on_random_arrays():
         arr = DistributionArray.from_cumulants(cums)
         model = FockModel(arr, 5)
         assert model.axiom_check(trials=25, max_length=5, seed=3) == []
+
+
+def test_cell_polynomials_match_column_oracle():
+    # the polynomial applied to the live vector must equal the full column
+    # table on every basis word, plain and recentred into its cell state
+    rng = random.Random(14)
+    for J in SHAPES.values():
+        cums = {cell: tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
+                            for _ in range(6)) for cell in J}
+        model = FockModel(DistributionArray.from_cumulants(cums), 6)
+        for cell in sorted(J):
+            state = model._cell_state(cell)
+            for degree in (0, 1, 3, 6):
+                coeffs = [F(rng.randint(-2, 2), rng.randint(1, 2))
+                          for _ in range(degree + 1)]
+                cols = poly_columns(model, cell, coeffs)
+                mean = model.state_moment(state, [cols])
+                centred = poly_columns(model, cell,
+                                       [coeffs[0] - mean] + coeffs[1:])
+                for op, table in ((model._poly_op(cell, coeffs), cols),
+                                  (model._centered_poly(cell, coeffs),
+                                   centred)):
+                    for w in model.words:
+                        assert op.apply({w: F(1)}) == \
+                            dict(table.columns.get(w, ()))
+
+
+# Recorded while axiom_check still built each cell polynomial as a column
+# table; pins the violation messages and the order of the random draws.
+LEAKY_VIOLATIONS = [
+    "kernel product [(1, 2)] has phi-moment Fraction(2, 1)",
+    "kernel product [(1, 2)] has phi-moment Fraction(2, 1)",
+    "phi(a_(1, 2)) = Fraction(1, 1) != 0",
+    "diagonal-then-kernel product [(1, 1), (1, 2)] has moment "
+    "Fraction(-4, 1)",
+]
+
+
+def test_axiom_check_flags_a_broken_model():
+    # a_{1,2} gains a constant term on the global identity instead of on
+    # its internal unit, so it no longer kills the vacuum
+    model = FockModel(square_array(random.Random(12), 5), 5)
+    a = model.toeplitz((1, 2))
+    for w in model.words:
+        a.columns[w] = a.columns.get(w, ()) + ((w, F(1)),)
+    assert model.axiom_check(trials=20, max_length=4, seed=1) == \
+        LEAKY_VIOLATIONS
 
 
 def test_depth_guards():

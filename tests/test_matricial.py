@@ -3,13 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import (moments_from_cumulants, pole_product_is_one,
+from oracles import (composition_sum, moments_from_cumulants,
+                     pole_product_is_one, reconstruct_from_scratch,
                      scalar_r_as_unit_series)
 from smfconv import (DistributionArray, FockModel, NamedLaw, SHAPES,
                      TruncatedSeries, UnitSeries, assemble_matricial_r,
                      b_elements, compressed_residuals, invert_C,
                      linearization_residuals, r_from_moments,
                      reconstruct_unique, smf_moments)
+from smfconv.cli import FLOAT_TOL
 
 
 def random_array(rng, J, order=8):
@@ -165,6 +167,43 @@ def test_reconstruct_round_trip_float_mode():
             for a, b in zip(want.component(qc).coeffs,
                             rebuilt.component(qc).coeffs):
                 assert abs(float(a) - b) <= 1e-9 * max(1.0, abs(float(a)))
+
+
+def test_residual_tables_match_composition_oracle():
+    # with a B that is not the inverse of C the sums are far from 1, 0, ...
+    rng = random.Random(61)
+    for J in SHAPES.values():
+        arr = random_array(rng, J, 6)
+        model = FockModel(arr, 6)
+        wrong = random_array(rng, J, 6)
+        B = invert_C(assemble_matricial_r(wrong, 5))
+        b_ops = [model.unit_op(b) for b in b_elements(B, 6)]
+        assert linearization_residuals(model, B, 6) == [
+            composition_sum(model, b_ops, model.total(), "phi", m)
+            for m in range(1, 7)]
+        for cell, res in compressed_residuals(model, B, 6).items():
+            state = "phi1" if cell[0] == 1 else "phi2"
+            mid = model.compressed_total(cell)
+            assert res == [composition_sum(model, b_ops, mid, state, m)
+                           for m in range(1, 7)]
+
+
+def test_reconstruct_matches_from_scratch_solve():
+    rng = random.Random(67)
+    for J in SHAPES.values():
+        exact = random_array(rng, J, 7)
+        model = FockModel(exact, 6)
+        rebuilt = reconstruct_unique(model, 5)
+        oracle = reconstruct_from_scratch(model, 5)
+        for qc in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            assert rebuilt.component(qc).coeffs == \
+                oracle.component(qc).coeffs
+        arr = DistributionArray.from_cumulants(
+            {cell: tuple(float(v) for v in seq) for cell, seq in exact.cells},
+            mode="float")
+        model = FockModel(arr, 6)
+        assert reconstruct_unique(model, 5).agrees(
+            reconstruct_from_scratch(model, 5), FLOAT_TOL)
 
 
 def test_reconstruct_zero_array():
