@@ -8,9 +8,9 @@ the linearization identities in every state, and reconstructs the
 transform uniquely from moment data.
 """
 
-from .analytic import binary_convolutions, cauchy_value, law_moments, \
-    master_cauchy, meixner_atoms, meixner_cauchy, meixner_density, \
-    meixner_parameters, solve_subordination, stieltjes_density
+from .analytic import cauchy_value, master_cauchy, meixner_atoms, \
+    meixner_cauchy, meixner_density, meixner_parameters, \
+    solve_subordination, stieltjes_density
 from .arrays import ALL_CELLS, DistributionArray, NamedLaw, SHAPES, \
     row_identical_array
 from .fock import FockModel, can_prepend, enumerate_words, q_class, \
@@ -30,12 +30,11 @@ __all__ = [
     "ALL_CELLS", "DistributionArray", "FLOAT", "FockModel", "NCPartition",
     "NamedLaw", "QCELLS", "RATIONAL", "SHAPES", "TruncatedSeries",
     "UnitElement", "UnitSeries", "as_scalar", "assemble_matricial_r",
-    "b_elements", "binary_convolutions", "can_prepend", "cauchy_value",
-    "compose", "compression", "compressed_residuals", "enumerate_nc",
-    "enumerate_words", "invert_C", "invert_pole_series", "law_moments",
-    "linearization_residuals", "master_cauchy", "meixner_atoms",
-    "meixner_cauchy", "meixner_density", "meixner_parameters", "q_class",
-    "r_from_moments", "reconstruct_unique", "row_identical_array",
-    "smf_moments", "solve_subordination", "stieltjes_density",
-    "word_is_valid",
+    "b_elements", "can_prepend", "cauchy_value", "compose", "compression",
+    "compressed_residuals", "enumerate_nc", "enumerate_words", "invert_C",
+    "invert_pole_series", "linearization_residuals", "master_cauchy",
+    "meixner_atoms", "meixner_cauchy", "meixner_density",
+    "meixner_parameters", "q_class", "r_from_moments", "reconstruct_unique",
+    "row_identical_array", "smf_moments", "solve_subordination",
+    "stieltjes_density", "word_is_valid",
 ]

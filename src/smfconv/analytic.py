@@ -1,6 +1,5 @@
 """Cauchy-transform layer: the subordination recursion, the master formula
-for the convolution moments, the five binary convolution kinds as array
-shapes, and density extraction.
+for the convolution moments, and density extraction.
 
 Cauchy transforms are carried as moment generating functions: with
 w = 1/z, G(z) = w M(w), so G-composition arguments like R(G(z)) become
@@ -13,9 +12,8 @@ import cmath
 import math
 from typing import Dict, List, Sequence, Tuple
 
-from .arrays import ALL_CELLS, Cell, DistributionArray, NamedLaw, \
-    row_identical_array
-from .series import FLOAT, RATIONAL, TruncatedSeries, as_scalar, compose
+from .arrays import ALL_CELLS, Cell, DistributionArray
+from .series import FLOAT, TruncatedSeries, as_scalar, compose
 
 OFF = {1: 2, 2: 1}
 
@@ -78,24 +76,6 @@ def master_cauchy(array: DistributionArray, order: int) -> TruncatedSeries:
     return _series_fixed_point(array, order)[1]
 
 
-def law_moments(law: NamedLaw, order: int,
-                mode: str = RATIONAL) -> TruncatedSeries:
-    """Moment series of a single law, via the one-cell master formula."""
-    array = DistributionArray.from_laws({(1, 1): law}, max(order, 1), mode)
-    return master_cauchy(array, order)
-
-
-def binary_convolutions(law1: NamedLaw, law2: NamedLaw, kind: str,
-                        order: int, mode: str = RATIONAL) -> TruncatedSeries:
-    """Moment series of a binary convolution realized as an array shape.
-
-    kind is one of free, monotone, boolean, s_free, orthogonal; the result
-    is master_cauchy on the row-identical array of that shape.
-    """
-    array = row_identical_array(kind, law1, law2, max(order, 2), mode)
-    return master_cauchy(array, order)
-
-
 # -- density extraction ------------------------------------------------------
 
 
@@ -124,9 +104,12 @@ def meixner_parameters(array: DistributionArray):
 
 def meixner_cauchy(a: float, b: float, z: complex) -> complex:
     """Closed-form transform G(z) = (b - s(z)) / (4a + 2bz - z^2) with the
-    branch of s(z) = sqrt((z-b)^2 - 4a) asymptotic to z - b."""
+    branch of s(z) = sqrt((z-b)^2 - 4a) asymptotic to z - b: the one with
+    Im s > 0 in the upper half plane.  Only where Im s underflows to 0
+    is the root nearest to z - b taken."""
     s = cmath.sqrt((z - b) ** 2 - 4 * a)
-    if abs(s - (z - b)) > abs(-s - (z - b)):
+    if s.imag < 0 or (s.imag == 0
+                      and abs(s - (z - b)) > abs(-s - (z - b))):
         s = -s
     den = 4 * a + 2 * b * z - z * z
     return (b - s) / den

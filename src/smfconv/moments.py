@@ -3,11 +3,11 @@ colored non-crossing partitions."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .arrays import DistributionArray
-from .partitions import enumerate_nc, forest
-from .series import TruncatedSeries
+from .arrays import ALL_CELLS, DistributionArray
+from .series import FLOAT, TruncatedSeries
 
 
 def smf_moments(array: DistributionArray, order: int) -> TruncatedSeries:
@@ -15,17 +15,29 @@ def smf_moments(array: DistributionArray, order: int) -> TruncatedSeries:
     all J-admissible colored non-crossing partitions, of the product of
     r_label(|block|) over the blocks.
 
-    The coloring sum factorizes along the nesting forest, so it is
-    evaluated blockwise with three accumulators per block (chain still
-    monochromatic in color 1, in color 2, or already mixed):
+    The coloring sum factorizes along the nesting forest, with three
+    values per block (chain still monochromatic in color 1, in color 2,
+    or already mixed):
 
         T_j(b) = r_{j,j}(|b|) prod T_j(ch) + r_{j',j}(|b|) prod X(ch)
         X(b)   = (r_{1,2} + r_{2,1})(|b|) prod X(ch)
 
-    and each covering block contributes its diagonal branches,
-    r_{1,1} prod T_1 + r_{2,2} prod T_2.  Cells outside J are zero
-    cumulants.  The equivalence with the literal coloring sum is pinned
-    by tests against the enumeration oracle in tests/oracles.py.
+    and each covering block contributes D(b) = r_{1,1} prod T_1 +
+    r_{2,2} prod T_2.  Let F_c(m) sum, over the non-crossing partitions of
+    m points, the product of c over the roots (F_c(0) = 1).  Splitting off
+    the block of point 1, of size s, its s - 1 inner gaps hold its
+    children and the gap after it holds the later roots, so
+
+        F_T1(m) = sum_s sum_j [r_{1,1}(s) P_T1^{s-1}(j)
+                               + r_{2,1}(s) P_X^{s-1}(j)] F_T1(m - s - j)
+
+    with P_c^k(j) = [x^j] F_c(x)^k, likewise for T2, X and D, and the
+    moments are F_D(0..order): O(order^3) products, no partition is built
+    (Speicher, Math. Ann. 298, 1994).  Cells outside J are zero
+    cumulants.  Float arrays are summed exactly over their cumulants'
+    binary values and each moment is rounded once, so float moments are
+    correctly rounded.  The equivalence with the literal coloring sum is
+    pinned by tests against the oracles in tests/oracles.py.
     """
     if array.order < order:
         raise ValueError("cumulant order %d < requested moment order %d"
@@ -33,38 +45,48 @@ def smf_moments(array: DistributionArray, order: int) -> TruncatedSeries:
     cmap = array.cumulant_map()
 
     def rvals(cell):
-        seq = cmap.get(cell, (0,) * array.order)
+        try:
+            seq = [Fraction(v) for v in cmap.get(cell, (0,) * array.order)]
+        except (OverflowError, ValueError):
+            raise ValueError("cell %r: cumulants not finite" % (cell,))
         # integral rationals run exactly in machine ints
-        return tuple(int(v) if isinstance(v, Fraction)
-                     and v.denominator == 1 else v for v in seq)
+        return [int(v) if v.denominator == 1 else v for v in seq]
 
-    r11, r12 = rvals((1, 1)), rvals((1, 2))
-    r21, r22 = rvals((2, 1)), rvals((2, 2))
-    rmix = tuple(a + b for a, b in zip(r12, r21))
-    out = [1]
-    for n in range(1, order + 1):
-        total = 0
-        for partition in enumerate_nc(n):
-            _, children, roots, forder = forest(partition)
-            blocks = partition.blocks
-            t1 = [0] * len(blocks)
-            t2 = [0] * len(blocks)
-            mix = [0] * len(blocks)
-            diag = [0] * len(blocks)
-            for k in reversed(forder):
-                sz = len(blocks[k]) - 1
-                p1 = p2 = px = 1
-                for ch in children[k]:
-                    p1 *= t1[ch]
-                    p2 *= t2[ch]
-                    px *= mix[ch]
-                t1[k] = r11[sz] * p1 + r21[sz] * px
-                t2[k] = r22[sz] * p2 + r12[sz] * px
-                mix[k] = rmix[sz] * px
-                diag[k] = r11[sz] * p1 + r22[sz] * p2
-            term = 1
-            for root in roots:
-                term *= diag[root]
-            total += term
-        out.append(total)
+    r11, r12, r21, r22 = (rvals(cell) for cell in ALL_CELLS)
+    rmix = [a + b for a, b in zip(r12, r21)]
+    # context -> the (cumulants, child context) branches of a block in it
+    branches = {"T1": ((r11, "T1"), (r21, "X")),
+                "T2": ((r22, "T2"), (r12, "X")),
+                "X": ((rmix, "X"),),
+                "D": ((r11, "T1"), (r22, "T2"))}
+    f = {c: [1] for c in branches}
+    # powers[c][k][j] = [x^j] F_c(x)^k, grown one coefficient per order
+    powers = {c: [[1] + [0] * order] for c in ("T1", "T2", "X")}
+    for m in range(1, order + 1):
+        for c, pw in powers.items():
+            fc = f[c]
+            pw.append([])
+            for k in range(1, m):
+                j, prev = m - 1 - k, pw[k - 1]
+                pw[k].append(sum(fc[i] * prev[j - i] for i in range(j + 1)))
+        for c, block_branches in branches.items():
+            fc, total = f[c], 0
+            for s in range(1, m + 1):
+                for rc, child in block_branches:
+                    if rc[s - 1]:
+                        pw = powers[child][s - 1]
+                        total += rc[s - 1] * sum(pw[j] * fc[m - s - j]
+                                                 for j in range(m - s + 1))
+            fc.append(total)
+    out = f["D"]
+    if array.mode == FLOAT:
+        out = [_round(v) for v in out]
     return TruncatedSeries(out, array.mode)
+
+
+def _round(value) -> float:
+    """Nearest float, infinite past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf

@@ -1,4 +1,4 @@
-"""Non-crossing partitions of {1..m} and their nesting forests."""
+"""Non-crossing partitions of {1..m}."""
 
 from __future__ import annotations
 
@@ -79,35 +79,6 @@ class NCPartition:
             if seen[idx] == sizes[idx]:
                 stack.pop()
         return tuple(parents)
-
-
-def forest(partition: NCPartition):
-    """(parents, children per block, roots, parent-first order).
-
-    Memoized on the partition object itself: enumerate_nc shares
-    partition instances per m, so the nesting structure is computed once
-    and later lookups avoid rehashing the block structure."""
-    cached = getattr(partition, "_forest", None)
-    if cached is not None:
-        return cached
-    parents = partition.parents()
-    children = [[] for _ in partition.blocks]
-    roots = []
-    for k, p in enumerate(parents):
-        if p is None:
-            roots.append(k)
-        else:
-            children[p].append(k)
-    order = []
-    stack = list(reversed(roots))
-    while stack:
-        k = stack.pop()
-        order.append(k)
-        stack.extend(reversed(children[k]))
-    result = (parents, tuple(tuple(c) for c in children), tuple(roots),
-              tuple(order))
-    object.__setattr__(partition, "_forest", result)
-    return result
 
 
 def _gaps(points: Tuple[int, ...], chosen: Tuple[int, ...]):

@@ -2,12 +2,15 @@
 
 Each oracle computes a quantity the library also computes, by a route
 that shares no code with the engine under test: literal enumeration of
-colored non-crossing partitions, the classical free moment-cumulant
+colored non-crossing partitions, the blockwise nesting-forest sum over
+each non-crossing partition, the classical free moment-cumulant
 formula, composition of reciprocal Cauchy transforms, the pole product
 C(z) B(z) = 1 written out coefficientwise, the closed-form fixed-point
 equations of the five binary convolution kinds, cell polynomials of the
 Fock model as full column tables, and alternating sums written out one
-product per composition.
+product per composition.  Two thin wrappers at the end drive the
+subordination engine on single laws and on the binary convolution
+kinds.
 
 Matricial labels: a block's label is (c, c) when every enclosing block
 carries its own color c (or nothing encloses it), and (c, c') otherwise,
@@ -26,12 +29,91 @@ from typing import Dict, Iterator, Sequence, Tuple
 from smfconv import (QCELLS, RATIONAL, DistributionArray, FockModel,
                      NamedLaw, NCPartition, TruncatedSeries, UnitElement,
                      UnitSeries, as_scalar, compose, enumerate_nc,
-                     invert_pole_series, q_class)
+                     invert_pole_series, master_cauchy, q_class,
+                     row_identical_array)
 from smfconv.fock import LinearOp
-from smfconv.partitions import forest
 from smfconv.series import scalars_close
 
 Label = Tuple[int, int]
+
+
+# -- nesting forests ----------------------------------------------------------
+
+
+def forest(partition: NCPartition):
+    """(parents, children per block, roots, parent-first order).
+
+    Memoized on the partition object itself: enumerate_nc shares
+    partition instances per m, so the nesting structure is computed once
+    and later lookups avoid rehashing the block structure."""
+    cached = getattr(partition, "_forest", None)
+    if cached is not None:
+        return cached
+    parents = partition.parents()
+    children = [[] for _ in partition.blocks]
+    roots = []
+    for k, p in enumerate(parents):
+        if p is None:
+            roots.append(k)
+        else:
+            children[p].append(k)
+    order = []
+    stack = list(reversed(roots))
+    while stack:
+        k = stack.pop()
+        order.append(k)
+        stack.extend(reversed(children[k]))
+    result = (parents, tuple(tuple(c) for c in children), tuple(roots),
+              tuple(order))
+    object.__setattr__(partition, "_forest", result)
+    return result
+
+
+def forest_moments(array: DistributionArray, order: int) -> TruncatedSeries:
+    """Moments m_0..m_order summed one non-crossing partition at a time.
+
+    Each partition's coloring sum is evaluated blockwise along its nesting
+    forest, children before parents, with three values per block (chain
+    still monochromatic in color 1, in color 2, or already mixed):
+
+        T_j(b) = r_{j,j}(|b|) prod T_j(ch) + r_{j',j}(|b|) prod X(ch)
+        X(b)   = (r_{1,2} + r_{2,1})(|b|) prod X(ch)
+
+    and each covering block contributes r_{1,1} prod T_1 + r_{2,2} prod T_2.
+    """
+    cmap = array.cumulant_map()
+    zero = as_scalar(0, array.mode)
+
+    def rvals(cell):
+        return cmap.get(cell, (zero,) * array.order)
+
+    r11, r12 = rvals((1, 1)), rvals((1, 2))
+    r21, r22 = rvals((2, 1)), rvals((2, 2))
+    rmix = tuple(a + b for a, b in zip(r12, r21))
+    out = [as_scalar(1, array.mode)]
+    for n in range(1, order + 1):
+        total = zero
+        for partition in enumerate_nc(n):
+            _, children, roots, forder = forest(partition)
+            blocks = partition.blocks
+            t1, t2, mix, diag = ({} for _ in range(4))
+            for k in reversed(forder):
+                sz = len(blocks[k]) - 1
+                p1 = p2 = px = 1
+                for ch in children[k]:
+                    p1 *= t1[ch]
+                    p2 *= t2[ch]
+                    px *= mix[ch]
+                t1[k] = r11[sz] * p1 + r21[sz] * px
+                t2[k] = r22[sz] * p2 + r12[sz] * px
+                mix[k] = rmix[sz] * px
+                diag[k] = r11[sz] * p1 + r22[sz] * p2
+            term = 1
+            for root in roots:
+                term *= diag[root]
+            total += term
+        out.append(total)
+    return TruncatedSeries(out, array.mode)
 
 
 # -- literal coloring sums ---------------------------------------------------
@@ -307,3 +389,24 @@ def reconstruct_from_scratch(model: FockModel, order: int) -> UnitSeries:
         b_ops.append(model.unit_op(UnitElement(
             tuple(tails[qc][-1] for qc in QCELLS), mode)))
     return UnitSeries.from_map(c)
+
+
+# -- subordination-engine wrappers -------------------------------------------
+
+
+def law_moments(law: NamedLaw, order: int,
+                mode: str = RATIONAL) -> TruncatedSeries:
+    """Moment series of a single law, via the one-cell master formula."""
+    array = DistributionArray.from_laws({(1, 1): law}, max(order, 1), mode)
+    return master_cauchy(array, order)
+
+
+def binary_convolutions(law1: NamedLaw, law2: NamedLaw, kind: str,
+                        order: int, mode: str = RATIONAL) -> TruncatedSeries:
+    """Moment series of a binary convolution realized as an array shape.
+
+    kind is one of free, monotone, boolean, s_free, orthogonal; the result
+    is master_cauchy on the row-identical array of that shape.
+    """
+    array = row_identical_array(kind, law1, law2, max(order, 2), mode)
+    return master_cauchy(array, order)

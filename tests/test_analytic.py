@@ -5,13 +5,13 @@ from fractions import Fraction as F
 import pytest
 from scipy.integrate import quad
 
-from oracles import (binary_fixed_point_rhs, f_compose_moments,
-                     moments_from_cumulants)
+from oracles import (binary_convolutions, binary_fixed_point_rhs,
+                     f_compose_moments, law_moments, moments_from_cumulants)
 from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
-                     TruncatedSeries, binary_convolutions, cauchy_value,
-                     compose, law_moments, master_cauchy, meixner_atoms,
-                     meixner_cauchy, meixner_density, meixner_parameters,
-                     smf_moments, solve_subordination, stieltjes_density)
+                     TruncatedSeries, cauchy_value, compose, master_cauchy,
+                     meixner_atoms, meixner_cauchy, meixner_density,
+                     meixner_parameters, smf_moments, solve_subordination,
+                     stieltjes_density)
 
 SEMI = NamedLaw.semicircle(1)
 

@@ -275,8 +275,9 @@ PINNED_FLOAT_REPORT = (
     '"moments":{"analytic":[1.0,-0.0,2.0,-0.15999999999999998,'
     '6.2379999999999995,-1.4758999999999998,22.488045],"fock":[1.0,0.0,'
     '2.0,-0.15999999999999998,6.2379999999999995,-1.4758999999999995,'
-    '22.488045],"partition":[1.0,0.0,2.0,-0.15999999999999998,6.238,'
-    '-1.4759,22.488045]},"order":6,"precision":"float","shape":"square",'
+    '22.488045],"partition":[1.0,0.0,2.0,-0.15999999999999998,'
+    '6.2379999999999995,-1.4758999999999995,22.488045]},"order":6,'
+    '"precision":"float","shape":"square",'
     '"version":1}'
 )
 
@@ -317,6 +318,32 @@ def test_pinned_reports_byte_identical(tmp_path, capsys, config, report):
     code, out, _ = run_cli(tmp_path, config, capsys=capsys)
     assert code == 0
     assert out == report + "\n"
+
+
+@pytest.mark.parametrize("eps", [1e-200, 5e-324, 1e-12])
+def test_meixner_density_positive_for_tiny_eps(tmp_path, capsys, eps):
+    cfg = json.loads(json.dumps(MEIXNER))
+    cfg["density"] = {"grid_min": -1.0, "grid_max": 1.0, "points": 3,
+                      "eps": eps}
+    code, out, _ = run_cli(tmp_path, cfg, capsys=capsys)
+    assert code == 0
+    grid = json.loads(out)["density"]["grid"]
+    assert [x for x, _ in grid] == [-1.0, 0.0, 1.0]
+    assert grid[0][1] == pytest.approx(0.2105422, abs=1e-6)
+    assert grid[1][1] == pytest.approx(0.1541011, abs=1e-6)
+
+
+def test_order_twelve_all_engines(tmp_path, capsys):
+    cfg = {key: value for key, value in MEIXNER.items()
+           if key not in ("precision", "density")}
+    cfg["order"] = 12
+    code, out, _ = run_cli(tmp_path, cfg, capsys=capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["precision"] == "rational"
+    assert report["agreement"] is True
+    assert sorted(report["moments"]) == ["analytic", "fock", "partition"]
+    assert len(report["moments"]["partition"]) == 13
 
 
 def test_nan_eps_exits_two(tmp_path, capsys):

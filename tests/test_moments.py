@@ -1,13 +1,18 @@
+import ast
+import inspect
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import smfconv.moments
 from oracles import (enumerate_admissible, f_compose_moments,
-                     label_and_admit, moments_from_cumulants,
-                     partition_contribution)
-from smfconv import (DistributionArray, NCPartition, SHAPES, TruncatedSeries,
-                     enumerate_nc, smf_moments)
+                     forest_moments, label_and_admit,
+                     moments_from_cumulants, partition_contribution)
+from smfconv import (DistributionArray, FLOAT, NCPartition, SHAPES,
+                     TruncatedSeries, enumerate_nc, smf_moments)
 
 
 def array_of(cums, order=None):
@@ -157,3 +162,69 @@ def test_order_guard():
     arr = array_of({(1, 1): (F(1),)})
     with pytest.raises(ValueError):
         smf_moments(arr, 2)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_engine_equals_forest_oracle(shape):
+    rng = random.Random(31)
+    for n in (1, 4, 7, 9):
+        cums = {cell: tuple(F(rng.randint(-5, 5), rng.randint(1, 4))
+                            for _ in range(n)) for cell in SHAPES[shape]}
+        arr = array_of(cums)
+        assert smf_moments(arr, n) == forest_moments(arr, n)
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(sorted(SHAPES)), order=st.integers(1, 7),
+       data=st.data())
+def test_engine_equals_forest_oracle_property(shape, order, data):
+    cums = {cell: tuple(data.draw(st.lists(_RATIONALS, min_size=order,
+                                           max_size=order)))
+            for cell in SHAPES[shape]}
+    arr = array_of(cums)
+    assert smf_moments(arr, order) == forest_moments(arr, order)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_float_moments_are_correctly_rounded(shape):
+    rng = random.Random(37)
+    for _ in range(3):
+        cums = {cell: tuple(rng.uniform(-2.5, 2.5) for _ in range(8))
+                for cell in SHAPES[shape]}
+        arr = DistributionArray.from_cumulants(cums, FLOAT)
+        exact = forest_moments(array_of(
+            {cell: tuple(F(v) for v in seq) for cell, seq in cums.items()}),
+            8)
+        got = smf_moments(arr, 8)
+        assert got.mode == FLOAT
+        assert list(got.coeffs) == [float(v) for v in exact.coeffs]
+
+
+def test_float_moments_past_the_float_range_are_infinite():
+    arr = DistributionArray.from_cumulants({(1, 1): (-1e308, 0.0, 0.0)},
+                                           FLOAT)
+    inf = float("inf")
+    assert smf_moments(arr, 3).coeffs == (1.0, -1e308, inf, -inf)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_float_cumulants_rejected(bad):
+    arr = DistributionArray.from_cumulants({(1, 1): (1.0, bad)}, FLOAT)
+    with pytest.raises(ValueError, match="not finite"):
+        smf_moments(arr, 2)
+
+
+def test_engine_imports_no_other_engine():
+    tree = ast.parse(inspect.getsource(smfconv.moments))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1]
+                            for alias in node.names)
+    assert imported.isdisjoint({"analytic", "fock", "partitions"})
