@@ -13,8 +13,7 @@ from .analytic import cauchy_value, master_cauchy, meixner_atoms, \
     solve_subordination, stieltjes_density
 from .arrays import ALL_CELLS, DistributionArray, NamedLaw, SHAPES, \
     row_identical_array
-from .fock import FockModel, can_prepend, enumerate_words, q_class, \
-    word_is_valid
+from .fock import FockModel, can_prepend, enumerate_words, word_is_valid
 from .matricial import UnitSeries, assemble_matricial_r, b_elements, \
     compressed_residuals, invert_C, linearization_residuals, \
     reconstruct_unique
@@ -22,7 +21,7 @@ from .moments import smf_moments
 from .partitions import NCPartition, enumerate_nc
 from .series import FLOAT, RATIONAL, TruncatedSeries, as_scalar, compose, \
     invert_pole_series, r_from_moments
-from .units import QCELLS, UnitElement, compression
+from .units import QCELLS, UnitElement, compression, q_class
 
 __version__ = "0.1.0"
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,6 +92,14 @@ def _require_finite(values, what: str) -> None:
         raise ConfigError("%s not finite in float precision" % what)
 
 
+def _string_list(data: dict, key: str, default: list) -> Tuple[str, ...]:
+    value = data.get(key, default)
+    if not (isinstance(value, list)
+            and all(isinstance(v, str) for v in value)):
+        raise ConfigError("%s must be a list of strings" % key)
+    return tuple(value)
+
+
 def parse_config(data: dict) -> JobConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -102,6 +111,8 @@ def parse_config(data: dict) -> JobConfig:
         raise ConfigError("unknown config fields %s" % sorted(unknown))
 
     shape = data.get("shape", "custom")
+    if not isinstance(shape, str):
+        raise ConfigError("shape must be a string")
     if shape != "custom" and shape not in SHAPES:
         raise ConfigError("unknown shape %r" % shape)
     cells = data.get("cells")
@@ -113,7 +124,7 @@ def parse_config(data: dict) -> JobConfig:
             or not 1 <= order <= MAX_ORDER):
         raise ConfigError("order must be an integer in 1..%d" % MAX_ORDER)
 
-    engines = tuple(data.get("engines", list(ENGINES)))
+    engines = _string_list(data, "engines", list(ENGINES))
     if not engines or any(e not in ENGINES for e in engines):
         raise ConfigError("engines must be a non-empty subset of %s"
                           % (ENGINES,))
@@ -137,7 +148,7 @@ def parse_config(data: dict) -> JobConfig:
         raise ConfigError("cells %s do not match shape %r"
                           % (sorted(cells), shape))
 
-    checks = tuple(data.get("checks", ()))
+    checks = _string_list(data, "checks", [])
     if any(c not in CHECKS for c in checks):
         raise ConfigError("checks must be a subset of %s" % (CHECKS,))
 
@@ -333,33 +344,36 @@ def main(argv=None) -> int:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
-    if args.order is not None:
-        data["order"] = args.order
-    if args.engines:
-        data["engines"] = args.engines.split(",")
-    if args.precision:
-        data["precision"] = args.precision
-    if args.checks is not None:
-        data["checks"] = [c for c in args.checks.split(",") if c]
-    if args.density_eps is not None:
-        if "density" in data and data["density"]:
-            data["density"]["eps"] = args.density_eps
-        else:
-            print("config error: --density-eps without a density block",
-                  file=sys.stderr)
-            return 2
-
     try:
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        if args.order is not None:
+            data["order"] = args.order
+        if args.engines:
+            data["engines"] = args.engines.split(",")
+        if args.precision:
+            data["precision"] = args.precision
+        if args.checks is not None:
+            data["checks"] = [c for c in args.checks.split(",") if c]
+        if args.density_eps is not None:
+            density = data.get("density")
+            if not density:
+                raise ConfigError("--density-eps without a density block")
+            if isinstance(density, dict):    # parse_config rejects the rest
+                density["eps"] = args.density_eps
         config = parse_config(data)
         report, code = run(config)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
-    print(_emit(report, args.out))
+    try:
+        print(_emit(report, args.out))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so the flush
+        # at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if code:
         print("verification failed", file=sys.stderr)
     return code

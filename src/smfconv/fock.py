@@ -16,6 +16,12 @@ where the zeroth annihilator power is the internal unit 1_{i,j} and the
 weights satisfy s(k) alpha^(2(k-1)) = r(k), so the cell realizes the
 prescribed cumulants.  Truncation at depth d is exact for any product of
 at most d factors applied to the vacuum.
+
+An operator is anything with ``apply(vec) -> vec`` on sparse vectors
+{word: coefficient}: a :class:`LinearOp` given by its columns (creation,
+annihilation, the cell operators, the total A and its compressions), a
+:class:`CellPolynomial`, or a :class:`~smfconv.units.UnitElement`, which
+scales each word by its q-class component.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from .arrays import ALL_CELLS, Cell, DistributionArray
 from .series import TruncatedSeries, as_scalar, r_from_moments, \
     scalars_close
-from .units import QCELLS, UnitElement, compression
+from .units import QCELLS, UnitElement, compression, q_class
 
 Letter = Tuple[int, int]
 Word = Tuple[Letter, ...]
@@ -52,18 +58,6 @@ def word_is_valid(word: Word) -> bool:
         if not can_prepend(word[k - 1], word[k:]):
             return False
     return True
-
-
-def q_class(word: Word) -> Tuple[int, int]:
-    """q-basis class of a word: vacuum, (1,1)-started, (2,2)-started, or
-    off-diagonally started."""
-    if not word:
-        return (1, 1)
-    if word[0] == (1, 1):
-        return (2, 1)
-    if word[0] == (2, 2):
-        return (1, 2)
-    return (2, 2)
 
 
 def enumerate_words(J: Iterable[Cell], depth: int) -> Tuple[Word, ...]:
@@ -97,24 +91,6 @@ class LinearOp:
         return {w: c for w, c in out.items() if c != 0}
 
 
-class DiagonalOp:
-    """Operator acting by a q-class-dependent scalar (unit-algebra action)."""
-
-    __slots__ = ("element",)
-
-    def __init__(self, element: UnitElement):
-        self.element = element
-
-    def apply(self, vec: Vector) -> Vector:
-        beta = self.element
-        out: Vector = {}
-        for w, c in vec.items():
-            f = beta.component(q_class(w))
-            if f != 0:
-                out[w] = f * c
-        return out
-
-
 class CellPolynomial:
     """c0 1_cell + c1 a + c2 a^2 + ... for one cell operator a, applied to
     a vector one power of a at a time; the constant term sits on the
@@ -122,7 +98,7 @@ class CellPolynomial:
 
     __slots__ = ("unit", "a_op", "coeffs")
 
-    def __init__(self, unit: DiagonalOp, a_op: LinearOp, coeffs: Sequence):
+    def __init__(self, unit: UnitElement, a_op: LinearOp, coeffs: Sequence):
         self.unit, self.a_op, self.coeffs = unit, a_op, tuple(coeffs)
 
     def apply(self, vec: Vector) -> Vector:
@@ -133,18 +109,6 @@ class CellPolynomial:
                 for w, v in vec.items():
                     out[w] = out.get(w, 0) + c * v
         return {w: v for w, v in out.items() if v != 0}
-
-
-class ComposedOp:
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        self.factors = tuple(factors)   # applied right to left
-
-    def apply(self, vec: Vector) -> Vector:
-        for op in reversed(self.factors):
-            vec = op.apply(vec)
-        return vec
 
 
 class FockModel:
@@ -209,12 +173,6 @@ class FockModel:
             self._ops[key] = LinearOp(cols)
         return self._ops[key]
 
-    def unit(self, i: int, j: int) -> DiagonalOp:
-        return DiagonalOp(UnitElement.internal_unit(i, j, self.mode))
-
-    def unit_op(self, element: UnitElement) -> DiagonalOp:
-        return DiagonalOp(element)
-
     def toeplitz(self, cell: Cell) -> LinearOp:
         """a_cell = creation + sum_k s(k) annihilation^(k-1)."""
         key = ("a", cell)
@@ -262,10 +220,18 @@ class FockModel:
                  for w, tgt in cols.items()})
         return self._ops["A"]
 
-    def compressed_total(self, cell: Cell) -> ComposedOp:
-        """P_{i,j} A P_{i,j} with the compression projection of the cell."""
-        p = self.unit_op(compression(*cell, self.mode))
-        return ComposedOp((p, self.total(), p))
+    def compressed_total(self, cell: Cell) -> LinearOp:
+        """P_{i,j} A P_{i,j} with the compression projection of the cell:
+        the entries of A whose source and target words both lie in the
+        range of P (its components are all 0 or 1)."""
+        key = ("PAP", cell)
+        if key not in self._ops:
+            p = compression(*cell, self.mode)
+            kept = {w for w in self.words if p.component(q_class(w)) != 0}
+            self._ops[key] = LinearOp(
+                {w: tuple(e for e in entries if e[0] in kept)
+                 for w, entries in self.total().columns.items() if w in kept})
+        return self._ops[key]
 
     # -- states ------------------------------------------------------------
 
@@ -279,63 +245,49 @@ class FockModel:
             return {((2, 2),): one}
         raise ValueError("state must be phi, phi1 or phi2")
 
-    def _resolve(self, factor):
-        if hasattr(factor, "apply"):
-            return factor
-        if isinstance(factor, UnitElement):
-            return self.unit_op(factor)
-        if factor == "A":
-            return self.total()
-        if isinstance(factor, tuple) and factor in ALL_CELLS:
-            return self.toeplitz(factor)
-        raise ValueError("unsupported factor %r" % (factor,))
-
     def state_moment(self, state: str, factors: Sequence):
         """<(f_1 ... f_n) v, v> for the given state vector v.
 
-        Factors are listed left to right as written in the product;
-        unit-algebra factors do not count against the depth budget, and any
-        other operator object (a LinearOp, a CellPolynomial) counts as one
+        Factors are operators listed left to right as written in the
+        product; unit elements do not count against the depth budget, and
+        any other operator (a LinearOp, a CellPolynomial) counts as one
         factor (callers building composite operators keep their own depth
         accounting).
         """
-        heavy = sum(1 for f in factors
-                    if not isinstance(f, (UnitElement, DiagonalOp)))
+        heavy = sum(1 for f in factors if not isinstance(f, UnitElement))
         base = 0 if state == "phi" else 1
         if heavy + base > self.depth:
             raise ValueError("product needs depth %d > model depth %d"
                              % (heavy + base, self.depth))
         vec = self.state_vector(state)
         for f in reversed(list(factors)):
-            vec = self._resolve(f).apply(vec)
+            vec = f.apply(vec)
         ref = next(iter(self.state_vector(state)))
         return vec.get(ref, as_scalar(0, self.mode))
+
+    def _power_moments(self, op, state: str, order: int) -> TruncatedSeries:
+        """<op^m v, v> for m = 0..order and the state vector v."""
+        vec = self.state_vector(state)
+        ref = next(iter(vec))
+        out = [as_scalar(1, self.mode)]
+        for _ in range(order):
+            vec = op.apply(vec)
+            out.append(vec.get(ref, as_scalar(0, self.mode)))
+        return TruncatedSeries(out, self.mode)
 
     def moments(self, order: int) -> TruncatedSeries:
         """phi(A^m) for m = 0..order."""
         if order > self.depth:
             raise ValueError("order %d exceeds depth %d" % (order, self.depth))
-        out = [as_scalar(1, self.mode)]
-        vec = self.state_vector("phi")
-        op = self.total()
-        for _ in range(order):
-            vec = op.apply(vec)
-            out.append(vec.get(VACUUM, as_scalar(0, self.mode)))
-        return TruncatedSeries(out, self.mode)
+        return self._power_moments(self.total(), "phi", order)
 
     def single_cell_r(self, cell: Cell, order: int) -> TruncatedSeries:
         """Cumulants of one cell operator recovered from its own moments
         in the cell's state; must reproduce the input cumulants."""
         if order + 1 > self.depth:
             raise ValueError("need depth >= order + 1")
-        vec = self.state_vector(self._cell_state(cell))
-        ref = next(iter(vec))
-        op = self.toeplitz(cell)
-        mom = [as_scalar(1, self.mode)]
-        for _ in range(order):
-            vec = op.apply(vec)
-            mom.append(vec.get(ref, as_scalar(0, self.mode)))
-        return r_from_moments(TruncatedSeries(mom, self.mode))
+        return r_from_moments(self._power_moments(
+            self.toeplitz(cell), self._cell_state(cell), order))
 
     # -- verification -------------------------------------------------------
 
@@ -360,7 +312,8 @@ class FockModel:
     def _poly_op(self, cell: Cell, coeffs: Sequence) -> CellPolynomial:
         """coeffs[0]*1_cell + coeffs[1]*a_cell + coeffs[2]*a_cell^2 + ...,
         an element of the non-unital cell subalgebra."""
-        return CellPolynomial(self.unit(*cell), self.toeplitz(cell), coeffs)
+        return CellPolynomial(UnitElement.internal_unit(*cell, self.mode),
+                              self.toeplitz(cell), coeffs)
 
     def _cell_state(self, cell: Cell) -> str:
         i, j = cell
@@ -433,12 +386,12 @@ class FockModel:
         for cell in cells:
             i, j = cell
             if i != j:
-                val = self.state_moment("phi", [cell])
+                val = self.state_moment("phi", [self.toeplitz(cell)])
                 if not scalars_close(val, as_scalar(0, self.mode)):
                     bad.append("phi(a_%r) = %r != 0" % (cell, val))
             else:
                 st = "phi1" if i == 2 else "phi2"   # state with j != i
-                val = self.state_moment(st, [cell])
+                val = self.state_moment(st, [self.toeplitz(cell)])
                 if not scalars_close(val, as_scalar(0, self.mode)):
                     bad.append("%s(a_%r) = %r != 0" % (st, cell, val))
 
@@ -469,9 +422,10 @@ class FockModel:
                              self.mode)
             word = [rng.choice(cells)
                     for _ in range(rng.randint(1, max(1, max_length - 1)))]
-            lhs = self.state_moment("phi", [u1] + word + [u2])
+            ops = [self.toeplitz(c) for c in word]
+            lhs = self.state_moment("phi", [u1] + ops + [u2])
             rhs = (u1.state_value("phi")
-                   * self.state_moment("phi", word)
+                   * self.state_moment("phi", ops)
                    * u2.state_value("phi"))
             if not scalars_close(lhs, rhs):
                 bad.append("unit factorization fails on %r" % (word,))

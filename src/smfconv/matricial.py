@@ -155,8 +155,8 @@ def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
     if m_max > model.depth:
         raise ValueError("m_max %d exceeds model depth %d"
                          % (m_max, model.depth))
-    b_ops = [model.unit_op(b) for b in b_elements(B, m_max)]
-    table = _AlternatingTable(model, b_ops, model.total(), "phi")
+    table = _AlternatingTable(model, b_elements(B, m_max), model.total(),
+                              "phi")
     return [table.sum(d) for d in range(1, m_max + 1)]
 
 
@@ -169,7 +169,7 @@ def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
     """
     if m_max > model.depth:
         raise ValueError("need model depth >= m_max")
-    b_ops = [model.unit_op(b) for b in b_elements(B, m_max)]
+    b_ops = b_elements(B, m_max)
     out = {}
     for cell in sorted(model.J):
         table = _AlternatingTable(model, b_ops, model.compressed_total(cell),
@@ -201,7 +201,7 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
 
     # B-side components read off moment data, one table per state; the
     # level-(m+1) sum vanishes, and b_m enters it only as <b_m v, v>
-    b_ops = [model.unit_op(UnitElement.identity(mode))]
+    b_ops = [UnitElement.identity(mode)]
     tables = {
         (1, 1): _AlternatingTable(model, b_ops, model.total(), "phi"),
         (2, 1): _AlternatingTable(
@@ -218,7 +218,7 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
              for qc in tables}
         c[(2, 2)] = c[(2, 1)] + c[(1, 2)] - c[(1, 1)]
         b_tails[(2, 2)].append(invert_pole_series(c[(2, 2)]).coeffs[-1])
-        b_ops.append(model.unit_op(UnitElement(
-            tuple(b_tails[qc][-1] for qc in QCELLS), mode)))
+        b_ops.append(UnitElement(
+            tuple(b_tails[qc][-1] for qc in QCELLS), mode))
 
     return UnitSeries.from_map(c)

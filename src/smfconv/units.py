@@ -6,7 +6,8 @@ units decompose as
     1_{1,1} = q11 + q21      1_{2,2} = q11 + q12
     1_{1,2} = q12 + q22      1_{2,1} = q21 + q22
 
-and the global identity is the sum of all four.
+and the global identity is the sum of all four.  An element acts on a
+Fock vector by scaling each word by its component at the word's q class.
 """
 
 from __future__ import annotations
@@ -17,6 +18,19 @@ from typing import Tuple
 from .series import RATIONAL, as_scalar
 
 QCELLS: Tuple[Tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def q_class(word: tuple) -> Tuple[int, int]:
+    """q-basis class of a word: vacuum, (1,1)-started, (2,2)-started, or
+    off-diagonally started."""
+    if not word:
+        return (1, 1)
+    if word[0] == (1, 1):
+        return (2, 1)
+    if word[0] == (2, 2):
+        return (1, 2)
+    return (2, 2)
+
 
 _UNIT_DECOMP = {
     (1, 1): ((1, 1), (2, 1)),
@@ -60,6 +74,15 @@ class UnitElement:
 
     def component(self, qcell):
         return self.beta[QCELLS.index(tuple(qcell))]
+
+    def apply(self, vec: dict) -> dict:
+        """Action on a Fock vector {word: coefficient}."""
+        out = {}
+        for w, c in vec.items():
+            f = self.component(q_class(w))
+            if f != 0:
+                out[w] = f * c
+        return out
 
     def __add__(self, other: "UnitElement") -> "UnitElement":
         self._check(other)

@@ -376,7 +376,7 @@ def reconstruct_from_scratch(model: FockModel, order: int) -> UnitSeries:
     mids = {(1, 1): ("phi", model.total()),
             (2, 1): ("phi1", model.compressed_total(row[1])),
             (1, 2): ("phi2", model.compressed_total(row[2]))}
-    b_ops = [model.unit_op(UnitElement.identity(mode))]
+    b_ops = [UnitElement.identity(mode)]
     tails = {qc: [] for qc in QCELLS}
     for m in range(1, order + 2):
         for qc, (state, mid) in mids.items():
@@ -386,8 +386,8 @@ def reconstruct_from_scratch(model: FockModel, order: int) -> UnitSeries:
              for qc in mids}
         c[(2, 2)] = c[(2, 1)] + c[(1, 2)] - c[(1, 1)]
         tails[(2, 2)].append(invert_pole_series(c[(2, 2)]).coeffs[-1])
-        b_ops.append(model.unit_op(UnitElement(
-            tuple(tails[qc][-1] for qc in QCELLS), mode)))
+        b_ops.append(UnitElement(
+            tuple(tails[qc][-1] for qc in QCELLS), mode))
     return UnitSeries.from_map(c)
 
 

@@ -1,7 +1,10 @@
+import ast
+import inspect
 from fractions import Fraction as F
 
 import pytest
 
+import smfconv.units
 from smfconv import DistributionArray, NamedLaw, SHAPES, UnitElement
 
 
@@ -69,3 +72,17 @@ def test_unit_element_states():
     assert u.state_value("phi") == 5      # vacuum class
     assert u.state_value("phi1") == 7     # words starting (1,1)
     assert u.state_value("phi2") == 6     # words starting (2,2)
+
+
+def test_units_import_no_fock_layer():
+    # fock and matricial import units; an import back would be a cycle
+    tree = ast.parse(inspect.getsource(smfconv.units))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1]
+                            for alias in node.names)
+    assert imported.isdisjoint({"fock", "matricial"})

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import smfconv
 from smfconv import TruncatedSeries
 from smfconv.cli import MAX_DENSITY_POINTS, main
 
@@ -148,6 +152,9 @@ def test_density_rejected_in_rational_mode(tmp_path, capsys):
     lambda c: c["cells"]["1,2"].update(a="1/0"),
     lambda c: c.update(precision="float") or c["cells"]["1,2"].update(a=None),
     lambda c: c.update(precision="float") or c["cells"]["1,2"].update(a="1/0"),
+    lambda c: c.update(shape=[]),
+    lambda c: c.update(engines=5),
+    lambda c: c.update(checks=5),
 ])
 def test_bad_configs_exit_two(tmp_path, capsys, mutate):
     cfg = json.loads(json.dumps(SQUARE_SEMI))
@@ -156,6 +163,38 @@ def test_bad_configs_exit_two(tmp_path, capsys, mutate):
     assert code == 2
     assert out == ""
     assert err.startswith("config error") and err.count("\n") == 1
+
+
+# the flags are applied before parse_config sees the document
+@pytest.mark.parametrize("config,flags", [
+    ([1], ("--order", "3")),
+    ("x", ("--order", "3")),
+    (dict(MEIXNER, density=[1]), ("--density-eps", "0.1")),
+])
+def test_malformed_config_with_flag_exits_two(tmp_path, capsys, config,
+                                              flags):
+    code, out, err = run_cli(tmp_path, config, *flags, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error") and err.count("\n") == 1
+
+
+def test_closed_stdout_keeps_the_job_exit_code(tmp_path):
+    # a reader that stops after the first line must not turn a passing job
+    # into a traceback and exit 1, the engine-disagreement code
+    cfg = dict(MEIXNER, density=dict(MEIXNER["density"], points=20001))
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(smfconv.__file__)))
+    with subprocess.Popen(
+            [sys.executable, "-m", "smfconv", "--config", str(path),
+             "--out", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"x,density\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")
 
 
 def test_unreadable_config_exits_two(capsys):

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import poly_columns
-from smfconv import (DistributionArray, FockModel, SHAPES, TruncatedSeries,
-                     UnitElement, can_prepend, enumerate_words,
-                     smf_moments, word_is_valid)
+from smfconv import (FLOAT, RATIONAL, DistributionArray, FockModel, SHAPES,
+                     TruncatedSeries, UnitElement, as_scalar, can_prepend,
+                     compression, enumerate_words, smf_moments,
+                     word_is_valid)
 
 
 def square_array(rng, order=6):
@@ -69,7 +70,7 @@ def test_first_moment_formula():
     arr = square_array(rng)
     model = FockModel(arr, 3)
     want = arr.r((1, 1), 1) + arr.r((2, 2), 1)
-    assert model.state_moment("phi", ["A"]) == want
+    assert model.state_moment("phi", [model.total()]) == want
 
 
 def test_moments_match_partition_engine():
@@ -129,12 +130,11 @@ def test_q_projections_partition_unity():
           ((1, 1), (1, 2), (2, 1), (2, 2))]
     for w in model.words:
         vec = {w: F(1)}
-        images = [model.unit_op(q).apply(vec) for q in qs]
+        images = [q.apply(vec) for q in qs]
         hits = [img for img in images if img]
         assert len(hits) == 1 and hits[0] == vec        # orthogonal, sum = id
         for q in qs:
-            twice = model.unit_op(q).apply(model.unit_op(q).apply(vec))
-            assert twice == model.unit_op(q).apply(vec)  # idempotent
+            assert q.apply(q.apply(vec)) == q.apply(vec)  # idempotent
 
 
 def test_unit_correspondences_as_matrix_identities():
@@ -155,8 +155,7 @@ def test_unit_correspondences_as_matrix_identities():
         assert unit == combo
         for w in model.words:
             vec = {w: F(1)}
-            assert model.unit_op(unit).apply(vec) == \
-                model.unit_op(combo).apply(vec)
+            assert unit.apply(vec) == combo.apply(vec)
 
 
 def test_state_values_on_unit_algebra():
@@ -205,6 +204,24 @@ def test_cell_polynomials_match_column_oracle():
                             dict(table.columns.get(w, ()))
 
 
+def test_compressed_total_is_compression_of_total():
+    # the column table must equal P A P applied factor by factor, on every
+    # basis word, with P the cell's compression and A the total operator
+    rng = random.Random(15)
+    for mode in (RATIONAL, FLOAT):
+        for J in SHAPES.values():
+            cums = {cell: tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(5)) for cell in J}
+            model = FockModel(DistributionArray.from_cumulants(cums, mode), 5)
+            one, total = as_scalar(1, mode), model.total()
+            for cell in sorted(J):
+                p = compression(*cell, mode)
+                pap = model.compressed_total(cell)
+                for w in model.words:
+                    assert pap.apply({w: one}) == \
+                        p.apply(total.apply(p.apply({w: one})))
+
+
 # Recorded while axiom_check still built each cell polynomial as a column
 # table; pins the violation messages and the order of the random draws.
 LEAKY_VIOLATIONS = [
@@ -233,7 +250,7 @@ def test_depth_guards():
     with pytest.raises(ValueError):
         model.moments(4)
     with pytest.raises(ValueError):
-        model.state_moment("phi", ["A"] * 4)
+        model.state_moment("phi", [model.total()] * 4)
     with pytest.raises(ValueError):
         model.single_cell_r((1, 2), 3)
     with pytest.raises(ValueError):
