@@ -41,25 +41,32 @@ def _series_fixed_point(array: DistributionArray, order: int):
     Transforms are moment generating functions in w = 1/z, so the
     resolvent is (1 - (a + b) w)^-1 and K = R(w M*(w)).  The fixed point
     is coefficient-triangular: coefficient n of each series depends only
-    on lower coefficients of the family, so after order iterations the
-    family is final and iteration order + 1 reproduces it exactly, with
-    the master series computed from the final family.
+    on lower coefficients of the family, so pass t fixes coefficient t
+    and runs at order t (Brent and Kung, J. ACM 25, 1978), on the inner
+    series w M*(w) cut to that order.  Products, compositions and
+    reciprocals add into each coefficient in an order that does not
+    depend on the truncation, so the cut passes reproduce the
+    full-order ones exactly, also in float mode.  Pass ``order`` returns
+    the final family and the master series.
     """
     if array.order < order:
         raise ValueError("cumulant order %d < requested order %d"
                          % (array.order, order))
-    one = TruncatedSeries.one(order, array.mode)
-
-    def resolvent(a, b):
-        return (one - (a + b).shift()).reciprocal()
-
+    mode = array.mode
+    zero = as_scalar(0, mode)
     # the top coefficient of a K-series never reaches the truncated
     # output, so cutting each cell tail to the working order is exact
     padded = array.padded(order + 1)
     r = {cell: padded.r_series(cell).truncate(order) for cell in ALL_CELLS}
-    m_star = {cell: one for cell in r}
-    for _ in range(order + 1):
-        k = {cell: compose(r[cell], m_star[cell].shift()) for cell in r}
+
+    def resolvent(a, b):
+        s = a + b
+        return (TruncatedSeries.one(s.order, mode) - s.shift()).reciprocal()
+
+    m_star = {cell: TruncatedSeries.one(0, mode) for cell in r}
+    for t in range(order + 1):
+        k = {cell: compose(r[cell], TruncatedSeries(
+            (zero,) + m_star[cell].coeffs[:t], mode)) for cell in r}
         m_star, master = _subordination_map(k, resolvent)
     return m_star, master
 

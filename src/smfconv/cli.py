@@ -231,6 +231,7 @@ def run(config: JobConfig) -> Tuple[dict, int]:
 
     if config.checks:
         checks_out = {}
+        b_unit = None             # shared by eq56 and eq611
         zero = Fraction(0) if mode == RATIONAL else 0.0
         one = Fraction(1) if mode == RATIONAL else 1.0
 
@@ -248,8 +249,9 @@ def run(config: JobConfig) -> Tuple[dict, int]:
                                      "violations": violations}
             elif check in ("eq56", "eq611"):
                 model = model or FockModel(array, depth)
-                r_unit = assemble_matricial_r(array, config.order - 1)
-                b_unit = invert_C(r_unit)
+                if b_unit is None:
+                    b_unit = invert_C(
+                        assemble_matricial_r(array, config.order - 1))
                 if check == "eq56":
                     res = linearization_residuals(model, b_unit, config.order)
                     checks_out[check] = {
@@ -332,6 +334,7 @@ def main(argv=None) -> int:
                         help="override density smoothing epsilon")
     args = parser.parse_args(argv)
 
+    # one error boundary for reading, overriding, parsing and running
     try:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -340,11 +343,6 @@ def main(argv=None) -> int:
             if sys.stdin.isatty():
                 raise ConfigError("no --config and stdin is a terminal")
             data = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-
-    try:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         if args.order is not None:
@@ -363,7 +361,7 @@ def main(argv=None) -> int:
                 density["eps"] = args.density_eps
         config = parse_config(data)
         report, code = run(config)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 

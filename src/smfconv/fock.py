@@ -18,16 +18,36 @@ prescribed cumulants.  Truncation at depth d is exact for any product of
 at most d factors applied to the vacuum.
 
 An operator is anything with ``apply(vec) -> vec`` on sparse vectors
-{word: coefficient}: a :class:`LinearOp` given by its columns (creation,
+{word: coefficient}: a :class:`LinearOp` given by a column rule (creation,
 annihilation, the cell operators, the total A and its compressions), a
 :class:`CellPolynomial`, or a :class:`~smfconv.units.UnitElement`, which
 scales each word by its q-class component.
+
+No operator enumerates the word basis.  A cell operator reads only the
+head of a word, so its column at w is, in this entry order: the creation
+entry (cell,)+w with weight alpha when the letter may be prepended and w
+is shorter than the depth; w itself with weight s(1) times the cell
+unit's component at the q class of w; and for k = 2, 3, ... while the
+head letter is the cell, w with k - 1 letters stripped, with weight
+s(k) alpha^(k-1).  The column of A merges the cell columns in sorted
+cell order, summing repeated targets in that order, and a compression
+keeps the entries of A whose source and target lie in its range.  A
+:class:`LinearOp` computes a column the first time a vector reaches its
+word and caches it in ``columns``.
+
+Moment sequences prune by run count.  One application of a cell
+operator (or of A) removes at most one run, a maximal block of equal
+letters, from the front of a word.  With r applications left, a word
+with more than r + runs(ref) runs can never reach the reference word,
+nor can any of its images, so it is dropped.  The surviving entries get
+the same contributions in the same order, so the pruned moments equal
+the unpruned ones exactly, also in float mode.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .arrays import ALL_CELLS, Cell, DistributionArray
 from .series import TruncatedSeries, as_scalar, r_from_moments, \
@@ -76,19 +96,33 @@ def enumerate_words(J: Iterable[Cell], depth: int) -> Tuple[Word, ...]:
 
 
 class LinearOp:
-    """Sparse operator given by its columns over the word basis."""
+    """Sparse operator given by a column rule word -> ((word, coeff), ...);
+    ``columns`` caches the columns computed so far."""
 
-    __slots__ = ("columns",)
+    __slots__ = ("rule", "columns")
 
-    def __init__(self, columns: Dict[Word, tuple]):
-        self.columns = columns
+    def __init__(self, rule: Callable[[Word], tuple]):
+        self.rule = rule
+        self.columns: Dict[Word, tuple] = {}
+
+    def column(self, w: Word) -> tuple:
+        col = self.columns.get(w)
+        if col is None:
+            col = self.columns[w] = self.rule(w)
+        return col
 
     def apply(self, vec: Vector) -> Vector:
         out: Vector = {}
         for w, c in vec.items():
-            for w2, a in self.columns.get(w, ()):
+            for w2, a in self.column(w):
                 out[w2] = out.get(w2, 0) + a * c
         return {w: c for w, c in out.items() if c != 0}
+
+
+def runs(word: Word) -> int:
+    """Number of maximal blocks of equal letters in the word."""
+    return sum(1 for k in range(len(word))
+               if k == 0 or word[k] != word[k - 1])
 
 
 class CellPolynomial:
@@ -144,33 +178,40 @@ class FockModel:
                 ws.append(r / scale)
                 scale *= a2
             self.weights[cell] = tuple(ws)
-        # the word basis always ranges over all four letters: conjugate
-        # state vectors exist even when a diagonal cell is absent from J
-        self.words = enumerate_words(ALL_CELLS, depth)
+        self._words = None
         self._ops: Dict = {}
+
+    @property
+    def words(self) -> Tuple[Word, ...]:
+        """The truncated word basis, enumerated on first use; no operator
+        needs it.  It ranges over all four letters: conjugate state vectors
+        exist even when a diagonal cell is absent from J."""
+        if self._words is None:
+            self._words = enumerate_words(ALL_CELLS, self.depth)
+        return self._words
 
     # -- operator constructors -------------------------------------------
 
     def creation(self, cell: Cell) -> LinearOp:
         key = ("l", cell)
         if key not in self._ops:
-            a = self.alpha[cell]
-            cols = {}
-            for w in self.words:
-                if len(w) < self.depth and can_prepend(cell, w):
-                    cols[w] = (((cell,) + w, a),)
-            self._ops[key] = LinearOp(cols)
+            a, depth = self.alpha[cell], self.depth
+
+            def rule(w):
+                if len(w) < depth and can_prepend(cell, w):
+                    return (((cell,) + w, a),)
+                return ()
+            self._ops[key] = LinearOp(rule)
         return self._ops[key]
 
     def annihilation(self, cell: Cell) -> LinearOp:
         key = ("l*", cell)
         if key not in self._ops:
             a = self.alpha[cell]
-            cols = {}
-            for w in self.words:
-                if w and w[0] == cell:
-                    cols[w] = ((w[1:], a),)
-            self._ops[key] = LinearOp(cols)
+
+            def rule(w):
+                return ((w[1:], a),) if w and w[0] == cell else ()
+            self._ops[key] = LinearOp(rule)
         return self._ops[key]
 
     def toeplitz(self, cell: Cell) -> LinearOp:
@@ -179,45 +220,50 @@ class FockModel:
         if key not in self._ops:
             if cell not in self.J:
                 raise ValueError("cell %r not in the array" % (cell,))
+            a, depth = self.alpha[cell], self.depth
             ws = self.weights[cell]
             unit = UnitElement.internal_unit(*cell, self.mode)
-            ann = self.annihilation(cell)
-            cols: Dict[Word, list] = {}
+            # s(1) times the unit's component, per q class of the word
+            diag = {qc: ws[0] * unit.component(qc) for qc in QCELLS} \
+                if ws else {}
+            # s(k) alpha^(k-1) for k >= 2, the power taken one factor at
+            # a time
+            strips, amp = [], as_scalar(1, self.mode)
+            for r in ws[1:]:
+                amp *= a
+                strips.append(r * amp)
 
-            def add(w, w2, coeff):
-                if coeff != 0:
-                    cols.setdefault(w, []).append((w2, coeff))
-
-            cre = self.creation(cell)
-            for w in self.words:
-                for w2, a in cre.columns.get(w, ()):
-                    add(w, w2, a)
-                if ws:
-                    f = unit.component(q_class(w))
-                    add(w, w, ws[0] * f)
-                tail, amp = w, as_scalar(1, self.mode)
-                for k in range(2, len(ws) + 1):
-                    hit = ann.columns.get(tail)
-                    if not hit:
+            def rule(w):
+                col = []
+                if len(w) < depth and can_prepend(cell, w):
+                    col.append(((cell,) + w, a))
+                if diag:
+                    d = diag[q_class(w)]
+                    if d != 0:
+                        col.append((w, d))
+                tail = w
+                for c in strips:
+                    if not tail or tail[0] != cell:
                         break
-                    tail, a = hit[0]
-                    amp *= a
-                    add(w, tail, ws[k - 1] * amp)
-            self._ops[key] = LinearOp({w: tuple(v) for w, v in cols.items()})
+                    tail = tail[1:]
+                    if c != 0:
+                        col.append((tail, c))
+                return tuple(col)
+            self._ops[key] = LinearOp(rule)
         return self._ops[key]
 
     def total(self) -> LinearOp:
         """A = sum of the cell operators."""
         if "A" not in self._ops:
-            cols: Dict[Word, dict] = {}
-            for cell in sorted(self.J):
-                for w, entries in self.toeplitz(cell).columns.items():
-                    tgt = cols.setdefault(w, {})
-                    for w2, a in entries:
+            cell_ops = [self.toeplitz(cell) for cell in sorted(self.J)]
+
+            def rule(w):
+                tgt: Dict = {}
+                for op in cell_ops:
+                    for w2, a in op.column(w):
                         tgt[w2] = tgt.get(w2, 0) + a
-            self._ops["A"] = LinearOp(
-                {w: tuple((w2, a) for w2, a in tgt.items() if a != 0)
-                 for w, tgt in cols.items()})
+                return tuple((w2, a) for w2, a in tgt.items() if a != 0)
+            self._ops["A"] = LinearOp(rule)
         return self._ops["A"]
 
     def compressed_total(self, cell: Cell) -> LinearOp:
@@ -227,10 +273,15 @@ class FockModel:
         key = ("PAP", cell)
         if key not in self._ops:
             p = compression(*cell, self.mode)
-            kept = {w for w in self.words if p.component(q_class(w)) != 0}
-            self._ops[key] = LinearOp(
-                {w: tuple(e for e in entries if e[0] in kept)
-                 for w, entries in self.total().columns.items() if w in kept})
+            kept = {qc for qc in QCELLS if p.component(qc) != 0}
+            total = self.total()
+
+            def rule(w):
+                if q_class(w) not in kept:
+                    return ()
+                return tuple(e for e in total.column(w)
+                             if q_class(e[0]) in kept)
+            self._ops[key] = LinearOp(rule)
         return self._ops[key]
 
     # -- states ------------------------------------------------------------
@@ -269,10 +320,14 @@ class FockModel:
         """<op^m v, v> for m = 0..order and the state vector v."""
         vec = self.state_vector(state)
         ref = next(iter(vec))
+        ref_runs = runs(ref)
         out = [as_scalar(1, self.mode)]
-        for _ in range(order):
+        for m in range(order):
             vec = op.apply(vec)
             out.append(vec.get(ref, as_scalar(0, self.mode)))
+            # each application strips at most one run from the front
+            limit = order - m - 1 + ref_runs
+            vec = {w: c for w, c in vec.items() if runs(w) <= limit}
         return TruncatedSeries(out, self.mode)
 
     def moments(self, order: int) -> TruncatedSeries:
@@ -448,7 +503,7 @@ class FockModel:
         lines = []
         op = self.toeplitz(cell)
         for w in self.words:
-            entries = op.columns.get(w, ())
+            entries = op.column(w)
             rhs = " + ".join("%s * %s" % (a, self.format_word(w2))
                              for w2, a in entries) or "0"
             lines.append("%s -> %s" % (self.format_word(w), rhs))

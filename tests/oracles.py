@@ -6,11 +6,13 @@ colored non-crossing partitions, the blockwise nesting-forest sum over
 each non-crossing partition, the classical free moment-cumulant
 formula, composition of reciprocal Cauchy transforms, the pole product
 C(z) B(z) = 1 written out coefficientwise, the closed-form fixed-point
-equations of the five binary convolution kinds, cell polynomials of the
-Fock model as full column tables, and alternating sums written out one
-product per composition.  Two thin wrappers at the end drive the
-subordination engine on single laws and on the binary convolution
-kinds.
+equations of the five binary convolution kinds, the Fock operators and
+cell polynomials as full column tables over the word basis, alternating
+sums written out one product per composition, and the closed-form
+transform of a square array with semicircle diagonals and point-mass
+off-diagonals.  Two thin wrappers drive the subordination engine on
+single laws and on the binary convolution kinds, and ``module_imports``
+reads a module's imports for the engine-independence guards.
 
 Matricial labels: a block's label is (c, c) when every enclosing block
 carries its own color c (or nothing encloses it), and (c, c') otherwise,
@@ -22,15 +24,18 @@ always get diagonal labels.
 
 from __future__ import annotations
 
+import ast
+import cmath
+import inspect
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
 from smfconv import (QCELLS, RATIONAL, DistributionArray, FockModel,
                      NamedLaw, NCPartition, TruncatedSeries, UnitElement,
-                     UnitSeries, as_scalar, compose, enumerate_nc,
-                     invert_pole_series, master_cauchy, q_class,
-                     row_identical_array)
+                     UnitSeries, as_scalar, can_prepend, compose,
+                     compression, enumerate_nc, invert_pole_series,
+                     master_cauchy, q_class, row_identical_array)
 from smfconv.fock import LinearOp
 from smfconv.series import scalars_close
 
@@ -336,7 +341,61 @@ def poly_columns(model: FockModel, cell, coeffs: Sequence) -> LinearOp:
         entries = tuple((w2, v) for w2, v in acc.items() if v != 0)
         if entries:
             cols[w] = entries
-    return LinearOp(cols)
+    return LinearOp(lambda w: cols.get(w, ()))
+
+
+def eager_tables(model: FockModel) -> Dict:
+    """Column tables of the cell operators, the total A and its
+    compressions, built over the whole word basis: creation and
+    annihilation tables first, each cell column from them, A by merging
+    the cell tables in sorted cell order, and each compression by
+    filtering A to the words in its range.  Keys are ("a", cell), "A"
+    and ("PAP", cell); a word with no column has no key."""
+    one = as_scalar(1, model.mode)
+    words = model.words
+    tables = {}
+    for cell in sorted(model.J):
+        alpha = model.alpha[cell]
+        cre = {w: (((cell,) + w, alpha),) for w in words
+               if len(w) < model.depth and can_prepend(cell, w)}
+        ann = {w: ((w[1:], alpha),) for w in words if w and w[0] == cell}
+        ws = model.weights[cell]
+        unit = UnitElement.internal_unit(*cell, model.mode)
+        cols: Dict = {}
+
+        def add(w, w2, coeff):
+            if coeff != 0:
+                cols.setdefault(w, []).append((w2, coeff))
+
+        for w in words:
+            for w2, a in cre.get(w, ()):
+                add(w, w2, a)
+            if ws:
+                add(w, w, ws[0] * unit.component(q_class(w)))
+            tail, amp = w, one
+            for k in range(2, len(ws) + 1):
+                hit = ann.get(tail)
+                if not hit:
+                    break
+                tail, a = hit[0]
+                amp *= a
+                add(w, tail, ws[k - 1] * amp)
+        tables["a", cell] = {w: tuple(v) for w, v in cols.items()}
+    merged: Dict = {}
+    for cell in sorted(model.J):
+        for w, entries in tables["a", cell].items():
+            tgt = merged.setdefault(w, {})
+            for w2, a in entries:
+                tgt[w2] = tgt.get(w2, 0) + a
+    tables["A"] = {w: tuple((w2, a) for w2, a in tgt.items() if a != 0)
+                   for w, tgt in merged.items()}
+    for cell in sorted(model.J):
+        p = compression(*cell, model.mode)
+        kept = {w for w in words if p.component(q_class(w)) != 0}
+        tables["PAP", cell] = {
+            w: tuple(e for e in entries if e[0] in kept)
+            for w, entries in tables["A"].items() if w in kept}
+    return tables
 
 
 def composition_sum(model: FockModel, b_ops: Sequence, mid_op, state: str,
@@ -410,3 +469,38 @@ def binary_convolutions(law1: NamedLaw, law2: NamedLaw, kind: str,
     """
     array = row_identical_array(kind, law1, law2, max(order, 2), mode)
     return master_cauchy(array, order)
+
+
+def split_semicircle_cauchy(a11: float, a22: float, b12: float, b21: float,
+                            z: complex) -> complex:
+    """Closed-form G(z) of the square array with semicircle(a11) and
+    semicircle(a22) diagonals and point-mass(b12), point-mass(b21)
+    off-diagonals.  K is a g on a semicircle cell and b on a point-mass
+    cell, so the off-diagonal members are both 1/(z - b12 - b21) and drop
+    out; g11 = 1/(z - a11 g11 - b21) and g22 = 1/(z - a22 g22 - b12) are
+    roots of quadratics, taken with Im g < 0 (the roots' product is real
+    and positive, so exactly one lies in the lower half-plane), and
+    G = 1/(z - a11 g11 - a22 g22)."""
+    def member(a, b):
+        s = cmath.sqrt((z - b) ** 2 - 4 * a)
+        g = ((z - b) - s) / (2 * a)
+        return g if g.imag < 0 else ((z - b) + s) / (2 * a)
+
+    return 1 / (z - a11 * member(a11, b21) - a22 * member(a22, b12))
+
+
+# -- engine independence -----------------------------------------------------
+
+
+def module_imports(module) -> set:
+    """Every module and name a module's source imports, last dotted part
+    only, read from its syntax tree."""
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1]
+                            for alias in node.names)
+    return imported

@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import (binary_convolutions, binary_fixed_point_rhs,
-                     f_compose_moments, law_moments, moments_from_cumulants)
+                     f_compose_moments, law_moments, moments_from_cumulants,
+                     split_semicircle_cauchy)
 from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
                      TruncatedSeries, cauchy_value, compose, master_cauchy,
                      meixner_atoms, meixner_cauchy, meixner_density,
@@ -240,6 +241,40 @@ def test_fixed_point_evaluation_matches_closed_form():
     arr = meixner_array()
     for z in (complex(0.4, 0.3), complex(-1.2, 0.05), complex(2.5, 0.01)):
         assert abs(cauchy_value(arr, z) - meixner_cauchy(1.0, 0.5, z)) < 1e-9
+
+
+# density_f10 array (a11, a22, b12, b21): semicircle diagonals, point-mass
+# off-diagonals, so the subordination fixed point has a closed form
+SPLIT_ARRAY = (0.983, 1.348, 0.182, -0.214)
+
+
+def split_array(a11, a22, b12, b21):
+    return DistributionArray.from_laws(
+        {(1, 1): NamedLaw.semicircle(repr(a11)),
+         (2, 2): NamedLaw.semicircle(repr(a22)),
+         (1, 2): NamedLaw.point_mass(repr(b12)),
+         (2, 1): NamedLaw.point_mass(repr(b21))}, 10, FLOAT)
+
+
+def test_fixed_point_matches_split_closed_form_where_it_converges():
+    arr = split_array(*SPLIT_ARRAY)
+    for x in (-3.0, -1.0, 0.0, 1.0, 2.0):
+        z = complex(x, 1e-3)
+        assert abs(cauchy_value(arr, z)
+                   - split_semicircle_cauchy(*SPLIT_ARRAY, z)) < 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the damped iteration of cauchy_value stops at max_iter without "
+           "converging near the left spectral edge; its last iterate is off "
+           "by up to 4.6e-3 in density")
+def test_fixed_point_matches_split_closed_form_near_the_edge():
+    arr = split_array(*SPLIT_ARRAY)
+    for x in (-2.1268717817679397, -2.1357708268799396, -2.189165097551938):
+        z = complex(x, 1e-3)
+        assert abs(cauchy_value(arr, z)
+                   - split_semicircle_cauchy(*SPLIT_ARRAY, z)) < 1e-9
 
 
 def test_fixed_point_requires_upper_half_plane():

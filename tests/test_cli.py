@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pty
 import subprocess
 import sys
 
@@ -195,6 +196,25 @@ def test_closed_stdout_keeps_the_job_exit_code(tmp_path):
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (0, b"")
+
+
+def test_terminal_on_stdin_exits_two():
+    # with no --config, a terminal on stdin is a usage error: one line on
+    # stderr and exit 2, not a traceback and exit 1
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(smfconv.__file__)))
+    primary, secondary = pty.openpty()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "smfconv"],
+                              stdin=secondary, capture_output=True, env=env,
+                              timeout=60)
+    finally:
+        os.close(secondary)
+        os.close(primary)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == \
+        b"config error: no --config and stdin is a terminal\n"
 
 
 def test_unreadable_config_exits_two(capsys):

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import poly_columns
+import smfconv.fock
+from oracles import eager_tables, module_imports, poly_columns
 from smfconv import (FLOAT, RATIONAL, DistributionArray, FockModel, SHAPES,
                      TruncatedSeries, UnitElement, as_scalar, can_prepend,
                      compression, enumerate_words, smf_moments,
@@ -200,8 +201,7 @@ def test_cell_polynomials_match_column_oracle():
                                   (model._centered_poly(cell, coeffs),
                                    centred)):
                     for w in model.words:
-                        assert op.apply({w: F(1)}) == \
-                            dict(table.columns.get(w, ()))
+                        assert op.apply({w: F(1)}) == dict(table.column(w))
 
 
 def test_compressed_total_is_compression_of_total():
@@ -222,6 +222,53 @@ def test_compressed_total_is_compression_of_total():
                         p.apply(total.apply(p.apply({w: one})))
 
 
+def test_on_demand_columns_match_eager_tables():
+    # every column computed from the head of a word must equal the table
+    # built over the whole basis, entries in the same order, for every
+    # shape, in both modes, with and without a non-trivial alpha gauge
+    rng = random.Random(16)
+    for mode in (RATIONAL, FLOAT):
+        for J in SHAPES.values():
+            cums = {cell: tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(5)) for cell in J}
+            arr = DistributionArray.from_cumulants(cums, mode)
+            gauge = {cell: F(rng.randint(1, 5), rng.randint(1, 3))
+                     for cell in J}
+            for alpha in (None, gauge):
+                model = FockModel(arr, 5, alpha=alpha)
+                tables = eager_tables(model)
+                ops = {("a", cell): model.toeplitz(cell) for cell in J}
+                ops["A"] = model.total()
+                ops.update({("PAP", cell): model.compressed_total(cell)
+                            for cell in J})
+                assert set(ops) == set(tables)
+                for key, op in ops.items():
+                    for w in model.words:
+                        assert op.column(w) == tables[key].get(w, ())
+
+
+def test_pruned_moments_equal_unpruned_products():
+    # run-count pruning must not change a single bit: each moment equals
+    # the plain product of total operators applied to the vacuum
+    rng = random.Random(17)
+    for mode in (RATIONAL, FLOAT):
+        for J in SHAPES.values():
+            cums = {cell: tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(7)) for cell in J}
+            arr = DistributionArray.from_cumulants(cums, mode)
+            model = FockModel(arr, 7, alpha={cell: F(3, 2) for cell in J})
+            got = model.moments(7).coeffs
+            for m in range(1, 8):
+                want = model.state_moment("phi", [model.total()] * m)
+                assert got[m] == want
+                assert type(got[m]) is type(want)
+
+
+def test_fock_imports_no_other_engine():
+    assert module_imports(smfconv.fock).isdisjoint(
+        {"analytic", "moments", "partitions"})
+
+
 # Recorded while axiom_check still built each cell polynomial as a column
 # table; pins the violation messages and the order of the random draws.
 LEAKY_VIOLATIONS = [
@@ -239,7 +286,7 @@ def test_axiom_check_flags_a_broken_model():
     model = FockModel(square_array(random.Random(12), 5), 5)
     a = model.toeplitz((1, 2))
     for w in model.words:
-        a.columns[w] = a.columns.get(w, ()) + ((w, F(1)),)
+        a.columns[w] = a.column(w) + ((w, F(1)),)
     assert model.axiom_check(trials=20, max_length=4, seed=1) == \
         LEAKY_VIOLATIONS
 

@@ -1,5 +1,3 @@
-import ast
-import inspect
 import random
 from fractions import Fraction as F
 
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 
 import smfconv.moments
 from oracles import (enumerate_admissible, f_compose_moments,
-                     forest_moments, label_and_admit,
+                     forest_moments, label_and_admit, module_imports,
                      moments_from_cumulants, partition_contribution)
 from smfconv import (DistributionArray, FLOAT, NCPartition, SHAPES,
                      TruncatedSeries, enumerate_nc, smf_moments)
@@ -218,13 +216,5 @@ def test_non_finite_float_cumulants_rejected(bad):
 
 
 def test_engine_imports_no_other_engine():
-    tree = ast.parse(inspect.getsource(smfconv.moments))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").split(".")[-1])
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[-1]
-                            for alias in node.names)
-    assert imported.isdisjoint({"analytic", "fock", "partitions"})
+    assert module_imports(smfconv.moments).isdisjoint(
+        {"analytic", "fock", "partitions"})
