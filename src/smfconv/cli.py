@@ -24,7 +24,8 @@ from .fock import FockModel
 from .matricial import assemble_matricial_r, compressed_residuals, \
     invert_C, linearization_residuals, reconstruct_unique
 from .moments import smf_moments
-from .series import FLOAT, RATIONAL, TruncatedSeries, scalars_close
+from .series import FLOAT, RATIONAL, TruncatedSeries, as_scalar, \
+    scalars_close
 
 MAX_ORDER = 12
 MAX_DENSITY_POINTS = 100_000
@@ -59,19 +60,32 @@ def _parse_cell_key(key: str) -> Tuple[int, int]:
     return cell
 
 
+def _law_value(value):
+    """A law parameter or cumulant: a JSON number (not a bool) or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError("%r is not a number or a string" % (value,))
+    return value
+
+
+def _law_values(values) -> list:
+    if not isinstance(values, list):
+        raise TypeError("cumulants must be a list")
+    return [_law_value(v) for v in values]
+
+
 def _parse_law(spec) -> NamedLaw:
     if isinstance(spec, list):
-        return NamedLaw.custom(spec)
+        return NamedLaw.custom(_law_values(spec))
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("law must be a cumulant list or a kind object")
     kind = spec["kind"]
     try:
         if kind == "semicircle":
-            return NamedLaw.semicircle(spec["a"])
+            return NamedLaw.semicircle(_law_value(spec["a"]))
         if kind == "point_mass":
-            return NamedLaw.point_mass(spec["b"])
+            return NamedLaw.point_mass(_law_value(spec["b"]))
         if kind == "custom":
-            return NamedLaw.custom(spec["cumulants"])
+            return NamedLaw.custom(_law_values(spec["cumulants"]))
     except KeyError as exc:
         raise ConfigError("law %r missing parameter %s" % (kind, exc))
     raise ConfigError("unknown law kind %r" % kind)
@@ -189,8 +203,8 @@ def _render_series(series: TruncatedSeries) -> list:
 
 
 def _series_agree(a: TruncatedSeries, b: TruncatedSeries, mode: str) -> bool:
-    if mode == RATIONAL:
-        return a == b
+    """Exact on rationals, within FLOAT_TOL on floats (``scalars_close``
+    decides by type, so *mode* is not consulted)."""
     return a.agrees(b, FLOAT_TOL)
 
 
@@ -232,8 +246,7 @@ def run(config: JobConfig) -> Tuple[dict, int]:
     if config.checks:
         checks_out = {}
         b_unit = None             # shared by eq56 and eq611
-        zero = Fraction(0) if mode == RATIONAL else 0.0
-        one = Fraction(1) if mode == RATIONAL else 1.0
+        zero, one = as_scalar(0, mode), as_scalar(1, mode)
 
         def residuals_ok(res):
             return (scalars_close(res[0], one, FLOAT_TOL)
@@ -270,9 +283,8 @@ def run(config: JobConfig) -> Tuple[dict, int]:
                 target = config.order - 1
                 rebuilt = reconstruct_unique(model, target)
                 assembled = assemble_matricial_r(array, target)
-                ok = (rebuilt == assembled if mode == RATIONAL
-                      else rebuilt.agrees(assembled, FLOAT_TOL))
-                checks_out[check] = {"pass": ok}
+                checks_out[check] = {
+                    "pass": rebuilt.agrees(assembled, FLOAT_TOL)}
             failed = failed or not checks_out[check]["pass"]
         report["checks"] = checks_out
 

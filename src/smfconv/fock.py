@@ -485,26 +485,3 @@ class FockModel:
             if not scalars_close(lhs, rhs):
                 bad.append("unit factorization fails on %r" % (word,))
         return bad
-
-    # -- debug dump ----------------------------------------------------------
-
-    def dump_basis(self) -> str:
-        """One word per line, letters as (i,j)(i,j)...; vacuum is ()."""
-        return "\n".join(self.format_word(w) for w in self.words)
-
-    @staticmethod
-    def format_word(word: Word) -> str:
-        if not word:
-            return "()"
-        return "".join("(%d,%d)" % letter for letter in word)
-
-    def dump_operator(self, cell: Cell) -> str:
-        """Action table of the cell operator, one input word per line."""
-        lines = []
-        op = self.toeplitz(cell)
-        for w in self.words:
-            entries = op.column(w)
-            rhs = " + ".join("%s * %s" % (a, self.format_word(w2))
-                             for w2, a in entries) or "0"
-            lines.append("%s -> %s" % (self.format_word(w), rhs))
-        return "\n".join(lines)

@@ -92,11 +92,10 @@ def assemble_matricial_r(array: DistributionArray, order: int) -> UnitSeries:
     return UnitSeries.from_map(comp)
 
 
-def invert_C(r: UnitSeries, order: int | None = None) -> UnitSeries:
+def invert_C(r: UnitSeries) -> UnitSeries:
     """Multiplicative inverse of 1/z + R, componentwise over the q basis."""
     return UnitSeries.from_map(
-        {qc: invert_pole_series(r.component(qc), order)
-         for qc in QCELLS})
+        {qc: invert_pole_series(r.component(qc)) for qc in QCELLS})
 
 
 def b_elements(B: UnitSeries, count: int) -> List[UnitElement]:
@@ -112,12 +111,14 @@ def b_elements(B: UnitSeries, count: int) -> List[UnitElement]:
 
 class _AlternatingTable:
     """S_d = sum_{k=1}^d sum_{n1+..+nk=d-k} <b_{n1} M b_{n2} .. M b_{nk} v, v>
-    for one state vector v, built one anti-diagonal k + r = d at a time.
+    for one state vector v, by one linear recursion in d.
 
-    U[k, r] sums the products over compositions of r into k parts, applied
-    to v.  b_r enters only through U[1, r], so the k >= 2 part of S_d needs
-    b_0..b_{d-2} alone, and a b_{d-1} not yet in b_ops counts as zero: that
-    is how reconstruct_unique solves for it.  Callers may append to b_ops.
+    Summed by first factor, the products of S_d applied to v add up to
+    Y_d = b_{d-1} v + X_d, X_d = sum_{n=0}^{d-2} b_n M Y_{d-1-n}, and
+    S_d = <Y_d, v>.  Level d keeps X_d and M Y_d, applied once when level
+    d + 1 is built, so m levels apply M m - 1 times.  X_d needs only
+    b_0..b_{d-2}, so a b_{d-1} not yet in b_ops counts as zero: that is
+    how reconstruct_unique solves for it.  Callers may append to b_ops.
     """
 
     def __init__(self, model: FockModel, b_ops: list, mid_op, state: str):
@@ -125,28 +126,27 @@ class _AlternatingTable:
         self.base = model.state_vector(state)
         self.ref = next(iter(self.base))
         self.zero = as_scalar(0, model.mode)
-        self.U: dict = {}
-        self.MU: dict = {}                # M U[k, r], each applied once
-
-    def _mid_u(self, k: int, r: int):
-        if (k, r) not in self.MU:
-            u = self.U[k, r] if k > 1 else self.b_ops[r].apply(self.base)
-            self.MU[k, r] = self.mid.apply(u)
-        return self.MU[k, r]
+        self.X: list = [None]             # X_d at index d
+        self.MY: list = [None]            # M Y_d at index d
 
     def sum(self, d: int):
         zero = self.zero
+        for level in range(len(self.X), d + 1):
+            if level > 1:                 # b_{level-2} is known by now
+                y = self.b_ops[level - 2].apply(self.base)
+                for w, c in self.X[level - 1].items():
+                    y[w] = y.get(w, zero) + c
+                self.MY.append(self.mid.apply(
+                    {w: c for w, c in y.items() if c != 0}))
+            acc: dict = {}
+            for n in range(level - 1):
+                my = self.MY[level - 1 - n]
+                for w, c in self.b_ops[n].apply(my).items():
+                    acc[w] = acc.get(w, zero) + c
+            self.X.append({w: c for w, c in acc.items() if c != 0})
         total = (self.b_ops[d - 1].apply(self.base).get(self.ref, zero)
                  if d - 1 < len(self.b_ops) else zero)
-        for k in range(2, d + 1):
-            acc: dict = {}
-            for n1 in range(d - k + 1):
-                mu = self._mid_u(k - 1, d - k - n1)
-                for w, c in self.b_ops[n1].apply(mu).items():
-                    acc[w] = acc.get(w, zero) + c
-            self.U[k, d - k] = {w: c for w, c in acc.items() if c != 0}
-            total += self.U[k, d - k].get(self.ref, zero)
-        return total
+        return total + self.X[d].get(self.ref, zero)
 
 
 def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):

@@ -160,15 +160,11 @@ class TruncatedSeries:
         return "TruncatedSeries(%r, mode=%r)" % (list(self.coeffs), self.mode)
 
 
-def compose(f: TruncatedSeries, g: TruncatedSeries, *,
-            polynomial: bool = False) -> TruncatedSeries:
-    """f(g(z)) truncated at the common order.
-
-    g must have zero constant term unless *polynomial* asserts that the
-    stored coefficients of f are its complete expansion.
-    """
+def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """f(g(z)) truncated at the common order; g must have zero constant
+    term."""
     f._check(g)
-    if g.coeffs[0] != 0 and not polynomial:
+    if g.coeffs[0] != 0:
         raise ValueError("inner series has nonzero constant term")
     n = min(f.order, g.order)
     zero = as_scalar(0, f.mode)
@@ -184,8 +180,7 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, *,
     return TruncatedSeries(out, f.mode)
 
 
-def invert_pole_series(reg: TruncatedSeries,
-                       order: int | None = None) -> TruncatedSeries:
+def invert_pole_series(reg: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse of C(z) = 1/z + reg(z).
 
     Both C and its inverse B(z) = sum b_n z^{n+1} are handled through their
@@ -194,10 +189,8 @@ def invert_pole_series(reg: TruncatedSeries,
     implicit.  In this convention the map is an involution, and the full
     inverse is B(z) = z + z^2 * result(z).
     """
-    if order is None:
-        order = reg.order
+    order, c = reg.order, reg.coeffs
     zero = as_scalar(0, reg.mode)
-    c = reg.coeffs[:order + 1] + (zero,) * (order - reg.order)
     b = [as_scalar(1, reg.mode)]    # b_0
     for m in range(1, order + 2):
         # sum_{i+j=m} c_i b_j = 0 with c_0 = 1 and c_i = c[i-1]

@@ -156,6 +156,12 @@ def test_density_rejected_in_rational_mode(tmp_path, capsys):
     lambda c: c.update(shape=[]),
     lambda c: c.update(engines=5),
     lambda c: c.update(checks=5),
+    lambda c: c["cells"].update({"1,2": {"kind": "custom",
+                                         "cumulants": "12"}}),
+    lambda c: c["cells"].update({"1,2": {"kind": "custom",
+                                         "cumulants": {"5": 1}}}),
+    lambda c: c["cells"]["1,2"].update(a=True),
+    lambda c: c["cells"].update({"1,2": [True, False]}),
 ])
 def test_bad_configs_exit_two(tmp_path, capsys, mutate):
     cfg = json.loads(json.dumps(SQUARE_SEMI))
@@ -396,13 +402,17 @@ def test_order_twelve_all_engines(tmp_path, capsys):
     cfg = {key: value for key, value in MEIXNER.items()
            if key not in ("precision", "density")}
     cfg["order"] = 12
-    code, out, _ = run_cli(tmp_path, cfg, capsys=capsys)
-    assert code == 0
-    report = json.loads(out)
-    assert report["precision"] == "rational"
-    assert report["agreement"] is True
-    assert sorted(report["moments"]) == ["analytic", "fock", "partition"]
-    assert len(report["moments"]["partition"]) == 13
+    for checks in ([], ["eq56", "eq611", "uniqueness"]):
+        cfg["checks"] = checks
+        code, out, _ = run_cli(tmp_path, cfg, capsys=capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["precision"] == "rational"
+        assert report["agreement"] is True
+        assert sorted(report["moments"]) == ["analytic", "fock", "partition"]
+        assert len(report["moments"]["partition"]) == 13
+        assert sorted(report.get("checks", {})) == checks
+        assert all(c["pass"] for c in report.get("checks", {}).values())
 
 
 def test_nan_eps_exits_two(tmp_path, capsys):

@@ -304,17 +304,6 @@ def test_depth_guards():
         FockModel(arr, 0)
 
 
-def test_dump_formats():
-    arr = DistributionArray.from_cumulants({(1, 1): (F(1), F(1))})
-    model = FockModel(arr, 2)
-    basis = model.dump_basis().splitlines()
-    assert basis[0] == "()"
-    assert "(1,1)" in basis
-    assert "(1,1)(1,1)" in basis
-    table = model.dump_operator((1, 1))
-    assert any("->" in line for line in table.splitlines())
-
-
 def test_float_mode_model():
     arr = DistributionArray.from_cumulants(
         {(1, 1): (0.5, 1.0), (2, 2): (-1.0, 2.0)}, mode="float")

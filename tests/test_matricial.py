@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import (composition_sum, moments_from_cumulants,
+import smfconv.matricial
+from oracles import (composition_sum, module_imports, moments_from_cumulants,
                      pole_product_is_one, reconstruct_from_scratch,
                      scalar_r_as_unit_series)
 from smfconv import (DistributionArray, FockModel, NamedLaw, SHAPES,
@@ -12,6 +13,7 @@ from smfconv import (DistributionArray, FockModel, NamedLaw, SHAPES,
                      linearization_residuals, r_from_moments,
                      reconstruct_unique, smf_moments)
 from smfconv.cli import FLOAT_TOL
+from smfconv.series import scalars_close
 
 
 def random_array(rng, J, order=8):
@@ -171,22 +173,78 @@ def test_reconstruct_round_trip_float_mode():
 
 
 def test_residual_tables_match_composition_oracle():
-    # with a B that is not the inverse of C the sums are far from 1, 0, ...
-    rng = random.Random(61)
-    for J in SHAPES.values():
-        arr = random_array(rng, J, 6)
-        model = FockModel(arr, 6)
-        wrong = random_array(rng, J, 6)
-        B = invert_C(assemble_matricial_r(wrong, 5))
-        b_ops = b_elements(B, 6)
-        assert linearization_residuals(model, B, 6) == [
-            composition_sum(model, b_ops, model.total(), "phi", m)
-            for m in range(1, 7)]
-        for cell, res in compressed_residuals(model, B, 6).items():
-            state = "phi1" if cell[0] == 1 else "phi2"
-            mid = model.compressed_total(cell)
-            assert res == [composition_sum(model, b_ops, mid, state, m)
-                           for m in range(1, 7)]
+    # with a B that is not the inverse of C the sums are far from 1, 0, ...;
+    # the float arrays hold thirds, which binary64 rounds
+    for mode, rng in (("rational", random.Random(61)),
+                      ("float", random.Random(62))):
+        def close(got, want):
+            if mode == "rational":
+                return got == want
+            return len(got) == len(want) and all(
+                scalars_close(a, b, FLOAT_TOL) for a, b in zip(got, want))
+
+        def draw(J):
+            arr = random_array(rng, J, 6)
+            if mode == "rational":
+                return arr
+            return DistributionArray.from_cumulants(
+                {cell: tuple(float(v) / 3 for v in seq)
+                 for cell, seq in arr.cells}, mode="float")
+
+        for J in SHAPES.values():
+            model = FockModel(draw(J), 6)
+            B = invert_C(assemble_matricial_r(draw(J), 5))
+            b_ops = b_elements(B, 6)
+            assert close(linearization_residuals(model, B, 6), [
+                composition_sum(model, b_ops, model.total(), "phi", m)
+                for m in range(1, 7)])
+            for cell, res in compressed_residuals(model, B, 6).items():
+                state = "phi1" if cell[0] == 1 else "phi2"
+                mid = model.compressed_total(cell)
+                assert close(res, [
+                    composition_sum(model, b_ops, mid, state, m)
+                    for m in range(1, 7)])
+
+
+class CountingOp:
+    """Forwards ``apply`` to an operator and counts the calls."""
+
+    def __init__(self, op):
+        self.op, self.calls = op, 0
+
+    def apply(self, vec):
+        self.calls += 1
+        return self.op.apply(vec)
+
+
+def test_tables_apply_the_middle_operator_once_per_level():
+    # a table summed to level m applies M m - 1 times, not once per
+    # (parts, remainder) pair
+    rng = random.Random(71)
+    arr = random_array(rng, SHAPES["square"], 8)
+    model = FockModel(arr, 8)
+    counters = []
+
+    def counted(op):
+        counters.append(CountingOp(op))
+        return counters[-1]
+
+    # built before the patch, so each compression holds the plain A
+    total = model.total()
+    compressed = {cell: model.compressed_total(cell) for cell in model.J}
+    model.total = lambda: counted(total)
+    model.compressed_total = lambda cell: counted(compressed[cell])
+    B = invert_C(assemble_matricial_r(arr, 7))
+    assert linearization_residuals(model, B, 8) == [1] + [0] * 7
+    for res in compressed_residuals(model, B, 8).values():
+        assert res == [1] + [0] * 7
+    assert len(counters) == 5
+    assert all(c.calls <= 7 for c in counters)
+
+    counters.clear()               # reconstruction to order 6 sums 8 levels
+    assert reconstruct_unique(model, 6) == assemble_matricial_r(arr, 6)
+    assert len(counters) == 3
+    assert all(c.calls <= 7 for c in counters)
 
 
 def test_reconstruct_matches_from_scratch_solve():
@@ -271,3 +329,8 @@ def test_unit_series_validation():
     s = TruncatedSeries([1, 2])
     with pytest.raises(ValueError):
         UnitSeries((((1, 1), s), ((1, 2), s), ((2, 1), s)))
+
+
+def test_matricial_imports_no_engine():
+    assert module_imports(smfconv.matricial).isdisjoint(
+        {"analytic", "moments", "partitions"})

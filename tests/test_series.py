@@ -79,9 +79,6 @@ def test_compose_examples():
 def test_compose_rejects_nonzero_inner_constant():
     with pytest.raises(ValueError):
         compose(S(1, 1, 1), S(1, 1, 1))
-    # a polynomial may be composed with anything
-    poly = S(1, 2, 0)
-    assert compose(poly, S(1, 1, 0), polynomial=True) == S(3, 2, 0)
 
 
 def _nc_pair_count(n):
