@@ -13,62 +13,102 @@ import math
 from typing import Dict, List, Sequence, Tuple
 
 from .arrays import ALL_CELLS, Cell, DistributionArray
-from .series import FLOAT, TruncatedSeries, as_scalar, compose
+from .series import FLOAT, TruncatedSeries, as_scalar
 
-OFF = {1: 2, 2: 1}
+# member <- the two K values its resolvent pairs: member (j,j) pairs
+# K_{j,j} with K_{j',j}, member (j,j') pairs K_{j,j'} with K_{j',j}, and
+# the convolution itself (None) pairs K_{1,1} with K_{2,2}
+PAIRING = (((1, 1), ((1, 1), (2, 1))), ((1, 2), ((1, 2), (2, 1))),
+           ((2, 2), ((2, 2), (1, 2))), ((2, 1), ((2, 1), (1, 2))),
+           (None, ((1, 1), (2, 2))))
 
 
 def _subordination_map(k, resolvent):
     """One step of the subordination fixed point, and the master formula.
 
     *k* maps each cell to its K value, K_{i,j} = R_{i,j}(G*_{i,j}); cells
-    outside J carry zero.  Member (j,j) of the subordinate family pairs
-    K_{j,j} with K_{j',j}, member (j,j') pairs K_{j,j'} with K_{j',j}, and
-    the convolution itself pairs K_{1,1} with K_{2,2}.  ``resolvent(a, b)``
-    is 1/(z - a - b) in the caller's scalar algebra.  Returns the new
-    family and the master transform.
+    outside J carry zero.  ``resolvent(a, b)`` is 1/(z - a - b) in the
+    caller's scalar algebra, applied to the pairs of ``PAIRING``.  Returns
+    the new family and the master transform.
     """
-    family = {}
-    for j in (1, 2):
-        family[(j, j)] = resolvent(k[(j, j)], k[(OFF[j], j)])
-        family[(j, OFF[j])] = resolvent(k[(j, OFF[j])], k[(OFF[j], j)])
-    return family, resolvent(k[(1, 1)], k[(2, 2)])
+    family = {member: resolvent(k[a], k[b]) for member, (a, b) in PAIRING}
+    master = family.pop(None)
+    return family, master
+
+
+def _product_coefficient(a, b, s, zero):
+    """[w^s] of a b, adding the terms in ``TruncatedSeries.__mul__``'s
+    order: by increasing index into *a*, skipping its zero entries."""
+    acc = zero
+    for i in range(s + 1):
+        if a[i] != 0:
+            acc += a[i] * b[s - i]
+    return acc
 
 
 def _series_fixed_point(array: DistributionArray, order: int):
     """Subordinate family and master moment series, as truncated series.
 
     Transforms are moment generating functions in w = 1/z, so the
-    resolvent is (1 - (a + b) w)^-1 and K = R(w M*(w)).  The fixed point
-    is coefficient-triangular: coefficient n of each series depends only
-    on lower coefficients of the family, so pass t fixes coefficient t
-    and runs at order t (Brent and Kung, J. ACM 25, 1978), on the inner
-    series w M*(w) cut to that order.  Products, compositions and
-    reciprocals add into each coefficient in an order that does not
-    depend on the truncation, so the cut passes reproduce the
-    full-order ones exactly, also in float mode.  Pass ``order`` returns
-    the final family and the master series.
+    resolvent is (1 - (a + b) w)^-1 and K_c = R_c(g_c), g_c = w M*_c(w).
+    Coefficient t of each series depends only on lower coefficients of
+    the family, so one pass fixes coefficient t at step t and keeps the
+    earlier ones: g_c[t] = M*_c[t-1]; column t of the power table
+    [w^s] g_c^k and its new row k = t; K_c[t]; then, for each member of
+    ``PAIRING``, coefficient t of 1 - w (K_a + K_b) and of its
+    reciprocal.  That is O(order^3) products per cell.
+
+    Each coefficient adds its terms in the order of ``compose``,
+    ``__mul__`` and ``reciprocal``, zero products and the 0 + (-x) terms
+    of 1 - w s included, so the series equal a recomposition at full
+    order bit for bit, signed zeros of float mode included.  The terms
+    that recomposition adds below a power's leading index are zero
+    products added to sums started at +0, which they leave unchanged.
+    (After a float overflow it may turn an inf into a nan; neither
+    series is finite then.)
     """
     if array.order < order:
         raise ValueError("cumulant order %d < requested order %d"
                          % (array.order, order))
     mode = array.mode
-    zero = as_scalar(0, mode)
-    # the top coefficient of a K-series never reaches the truncated
-    # output, so cutting each cell tail to the working order is exact
+    zero, one = as_scalar(0, mode), as_scalar(1, mode)
     padded = array.padded(order + 1)
-    r = {cell: padded.r_series(cell).truncate(order) for cell in ALL_CELLS}
-
-    def resolvent(a, b):
-        s = a + b
-        return (TruncatedSeries.one(s.order, mode) - s.shift()).reciprocal()
-
-    m_star = {cell: TruncatedSeries.one(0, mode) for cell in r}
+    f = {cell: padded.r_series(cell).coeffs for cell in ALL_CELLS}
+    g = {cell: [] for cell in ALL_CELLS}
+    powers = {cell: [] for cell in ALL_CELLS}    # [k][s] = [w^s] g_c^k
+    k = {cell: [] for cell in ALL_CELLS}
+    den = {member: [one] for member, _ in PAIRING}   # 1 - w (K_a + K_b)
+    out = {member: [] for member, _ in PAIRING}      # its reciprocal
     for t in range(order + 1):
-        k = {cell: compose(r[cell], TruncatedSeries(
-            (zero,) + m_star[cell].coeffs[:t], mode)) for cell in r}
-        m_star, master = _subordination_map(k, resolvent)
-    return m_star, master
+        for cell in ALL_CELLS:
+            gc, p = g[cell], powers[cell]
+            gc.append(out[cell][t - 1] if t else zero)
+            if t == 0:
+                p.append([one])
+            else:
+                p[0].append(zero)
+                for row in range(1, t):
+                    p[row].append(_product_coefficient(p[row - 1], gc, t,
+                                                       zero))
+                p.append([_product_coefficient(p[t - 1], gc, s, zero)
+                          for s in range(t + 1)])
+            acc = zero
+            for power, fk in zip(p, f[cell]):
+                if fk != 0:
+                    acc += fk * power[t]
+            k[cell].append(acc)
+        for member, (a, b) in PAIRING:
+            d, inv = den[member], out[member]
+            if t == 0:
+                inv.append(one)     # 1 / d[0], with d[0] = 1 exactly
+                continue
+            d.append(zero + -(k[a][t - 1] + k[b][t - 1]))
+            inv.append(-sum((d[i] * inv[t - i] for i in range(1, t + 1)),
+                            zero) / d[0])
+    family = {member: TruncatedSeries(coeffs, mode)
+              for member, coeffs in out.items()}
+    master = family.pop(None)
+    return family, master
 
 
 def solve_subordination(array: DistributionArray,

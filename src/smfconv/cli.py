@@ -150,6 +150,8 @@ def parse_config(data: dict) -> JobConfig:
     laws = {}
     for key, spec in cells.items():
         cell = _parse_cell_key(key)
+        if cell in laws:
+            raise ConfigError("cell key %r repeats cell %d,%d" % (key, *cell))
         try:
             laws[cell] = _parse_law(spec)
             cumulants = laws[cell].cumulants(order, precision)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .arrays import DistributionArray
-from .fock import FockModel
+from .fock import FockModel, runs
 from .series import TruncatedSeries, as_scalar, invert_pole_series
 from .units import QCELLS, UnitElement
 
@@ -111,7 +111,7 @@ def b_elements(B: UnitSeries, count: int) -> List[UnitElement]:
 
 class _AlternatingTable:
     """S_d = sum_{k=1}^d sum_{n1+..+nk=d-k} <b_{n1} M b_{n2} .. M b_{nk} v, v>
-    for one state vector v, by one linear recursion in d.
+    for one state vector v and d = 1..top, by one linear recursion in d.
 
     Summed by first factor, the products of S_d applied to v add up to
     Y_d = b_{d-1} v + X_d, X_d = sum_{n=0}^{d-2} b_n M Y_{d-1-n}, and
@@ -119,25 +119,41 @@ class _AlternatingTable:
     d + 1 is built, so m levels apply M m - 1 times.  X_d needs only
     b_0..b_{d-2}, so a b_{d-1} not yet in b_ops counts as zero: that is
     how reconstruct_unique solves for it.  Callers may append to b_ops.
+
+    The tables prune by run count, as ``FockModel._power_moments`` does.
+    Y_L meets at most top - L more applications of M before its images
+    are read at a level <= top; each strips at most one run from the
+    front of a word, and the b_n keep every word.  So a word of Y_L with
+    more than top - L + runs(ref) runs never reaches the reference word
+    and is dropped before M is applied.  The surviving entries get the
+    same contributions in the same order, so every S_d is unchanged,
+    also in float mode.
     """
 
-    def __init__(self, model: FockModel, b_ops: list, mid_op, state: str):
-        self.b_ops, self.mid = b_ops, mid_op
+    def __init__(self, model: FockModel, b_ops: list, mid_op, state: str,
+                 top: int):
+        self.b_ops, self.mid, self.top = b_ops, mid_op, top
         self.base = model.state_vector(state)
         self.ref = next(iter(self.base))
+        self.ref_runs = runs(self.ref)
         self.zero = as_scalar(0, model.mode)
         self.X: list = [None]             # X_d at index d
         self.MY: list = [None]            # M Y_d at index d
 
     def sum(self, d: int):
+        if d > self.top:
+            raise ValueError("level %d is above the table's top level %d"
+                             % (d, self.top))
         zero = self.zero
         for level in range(len(self.X), d + 1):
             if level > 1:                 # b_{level-2} is known by now
                 y = self.b_ops[level - 2].apply(self.base)
                 for w, c in self.X[level - 1].items():
                     y[w] = y.get(w, zero) + c
+                limit = self.top - (level - 1) + self.ref_runs
                 self.MY.append(self.mid.apply(
-                    {w: c for w, c in y.items() if c != 0}))
+                    {w: c for w, c in y.items()
+                     if c != 0 and runs(w) <= limit}))
             acc: dict = {}
             for n in range(level - 1):
                 my = self.MY[level - 1 - n]
@@ -156,7 +172,7 @@ def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
         raise ValueError("m_max %d exceeds model depth %d"
                          % (m_max, model.depth))
     table = _AlternatingTable(model, b_elements(B, m_max), model.total(),
-                              "phi")
+                              "phi", m_max)
     return [table.sum(d) for d in range(1, m_max + 1)]
 
 
@@ -173,7 +189,7 @@ def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
     out = {}
     for cell in sorted(model.J):
         table = _AlternatingTable(model, b_ops, model.compressed_total(cell),
-                                  "phi1" if cell[0] == 1 else "phi2")
+                                  "phi1" if cell[0] == 1 else "phi2", m_max)
         out[cell] = [table.sum(d) for d in range(1, m_max + 1)]
     return out
 
@@ -202,12 +218,13 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
     # B-side components read off moment data, one table per state; the
     # level-(m+1) sum vanishes, and b_m enters it only as <b_m v, v>
     b_ops = [UnitElement.identity(mode)]
+    top = order + 2
     tables = {
-        (1, 1): _AlternatingTable(model, b_ops, model.total(), "phi"),
+        (1, 1): _AlternatingTable(model, b_ops, model.total(), "phi", top),
         (2, 1): _AlternatingTable(
-            model, b_ops, model.compressed_total(row_cell[1]), "phi1"),
+            model, b_ops, model.compressed_total(row_cell[1]), "phi1", top),
         (1, 2): _AlternatingTable(
-            model, b_ops, model.compressed_total(row_cell[2]), "phi2"),
+            model, b_ops, model.compressed_total(row_cell[2]), "phi2", top),
     }
     b_tails = {qc: [] for qc in QCELLS}       # b_1..b_m per component
     for m in range(1, order + 2):

@@ -10,9 +10,11 @@ equations of the five binary convolution kinds, the Fock operators and
 cell polynomials as full column tables over the word basis, alternating
 sums written out one product per composition, and the closed-form
 transform of a square array with semicircle diagonals and point-mass
-off-diagonals.  Two thin wrappers drive the subordination engine on
-single laws and on the binary convolution kinds, and ``module_imports``
-reads a module's imports for the engine-independence guards.
+off-diagonals.  ``cut_pass_fixed_point`` recomposes the subordination
+series from scratch at every order.  Two thin wrappers drive the
+subordination engine on single laws and on the binary convolution
+kinds, and ``module_imports`` reads a module's imports for the
+engine-independence guards.
 
 Matricial labels: a block's label is (c, c) when every enclosing block
 carries its own color c (or nothing encloses it), and (c, c') otherwise,
@@ -36,6 +38,7 @@ from smfconv import (QCELLS, RATIONAL, DistributionArray, FockModel,
                      UnitSeries, as_scalar, can_prepend, compose,
                      compression, enumerate_nc, invert_pole_series,
                      master_cauchy, q_class, row_identical_array)
+from smfconv.arrays import ALL_CELLS
 from smfconv.fock import LinearOp
 from smfconv.series import scalars_close
 
@@ -448,6 +451,36 @@ def reconstruct_from_scratch(model: FockModel, order: int) -> UnitSeries:
         b_ops.append(UnitElement(
             tuple(tails[qc][-1] for qc in QCELLS), mode))
     return UnitSeries.from_map(c)
+
+
+# -- subordination fixed point, one truncated pass per order -----------------
+
+
+def cut_pass_fixed_point(array: DistributionArray, order: int):
+    """Subordinate family and master series by order + 1 passes: pass t
+    recomposes every K = R(w M*(w)) from scratch at order t, with the
+    library's ``compose``, series products and ``reciprocal``, and pairs
+    the K series as written out in the paper's master formula.
+    O(order^4) products; the one-pass engine must match it bit for bit."""
+    mode = array.mode
+    zero = as_scalar(0, mode)
+    padded = array.padded(order + 1)
+    r = {cell: padded.r_series(cell).truncate(order) for cell in ALL_CELLS}
+
+    def resolvent(a, b):
+        s = a + b
+        return (TruncatedSeries.one(s.order, mode) - s.shift()).reciprocal()
+
+    m_star = {cell: TruncatedSeries.one(0, mode) for cell in r}
+    for t in range(order + 1):
+        k = {cell: compose(r[cell], TruncatedSeries(
+            (zero,) + m_star[cell].coeffs[:t], mode)) for cell in r}
+        m_star = {}
+        for j, o in ((1, 2), (2, 1)):
+            m_star[(j, j)] = resolvent(k[(j, j)], k[(o, j)])
+            m_star[(j, o)] = resolvent(k[(j, o)], k[(o, j)])
+        master = resolvent(k[(1, 1)], k[(2, 2)])
+    return m_star, master
 
 
 # -- subordination-engine wrappers -------------------------------------------

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 import pytest
 from scipy.integrate import quad
 
+import smfconv.analytic
 from oracles import (binary_convolutions, binary_fixed_point_rhs,
-                     f_compose_moments, law_moments, moments_from_cumulants,
+                     cut_pass_fixed_point, f_compose_moments, law_moments,
+                     module_imports, moments_from_cumulants,
                      split_semicircle_cauchy)
 from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
                      TruncatedSeries, cauchy_value, compose, master_cauchy,
@@ -54,6 +56,39 @@ def test_subordinate_family_zero():
     fam = solve_subordination(arr, 4)
     for series in fam.values():
         assert [str(c) for c in series.coeffs] == ["1", "0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("mode", ["rational", FLOAT])
+def test_one_pass_matches_cut_pass_oracle(mode):
+    # zero cumulants make signed zeros: -(+0) reaches the float series
+    def reprs(series):
+        return [repr(c) for c in series.coeffs]
+
+    pick = [0, 0, 1, -1, F(1, 2), -2, 3]
+    if mode == FLOAT:
+        pick += [-0.0, 0.25, -1.5]
+    rng = random.Random(83)
+    negative_zero = False
+    for J in SHAPES.values():
+        for order in range(1, 13):
+            arr = DistributionArray.from_cumulants(
+                {cell: tuple(rng.choice(pick) for _ in range(order))
+                 for cell in J}, mode=mode)
+            want_family, want_master = cut_pass_fixed_point(arr, order)
+            family = solve_subordination(arr, order)
+            assert list(family) == list(want_family)
+            for cell, series in want_family.items():
+                assert reprs(family[cell]) == reprs(series)
+            master = master_cauchy(arr, order)
+            assert reprs(master) == reprs(want_master)
+            negative_zero |= any(c == 0 and math.copysign(1, c) < 0
+                                 for c in master.coeffs)
+    assert negative_zero == (mode == FLOAT)
+
+
+def test_analytic_imports_no_other_engine():
+    assert module_imports(smfconv.analytic).isdisjoint(
+        {"moments", "fock", "partitions", "matricial"})
 
 
 def test_master_matches_partition_engine_all_shapes():

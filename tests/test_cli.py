@@ -162,6 +162,7 @@ def test_density_rejected_in_rational_mode(tmp_path, capsys):
                                          "cumulants": {"5": 1}}}),
     lambda c: c["cells"]["1,2"].update(a=True),
     lambda c: c["cells"].update({"1,2": [True, False]}),
+    lambda c: c["cells"].update({"1, 1": [5]}),
 ])
 def test_bad_configs_exit_two(tmp_path, capsys, mutate):
     cfg = json.loads(json.dumps(SQUARE_SEMI))

@@ -13,6 +13,8 @@ from smfconv import (DistributionArray, FockModel, NamedLaw, SHAPES,
                      linearization_residuals, r_from_moments,
                      reconstruct_unique, smf_moments)
 from smfconv.cli import FLOAT_TOL
+from smfconv.fock import runs
+from smfconv.matricial import _AlternatingTable
 from smfconv.series import scalars_close
 
 
@@ -207,19 +209,30 @@ def test_residual_tables_match_composition_oracle():
 
 
 class CountingOp:
-    """Forwards ``apply`` to an operator and counts the calls."""
+    """Forwards ``apply`` to an operator and records, per call, the run
+    count of each input word."""
 
     def __init__(self, op):
-        self.op, self.calls = op, 0
+        self.op, self.inputs = op, []
+
+    @property
+    def calls(self):
+        return len(self.inputs)
 
     def apply(self, vec):
-        self.calls += 1
+        self.inputs.append([runs(w) for w in vec])
         return self.op.apply(vec)
+
+    def within_run_bound(self, top, ref_runs):
+        # call L applies M to Y_L, which meets top - L more applications
+        return all(max(r, default=0) <= top - level + ref_runs
+                   for level, r in enumerate(self.inputs, start=1))
 
 
 def test_tables_apply_the_middle_operator_once_per_level():
     # a table summed to level m applies M m - 1 times, not once per
-    # (parts, remainder) pair
+    # (parts, remainder) pair, and only to words that can still reach
+    # the reference word
     rng = random.Random(71)
     arr = random_array(rng, SHAPES["square"], 8)
     model = FockModel(arr, 8)
@@ -240,11 +253,22 @@ def test_tables_apply_the_middle_operator_once_per_level():
         assert res == [1] + [0] * 7
     assert len(counters) == 5
     assert all(c.calls <= 7 for c in counters)
+    # the first table reads the vacuum (no runs), the others a one-letter
+    # conjugate-state word
+    assert all(c.within_run_bound(8, ref_runs)
+               for c, ref_runs in zip(counters, (0, 1, 1, 1, 1)))
 
     counters.clear()               # reconstruction to order 6 sums 8 levels
     assert reconstruct_unique(model, 6) == assemble_matricial_r(arr, 6)
     assert len(counters) == 3
     assert all(c.calls <= 7 for c in counters)
+    assert all(c.within_run_bound(8, ref_runs)
+               for c, ref_runs in zip(counters, (0, 1, 1)))
+
+    table = _AlternatingTable(model, b_elements(B, 8), total, "phi", 8)
+    assert table.sum(8) == 0
+    with pytest.raises(ValueError):
+        table.sum(9)
 
 
 def test_reconstruct_matches_from_scratch_solve():
