@@ -19,7 +19,7 @@ from .matricial import UnitSeries, assemble_matricial_r, b_elements, \
     reconstruct_unique
 from .moments import smf_moments
 from .partitions import NCPartition, enumerate_nc
-from .series import FLOAT, RATIONAL, TruncatedSeries, as_scalar, compose, \
+from .series import FLOAT, RATIONAL, TruncatedSeries, as_scalar, \
     invert_pole_series, r_from_moments
 from .units import QCELLS, UnitElement, compression, q_class
 
@@ -29,7 +29,7 @@ __all__ = [
     "ALL_CELLS", "DistributionArray", "FLOAT", "FockModel", "NCPartition",
     "NamedLaw", "QCELLS", "RATIONAL", "SHAPES", "TruncatedSeries",
     "UnitElement", "UnitSeries", "as_scalar", "assemble_matricial_r",
-    "b_elements", "can_prepend", "cauchy_value", "compose", "compression",
+    "b_elements", "can_prepend", "cauchy_value", "compression",
     "compressed_residuals", "enumerate_nc", "enumerate_words", "invert_C",
     "invert_pole_series", "linearization_residuals", "master_cauchy",
     "meixner_atoms", "meixner_cauchy", "meixner_density",

@@ -58,12 +58,14 @@ def _series_fixed_point(array: DistributionArray, order: int):
     ``PAIRING``, coefficient t of 1 - w (K_a + K_b) and of its
     reciprocal.  That is O(order^3) products per cell.
 
-    Each coefficient adds its terms in the order of ``compose``,
-    ``__mul__`` and ``reciprocal``, zero products and the 0 + (-x) terms
-    of 1 - w s included, so the series equal a recomposition at full
-    order bit for bit, signed zeros of float mode included.  The terms
-    that recomposition adds below a power's leading index are zero
-    products added to sums started at +0, which they leave unchanged.
+    Each coefficient adds its terms in the order of ``compose`` and
+    ``reciprocal`` in tests/oracles.py and of ``TruncatedSeries.__mul__``,
+    zero products and the 0 + (-x) terms of 1 - w s included, so the
+    series equal that oracle's recomposition at full order,
+    ``cut_pass_fixed_point``, bit for bit, signed zeros of float mode
+    included.  The terms that recomposition adds below a power's leading
+    index are zero products added to sums started at +0, which they
+    leave unchanged.
     (After a float overflow it may turn an inf into a nan; neither
     series is finite then.)
     """

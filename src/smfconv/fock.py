@@ -17,11 +17,22 @@ weights satisfy s(k) alpha^(2(k-1)) = r(k), so the cell realizes the
 prescribed cumulants.  Truncation at depth d is exact for any product of
 at most d factors applied to the vacuum.
 
-An operator is anything with ``apply(vec) -> vec`` on sparse vectors
-{word: coefficient}: a :class:`LinearOp` given by a column rule (creation,
-annihilation, the cell operators, the total A and its compressions), a
-:class:`CellPolynomial`, or a :class:`~smfconv.units.UnitElement`, which
-scales each word by its q-class component.
+A vector is a :class:`~smfconv.units.FockVector`, numerators {word: num}
+over one positive denominator: integers in rational mode, floats over 1 in
+float mode.  An operator is anything with ``apply(vec) -> vec``: a
+:class:`LinearOp` given by a column rule (creation, annihilation, the cell
+operators, the total A and its compressions), a :class:`CellPolynomial`,
+or a :class:`~smfconv.units.UnitElement`, which scales each word by its
+q-class component.  Every operator has a denominator ``den`` fixed when
+it is built, the lcm of the denominators of every entry it can produce,
+and supplies its entries as numerators over it; the output denominator
+is the input denominator times the operator's.  So no entry of a vector
+costs a gcd.  A scalar leaves the vector layer only where it is read
+(``state_moment``, the moment sequences, the alternating tables of
+:mod:`smfconv.matricial`, ``creation_relation_violations``), as one
+``Fraction(num, den)`` per read.  Float mode runs the same code with
+every denominator 1 and skips each multiplication by 1, so its terms are
+added in the same order as with float coefficients.
 
 No operator enumerates the word basis.  A cell operator reads only the
 head of a word, so its column at w is, in this entry order: the creation
@@ -30,8 +41,9 @@ is shorter than the depth; w itself with weight s(1) times the cell
 unit's component at the q class of w; and for k = 2, 3, ... while the
 head letter is the cell, w with k - 1 letters stripped, with weight
 s(k) alpha^(k-1).  The column of A merges the cell columns in sorted
-cell order, summing repeated targets in that order, and a compression
-keeps the entries of A whose source and target lie in its range.  A
+cell order over the lcm of the cell denominators, summing repeated
+targets in that order, and a compression keeps the entries of A whose
+source and target lie in its range, over the same denominator.  A
 :class:`LinearOp` computes a column the first time a vector reaches its
 word and caches it in ``columns``.
 
@@ -46,19 +58,21 @@ the unpruned ones exactly, also in float mode.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .arrays import ALL_CELLS, Cell, DistributionArray
-from .series import TruncatedSeries, as_scalar, r_from_moments, \
-    scalars_close
-from .units import QCELLS, UnitElement, compression, q_class
+from .series import RATIONAL, TruncatedSeries, as_scalar, \
+    common_denominator, r_from_moments, scalars_close
+from .units import QCELLS, FockVector, UnitElement, compression, q_class
 
 Letter = Tuple[int, int]
 Word = Tuple[Letter, ...]
-Vector = Dict[Word, object]
 
 VACUUM: Word = ()
+STATE_WORDS: Dict[str, Word] = {"phi": VACUUM, "phi1": ((1, 1),),
+                                "phi2": ((2, 2),)}
 
 
 def can_prepend(letter: Letter, word: Word) -> bool:
@@ -96,13 +110,14 @@ def enumerate_words(J: Iterable[Cell], depth: int) -> Tuple[Word, ...]:
 
 
 class LinearOp:
-    """Sparse operator given by a column rule word -> ((word, coeff), ...);
-    ``columns`` caches the columns computed so far."""
+    """Sparse operator given by a column rule word -> ((word, entry), ...),
+    the entries being numerators over ``den``; ``columns`` caches the
+    columns computed so far."""
 
-    __slots__ = ("rule", "columns")
+    __slots__ = ("rule", "den", "columns")
 
-    def __init__(self, rule: Callable[[Word], tuple]):
-        self.rule = rule
+    def __init__(self, rule: Callable[[Word], tuple], den: int = 1):
+        self.rule, self.den = rule, den
         self.columns: Dict[Word, tuple] = {}
 
     def column(self, w: Word) -> tuple:
@@ -111,12 +126,16 @@ class LinearOp:
             col = self.columns[w] = self.rule(w)
         return col
 
-    def apply(self, vec: Vector) -> Vector:
-        out: Vector = {}
-        for w, c in vec.items():
-            for w2, a in self.column(w):
+    def apply(self, vec: FockVector) -> FockVector:
+        columns, out = self.columns, {}
+        for w, c in vec.entries.items():
+            col = columns.get(w)
+            if col is None:
+                col = self.column(w)
+            for w2, a in col:
                 out[w2] = out.get(w2, 0) + a * c
-        return {w: c for w, c in out.items() if c != 0}
+        return FockVector({w: c for w, c in out.items() if c != 0},
+                          vec.den * self.den)
 
 
 def runs(word: Word) -> int:
@@ -128,21 +147,32 @@ def runs(word: Word) -> int:
 class CellPolynomial:
     """c0 1_cell + c1 a + c2 a^2 + ... for one cell operator a, applied to
     a vector one power of a at a time; the constant term sits on the
-    internal unit 1_cell, never on the global identity."""
+    internal unit 1_cell, never on the global identity.
 
-    __slots__ = ("unit", "a_op", "coeffs")
+    Term k reaches the input denominator times s_k = den(1_cell) for
+    k = 0 and den(a)^k for k >= 1, so the terms are added with integer
+    multipliers ``mults``, c_k / s_k over ``den``, the lcm of their
+    denominators."""
+
+    __slots__ = ("unit", "a_op", "mults", "den")
 
     def __init__(self, unit: UnitElement, a_op: LinearOp, coeffs: Sequence):
-        self.unit, self.a_op, self.coeffs = unit, a_op, tuple(coeffs)
+        self.unit, self.a_op = unit, a_op
+        term_dens = [unit.den] + [a_op.den ** k
+                                  for k in range(1, len(coeffs))]
+        self.mults, self.den = common_denominator(coeffs, unit.mode,
+                                                  term_dens)
 
-    def apply(self, vec: Vector) -> Vector:
-        out = {w: self.coeffs[0] * v for w, v in self.unit.apply(vec).items()}
-        for c in self.coeffs[1:]:
+    def apply(self, vec: FockVector) -> FockVector:
+        den = vec.den * self.den
+        m0 = self.mults[0]
+        out = {w: m0 * v for w, v in self.unit.apply(vec).entries.items()}
+        for m in self.mults[1:]:
             vec = self.a_op.apply(vec)
-            if c != 0:
-                for w, v in vec.items():
-                    out[w] = out.get(w, 0) + c * v
-        return {w: v for w, v in out.items() if v != 0}
+            if m != 0:
+                for w, v in vec.entries.items():
+                    out[w] = out.get(w, 0) + m * v
+        return FockVector({w: v for w, v in out.items() if v != 0}, den)
 
 
 class FockModel:
@@ -161,6 +191,7 @@ class FockModel:
         self.depth = depth
         self.J = array.J
         one = as_scalar(1, self.mode)
+        self._one = 1 if self.mode == RATIONAL else one   # a numerator
         self.alpha = {cell: one for cell in self.J}
         if alpha:
             for cell, val in alpha.items():
@@ -178,6 +209,8 @@ class FockModel:
                 ws.append(r / scale)
                 scale *= a2
             self.weights[cell] = tuple(ws)
+        self.units = {cell: UnitElement.internal_unit(*cell, self.mode)
+                      for cell in ALL_CELLS}
         self._words = None
         self._ops: Dict = {}
 
@@ -195,23 +228,24 @@ class FockModel:
     def creation(self, cell: Cell) -> LinearOp:
         key = ("l", cell)
         if key not in self._ops:
-            a, depth = self.alpha[cell], self.depth
+            (a,), den = common_denominator([self.alpha[cell]], self.mode)
+            depth = self.depth
 
             def rule(w):
                 if len(w) < depth and can_prepend(cell, w):
                     return (((cell,) + w, a),)
                 return ()
-            self._ops[key] = LinearOp(rule)
+            self._ops[key] = LinearOp(rule, den)
         return self._ops[key]
 
     def annihilation(self, cell: Cell) -> LinearOp:
         key = ("l*", cell)
         if key not in self._ops:
-            a = self.alpha[cell]
+            (a,), den = common_denominator([self.alpha[cell]], self.mode)
 
             def rule(w):
                 return ((w[1:], a),) if w and w[0] == cell else ()
-            self._ops[key] = LinearOp(rule)
+            self._ops[key] = LinearOp(rule, den)
         return self._ops[key]
 
     def toeplitz(self, cell: Cell) -> LinearOp:
@@ -222,16 +256,20 @@ class FockModel:
                 raise ValueError("cell %r not in the array" % (cell,))
             a, depth = self.alpha[cell], self.depth
             ws = self.weights[cell]
-            unit = UnitElement.internal_unit(*cell, self.mode)
+            unit = self.units[cell]
             # s(1) times the unit's component, per q class of the word
-            diag = {qc: ws[0] * unit.component(qc) for qc in QCELLS} \
-                if ws else {}
+            diag = [ws[0] * unit.component(qc) for qc in QCELLS] \
+                if ws else []
             # s(k) alpha^(k-1) for k >= 2, the power taken one factor at
             # a time
             strips, amp = [], as_scalar(1, self.mode)
             for r in ws[1:]:
                 amp *= a
                 strips.append(r * amp)
+            # all entries as numerators over one denominator
+            nums, den = common_denominator([a, *diag, *strips], self.mode)
+            k = 1 + len(diag)
+            a, diag, strips = nums[0], dict(zip(QCELLS, nums[1:k])), nums[k:]
 
             def rule(w):
                 col = []
@@ -249,21 +287,26 @@ class FockModel:
                     if c != 0:
                         col.append((tail, c))
                 return tuple(col)
-            self._ops[key] = LinearOp(rule)
+            self._ops[key] = LinearOp(rule, den)
         return self._ops[key]
 
     def total(self) -> LinearOp:
-        """A = sum of the cell operators."""
+        """A = sum of the cell operators, over the lcm of their
+        denominators."""
         if "A" not in self._ops:
             cell_ops = [self.toeplitz(cell) for cell in sorted(self.J)]
+            den = math.lcm(*(op.den for op in cell_ops))
+            lifts = [(op, den // op.den) for op in cell_ops]
 
             def rule(w):
                 tgt: Dict = {}
-                for op in cell_ops:
+                for op, f in lifts:
                     for w2, a in op.column(w):
+                        if f != 1:
+                            a *= f
                         tgt[w2] = tgt.get(w2, 0) + a
                 return tuple((w2, a) for w2, a in tgt.items() if a != 0)
-            self._ops["A"] = LinearOp(rule)
+            self._ops["A"] = LinearOp(rule, den)
         return self._ops["A"]
 
     def compressed_total(self, cell: Cell) -> LinearOp:
@@ -281,20 +324,15 @@ class FockModel:
                     return ()
                 return tuple(e for e in total.column(w)
                              if q_class(e[0]) in kept)
-            self._ops[key] = LinearOp(rule)
+            self._ops[key] = LinearOp(rule, total.den)
         return self._ops[key]
 
     # -- states ------------------------------------------------------------
 
-    def state_vector(self, state: str) -> Vector:
-        one = as_scalar(1, self.mode)
-        if state == "phi":
-            return {VACUUM: one}
-        if state == "phi1":
-            return {((1, 1),): one}
-        if state == "phi2":
-            return {((2, 2),): one}
-        raise ValueError("state must be phi, phi1 or phi2")
+    def state_vector(self, state: str) -> FockVector:
+        if state not in STATE_WORDS:
+            raise ValueError("state must be phi, phi1 or phi2")
+        return FockVector({STATE_WORDS[state]: self._one})
 
     def state_moment(self, state: str, factors: Sequence):
         """<(f_1 ... f_n) v, v> for the given state vector v.
@@ -313,21 +351,21 @@ class FockModel:
         vec = self.state_vector(state)
         for f in reversed(list(factors)):
             vec = f.apply(vec)
-        ref = next(iter(self.state_vector(state)))
-        return vec.get(ref, as_scalar(0, self.mode))
+        return vec.read(STATE_WORDS[state], self.mode)
 
     def _power_moments(self, op, state: str, order: int) -> TruncatedSeries:
         """<op^m v, v> for m = 0..order and the state vector v."""
         vec = self.state_vector(state)
-        ref = next(iter(vec))
+        ref = STATE_WORDS[state]
         ref_runs = runs(ref)
         out = [as_scalar(1, self.mode)]
         for m in range(order):
             vec = op.apply(vec)
-            out.append(vec.get(ref, as_scalar(0, self.mode)))
+            out.append(vec.read(ref, self.mode))
             # each application strips at most one run from the front
             limit = order - m - 1 + ref_runs
-            vec = {w: c for w, c in vec.items() if runs(w) <= limit}
+            vec = FockVector({w: c for w, c in vec.entries.items()
+                              if runs(w) <= limit}, vec.den)
         return TruncatedSeries(out, self.mode)
 
     def moments(self, order: int) -> TruncatedSeries:
@@ -352,14 +390,14 @@ class FockModel:
         for cell in sorted(self.J):
             a2 = self.alpha[cell] * self.alpha[cell]
             cre, ann = self.creation(cell), self.annihilation(cell)
-            unit = UnitElement.internal_unit(*cell, self.mode)
+            want = {qc: a2 * self.units[cell].component(qc) for qc in QCELLS}
             for w in self.words:
                 if len(w) >= self.depth:
                     continue
-                lhs = ann.apply(cre.apply({w: as_scalar(1, self.mode)}))
-                want = a2 * unit.component(q_class(w))
-                got = lhs.get(w, as_scalar(0, self.mode))
-                if len(lhs) > 1 or not scalars_close(got, want):
+                lhs = ann.apply(cre.apply(FockVector({w: self._one})))
+                got = lhs.read(w, self.mode)
+                if len(lhs.entries) > 1 or \
+                        not scalars_close(got, want[q_class(w)]):
                     bad.append("relation fails on cell %r word %r"
                                % (cell, w))
         return bad
@@ -367,8 +405,7 @@ class FockModel:
     def _poly_op(self, cell: Cell, coeffs: Sequence) -> CellPolynomial:
         """coeffs[0]*1_cell + coeffs[1]*a_cell + coeffs[2]*a_cell^2 + ...,
         an element of the non-unital cell subalgebra."""
-        return CellPolynomial(UnitElement.internal_unit(*cell, self.mode),
-                              self.toeplitz(cell), coeffs)
+        return CellPolynomial(self.units[cell], self.toeplitz(cell), coeffs)
 
     def _cell_state(self, cell: Cell) -> str:
         i, j = cell
@@ -391,12 +428,13 @@ class FockModel:
         bad: List[str] = []
         cells = sorted(self.J)
         max_length = min(max_length, self.depth)
+        # a sequence of one cell with no two neighbours equal has length 1
+        alternating = max_length if len(cells) > 1 else 1
 
         bad.extend(self.creation_relation_violations())
 
         # unit normalizations under the diagonal and conjugate states
-        for i, j in ALL_CELLS:
-            u = UnitElement.internal_unit(i, j, self.mode)
+        for (i, j), u in self.units.items():
             if self.state_moment("phi", [u]) != (1 if i == j else 0):
                 bad.append("phi(1_%r) != delta" % ((i, j),))
             for st, jj in (("phi1", 1), ("phi2", 2)):
@@ -428,7 +466,7 @@ class FockModel:
 
         # alternating kernel products vanish under phi
         for _ in range(trials):
-            n = rng.randint(1, max_length)
+            n = rng.randint(1, alternating)
             seq = random_cells(n)
             degs = spread_degrees(n)
             ops = [self._centered_poly(c, random_coeffs(d))
@@ -453,9 +491,9 @@ class FockModel:
         # a diagonal factor followed by centered factors kills the moment
         diag_cells = [c for c in cells if c[0] == c[1]]
         for _ in range(trials // 2):
-            if not diag_cells or max_length < 2:
+            if not diag_cells or alternating < 2:
                 break
-            n = rng.randint(2, max_length)
+            n = rng.randint(2, alternating)
             seq = random_cells(n)
             seq[0] = rng.choice(diag_cells)
             if len(seq) > 1 and seq[1] == seq[0]:

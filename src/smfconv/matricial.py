@@ -11,13 +11,14 @@ multiplicative inverse being z + z^2 * tail), with c_0 = b_0 = 1 implicit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .arrays import DistributionArray
-from .fock import FockModel, runs
-from .series import TruncatedSeries, as_scalar, invert_pole_series
-from .units import QCELLS, UnitElement
+from .fock import STATE_WORDS, FockModel, runs
+from .series import TruncatedSeries, invert_pole_series
+from .units import QCELLS, FockVector, UnitElement
 
 # q-component of the assembled transform <- pairwise sums of cell transforms
 Q_SUMMANDS = {
@@ -109,6 +110,22 @@ def b_elements(B: UnitSeries, count: int) -> List[UnitElement]:
     return out
 
 
+def _combine(vectors: Sequence[FockVector]) -> FockVector:
+    """Sum of Fock vectors over the lcm of their denominators, adding
+    the entries vector by vector; zero sums are kept."""
+    den = math.lcm(*(v.den for v in vectors))
+    out: dict = {}
+    for v in vectors:
+        f = den // v.den
+        if f == 1:
+            for w, c in v.entries.items():
+                out[w] = out.get(w, 0) + c
+        else:
+            for w, c in v.entries.items():
+                out[w] = out.get(w, 0) + c * f
+    return FockVector(out, den)
+
+
 class _AlternatingTable:
     """S_d = sum_{k=1}^d sum_{n1+..+nk=d-k} <b_{n1} M b_{n2} .. M b_{nk} v, v>
     for one state vector v and d = 1..top, by one linear recursion in d.
@@ -119,6 +136,8 @@ class _AlternatingTable:
     d + 1 is built, so m levels apply M m - 1 times.  X_d needs only
     b_0..b_{d-2}, so a b_{d-1} not yet in b_ops counts as zero: that is
     how reconstruct_unique solves for it.  Callers may append to b_ops.
+    Each sum of vectors is taken over the lcm of their denominators, and
+    S_d is read as one scalar.
 
     The tables prune by run count, as ``FockModel._power_moments`` does.
     Y_L meets at most top - L more applications of M before its images
@@ -133,10 +152,10 @@ class _AlternatingTable:
     def __init__(self, model: FockModel, b_ops: list, mid_op, state: str,
                  top: int):
         self.b_ops, self.mid, self.top = b_ops, mid_op, top
+        self.mode = model.mode
         self.base = model.state_vector(state)
-        self.ref = next(iter(self.base))
+        self.ref = STATE_WORDS[state]
         self.ref_runs = runs(self.ref)
-        self.zero = as_scalar(0, model.mode)
         self.X: list = [None]             # X_d at index d
         self.MY: list = [None]            # M Y_d at index d
 
@@ -144,25 +163,26 @@ class _AlternatingTable:
         if d > self.top:
             raise ValueError("level %d is above the table's top level %d"
                              % (d, self.top))
-        zero = self.zero
         for level in range(len(self.X), d + 1):
             if level > 1:                 # b_{level-2} is known by now
-                y = self.b_ops[level - 2].apply(self.base)
-                for w, c in self.X[level - 1].items():
-                    y[w] = y.get(w, zero) + c
+                y = _combine([self.b_ops[level - 2].apply(self.base),
+                              self.X[level - 1]])
                 limit = self.top - (level - 1) + self.ref_runs
-                self.MY.append(self.mid.apply(
-                    {w: c for w, c in y.items()
-                     if c != 0 and runs(w) <= limit}))
-            acc: dict = {}
-            for n in range(level - 1):
-                my = self.MY[level - 1 - n]
-                for w, c in self.b_ops[n].apply(my).items():
-                    acc[w] = acc.get(w, zero) + c
-            self.X.append({w: c for w, c in acc.items() if c != 0})
-        total = (self.b_ops[d - 1].apply(self.base).get(self.ref, zero)
-                 if d - 1 < len(self.b_ops) else zero)
-        return total + self.X[d].get(self.ref, zero)
+                self.MY.append(self.mid.apply(FockVector(
+                    {w: c for w, c in y.entries.items()
+                     if c != 0 and runs(w) <= limit}, y.den)))
+            acc = _combine([self.b_ops[n].apply(self.MY[level - 1 - n])
+                            for n in range(level - 1)])
+            self.X.append(FockVector(
+                {w: c for w, c in acc.entries.items() if c != 0}, acc.den))
+        # S_d = <b_{d-1} v + X_d, v>, both terms read over one denominator
+        parts = [self.X[d]]
+        if d - 1 < len(self.b_ops):
+            parts.insert(0, self.b_ops[d - 1].apply(self.base))
+        ref = self.ref
+        at_ref = [FockVector({ref: v.entries[ref]}, v.den)
+                  for v in parts if ref in v.entries]
+        return _combine(at_ref).read(ref, self.mode)
 
 
 def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):

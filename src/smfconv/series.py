@@ -12,6 +12,7 @@ regular part and treat the 1/z term implicitly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -44,6 +45,22 @@ def scalars_close(a, b, rel: float = 1e-10) -> bool:
         return a == b
     fa, fb = float(a), float(b)
     return abs(fa - fb) <= rel * max(1.0, abs(fa), abs(fb))
+
+
+def common_denominator(values, mode: str, scales=None):
+    """(numerators, d) with values[k] / scales[k] = numerators[k] / d.
+
+    In rational mode the numerators are integers and d is the lcm of the
+    denominators of values[k] times scales[k] (integers, 1 by default); in
+    float mode, where every scale is 1, they are the values over d = 1."""
+    values = tuple(values)
+    if mode != RATIONAL:
+        return values, 1
+    dens = [v.denominator for v in values]
+    if scales is not None:
+        dens = [d * s for d, s in zip(dens, scales)]
+    d = math.lcm(*dens)
+    return tuple(v.numerator * (d // e) for v, e in zip(values, dens)), d
 
 
 class TruncatedSeries:
@@ -119,25 +136,6 @@ class TruncatedSeries:
         f = as_scalar(factor, self.mode)
         return TruncatedSeries([f * c for c in self.coeffs], self.mode)
 
-    def shift(self) -> "TruncatedSeries":
-        """Multiply by z, keeping the truncation order."""
-        if self.order == 0:
-            return TruncatedSeries([0], self.mode)
-        return TruncatedSeries((as_scalar(0, self.mode),) + self.coeffs[:-1],
-                               self.mode)
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """1/self; requires a nonzero constant term."""
-        if self.coeffs[0] == 0:
-            raise ZeroDivisionError("series has zero constant term")
-        c0 = self.coeffs[0]
-        inv = [1 / c0 if self.mode == FLOAT else Fraction(1) / c0]
-        for m in range(1, self.order + 1):
-            s = sum((self.coeffs[i] * inv[m - i]
-                     for i in range(1, m + 1)), as_scalar(0, self.mode))
-            inv.append(-s / c0)
-        return TruncatedSeries(inv, self.mode)
-
     def __eq__(self, other) -> bool:
         """Coefficientwise equality up to the common order."""
         if not isinstance(other, TruncatedSeries):
@@ -158,26 +156,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return "TruncatedSeries(%r, mode=%r)" % (list(self.coeffs), self.mode)
-
-
-def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """f(g(z)) truncated at the common order; g must have zero constant
-    term."""
-    f._check(g)
-    if g.coeffs[0] != 0:
-        raise ValueError("inner series has nonzero constant term")
-    n = min(f.order, g.order)
-    zero = as_scalar(0, f.mode)
-    out = [zero] * (n + 1)
-    power = TruncatedSeries.one(n, f.mode)
-    gt = g.truncate(n)
-    for k, fk in enumerate(f.coeffs[:n + 1]):
-        if fk != 0:
-            for t in range(n + 1):
-                out[t] += fk * power.coeffs[t]
-        if k < n:
-            power = power * gt
-    return TruncatedSeries(out, f.mode)
 
 
 def invert_pole_series(reg: TruncatedSeries) -> TruncatedSeries:

@@ -8,14 +8,21 @@ units decompose as
 
 and the global identity is the sum of all four.  An element acts on a
 Fock vector by scaling each word by its component at the word's q class.
+
+A :class:`FockVector` holds numerators over one positive denominator:
+integers in rational mode, floats over 1 in float mode.  An element
+keeps its components as numerators over ``den``, the lcm of their
+denominators, so its action multiplies integers and multiplies the
+vector's denominator by ``den``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import NamedTuple, Tuple
 
-from .series import RATIONAL, as_scalar
+from .series import RATIONAL, as_scalar, common_denominator
 
 QCELLS: Tuple[Tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
 
@@ -32,6 +39,20 @@ def q_class(word: tuple) -> Tuple[int, int]:
     return (2, 2)
 
 
+class FockVector(NamedTuple):
+    """Sparse Fock vector {word: numerator} over one positive denominator."""
+
+    entries: dict
+    den: int = 1
+
+    def read(self, word, mode: str):
+        """The coefficient of *word*: one Fraction in rational mode, the
+        float entry itself in float mode."""
+        if mode == RATIONAL:
+            return Fraction(self.entries.get(word, 0), self.den)
+        return self.entries.get(word, 0.0)
+
+
 _UNIT_DECOMP = {
     (1, 1): ((1, 1), (2, 1)),
     (2, 2): ((1, 1), (1, 2)),
@@ -46,12 +67,22 @@ class UnitElement:
 
     beta: tuple          # coefficients in QCELLS order
     mode: str = RATIONAL
+    # numerators over the lcm of the components' denominators, keyed by
+    # the head letter of a word (None for the vacuum)
+    den: int = field(init=False, repr=False, compare=False)
+    _by_head: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.beta) != 4:
             raise ValueError("four q-components required")
-        object.__setattr__(self, "beta",
-                           tuple(as_scalar(v, self.mode) for v in self.beta))
+        beta = tuple(as_scalar(v, self.mode) for v in self.beta)
+        nums, den = common_denominator(beta, self.mode)
+        by_class = dict(zip(QCELLS, nums))
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_by_head", {
+            head: by_class[q_class((head,) if head else ())]
+            for head in (None, *_UNIT_DECOMP)})
 
     @classmethod
     def zero(cls, mode: str = RATIONAL) -> "UnitElement":
@@ -75,14 +106,16 @@ class UnitElement:
     def component(self, qcell):
         return self.beta[QCELLS.index(tuple(qcell))]
 
-    def apply(self, vec: dict) -> dict:
-        """Action on a Fock vector {word: coefficient}."""
+    def apply(self, vec: FockVector) -> FockVector:
+        """Action on a Fock vector: the output denominator is the input's
+        times ``den``."""
+        by_head = self._by_head
         out = {}
-        for w, c in vec.items():
-            f = self.component(q_class(w))
+        for w, c in vec.entries.items():
+            f = by_head[w[0] if w else None]
             if f != 0:
                 out[w] = f * c
-        return out
+        return FockVector(out, vec.den * self.den)
 
     def __add__(self, other: "UnitElement") -> "UnitElement":
         self._check(other)

@@ -7,11 +7,13 @@ each non-crossing partition, the classical free moment-cumulant
 formula, composition of reciprocal Cauchy transforms, the pole product
 C(z) B(z) = 1 written out coefficientwise, the closed-form fixed-point
 equations of the five binary convolution kinds, the Fock operators and
-cell polynomials as full column tables over the word basis, alternating
+cell polynomials as full column tables over the word basis, acting on
+{word: scalar} dicts with Fraction (or float) coefficients, alternating
 sums written out one product per composition, and the closed-form
 transform of a square array with semicircle diagonals and point-mass
 off-diagonals.  ``cut_pass_fixed_point`` recomposes the subordination
-series from scratch at every order.  Two thin wrappers drive the
+series from scratch at every order, with the series composition,
+shift and reciprocal defined here.  Two thin wrappers drive the
 subordination engine on single laws and on the binary convolution
 kinds, and ``module_imports`` reads a module's imports for the
 engine-independence guards.
@@ -30,19 +32,64 @@ import ast
 import cmath
 import inspect
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterator, Sequence, Tuple
 
-from smfconv import (QCELLS, RATIONAL, DistributionArray, FockModel,
+from smfconv import (FLOAT, QCELLS, RATIONAL, DistributionArray, FockModel,
                      NamedLaw, NCPartition, TruncatedSeries, UnitElement,
-                     UnitSeries, as_scalar, can_prepend, compose,
-                     compression, enumerate_nc, invert_pole_series,
-                     master_cauchy, q_class, row_identical_array)
+                     UnitSeries, as_scalar, can_prepend, compression,
+                     enumerate_nc, invert_pole_series, master_cauchy,
+                     q_class, row_identical_array)
 from smfconv.arrays import ALL_CELLS
-from smfconv.fock import LinearOp
 from smfconv.series import scalars_close
+from smfconv.units import FockVector
 
 Label = Tuple[int, int]
+
+
+# -- series operations only the oracles use ----------------------------------
+
+
+def shift(s: TruncatedSeries) -> TruncatedSeries:
+    """Multiply by z, keeping the truncation order."""
+    if s.order == 0:
+        return TruncatedSeries([0], s.mode)
+    return TruncatedSeries((as_scalar(0, s.mode),) + s.coeffs[:-1], s.mode)
+
+
+def reciprocal(s: TruncatedSeries) -> TruncatedSeries:
+    """1/s; requires a nonzero constant term."""
+    if s.coeffs[0] == 0:
+        raise ZeroDivisionError("series has zero constant term")
+    c0 = s.coeffs[0]
+    inv = [1 / c0 if s.mode == FLOAT else Fraction(1) / c0]
+    for m in range(1, s.order + 1):
+        acc = sum((s.coeffs[i] * inv[m - i] for i in range(1, m + 1)),
+                  as_scalar(0, s.mode))
+        inv.append(-acc / c0)
+    return TruncatedSeries(inv, s.mode)
+
+
+def compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """f(g(z)) truncated at the common order; g must have zero constant
+    term."""
+    f._check(g)
+    if g.coeffs[0] != 0:
+        raise ValueError("inner series has nonzero constant term")
+    n = min(f.order, g.order)
+    zero = as_scalar(0, f.mode)
+    out = [zero] * (n + 1)
+    power = TruncatedSeries.one(n, f.mode)
+    gt = g.truncate(n)
+    for k, fk in enumerate(f.coeffs[:n + 1]):
+        if fk != 0:
+            for t in range(n + 1):
+                out[t] += fk * power.coeffs[t]
+        if k < n:
+            power = power * gt
+    return TruncatedSeries(out, f.mode)
 
 
 # -- nesting forests ----------------------------------------------------------
@@ -252,13 +299,13 @@ def f_compose_moments(m1: TruncatedSeries,
         return TruncatedSeries.one(0, m1.mode)
     m1, m2 = m1.truncate(order), m2.truncate(order)
     zero = (as_scalar(0, m1.mode),)
-    n1 = m1.reciprocal()
-    n2 = m2.reciprocal()
+    n1 = reciprocal(m1)
+    n2 = reciprocal(m2)
     s1 = TruncatedSeries(n1.coeffs[1:] + zero, m1.mode)
     t2 = TruncatedSeries(n2.coeffs[1:] + zero, m2.mode)
-    total = t2 + compose(s1, m2.shift())
-    den = TruncatedSeries.one(order, m1.mode) + total.shift()
-    return den.reciprocal()
+    total = t2 + compose(s1, shift(m2))
+    den = TruncatedSeries.one(order, m1.mode) + shift(total)
+    return reciprocal(den)
 
 
 def binary_fixed_point_rhs(m: TruncatedSeries, law1: NamedLaw,
@@ -280,21 +327,21 @@ def binary_fixed_point_rhs(m: TruncatedSeries, law1: NamedLaw,
     g1 = moments_from_cumulants(r1.coeffs, order, mode)
     g2 = moments_from_cumulants(r2.coeffs, order, mode)
     if kind == "free":
-        terms = (compose(r1, m.shift()), compose(r2, m.shift()))
+        terms = (compose(r1, shift(m)), compose(r2, shift(m)))
     elif kind == "monotone":
-        terms = (compose(r1, m.shift()), compose(r2, g2.shift()))
+        terms = (compose(r1, shift(m)), compose(r2, shift(g2)))
     elif kind == "boolean":
-        terms = (compose(r1, g1.shift()), compose(r2, g2.shift()))
+        terms = (compose(r1, shift(g1)), compose(r2, shift(g2)))
     elif kind == "s_free":
         free = moments_from_cumulants(
             [a + b for a, b in zip(r1.coeffs, r2.coeffs)], order, mode)
-        terms = (compose(r1, free.shift()),)
+        terms = (compose(r1, shift(free)),)
     elif kind == "orthogonal":
-        terms = (compose(r1, f_compose_moments(g1, g2).shift()),)
+        terms = (compose(r1, shift(f_compose_moments(g1, g2))),)
     else:
         raise ValueError("unknown convolution kind %r" % (kind,))
-    den = TruncatedSeries.one(order, mode) - sum(terms[1:], terms[0]).shift()
-    return den.reciprocal()
+    den = TruncatedSeries.one(order, mode) - shift(sum(terms[1:], terms[0]))
+    return reciprocal(den)
 
 
 # -- the pole product and the scalar lift ------------------------------------
@@ -323,7 +370,137 @@ def scalar_r_as_unit_series(r: TruncatedSeries) -> UnitSeries:
 # -- Fock-model cell polynomials and alternating sums ------------------------
 
 
-def poly_columns(model: FockModel, cell, coeffs: Sequence) -> LinearOp:
+def to_vector(scalars: Dict, mode: str) -> FockVector:
+    """A {word: scalar} dict as a Fock vector: numerators over the lcm of
+    the denominators in rational mode, the floats over 1 in float mode."""
+    if mode != RATIONAL:
+        return FockVector(dict(scalars))
+    values = {w: Fraction(v) for w, v in scalars.items()}
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return FockVector({w: v.numerator * (den // v.denominator)
+                       for w, v in values.items()}, den)
+
+
+def to_scalars(vec: FockVector, mode: str) -> Dict:
+    """{word: coefficient} of a Fock vector, Fractions in rational mode."""
+    if mode != RATIONAL:
+        return dict(vec.entries)
+    return {w: Fraction(c, vec.den) for w, c in vec.entries.items()}
+
+
+def apply_scalars(op, scalars: Dict, mode: str) -> Dict:
+    """A library operator applied to a {word: scalar} dict."""
+    return to_scalars(op.apply(to_vector(scalars, mode)), mode)
+
+
+def column_scalars(op, w, mode: str) -> tuple:
+    """Column w of a library LinearOp, its entries over its denominator."""
+    if mode != RATIONAL:
+        return op.column(w)
+    return tuple((w2, Fraction(a, op.den)) for w2, a in op.column(w))
+
+
+# The Fock operators as they acted on {word: scalar} dicts with Fraction
+# (or float) coefficients before vectors carried one denominator.  Each
+# adds its terms in the library's order, so in float mode every value
+# must match the library's repr for repr.
+
+
+class DictOp:
+    """Operator given by a column table {word: ((word, coeff), ...)}."""
+
+    def __init__(self, columns: Dict):
+        self.columns = columns
+
+    def apply(self, vec: Dict) -> Dict:
+        out: Dict = {}
+        for w, c in vec.items():
+            for w2, a in self.columns.get(w, ()):
+                out[w2] = out.get(w2, 0) + a * c
+        return {w: c for w, c in out.items() if c != 0}
+
+
+class DictUnit:
+    """A unit element scaling each word by its q-class component."""
+
+    def __init__(self, unit: UnitElement):
+        self.unit = unit
+
+    def apply(self, vec: Dict) -> Dict:
+        out = {}
+        for w, c in vec.items():
+            f = self.unit.component(q_class(w))
+            if f != 0:
+                out[w] = f * c
+        return out
+
+
+class DictPoly:
+    """c0 1_cell + c1 a + c2 a^2 + ..., one power of a at a time."""
+
+    def __init__(self, unit: DictUnit, a_op: DictOp, coeffs: Sequence):
+        self.unit, self.a_op, self.coeffs = unit, a_op, tuple(coeffs)
+
+    def apply(self, vec: Dict) -> Dict:
+        out = {w: self.coeffs[0] * v for w, v in self.unit.apply(vec).items()}
+        for c in self.coeffs[1:]:
+            vec = self.a_op.apply(vec)
+            if c != 0:
+                for w, v in vec.items():
+                    out[w] = out.get(w, 0) + c * v
+        return {w: v for w, v in out.items() if v != 0}
+
+
+STATE_WORDS = {"phi": (), "phi1": ((1, 1),), "phi2": ((2, 2),)}
+
+
+def dict_state_moment(state: str, factors: Sequence, mode: str):
+    """<(f_1 ... f_n) v, v> on dicts, factors listed left to right."""
+    ref = STATE_WORDS[state]
+    vec = {ref: as_scalar(1, mode)}
+    for f in reversed(factors):
+        vec = f.apply(vec)
+    return vec.get(ref, as_scalar(0, mode))
+
+
+def dict_power_moments(op, state: str, order: int, mode: str) -> list:
+    """<op^m v, v> for m = 0..order, with no pruning."""
+    ref = STATE_WORDS[state]
+    vec = {ref: as_scalar(1, mode)}
+    out = [as_scalar(1, mode)]
+    for _ in range(order):
+        vec = op.apply(vec)
+        out.append(vec.get(ref, as_scalar(0, mode)))
+    return out
+
+
+def dict_alternating_sums(b_ops: Sequence, mid, state: str, top: int,
+                          mode: str) -> list:
+    """S_1..S_top of the alternating products b_{n1} M b_{n2} .. M b_{nk}
+    by the recursion Y_d = b_{d-1} v + X_d, X_d = sum_n b_n M Y_{d-1-n},
+    S_d = <Y_d, v>, with no pruning; b_ops are DictUnits."""
+    zero = as_scalar(0, mode)
+    ref = STATE_WORDS[state]
+    base = {ref: as_scalar(1, mode)}
+    X, MY, sums = [None], [None], []
+    for level in range(1, top + 1):
+        if level > 1:
+            y = b_ops[level - 2].apply(base)
+            for w, c in X[level - 1].items():
+                y[w] = y.get(w, zero) + c
+            MY.append(mid.apply({w: c for w, c in y.items() if c != 0}))
+        acc: Dict = {}
+        for n in range(level - 1):
+            for w, c in b_ops[n].apply(MY[level - 1 - n]).items():
+                acc[w] = acc.get(w, zero) + c
+        X.append({w: c for w, c in acc.items() if c != 0})
+        total = (b_ops[level - 1].apply(base).get(ref, zero)
+                 if level - 1 < len(b_ops) else zero)
+        sums.append(total + X[level].get(ref, zero))
+    return sums
+
+
+def poly_columns(model: FockModel, cell, coeffs: Sequence) -> DictOp:
     """coeffs[0]*1_cell + coeffs[1]*a_cell + coeffs[2]*a_cell^2 + ... as a
     column table: one column per basis word, each built by applying the
     powers of the cell operator to that word alone."""
@@ -337,14 +514,14 @@ def poly_columns(model: FockModel, cell, coeffs: Sequence) -> LinearOp:
         if coeffs[0] != 0 and f != 0:
             acc[w] = coeffs[0] * f
         for c in coeffs[1:]:
-            vec = a_op.apply(vec)
+            vec = apply_scalars(a_op, vec, model.mode)
             if c != 0:
                 for w2, v in vec.items():
                     acc[w2] = acc.get(w2, 0) + c * v
         entries = tuple((w2, v) for w2, v in acc.items() if v != 0)
         if entries:
             cols[w] = entries
-    return LinearOp(lambda w: cols.get(w, ()))
+    return DictOp(cols)
 
 
 def eager_tables(model: FockModel) -> Dict:
@@ -407,7 +584,7 @@ def composition_sum(model: FockModel, b_ops: Sequence, mid_op, state: str,
     <b_{p_1 - 1} M b_{p_2 - 1} .. M b_{p_k - 1} v, v>, one product at a
     time; a b index past the end of b_ops counts as a zero b."""
     base = model.state_vector(state)
-    ref = next(iter(base))
+    ref = STATE_WORDS[state]
     total = as_scalar(0, model.mode)
     for cuts in itertools.product((False, True), repeat=m - 1):
         parts = [1]
@@ -423,7 +600,7 @@ def composition_sum(model: FockModel, b_ops: Sequence, mid_op, state: str,
             if i:
                 vec = mid_op.apply(vec)
             vec = b_ops[p - 1].apply(vec)
-        total += vec.get(ref, as_scalar(0, model.mode))
+        total += vec.read(ref, model.mode)
     return total
 
 
@@ -458,8 +635,8 @@ def reconstruct_from_scratch(model: FockModel, order: int) -> UnitSeries:
 
 def cut_pass_fixed_point(array: DistributionArray, order: int):
     """Subordinate family and master series by order + 1 passes: pass t
-    recomposes every K = R(w M*(w)) from scratch at order t, with the
-    library's ``compose``, series products and ``reciprocal``, and pairs
+    recomposes every K = R(w M*(w)) from scratch at order t, with
+    ``compose``, the library's series products and ``reciprocal``, and pairs
     the K series as written out in the paper's master formula.
     O(order^4) products; the one-pass engine must match it bit for bit."""
     mode = array.mode
@@ -469,7 +646,7 @@ def cut_pass_fixed_point(array: DistributionArray, order: int):
 
     def resolvent(a, b):
         s = a + b
-        return (TruncatedSeries.one(s.order, mode) - s.shift()).reciprocal()
+        return reciprocal(TruncatedSeries.one(s.order, mode) - shift(s))
 
     m_star = {cell: TruncatedSeries.one(0, mode) for cell in r}
     for t in range(order + 1):

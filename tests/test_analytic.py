@@ -6,12 +6,12 @@ import pytest
 from scipy.integrate import quad
 
 import smfconv.analytic
-from oracles import (binary_convolutions, binary_fixed_point_rhs,
+from oracles import (binary_convolutions, binary_fixed_point_rhs, compose,
                      cut_pass_fixed_point, f_compose_moments, law_moments,
-                     module_imports, moments_from_cumulants,
-                     split_semicircle_cauchy)
+                     module_imports, moments_from_cumulants, reciprocal,
+                     shift, split_semicircle_cauchy)
 from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
-                     TruncatedSeries, cauchy_value, compose, master_cauchy,
+                     TruncatedSeries, cauchy_value, master_cauchy,
                      meixner_atoms, meixner_cauchy, meixner_density,
                      meixner_parameters, smf_moments, solve_subordination,
                      stieltjes_density)
@@ -172,15 +172,15 @@ def test_s_free_and_orthogonal_fixed_points():
 
         sfree = binary_convolutions(law1, law2, "s_free", 8)
         free = binary_convolutions(law1, law2, "free", 8)
-        den = TruncatedSeries.one(8) - compose(
-            r1.truncate(8), free.shift()).shift()
-        assert sfree == den.reciprocal()
+        den = TruncatedSeries.one(8) - shift(compose(
+            r1.truncate(8), shift(free)))
+        assert sfree == reciprocal(den)
 
         orth = binary_convolutions(law1, law2, "orthogonal", 8)
         mono = binary_convolutions(law1, law2, "monotone", 8)
-        den = TruncatedSeries.one(8) - compose(
-            r1.truncate(8), mono.shift()).shift()
-        assert orth == den.reciprocal()
+        den = TruncatedSeries.one(8) - shift(compose(
+            r1.truncate(8), shift(mono)))
+        assert orth == reciprocal(den)
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])

@@ -386,6 +386,48 @@ def test_pinned_reports_byte_identical(tmp_path, capsys, config, report):
     assert out == report + "\n"
 
 
+# An array of one cell has no alternating sequence of two cells; the axiom
+# sampler once drew for one forever.  Run in a child process so that a
+# hang fails the test instead of stalling the suite.
+ONE_CELL_AXIOMS = [
+    ({"cells": {"1,2": [1, 2]}, "checks": ["axioms"]},
+     '{"agreement":true,"checks":{"axioms":{"pass":true,"violations":[]}},'
+     '"engines":["partition","fock","analytic"],"moments":{"analytic":'
+     '["1/1","0/1","0/1","0/1","0/1","0/1","0/1"],"fock":["1/1","0/1",'
+     '"0/1","0/1","0/1","0/1","0/1"],"partition":["1/1","0/1","0/1","0/1",'
+     '"0/1","0/1","0/1"]},"order":6,"precision":"rational",'
+     '"shape":"custom","version":1}'),
+    ({"cells": {"1,1": [1]}, "checks": ["axioms"], "order": 3},
+     '{"agreement":true,"checks":{"axioms":{"pass":true,"violations":[]}},'
+     '"engines":["partition","fock","analytic"],"moments":{"analytic":'
+     '["1/1","1/1","1/1","1/1"],"fock":["1/1","1/1","1/1","1/1"],'
+     '"partition":["1/1","1/1","1/1","1/1"]},"order":3,'
+     '"precision":"rational","shape":"custom","version":1}'),
+]
+
+
+@pytest.mark.parametrize("config,report", ONE_CELL_AXIOMS,
+                         ids=["off_diagonal", "diagonal_order_3"])
+def test_axioms_on_one_cell_arrays_end(tmp_path, config, report):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(smfconv.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "smfconv", "--config",
+                           str(path)], capture_output=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, report.encode() + b"\n", b"")
+
+
+def test_axioms_at_order_one_is_a_config_error(tmp_path, capsys):
+    # the conjugate-state conditions need words of two letters
+    cfg = dict(SQUARE_SEMI, order=1, checks=["axioms"])
+    code, out, err = run_cli(tmp_path, cfg, capsys=capsys)
+    assert (code, out, err) == \
+        (2, "", "config error: check axioms needs order >= 2\n")
+
+
 @pytest.mark.parametrize("eps", [1e-200, 5e-324, 1e-12])
 def test_meixner_density_positive_for_tiny_eps(tmp_path, capsys, eps):
     cfg = json.loads(json.dumps(MEIXNER))

@@ -2,16 +2,20 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smfconv.matricial
-from oracles import (composition_sum, module_imports, moments_from_cumulants,
-                     pole_product_is_one, reconstruct_from_scratch,
-                     scalar_r_as_unit_series)
-from smfconv import (DistributionArray, FockModel, NamedLaw, SHAPES,
-                     TruncatedSeries, UnitSeries, assemble_matricial_r,
-                     b_elements, compressed_residuals, invert_C,
-                     linearization_residuals, r_from_moments,
-                     reconstruct_unique, smf_moments)
+from oracles import (DictOp, DictPoly, DictUnit, composition_sum,
+                     dict_alternating_sums, dict_power_moments,
+                     dict_state_moment, eager_tables, module_imports,
+                     moments_from_cumulants, pole_product_is_one,
+                     reconstruct_from_scratch, scalar_r_as_unit_series)
+from smfconv import (FLOAT, RATIONAL, DistributionArray, FockModel, NamedLaw,
+                     SHAPES, TruncatedSeries, UnitElement, UnitSeries,
+                     as_scalar, assemble_matricial_r, b_elements,
+                     compressed_residuals, invert_C, linearization_residuals,
+                     r_from_moments, reconstruct_unique, smf_moments)
 from smfconv.cli import FLOAT_TOL
 from smfconv.fock import runs
 from smfconv.matricial import _AlternatingTable
@@ -220,7 +224,7 @@ class CountingOp:
         return len(self.inputs)
 
     def apply(self, vec):
-        self.inputs.append([runs(w) for w in vec])
+        self.inputs.append([runs(w) for w in vec.entries])
         return self.op.apply(vec)
 
     def within_run_bound(self, top, ref_runs):
@@ -269,6 +273,90 @@ def test_tables_apply_the_middle_operator_once_per_level():
     assert table.sum(8) == 0
     with pytest.raises(ValueError):
         table.sum(9)
+
+
+_VALUES = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3,
+                                                max_denominator=97))
+
+
+def _same(got, want, mode):
+    # Fraction for Fraction in rational mode, repr for repr in float mode
+    if mode == RATIONAL:
+        return type(got) is F and got == want
+    return repr(got) == repr(want)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(shape=st.sampled_from(sorted(SHAPES)), depth=st.integers(2, 6),
+       data=st.data())
+def test_vectors_match_fraction_dict_reference(shape, depth, data):
+    # the numerator-over-denominator vectors must read exactly what the
+    # Fraction-dict operators give: state moments of random products,
+    # moment sequences and every alternating sum, non-integer alpha
+    # gauges, zero cumulants and denominators up to 97 included
+    J = sorted(SHAPES[shape])
+    cums = {cell: data.draw(st.lists(_VALUES, min_size=depth,
+                                     max_size=depth)) for cell in J}
+    alpha = {cell: data.draw(st.sampled_from((F(1), F(3, 2), F(2, 3))))
+             for cell in J}
+    state = data.draw(st.sampled_from(("phi", "phi1", "phi2")))
+    heavy = depth - (state != "phi")
+    plan = data.draw(st.lists(st.tuples(
+        st.sampled_from(("a", "A", "PAP", "poly", "unit")),
+        st.sampled_from(J), st.lists(_VALUES, min_size=1, max_size=4)),
+        min_size=1, max_size=heavy + 2))
+    plan = [step for k, step in enumerate(plan)
+            if step[0] == "unit" or k < heavy]
+    for mode in (RATIONAL, FLOAT):
+        model = FockModel(DistributionArray.from_cumulants(cums, mode),
+                          depth, alpha=alpha)
+        ref = {key: DictOp(table)
+               for key, table in eager_tables(model).items()}
+        lib = {"A": model.total()}
+        for cell in J:
+            lib["a", cell] = model.toeplitz(cell)
+            lib["PAP", cell] = model.compressed_total(cell)
+
+        factors, dict_factors = [], []
+        for kind, cell, values in plan:
+            values = [as_scalar(v, mode) for v in values]
+            if kind == "unit":
+                u = UnitElement(tuple((values * 4)[:4]), mode)
+                factors.append(u)
+                dict_factors.append(DictUnit(u))
+            elif kind == "poly":
+                factors.append(model._poly_op(cell, values))
+                dict_factors.append(DictPoly(
+                    DictUnit(UnitElement.internal_unit(*cell, mode)),
+                    ref["a", cell], values))
+            else:
+                key = "A" if kind == "A" else (kind, cell)
+                factors.append(lib[key])
+                dict_factors.append(ref[key])
+        assert _same(model.state_moment(state, factors),
+                     dict_state_moment(state, dict_factors, mode), mode)
+        for f, g in zip(factors, dict_factors):
+            for st_ in ("phi", "phi1", "phi2"):
+                assert _same(model.state_moment(st_, [f]),
+                             dict_state_moment(st_, [g], mode), mode)
+
+        pairs = [("A", "phi", depth)] + [
+            (("a", cell), model._cell_state(cell), depth - 1) for cell in J]
+        for key, st_, order in pairs:
+            got = model._power_moments(lib[key], st_, order).coeffs
+            want = dict_power_moments(ref[key], st_, order, mode)
+            assert all(_same(g, w, mode) for g, w in zip(got, want))
+
+        b_ops = b_elements(invert_C(assemble_matricial_r(
+            DistributionArray.from_cumulants(cums, mode), depth - 1)), depth)
+        dict_b = [DictUnit(b) for b in b_ops]
+        tables = [("A", "phi")] + [(("PAP", cell), "phi1" if cell[0] == 1
+                                    else "phi2") for cell in J]
+        for key, st_ in tables:
+            table = _AlternatingTable(model, b_ops, lib[key], st_, depth)
+            want = dict_alternating_sums(dict_b, ref[key], st_, depth, mode)
+            assert all(_same(table.sum(d), w, mode)
+                       for d, w in zip(range(1, depth + 1), want))
 
 
 def test_reconstruct_matches_from_scratch_solve():
