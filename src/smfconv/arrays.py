@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .series import RATIONAL, TruncatedSeries, as_scalar
+from .series import RATIONAL, Record, TruncatedSeries, as_scalar
 
 Cell = Tuple[int, int]
 
@@ -20,13 +19,15 @@ SHAPES: Dict[str, frozenset] = {
 }
 
 
-@dataclass(frozen=True)
-class NamedLaw:
+class NamedLaw(Record):
     """A distribution given by name: semicircle(a), point_mass(b), or an
     explicit cumulant sequence."""
 
-    kind: str
-    params: tuple
+    __slots__ = _fields = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def semicircle(cls, a) -> "NamedLaw":
@@ -60,28 +61,29 @@ class NamedLaw:
         raise ValueError("unknown law kind %r" % (self.kind,))
 
 
-@dataclass(frozen=True)
-class DistributionArray:
+class DistributionArray(Record):
     """Shape set J with a free-cumulant sequence r(1..p) per cell.
 
     Cells outside J behave as identically zero cumulants.  All cells share
     one scalar mode and one cumulant order p.
     """
 
-    cells: Tuple[Tuple[Cell, tuple], ...]
-    mode: str = RATIONAL
+    __slots__ = _fields = ("cells", "mode")
 
-    def __post_init__(self):
-        if not self.cells:
+    def __init__(self, cells: Tuple[Tuple[Cell, tuple], ...],
+                 mode: str = RATIONAL):
+        if not cells:
             raise ValueError("array needs at least one cell")
-        orders = {len(c) for _, c in self.cells}
+        orders = {len(c) for _, c in cells}
         if len(orders) != 1:
             raise ValueError("all cells must share one cumulant order")
         if orders == {0}:
             raise ValueError("cumulant sequences must have order >= 1")
-        for cell, _ in self.cells:
+        for cell, _ in cells:
             if cell not in ALL_CELLS:
                 raise ValueError("cell %r outside the 2x2 index set" % (cell,))
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "mode", mode)
 
     @classmethod
     def from_cumulants(cls, cumulants: Mapping[Cell, Sequence],

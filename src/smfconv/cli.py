@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -24,7 +23,7 @@ from .fock import FockModel
 from .matricial import assemble_matricial_r, compressed_residuals, \
     invert_C, linearization_residuals, reconstruct_unique
 from .moments import smf_moments
-from .series import FLOAT, RATIONAL, TruncatedSeries, as_scalar, \
+from .series import FLOAT, RATIONAL, Record, TruncatedSeries, as_scalar, \
     scalars_close
 
 MAX_ORDER = 12
@@ -38,15 +37,22 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class JobConfig:
-    shape: str
-    laws: Dict[Tuple[int, int], NamedLaw]
-    order: int
-    engines: Tuple[str, ...]
-    precision: str
-    checks: Tuple[str, ...]
-    density: Optional[dict] = None
+class JobConfig(Record):
+    """A parsed job; unlike the other records it may be changed in place,
+    so it has no hash."""
+
+    _fields = ("shape", "laws", "order", "engines", "precision", "checks",
+               "density")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, shape: str, laws: Dict[Tuple[int, int], NamedLaw],
+                 order: int, engines: Tuple[str, ...], precision: str,
+                 checks: Tuple[str, ...], density: Optional[dict] = None):
+        self.shape, self.laws, self.order = shape, laws, order
+        self.engines, self.precision = engines, precision
+        self.checks, self.density = checks, density
 
 
 def _parse_cell_key(key: str) -> Tuple[int, int]:

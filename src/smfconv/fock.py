@@ -47,6 +47,16 @@ source and target lie in its range, over the same denominator.  A
 :class:`LinearOp` computes a column the first time a vector reaches its
 word and caches it in ``columns``.
 
+The relation l*_c l_c = alpha^2 1_c is checked on words shorter than
+the depth, but not on all of them.  The creation column at w reads only
+the head letter of w (through ``can_prepend``) and whether w is shorter
+than the depth; the annihilation column and the unit 1_c read only the
+head letter.  So on words below the depth both sides take one value per
+head letter, and one for the vacuum.  ``relation_words`` checks the
+vacuum and, per head letter, the shortest word and one of length
+depth - 1, where a length cap that is off by one shows: at most 9 words
+per cell, against 2^depth - 1 in the basis below the depth.
+
 Moment sequences prune by run count.  One application of a cell
 operator (or of A) removes at most one run, a maximal block of equal
 letters, from the front of a word.  With r applications left, a word
@@ -60,6 +70,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import ne
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .arrays import ALL_CELLS, Cell, DistributionArray
@@ -109,6 +120,22 @@ def enumerate_words(J: Iterable[Cell], depth: int) -> Tuple[Word, ...]:
     return tuple(out)
 
 
+def relation_words(depth: int) -> List[Word]:
+    """Words on which ``creation_relation_violations`` checks the
+    relation: the vacuum, then for each head letter the shortest valid
+    word and one of length depth - 1 (one word when they coincide, none
+    when no word with that head is shorter than the depth)."""
+    out = [VACUUM]
+    for head in ALL_CELLS:
+        i, j = head
+        tail = () if i == j else ((j, j),)
+        shortest = 1 + len(tail)
+        if shortest < depth:
+            for n in sorted({shortest, depth - 1}):
+                out.append((head,) * (n - len(tail)) + tail)
+    return out
+
+
 class LinearOp:
     """Sparse operator given by a column rule word -> ((word, entry), ...),
     the entries being numerators over ``den``; ``columns`` caches the
@@ -140,8 +167,7 @@ class LinearOp:
 
 def runs(word: Word) -> int:
     """Number of maximal blocks of equal letters in the word."""
-    return sum(1 for k in range(len(word))
-               if k == 0 or word[k] != word[k - 1])
+    return 1 + sum(map(ne, word, word[1:])) if word else 0
 
 
 class CellPolynomial:
@@ -216,9 +242,11 @@ class FockModel:
 
     @property
     def words(self) -> Tuple[Word, ...]:
-        """The truncated word basis, enumerated on first use; no operator
-        needs it.  It ranges over all four letters: conjugate state vectors
-        exist even when a diagonal cell is absent from J."""
+        """The truncated word basis, enumerated on first use.  No operator
+        and no check needs it, so no CLI path reads it; the tests and
+        ``perfbench/traced_job.py`` do.  It ranges over all four letters:
+        conjugate state vectors exist even when a diagonal cell is absent
+        from J."""
         if self._words is None:
             self._words = enumerate_words(ALL_CELLS, self.depth)
         return self._words
@@ -385,15 +413,16 @@ class FockModel:
     # -- verification -------------------------------------------------------
 
     def creation_relation_violations(self) -> List[str]:
-        """Check l*_{c} l_{c} = alpha^2 1_{c} on words shorter than depth."""
+        """Check l*_{c} l_{c} = alpha^2 1_{c} on words shorter than depth,
+        one word per class of ``relation_words`` (see the module
+        docstring for why that decides it)."""
         bad = []
+        words = relation_words(self.depth)
         for cell in sorted(self.J):
             a2 = self.alpha[cell] * self.alpha[cell]
             cre, ann = self.creation(cell), self.annihilation(cell)
             want = {qc: a2 * self.units[cell].component(qc) for qc in QCELLS}
-            for w in self.words:
-                if len(w) >= self.depth:
-                    continue
+            for w in words:
                 lhs = ann.apply(cre.apply(FockVector({w: self._one})))
                 got = lhs.read(w, self.mode)
                 if len(lhs.entries) > 1 or \

@@ -12,12 +12,12 @@ multiplicative inverse being z + z^2 * tail), with c_0 = b_0 = 1 implicit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .arrays import DistributionArray
 from .fock import STATE_WORDS, FockModel, runs
-from .series import TruncatedSeries, invert_pole_series
+from .series import Record, TruncatedSeries, as_scalar, \
+    extend_pole_inverse, invert_pole_series
 from .units import QCELLS, FockVector, UnitElement
 
 # q-component of the assembled transform <- pairwise sums of cell transforms
@@ -29,20 +29,21 @@ Q_SUMMANDS = {
 }
 
 
-@dataclass(frozen=True)
-class UnitSeries:
+class UnitSeries(Record):
     """Series with unit-algebra coefficients, as four scalar series."""
 
-    components: Tuple[Tuple[Tuple[int, int], TruncatedSeries], ...]
+    __slots__ = _fields = ("components",)
 
-    def __post_init__(self):
-        cells = tuple(c for c, _ in self.components)
+    def __init__(self, components: Tuple[Tuple[Tuple[int, int],
+                                               TruncatedSeries], ...]):
+        cells = tuple(c for c, _ in components)
         if cells != QCELLS:
             raise ValueError("components must cover the q basis in order")
-        orders = {s.order for _, s in self.components}
-        modes = {s.mode for _, s in self.components}
+        orders = {s.order for _, s in components}
+        modes = {s.mode for _, s in components}
         if len(orders) != 1 or len(modes) != 1:
             raise ValueError("components must share order and mode")
+        object.__setattr__(self, "components", components)
 
     @classmethod
     def from_map(cls, comp: Dict[Tuple[int, int], TruncatedSeries]):
@@ -246,16 +247,18 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
         (1, 2): _AlternatingTable(
             model, b_ops, model.compressed_total(row_cell[2]), "phi2", top),
     }
-    b_tails = {qc: [] for qc in QCELLS}       # b_1..b_m per component
+    # b_0..b_m and c_0..c_m per component, b_0 = c_0 = 1; the pole-series
+    # inverse is an involution b <-> c, grown one coefficient per step
+    one = as_scalar(1, mode)
+    b = {qc: [one] for qc in QCELLS}
+    c = {qc: [one] for qc in QCELLS}
     for m in range(1, order + 2):
         for qc, table in tables.items():
-            b_tails[qc].append(-table.sum(m + 1))
-        # invert_pole_series is an involution on tails: b <-> c
-        c = {qc: invert_pole_series(TruncatedSeries(b_tails[qc], mode))
-             for qc in tables}
-        c[(2, 2)] = c[(2, 1)] + c[(1, 2)] - c[(1, 1)]
-        b_tails[(2, 2)].append(invert_pole_series(c[(2, 2)]).coeffs[-1])
-        b_ops.append(UnitElement(
-            tuple(b_tails[qc][-1] for qc in QCELLS), mode))
+            b[qc].append(-table.sum(m + 1))
+            extend_pole_inverse(b[qc], c[qc], mode)
+        c[(2, 2)].append(c[(2, 1)][m] + c[(1, 2)][m] + -c[(1, 1)][m])
+        extend_pole_inverse(c[(2, 2)], b[(2, 2)], mode)
+        b_ops.append(UnitElement(tuple(b[qc][m] for qc in QCELLS), mode))
 
-    return UnitSeries.from_map(c)
+    return UnitSeries.from_map(
+        {qc: TruncatedSeries(c[qc][1:], mode) for qc in QCELLS})

@@ -2,29 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
+
+from .series import Record
 
 Block = Tuple[int, ...]
 
 MAX_POINTS = 14
 
 
-@dataclass(frozen=True)
-class NCPartition:
-    """Non-crossing set partition, blocks ordered by minimum element."""
+class NCPartition(Record):
+    """Non-crossing set partition, blocks ordered by minimum element.
 
-    m: int
-    blocks: Tuple[Block, ...]
+    Instances keep a ``__dict__``, so callers may cache derived data on
+    them with ``object.__setattr__``."""
 
-    def __post_init__(self):
-        seen = sorted(x for b in self.blocks for x in b)
-        if seen != list(range(1, self.m + 1)):
-            raise ValueError("blocks do not partition 1..%d" % self.m)
-        if any(tuple(sorted(b)) != b for b in self.blocks):
+    _fields = ("m", "blocks")
+
+    def __init__(self, m: int, blocks: Tuple[Block, ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "blocks", blocks)
+        seen = sorted(x for b in blocks for x in b)
+        if seen != list(range(1, m + 1)):
+            raise ValueError("blocks do not partition 1..%d" % m)
+        if any(tuple(sorted(b)) != b for b in blocks):
             raise ValueError("blocks must be sorted")
-        if tuple(sorted(self.blocks, key=min)) != self.blocks:
+        if tuple(sorted(blocks, key=min)) != blocks:
             raise ValueError("blocks must be ordered by minimum element")
         if self._crossing():
             raise ValueError("partition is crossing")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Tuple, Union
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -61,6 +61,37 @@ def common_denominator(values, mode: str, scales=None):
         dens = [d * s for d, s in zip(dens, scales)]
     d = math.lcm(*dens)
     return tuple(v.numerator * (d // e) for v, e in zip(values, dens)), d
+
+
+class Record:
+    """Immutable value with the named fields ``_fields``: equal only to an
+    instance of its own class with equal fields, hashed by those fields,
+    and shown as ``Name(field=value, ...)``.  ``__init__`` of a subclass
+    sets its attributes with ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
 
 class TruncatedSeries:
@@ -167,16 +198,24 @@ def invert_pole_series(reg: TruncatedSeries) -> TruncatedSeries:
     implicit.  In this convention the map is an involution, and the full
     inverse is B(z) = z + z^2 * result(z).
     """
-    order, c = reg.order, reg.coeffs
-    zero = as_scalar(0, reg.mode)
-    b = [as_scalar(1, reg.mode)]    # b_0
-    for m in range(1, order + 2):
-        # sum_{i+j=m} c_i b_j = 0 with c_0 = 1 and c_i = c[i-1]
-        s = zero
-        for i in range(1, m + 1):
-            s += c[i - 1] * b[m - i]
-        b.append(-s)
-    return TruncatedSeries(b[1:order + 2], reg.mode)
+    one = as_scalar(1, reg.mode)
+    c, b = [one, *reg.coeffs], [one]
+    for _ in reg.coeffs:
+        extend_pole_inverse(c, b, reg.mode)
+    return TruncatedSeries(b[1:], reg.mode)
+
+
+def extend_pole_inverse(c: list, b: list, mode: str) -> None:
+    """Append the next coefficient b_m of the inverse to b = [1, b_1..b_{m-1}]
+    from c = [1, c_1..c_m, ...], full sequences with the implicit 1 at
+    index 0.  The recursion is triangular, so growing both sides one
+    coefficient per step gives the same values as inverting anew."""
+    m = len(b)
+    # sum_{i+j=m} c_i b_j = 0 with c_0 = b_0 = 1
+    s = as_scalar(0, mode)
+    for i in range(1, m + 1):
+        s += c[i] * b[m - i]
+    b.append(-s)
 
 
 def r_from_moments(moments: TruncatedSeries) -> TruncatedSeries:

@@ -18,11 +18,10 @@ vector's denominator by ``den``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
-from .series import RATIONAL, as_scalar, common_denominator
+from .series import RATIONAL, Record, as_scalar, common_denominator
 
 QCELLS: Tuple[Tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
 
@@ -61,24 +60,24 @@ _UNIT_DECOMP = {
 }
 
 
-@dataclass(frozen=True)
-class UnitElement:
-    """Element of the unit algebra, stored over the q-projection basis."""
+class UnitElement(Record):
+    """Element of the unit algebra, stored over the q-projection basis:
+    ``beta`` holds the coefficients in QCELLS order.  ``den`` and
+    ``_by_head`` are derived, and take no part in equality or the repr:
+    the numerators over the lcm of the components' denominators, keyed by
+    the head letter of a word (None for the vacuum)."""
 
-    beta: tuple          # coefficients in QCELLS order
-    mode: str = RATIONAL
-    # numerators over the lcm of the components' denominators, keyed by
-    # the head letter of a word (None for the vacuum)
-    den: int = field(init=False, repr=False, compare=False)
-    _by_head: dict = field(init=False, repr=False, compare=False)
+    _fields = ("beta", "mode")
+    __slots__ = _fields + ("den", "_by_head")
 
-    def __post_init__(self):
-        if len(self.beta) != 4:
+    def __init__(self, beta: tuple, mode: str = RATIONAL):
+        if len(beta) != 4:
             raise ValueError("four q-components required")
-        beta = tuple(as_scalar(v, self.mode) for v in self.beta)
-        nums, den = common_denominator(beta, self.mode)
+        beta = tuple(as_scalar(v, mode) for v in beta)
+        nums, den = common_denominator(beta, mode)
         by_class = dict(zip(QCELLS, nums))
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_by_head", {
             head: by_class[q_class((head,) if head else ())]

@@ -13,10 +13,12 @@ sums written out one product per composition, and the closed-form
 transform of a square array with semicircle diagonals and point-mass
 off-diagonals.  ``cut_pass_fixed_point`` recomposes the subordination
 series from scratch at every order, with the series composition,
-shift and reciprocal defined here.  Two thin wrappers drive the
-subordination engine on single laws and on the binary convolution
-kinds, and ``module_imports`` reads a module's imports for the
-engine-independence guards.
+shift and reciprocal defined here.  ``reinverting_reconstruct`` inverts
+every transform tail anew at each step, and ``full_relation_violations``
+checks the creation relation on the whole word basis.  Two thin wrappers
+drive the subordination engine on single laws and on the binary
+convolution kinds, and ``module_imports`` reads a module's imports for
+the engine-independence guards.
 
 Matricial labels: a block's label is (c, c) when every enclosing block
 carries its own color c (or nothing encloses it), and (c, c') otherwise,
@@ -43,6 +45,8 @@ from smfconv import (FLOAT, QCELLS, RATIONAL, DistributionArray, FockModel,
                      enumerate_nc, invert_pole_series, master_cauchy,
                      q_class, row_identical_array)
 from smfconv.arrays import ALL_CELLS
+from smfconv.fock import runs
+from smfconv.matricial import _AlternatingTable
 from smfconv.series import scalars_close
 from smfconv.units import FockVector
 
@@ -628,6 +632,82 @@ def reconstruct_from_scratch(model: FockModel, order: int) -> UnitSeries:
         b_ops.append(UnitElement(
             tuple(tails[qc][-1] for qc in QCELLS), mode))
     return UnitSeries.from_map(c)
+
+
+def reinverting_reconstruct(model: FockModel, order: int) -> UnitSeries:
+    """``reconstruct_unique`` as it was before its inverses grew one
+    coefficient per step: at each step m every component's whole tail
+    b_1..b_m is inverted anew with ``invert_pole_series``, and the q22
+    tail inverted back from C22 = C21 + C12 - C11 as a series.  O(order^3)
+    products; the library must match it bit for bit."""
+    mode = model.mode
+    row = {i: next(c for c in ((i, i), (i, 3 - i)) if c in model.J)
+           for i in (1, 2)}
+    b_ops = [UnitElement.identity(mode)]
+    top = order + 2
+    tables = {
+        (1, 1): _AlternatingTable(model, b_ops, model.total(), "phi", top),
+        (2, 1): _AlternatingTable(
+            model, b_ops, model.compressed_total(row[1]), "phi1", top),
+        (1, 2): _AlternatingTable(
+            model, b_ops, model.compressed_total(row[2]), "phi2", top),
+    }
+    b_tails = {qc: [] for qc in QCELLS}
+    for m in range(1, order + 2):
+        for qc, table in tables.items():
+            b_tails[qc].append(-table.sum(m + 1))
+        c = {qc: invert_pole_series(TruncatedSeries(b_tails[qc], mode))
+             for qc in tables}
+        c[(2, 2)] = c[(2, 1)] + c[(1, 2)] - c[(1, 1)]
+        b_tails[(2, 2)].append(invert_pole_series(c[(2, 2)]).coeffs[-1])
+        b_ops.append(UnitElement(
+            tuple(b_tails[qc][-1] for qc in QCELLS), mode))
+    return UnitSeries.from_map(c)
+
+
+# -- the creation relation on the whole word basis ---------------------------
+
+
+def full_relation_violations(model: FockModel) -> list:
+    """l*_c l_c = alpha^2 1_c checked on every basis word shorter than the
+    depth, for every cell of J, in basis order; the violation messages
+    are those of ``FockModel.creation_relation_violations``."""
+    bad = []
+    one = 1 if model.mode == RATIONAL else 1.0      # a numerator
+    for cell in sorted(model.J):
+        a2 = model.alpha[cell] * model.alpha[cell]
+        cre, ann = model.creation(cell), model.annihilation(cell)
+        want = {qc: a2 * model.units[cell].component(qc) for qc in QCELLS}
+        for w in model.words:
+            if len(w) >= model.depth:
+                continue
+            lhs = ann.apply(cre.apply(FockVector({w: one})))
+            got = lhs.read(w, model.mode)
+            if len(lhs.entries) > 1 or \
+                    not scalars_close(got, want[q_class(w)]):
+                bad.append("relation fails on cell %r word %r" % (cell, w))
+    return bad
+
+
+class CountingOp:
+    """Forwards ``apply`` to an operator and records, per call, the run
+    count of each input word."""
+
+    def __init__(self, op):
+        self.op, self.inputs = op, []
+
+    @property
+    def calls(self):
+        return len(self.inputs)
+
+    def apply(self, vec):
+        self.inputs.append([runs(w) for w in vec.entries])
+        return self.op.apply(vec)
+
+    def within_run_bound(self, top, ref_runs):
+        # call L applies M to Y_L, which meets top - L more applications
+        return all(max(r, default=0) <= top - level + ref_runs
+                   for level, r in enumerate(self.inputs, start=1))
 
 
 # -- subordination fixed point, one truncated pass per order -----------------

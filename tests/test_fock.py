@@ -4,13 +4,16 @@ from fractions import Fraction as F
 import pytest
 
 import smfconv.fock
-from oracles import (apply_scalars, column_scalars, dict_state_moment,
-                     eager_tables, module_imports, poly_columns, to_scalars,
-                     to_vector)
-from smfconv import (FLOAT, RATIONAL, DistributionArray, FockModel, SHAPES,
-                     TruncatedSeries, UnitElement, as_scalar, can_prepend,
-                     compression, enumerate_words, smf_moments,
-                     word_is_valid)
+from oracles import (CountingOp, apply_scalars, column_scalars,
+                     dict_state_moment, eager_tables,
+                     full_relation_violations, module_imports, poly_columns,
+                     to_scalars, to_vector)
+from smfconv import (ALL_CELLS, FLOAT, RATIONAL, DistributionArray,
+                     FockModel, SHAPES, TruncatedSeries, UnitElement,
+                     as_scalar, can_prepend, compression, enumerate_words,
+                     smf_moments, word_is_valid)
+from smfconv.fock import LinearOp
+from smfconv.series import common_denominator
 
 
 def square_array(rng, order=6):
@@ -124,6 +127,67 @@ def test_creation_annihilation_relation_below_boundary():
         arr = DistributionArray.from_cumulants(cums)
         model = FockModel(arr, 5, alpha={cell: F(3, 2) for cell in J})
         assert model.creation_relation_violations() == []
+
+
+def broken_creation(model, cell, cap=0, flip=None, factor=1):
+    """Make model.creation(cell) prepend with the depth cap moved by
+    *cap*, with the prepend condition negated on words whose head (or
+    vacuum) is *flip*, and with its weight multiplied by *factor*."""
+    (a,), den = common_denominator([model.alpha[cell]], model.mode)
+    depth, plain = model.depth + cap, model.creation
+
+    def rule(w):
+        ok = can_prepend(cell, w) != (flip is not None and w[:1] == flip)
+        return (((cell,) + w, a * factor),) if ok and len(w) < depth else ()
+    op = LinearOp(rule, den)
+    model.creation = lambda c: op if c == cell else plain(c)
+
+
+def test_relation_check_matches_full_basis_walk():
+    # per head class the check decides the relation exactly as the walk
+    # over every word below the depth does, on correct models and on
+    # models with one creation rule broken
+    rng = random.Random(23)
+    heads = [()] + [(letter,) for letter in ALL_CELLS]
+    flagged = 0
+    for mode in (RATIONAL, FLOAT):
+        for J in SHAPES.values():
+            cums = {cell: tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(2)) for cell in J}
+            arr = DistributionArray.from_cumulants(cums, mode)
+            gauge = {cell: F(rng.randint(1, 5), rng.randint(1, 3))
+                     for cell in J}
+            for depth in range(1, 11):
+                breaks = [{}, {"cap": -1}, {"cap": 1},
+                          {"flip": rng.choice(heads)}, {"factor": 2}]
+                for brk in breaks:
+                    model = FockModel(arr, depth, alpha=gauge)
+                    if brk:
+                        broken_creation(model, rng.choice(sorted(J)), **brk)
+                    got = model.creation_relation_violations()
+                    want = full_relation_violations(model)
+                    assert bool(got) == bool(want)
+                    assert set(got) <= set(want)
+                    assert brk or not got
+                    flagged += bool(got)
+    assert flagged > 100
+
+
+def test_relation_check_applies_creation_nine_times_per_cell():
+    # the vacuum and two words per head letter, not the 1,023 basis
+    # words below depth 10
+    model = FockModel(square_array(random.Random(24), 10), 10)
+    counters = {}
+
+    def counted(cell):
+        op = FockModel.creation(model, cell)
+        counters.setdefault(cell, CountingOp(op))
+        return counters[cell]
+    model.creation = counted
+    assert model.creation_relation_violations() == []
+    assert sorted(counters) == sorted(ALL_CELLS)
+    assert all(c.calls <= 9 for c in counters.values())
+    assert sum(c.calls for c in counters.values()) == 4 * 9
 
 
 def test_q_projections_partition_unity():

@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smfconv.matricial
-from oracles import (DictOp, DictPoly, DictUnit, composition_sum,
+from oracles import (CountingOp, DictOp, DictPoly, DictUnit, composition_sum,
                      dict_alternating_sums, dict_power_moments,
                      dict_state_moment, eager_tables, module_imports,
                      moments_from_cumulants, pole_product_is_one,
-                     reconstruct_from_scratch, scalar_r_as_unit_series)
+                     reconstruct_from_scratch, reinverting_reconstruct,
+                     scalar_r_as_unit_series)
 from smfconv import (FLOAT, RATIONAL, DistributionArray, FockModel, NamedLaw,
                      SHAPES, TruncatedSeries, UnitElement, UnitSeries,
                      as_scalar, assemble_matricial_r, b_elements,
                      compressed_residuals, invert_C, linearization_residuals,
                      r_from_moments, reconstruct_unique, smf_moments)
 from smfconv.cli import FLOAT_TOL
-from smfconv.fock import runs
 from smfconv.matricial import _AlternatingTable
 from smfconv.series import scalars_close
 
@@ -212,27 +212,6 @@ def test_residual_tables_match_composition_oracle():
                     for m in range(1, 7)])
 
 
-class CountingOp:
-    """Forwards ``apply`` to an operator and records, per call, the run
-    count of each input word."""
-
-    def __init__(self, op):
-        self.op, self.inputs = op, []
-
-    @property
-    def calls(self):
-        return len(self.inputs)
-
-    def apply(self, vec):
-        self.inputs.append([runs(w) for w in vec.entries])
-        return self.op.apply(vec)
-
-    def within_run_bound(self, top, ref_runs):
-        # call L applies M to Y_L, which meets top - L more applications
-        return all(max(r, default=0) <= top - level + ref_runs
-                   for level, r in enumerate(self.inputs, start=1))
-
-
 def test_tables_apply_the_middle_operator_once_per_level():
     # a table summed to level m applies M m - 1 times, not once per
     # (parts, remainder) pair, and only to words that can still reach
@@ -375,6 +354,27 @@ def test_reconstruct_matches_from_scratch_solve():
         model = FockModel(arr, 6)
         assert reconstruct_unique(model, 5).agrees(
             reconstruct_from_scratch(model, 5), FLOAT_TOL)
+
+
+def test_grown_inverses_match_reinverting_loop():
+    # one coefficient per step gives the re-inverted tails exactly in
+    # rational mode and repr for repr in float mode; the float data have
+    # denominators up to 9, so that a change of summation order shows
+    rng = random.Random(73)
+    for J in SHAPES.values():
+        for mode, top in ((RATIONAL, 3), (FLOAT, 9)):
+            cums = {cell: tuple(F(rng.randint(-top, top), rng.randint(1, top))
+                                for _ in range(13)) for cell in J}
+            model = FockModel(DistributionArray.from_cumulants(cums, mode),
+                              13)
+            for order in range(1, 13):
+                got = reconstruct_unique(model, order).components
+                want = reinverting_reconstruct(model, order).components
+                for (qc, a), (qc2, b) in zip(got, want):
+                    assert qc == qc2 and len(a.coeffs) == order + 1
+                    assert repr(a) == repr(b)
+                    if mode == RATIONAL:
+                        assert a.coeffs == b.coeffs
 
 
 def test_reconstruct_zero_array():
