@@ -9,18 +9,16 @@ transform uniquely from moment data.
 """
 
 from .analytic import cauchy_value, master_cauchy, meixner_atoms, \
-    meixner_cauchy, meixner_density, meixner_parameters, \
-    solve_subordination, stieltjes_density
-from .arrays import ALL_CELLS, DistributionArray, NamedLaw, SHAPES, \
-    row_identical_array
-from .fock import FockModel, can_prepend, enumerate_words, word_is_valid
+    meixner_cauchy, meixner_parameters, stieltjes_density
+from .arrays import ALL_CELLS, DistributionArray, NamedLaw, SHAPES
+from .fock import FockModel, can_prepend, enumerate_words
 from .matricial import UnitSeries, assemble_matricial_r, b_elements, \
     compressed_residuals, invert_C, linearization_residuals, \
     reconstruct_unique
 from .moments import smf_moments
 from .partitions import NCPartition, enumerate_nc
 from .series import FLOAT, RATIONAL, TruncatedSeries, as_scalar, \
-    invert_pole_series, r_from_moments
+    invert_pole_series
 from .units import QCELLS, UnitElement, compression, q_class
 
 __version__ = "0.1.0"
@@ -32,8 +30,6 @@ __all__ = [
     "b_elements", "can_prepend", "cauchy_value", "compression",
     "compressed_residuals", "enumerate_nc", "enumerate_words", "invert_C",
     "invert_pole_series", "linearization_residuals", "master_cauchy",
-    "meixner_atoms", "meixner_cauchy", "meixner_density",
-    "meixner_parameters", "q_class", "r_from_moments", "reconstruct_unique",
-    "row_identical_array", "smf_moments", "solve_subordination",
-    "stieltjes_density", "word_is_valid",
+    "meixner_atoms", "meixner_cauchy", "meixner_parameters", "q_class",
+    "reconstruct_unique", "smf_moments", "stieltjes_density",
 ]

@@ -3,17 +3,21 @@ for the convolution moments, and density extraction.
 
 Cauchy transforms are carried as moment generating functions: with
 w = 1/z, G(z) = w M(w), so G-composition arguments like R(G(z)) become
-ordinary compositions R(w M(w)) with zero inner constant term.
+ordinary compositions R(w M(w)) with zero inner constant term.  The
+moment series is exact (it runs on ``DistributionArray.exact``), and a
+float job's moments are rounded once.  The numeric evaluation of G(z)
+and the closed form for density extraction run in binary64.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Dict, List, Sequence, Tuple
+from fractions import Fraction
+from typing import List, Sequence, Tuple
 
-from .arrays import ALL_CELLS, Cell, DistributionArray
-from .series import FLOAT, TruncatedSeries, as_scalar
+from .arrays import ALL_CELLS, DistributionArray
+from .series import FLOAT, TruncatedSeries, as_scalar, reported
 
 # member <- the two K values its resolvent pairs: member (j,j) pairs
 # K_{j,j} with K_{j',j}, member (j,j') pairs K_{j,j'} with K_{j',j}, and
@@ -23,23 +27,9 @@ PAIRING = (((1, 1), ((1, 1), (2, 1))), ((1, 2), ((1, 2), (2, 1))),
            (None, ((1, 1), (2, 2))))
 
 
-def _subordination_map(k, resolvent):
-    """One step of the subordination fixed point, and the master formula.
-
-    *k* maps each cell to its K value, K_{i,j} = R_{i,j}(G*_{i,j}); cells
-    outside J carry zero.  ``resolvent(a, b)`` is 1/(z - a - b) in the
-    caller's scalar algebra, applied to the pairs of ``PAIRING``.  Returns
-    the new family and the master transform.
-    """
-    family = {member: resolvent(k[a], k[b]) for member, (a, b) in PAIRING}
-    master = family.pop(None)
-    return family, master
-
-
-def _product_coefficient(a, b, s, zero):
-    """[w^s] of a b, adding the terms in ``TruncatedSeries.__mul__``'s
-    order: by increasing index into *a*, skipping its zero entries."""
-    acc = zero
+def _product_coefficient(a, b, s):
+    """[w^s] of a b, skipping the zero entries of *a*."""
+    acc = 0
     for i in range(s + 1):
         if a[i] != 0:
             acc += a[i] * b[s - i]
@@ -56,25 +46,16 @@ def _series_fixed_point(array: DistributionArray, order: int):
     earlier ones: g_c[t] = M*_c[t-1]; column t of the power table
     [w^s] g_c^k and its new row k = t; K_c[t]; then, for each member of
     ``PAIRING``, coefficient t of 1 - w (K_a + K_b) and of its
-    reciprocal.  That is O(order^3) products per cell.
-
-    Each coefficient adds its terms in the order of ``compose`` and
-    ``reciprocal`` in tests/oracles.py and of ``TruncatedSeries.__mul__``,
-    zero products and the 0 + (-x) terms of 1 - w s included, so the
-    series equal that oracle's recomposition at full order,
-    ``cut_pass_fixed_point``, bit for bit, signed zeros of float mode
-    included.  The terms that recomposition adds below a power's leading
-    index are zero products added to sums started at +0, which they
-    leave unchanged.
-    (After a float overflow it may turn an inf into a nan; neither
-    series is finite then.)
+    reciprocal.  That is O(order^3) products per cell.  The series are
+    exact, computed over ``array.exact()``, and equal the oracle
+    recomposition at full order, ``cut_pass_fixed_point`` in
+    tests/oracles.py.
     """
     if array.order < order:
         raise ValueError("cumulant order %d < requested order %d"
                          % (array.order, order))
-    mode = array.mode
-    zero, one = as_scalar(0, mode), as_scalar(1, mode)
-    padded = array.padded(order + 1)
+    zero, one = Fraction(0), Fraction(1)
+    padded = array.exact().padded(order + 1)
     f = {cell: padded.r_series(cell).coeffs for cell in ALL_CELLS}
     g = {cell: [] for cell in ALL_CELLS}
     powers = {cell: [] for cell in ALL_CELLS}    # [k][s] = [w^s] g_c^k
@@ -90,9 +71,8 @@ def _series_fixed_point(array: DistributionArray, order: int):
             else:
                 p[0].append(zero)
                 for row in range(1, t):
-                    p[row].append(_product_coefficient(p[row - 1], gc, t,
-                                                       zero))
-                p.append([_product_coefficient(p[t - 1], gc, s, zero)
+                    p[row].append(_product_coefficient(p[row - 1], gc, t))
+                p.append([_product_coefficient(p[t - 1], gc, s)
                           for s in range(t + 1)])
             acc = zero
             for power, fk in zip(p, f[cell]):
@@ -104,25 +84,20 @@ def _series_fixed_point(array: DistributionArray, order: int):
             if t == 0:
                 inv.append(one)     # 1 / d[0], with d[0] = 1 exactly
                 continue
-            d.append(zero + -(k[a][t - 1] + k[b][t - 1]))
-            inv.append(-sum((d[i] * inv[t - i] for i in range(1, t + 1)),
-                            zero) / d[0])
-    family = {member: TruncatedSeries(coeffs, mode)
+            d.append(-(k[a][t - 1] + k[b][t - 1]))
+            inv.append(-sum(d[i] * inv[t - i] for i in range(1, t + 1)))
+    family = {member: TruncatedSeries(coeffs)
               for member, coeffs in out.items()}
     master = family.pop(None)
     return family, master
 
 
-def solve_subordination(array: DistributionArray,
-                        order: int) -> Dict[Cell, TruncatedSeries]:
-    """Moment generating functions of the four subordinate transforms."""
-    return _series_fixed_point(array, order)[0]
-
-
 def master_cauchy(array: DistributionArray, order: int) -> TruncatedSeries:
     """Moment series of the convolution via the subordination family:
-    M = 1 / (1 - w [K_{1,1} + K_{2,2}]) with K_{j,j} = R_{j,j}(w M*_{j,j})."""
-    return _series_fixed_point(array, order)[1]
+    M = 1 / (1 - w [K_{1,1} + K_{2,2}]) with K_{j,j} = R_{j,j}(w M*_{j,j}),
+    in the array's precision."""
+    exact = _series_fixed_point(array, order)[1]
+    return TruncatedSeries(reported(exact.coeffs, array.mode), array.mode)
 
 
 # -- density extraction ------------------------------------------------------
@@ -164,15 +139,6 @@ def meixner_cauchy(a: float, b: float, z: complex) -> complex:
     return (b - s) / den
 
 
-def meixner_density(a: float, b: float, x: float) -> float:
-    """Continuous part sqrt(4a - (x-b)^2) / (pi (4a + 2bx - x^2)) on
-    [b - 2 sqrt(a), b + 2 sqrt(a)], zero outside."""
-    disc = 4 * a - (x - b) ** 2
-    if disc <= 0:
-        return 0.0
-    return math.sqrt(disc) / (math.pi * (4 * a + 2 * b * x - x * x))
-
-
 def meixner_atoms(a: float, b: float,
                   weight_floor: float = 1e-12) -> List[Tuple[float, float]]:
     """Atoms as residues of the closed form at the real zeros of the
@@ -208,17 +174,20 @@ def cauchy_value(array: DistributionArray, z: complex,
             k[cell] = total
         return k
 
-    def resolvent(a, b):
-        return 1.0 / (z - a - b)
+    def family(g):
+        """One step of the fixed point: 1/(z - K_a - K_b) for each member
+        of ``PAIRING``; member None is the master transform."""
+        k = k_values(g)
+        return {member: 1.0 / (z - k[a] - k[b]) for member, (a, b) in PAIRING}
 
     g = {cell: 1.0 / z for cell in ALL_CELLS}
     for _ in range(max_iter):
-        new, _ = _subordination_map(k_values(g), resolvent)
+        new = family(g)
         delta = max(abs(new[c] - g[c]) for c in ALL_CELLS)
         g = {c: 0.5 * g[c] + 0.5 * new[c] for c in ALL_CELLS}
         if delta < tol:
             break
-    return _subordination_map(k_values(g), resolvent)[1]
+    return family(g)[None]
 
 
 def stieltjes_density(array: DistributionArray, grid: Sequence[float],

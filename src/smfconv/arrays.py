@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .series import RATIONAL, Record, TruncatedSeries, as_scalar
@@ -108,6 +109,21 @@ class DistributionArray(Record):
     def order(self) -> int:
         return len(self.cells[0][1])
 
+    def exact(self) -> "DistributionArray":
+        """The array over exact rationals: a float array's cumulants as
+        the Fractions of their binary values, so that rounding its
+        results once gives them correctly rounded.  ValueError names a
+        cell whose cumulants are not finite."""
+        if self.mode == RATIONAL:
+            return self
+        cells = []
+        for cell, seq in self.cells:
+            try:
+                cells.append((cell, tuple(Fraction(v) for v in seq)))
+            except (OverflowError, ValueError):
+                raise ValueError("cell %r: cumulants not finite" % (cell,))
+        return DistributionArray(tuple(cells), RATIONAL)
+
     def cumulant_map(self) -> Dict[Cell, tuple]:
         return dict(self.cells)
 
@@ -135,21 +151,3 @@ class DistributionArray(Record):
             if c == cell:
                 return TruncatedSeries(seq, self.mode)
         return TruncatedSeries.zero(self.order - 1, self.mode)
-
-
-def row_identical_array(kind: str, law1: NamedLaw, law2: NamedLaw,
-                        order: int, mode: str = RATIONAL) -> DistributionArray:
-    """Array realizing a binary convolution: row 1 carries law1, row 2 law2,
-    on the shape matching *kind*."""
-    shape_for_kind = {
-        "free": "square",
-        "monotone": "lower_triangular",
-        "boolean": "diagonal",
-        "s_free": "upper_anti_triangular",
-        "orthogonal": "column",
-    }
-    if kind not in shape_for_kind:
-        raise ValueError("unknown convolution kind %r" % (kind,))
-    J = SHAPES[shape_for_kind[kind]]
-    laws = {cell: (law1 if cell[0] == 1 else law2) for cell in J}
-    return DistributionArray.from_laws(laws, order, mode)

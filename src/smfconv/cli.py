@@ -205,7 +205,11 @@ def parse_config(data: dict) -> JobConfig:
 
 def _render(value):
     if isinstance(value, Fraction):
-        return "%d/%d" % (value.numerator, value.denominator)
+        try:
+            return "%d/%d" % (value.numerator, value.denominator)
+        except ValueError:      # past the interpreter's int-to-str limit
+            raise ConfigError("a report value needs more than %d digits"
+                              % sys.get_int_max_str_digits())
     return float(value)
 
 

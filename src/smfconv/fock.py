@@ -17,12 +17,15 @@ weights satisfy s(k) alpha^(2(k-1)) = r(k), so the cell realizes the
 prescribed cumulants.  Truncation at depth d is exact for any product of
 at most d factors applied to the vacuum.
 
-A vector is a :class:`~smfconv.units.FockVector`, numerators {word: num}
-over one positive denominator: integers in rational mode, floats over 1 in
-float mode.  An operator is anything with ``apply(vec) -> vec``: a
-:class:`LinearOp` given by a column rule (creation, annihilation, the cell
-operators, the total A and its compressions), a :class:`CellPolynomial`,
-or a :class:`~smfconv.units.UnitElement`, which scales each word by its
+The model is built on the exact array (``DistributionArray.exact``), so
+every vector, operator and check is exact in both precisions, and only
+``moments`` rounds, once, for a float job.  A vector is a
+:class:`~smfconv.units.FockVector`, integer numerators {word: num} over
+one positive denominator.  An operator is anything with
+``apply(vec) -> vec``: a :class:`LinearOp` given by a column rule
+(creation, annihilation, the cell operators, the total A and its
+compressions), a :class:`CellPolynomial`, or a
+:class:`~smfconv.units.UnitElement`, which scales each word by its
 q-class component.  Every operator has a denominator ``den`` fixed when
 it is built, the lcm of the denominators of every entry it can produce,
 and supplies its entries as numerators over it; the output denominator
@@ -30,9 +33,7 @@ is the input denominator times the operator's.  So no entry of a vector
 costs a gcd.  A scalar leaves the vector layer only where it is read
 (``state_moment``, the moment sequences, the alternating tables of
 :mod:`smfconv.matricial`, ``creation_relation_violations``), as one
-``Fraction(num, den)`` per read.  Float mode runs the same code with
-every denominator 1 and skips each multiplication by 1, so its terms are
-added in the same order as with float coefficients.
+``Fraction(num, den)`` per read.
 
 No operator enumerates the word basis.  A cell operator reads only the
 head of a word, so its column at w is, in this entry order: the creation
@@ -62,20 +63,19 @@ operator (or of A) removes at most one run, a maximal block of equal
 letters, from the front of a word.  With r applications left, a word
 with more than r + runs(ref) runs can never reach the reference word,
 nor can any of its images, so it is dropped.  The surviving entries get
-the same contributions in the same order, so the pruned moments equal
-the unpruned ones exactly, also in float mode.
+the same contributions, so the pruned moments equal the unpruned ones.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from operator import ne
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .arrays import ALL_CELLS, Cell, DistributionArray
-from .series import RATIONAL, TruncatedSeries, as_scalar, \
-    common_denominator, r_from_moments, scalars_close
+from .series import TruncatedSeries, common_denominator, reported
 from .units import QCELLS, FockVector, UnitElement, compression, q_class
 
 Letter = Tuple[int, int]
@@ -92,17 +92,6 @@ def can_prepend(letter: Letter, word: Word) -> bool:
     head = word[0]
     return letter == head or (letter[0] != letter[1]
                               and letter[1] == head[0])
-
-
-def word_is_valid(word: Word) -> bool:
-    if not word:
-        return True
-    if word[-1][0] != word[-1][1]:
-        return False
-    for k in range(len(word) - 1, 0, -1):
-        if not can_prepend(word[k - 1], word[k:]):
-            return False
-    return True
 
 
 def enumerate_words(J: Iterable[Cell], depth: int) -> Tuple[Word, ...]:
@@ -186,8 +175,7 @@ class CellPolynomial:
         self.unit, self.a_op = unit, a_op
         term_dens = [unit.den] + [a_op.den ** k
                                   for k in range(1, len(coeffs))]
-        self.mults, self.den = common_denominator(coeffs, unit.mode,
-                                                  term_dens)
+        self.mults, self.den = common_denominator(coeffs, term_dens)
 
     def apply(self, vec: FockVector) -> FockVector:
         den = vec.den * self.den
@@ -212,16 +200,14 @@ class FockModel:
                  alpha: Dict[Cell, object] | None = None):
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        self.array = array
-        self.mode = array.mode
+        self.mode = array.mode          # the precision ``moments`` reports
+        self.array = array = array.exact()
         self.depth = depth
         self.J = array.J
-        one = as_scalar(1, self.mode)
-        self._one = 1 if self.mode == RATIONAL else one   # a numerator
-        self.alpha = {cell: one for cell in self.J}
+        self.alpha = {cell: Fraction(1) for cell in self.J}
         if alpha:
             for cell, val in alpha.items():
-                a = as_scalar(val, self.mode)
+                a = Fraction(val)
                 if not a > 0:
                     raise ValueError("alpha must be positive")
                 self.alpha[cell] = a
@@ -229,13 +215,13 @@ class FockModel:
         self.weights = {}
         for cell, cums in array.cells:
             a2 = self.alpha[cell] * self.alpha[cell]
-            scale = one
+            scale = Fraction(1)
             ws = []
             for r in cums:
                 ws.append(r / scale)
                 scale *= a2
             self.weights[cell] = tuple(ws)
-        self.units = {cell: UnitElement.internal_unit(*cell, self.mode)
+        self.units = {cell: UnitElement.internal_unit(*cell)
                       for cell in ALL_CELLS}
         self._words = None
         self._ops: Dict = {}
@@ -256,7 +242,7 @@ class FockModel:
     def creation(self, cell: Cell) -> LinearOp:
         key = ("l", cell)
         if key not in self._ops:
-            (a,), den = common_denominator([self.alpha[cell]], self.mode)
+            (a,), den = common_denominator([self.alpha[cell]])
             depth = self.depth
 
             def rule(w):
@@ -269,7 +255,7 @@ class FockModel:
     def annihilation(self, cell: Cell) -> LinearOp:
         key = ("l*", cell)
         if key not in self._ops:
-            (a,), den = common_denominator([self.alpha[cell]], self.mode)
+            (a,), den = common_denominator([self.alpha[cell]])
 
             def rule(w):
                 return ((w[1:], a),) if w and w[0] == cell else ()
@@ -290,12 +276,12 @@ class FockModel:
                 if ws else []
             # s(k) alpha^(k-1) for k >= 2, the power taken one factor at
             # a time
-            strips, amp = [], as_scalar(1, self.mode)
+            strips, amp = [], 1
             for r in ws[1:]:
                 amp *= a
                 strips.append(r * amp)
             # all entries as numerators over one denominator
-            nums, den = common_denominator([a, *diag, *strips], self.mode)
+            nums, den = common_denominator([a, *diag, *strips])
             k = 1 + len(diag)
             a, diag, strips = nums[0], dict(zip(QCELLS, nums[1:k])), nums[k:]
 
@@ -343,7 +329,7 @@ class FockModel:
         range of P (its components are all 0 or 1)."""
         key = ("PAP", cell)
         if key not in self._ops:
-            p = compression(*cell, self.mode)
+            p = compression(*cell)
             kept = {qc for qc in QCELLS if p.component(qc) != 0}
             total = self.total()
 
@@ -360,7 +346,7 @@ class FockModel:
     def state_vector(self, state: str) -> FockVector:
         if state not in STATE_WORDS:
             raise ValueError("state must be phi, phi1 or phi2")
-        return FockVector({STATE_WORDS[state]: self._one})
+        return FockVector({STATE_WORDS[state]: 1})
 
     def state_moment(self, state: str, factors: Sequence):
         """<(f_1 ... f_n) v, v> for the given state vector v.
@@ -379,36 +365,29 @@ class FockModel:
         vec = self.state_vector(state)
         for f in reversed(list(factors)):
             vec = f.apply(vec)
-        return vec.read(STATE_WORDS[state], self.mode)
+        return vec.read(STATE_WORDS[state])
 
     def _power_moments(self, op, state: str, order: int) -> TruncatedSeries:
         """<op^m v, v> for m = 0..order and the state vector v."""
         vec = self.state_vector(state)
         ref = STATE_WORDS[state]
         ref_runs = runs(ref)
-        out = [as_scalar(1, self.mode)]
+        out = [Fraction(1)]
         for m in range(order):
             vec = op.apply(vec)
-            out.append(vec.read(ref, self.mode))
+            out.append(vec.read(ref))
             # each application strips at most one run from the front
             limit = order - m - 1 + ref_runs
             vec = FockVector({w: c for w, c in vec.entries.items()
                               if runs(w) <= limit}, vec.den)
-        return TruncatedSeries(out, self.mode)
+        return TruncatedSeries(out)
 
     def moments(self, order: int) -> TruncatedSeries:
-        """phi(A^m) for m = 0..order."""
+        """phi(A^m) for m = 0..order, in the array's precision."""
         if order > self.depth:
             raise ValueError("order %d exceeds depth %d" % (order, self.depth))
-        return self._power_moments(self.total(), "phi", order)
-
-    def single_cell_r(self, cell: Cell, order: int) -> TruncatedSeries:
-        """Cumulants of one cell operator recovered from its own moments
-        in the cell's state; must reproduce the input cumulants."""
-        if order + 1 > self.depth:
-            raise ValueError("need depth >= order + 1")
-        return r_from_moments(self._power_moments(
-            self.toeplitz(cell), self._cell_state(cell), order))
+        exact = self._power_moments(self.total(), "phi", order)
+        return TruncatedSeries(reported(exact.coeffs, self.mode), self.mode)
 
     # -- verification -------------------------------------------------------
 
@@ -423,10 +402,8 @@ class FockModel:
             cre, ann = self.creation(cell), self.annihilation(cell)
             want = {qc: a2 * self.units[cell].component(qc) for qc in QCELLS}
             for w in words:
-                lhs = ann.apply(cre.apply(FockVector({w: self._one})))
-                got = lhs.read(w, self.mode)
-                if len(lhs.entries) > 1 or \
-                        not scalars_close(got, want[q_class(w)]):
+                lhs = ann.apply(cre.apply(FockVector({w: 1})))
+                if len(lhs.entries) > 1 or lhs.read(w) != want[q_class(w)]:
                     bad.append("relation fails on cell %r word %r"
                                % (cell, w))
         return bad
@@ -479,10 +456,9 @@ class FockModel:
             return seq
 
         def random_coeffs(degree):
-            out = [as_scalar(rng.randint(-2, 2), self.mode)
-                   for _ in range(degree + 1)]
+            out = [rng.randint(-2, 2) for _ in range(degree + 1)]
             if out[degree] == 0:
-                out[degree] = as_scalar(1, self.mode)
+                out[degree] = 1
             return out
 
         def spread_degrees(n):
@@ -501,7 +477,7 @@ class FockModel:
             ops = [self._centered_poly(c, random_coeffs(d))
                    for c, d in zip(seq, degs)]
             val = self.state_moment("phi", ops)
-            if not scalars_close(val, as_scalar(0, self.mode)):
+            if val != 0:
                 bad.append("kernel product %r has phi-moment %r" % (seq, val))
 
         # diagonal states vanish on off-diagonal cells and vice versa
@@ -509,12 +485,12 @@ class FockModel:
             i, j = cell
             if i != j:
                 val = self.state_moment("phi", [self.toeplitz(cell)])
-                if not scalars_close(val, as_scalar(0, self.mode)):
+                if val != 0:
                     bad.append("phi(a_%r) = %r != 0" % (cell, val))
             else:
                 st = "phi1" if i == 2 else "phi2"   # state with j != i
                 val = self.state_moment(st, [self.toeplitz(cell)])
-                if not scalars_close(val, as_scalar(0, self.mode)):
+                if val != 0:
                     bad.append("%s(a_%r) = %r != 0" % (st, cell, val))
 
         # a diagonal factor followed by centered factors kills the moment
@@ -532,16 +508,14 @@ class FockModel:
             ops += [self._centered_poly(c, random_coeffs(d))
                     for c, d in zip(seq[1:], degs[1:])]
             val = self.state_moment("phi", ops)
-            if not scalars_close(val, as_scalar(0, self.mode)):
+            if val != 0:
                 bad.append("diagonal-then-kernel product %r has moment %r"
                            % (seq, val))
 
         # phi(u1 a u2) = phi(u1) phi(a) phi(u2)
         for _ in range(trials // 2):
-            u1 = UnitElement(tuple(rng.randint(-2, 2) for _ in QCELLS),
-                             self.mode)
-            u2 = UnitElement(tuple(rng.randint(-2, 2) for _ in QCELLS),
-                             self.mode)
+            u1 = UnitElement(tuple(rng.randint(-2, 2) for _ in QCELLS))
+            u2 = UnitElement(tuple(rng.randint(-2, 2) for _ in QCELLS))
             word = [rng.choice(cells)
                     for _ in range(rng.randint(1, max(1, max_length - 1)))]
             ops = [self.toeplitz(c) for c in word]
@@ -549,6 +523,6 @@ class FockModel:
             rhs = (u1.state_value("phi")
                    * self.state_moment("phi", ops)
                    * u2.state_value("phi"))
-            if not scalars_close(lhs, rhs):
+            if lhs != rhs:
                 bad.append("unit factorization fails on %r" % (word,))
         return bad

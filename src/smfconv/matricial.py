@@ -7,6 +7,12 @@ Transform series use the tail convention of :func:`series.invert_pole_series`:
 coefficient k of an R-side series is c_{k+1} (so the series is the regular
 part of 1/z + R), and coefficient k of a B-side series is b_{k+1} (the
 multiplicative inverse being z + z^2 * tail), with c_0 = b_0 = 1 implicit.
+
+Every series and sum here is exact: the transforms are assembled from the
+exact array (``DistributionArray.exact``) and the Fock model is exact, so
+the residual tables and the reconstruction decide their identities
+exactly in both precisions.  Only the residuals a float job reports are
+rounded, once each.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .arrays import DistributionArray
 from .fock import STATE_WORDS, FockModel, runs
-from .series import Record, TruncatedSeries, as_scalar, \
-    extend_pole_inverse, invert_pole_series
+from .series import Record, TruncatedSeries, extend_pole_inverse, \
+    invert_pole_series, reported
 from .units import QCELLS, FockVector, UnitElement
 
 # q-component of the assembled transform <- pairwise sums of cell transforms
@@ -30,7 +36,8 @@ Q_SUMMANDS = {
 
 
 class UnitSeries(Record):
-    """Series with unit-algebra coefficients, as four scalar series."""
+    """Series with unit-algebra coefficients, as four scalar series of
+    one order."""
 
     __slots__ = _fields = ("components",)
 
@@ -39,10 +46,8 @@ class UnitSeries(Record):
         cells = tuple(c for c, _ in components)
         if cells != QCELLS:
             raise ValueError("components must cover the q basis in order")
-        orders = {s.order for _, s in components}
-        modes = {s.mode for _, s in components}
-        if len(orders) != 1 or len(modes) != 1:
-            raise ValueError("components must share order and mode")
+        if len({s.order for _, s in components}) != 1:
+            raise ValueError("components must share one order")
         object.__setattr__(self, "components", components)
 
     @classmethod
@@ -56,13 +61,8 @@ class UnitSeries(Record):
     def order(self) -> int:
         return self.components[0][1].order
 
-    @property
-    def mode(self) -> str:
-        return self.components[0][1].mode
-
     def coefficient(self, n: int) -> UnitElement:
-        return UnitElement(tuple(s.coeffs[n] for _, s in self.components),
-                           self.mode)
+        return UnitElement(tuple(s.coeffs[n] for _, s in self.components))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnitSeries):
@@ -83,10 +83,12 @@ def assemble_matricial_r(array: DistributionArray, order: int) -> UnitSeries:
     Over the q basis each component is the sum of two cell transforms:
     q11 <- (1,1)+(2,2), q21 <- (1,1)+(2,1), q12 <- (2,2)+(1,2),
     q22 <- (1,2)+(2,1); each is the R-transform of the free convolution of
-    the two cell distributions.
+    the two cell distributions.  The series are exact whatever the
+    array's precision.
     """
     if array.order < order + 1:
         raise ValueError("need cumulants to order %d" % (order + 1))
+    array = array.exact()
     comp = {}
     for qc, (c1, c2) in Q_SUMMANDS.items():
         s = (array.r_series(c1) + array.r_series(c2)).truncate(order)
@@ -105,7 +107,7 @@ def b_elements(B: UnitSeries, count: int) -> List[UnitElement]:
     if count > B.order + 1:
         raise ValueError("B holds b_1..b_%d, requested b_%d"
                          % (B.order + 1, count))
-    out = [UnitElement.identity(B.mode)]
+    out = [UnitElement.identity()]
     for n in range(count):
         out.append(B.coefficient(n))
     return out
@@ -138,7 +140,7 @@ class _AlternatingTable:
     b_0..b_{d-2}, so a b_{d-1} not yet in b_ops counts as zero: that is
     how reconstruct_unique solves for it.  Callers may append to b_ops.
     Each sum of vectors is taken over the lcm of their denominators, and
-    S_d is read as one scalar.
+    S_d is read as one Fraction.
 
     The tables prune by run count, as ``FockModel._power_moments`` does.
     Y_L meets at most top - L more applications of M before its images
@@ -146,14 +148,12 @@ class _AlternatingTable:
     front of a word, and the b_n keep every word.  So a word of Y_L with
     more than top - L + runs(ref) runs never reaches the reference word
     and is dropped before M is applied.  The surviving entries get the
-    same contributions in the same order, so every S_d is unchanged,
-    also in float mode.
+    same contributions, so every S_d is unchanged.
     """
 
     def __init__(self, model: FockModel, b_ops: list, mid_op, state: str,
                  top: int):
         self.b_ops, self.mid, self.top = b_ops, mid_op, top
-        self.mode = model.mode
         self.base = model.state_vector(state)
         self.ref = STATE_WORDS[state]
         self.ref_runs = runs(self.ref)
@@ -183,18 +183,19 @@ class _AlternatingTable:
         ref = self.ref
         at_ref = [FockVector({ref: v.entries[ref]}, v.den)
                   for v in parts if ref in v.entries]
-        return _combine(at_ref).read(ref, self.mode)
+        return _combine(at_ref).read(ref)
 
 
 def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
-    """Residuals of the vacuum-state linearization identity; the expected
-    value is 1 at m = 1 and 0 for every larger m."""
+    """Residuals of the vacuum-state linearization identity, in the
+    model's precision; the expected value is 1 at m = 1 and 0 for every
+    larger m."""
     if m_max > model.depth:
         raise ValueError("m_max %d exceeds model depth %d"
                          % (m_max, model.depth))
     table = _AlternatingTable(model, b_elements(B, m_max), model.total(),
                               "phi", m_max)
-    return [table.sum(d) for d in range(1, m_max + 1)]
+    return reported((table.sum(d) for d in range(1, m_max + 1)), model.mode)
 
 
 def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
@@ -202,7 +203,8 @@ def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
 
     Cell (i,j) pairs the compression P_{i,j} (1 - q11 on the diagonal,
     1 - 1_{j,j} off it) with the vector state at e_{i,i}; each row of the
-    table is expected to read 1, 0, 0, ...
+    table is expected to read 1, 0, 0, ...  Residuals are in the model's
+    precision.
     """
     if m_max > model.depth:
         raise ValueError("need model depth >= m_max")
@@ -211,7 +213,8 @@ def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
     for cell in sorted(model.J):
         table = _AlternatingTable(model, b_ops, model.compressed_total(cell),
                                   "phi1" if cell[0] == 1 else "phi2", m_max)
-        out[cell] = [table.sum(d) for d in range(1, m_max + 1)]
+        out[cell] = reported((table.sum(d) for d in range(1, m_max + 1)),
+                             model.mode)
     return out
 
 
@@ -222,11 +225,11 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
     compressed conjugate-state recursions for q21 and q12; the q22
     component follows from the linear relation Q22 = Q21 + Q12 - Q11 on
     the Cauchy-argument side.  Needs one cell in each row of J and model
-    depth at least order + 1.
+    depth at least order + 1.  The series are exact whatever the model's
+    precision.
     """
     if order + 1 > model.depth:
         raise ValueError("need model depth >= order + 1")
-    mode = model.mode
     row_cell = {}
     for i in (1, 2):
         for cell in ((i, i), (i, 3 - i)):
@@ -238,7 +241,7 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
 
     # B-side components read off moment data, one table per state; the
     # level-(m+1) sum vanishes, and b_m enters it only as <b_m v, v>
-    b_ops = [UnitElement.identity(mode)]
+    b_ops = [UnitElement.identity()]
     top = order + 2
     tables = {
         (1, 1): _AlternatingTable(model, b_ops, model.total(), "phi", top),
@@ -249,16 +252,15 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
     }
     # b_0..b_m and c_0..c_m per component, b_0 = c_0 = 1; the pole-series
     # inverse is an involution b <-> c, grown one coefficient per step
-    one = as_scalar(1, mode)
-    b = {qc: [one] for qc in QCELLS}
-    c = {qc: [one] for qc in QCELLS}
+    b = {qc: [1] for qc in QCELLS}
+    c = {qc: [1] for qc in QCELLS}
     for m in range(1, order + 2):
         for qc, table in tables.items():
             b[qc].append(-table.sum(m + 1))
-            extend_pole_inverse(b[qc], c[qc], mode)
-        c[(2, 2)].append(c[(2, 1)][m] + c[(1, 2)][m] + -c[(1, 1)][m])
-        extend_pole_inverse(c[(2, 2)], b[(2, 2)], mode)
-        b_ops.append(UnitElement(tuple(b[qc][m] for qc in QCELLS), mode))
+            extend_pole_inverse(b[qc], c[qc])
+        c[(2, 2)].append(c[(2, 1)][m] + c[(1, 2)][m] - c[(1, 1)][m])
+        extend_pole_inverse(c[(2, 2)], b[(2, 2)])
+        b_ops.append(UnitElement(tuple(b[qc][m] for qc in QCELLS)))
 
     return UnitSeries.from_map(
-        {qc: TruncatedSeries(c[qc][1:], mode) for qc in QCELLS})
+        {qc: TruncatedSeries(c[qc][1:]) for qc in QCELLS})

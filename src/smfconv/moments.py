@@ -3,11 +3,8 @@ colored non-crossing partitions."""
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .arrays import ALL_CELLS, DistributionArray
-from .series import FLOAT, TruncatedSeries
+from .series import TruncatedSeries, reported
 
 
 def smf_moments(array: DistributionArray, order: int) -> TruncatedSeries:
@@ -34,23 +31,19 @@ def smf_moments(array: DistributionArray, order: int) -> TruncatedSeries:
     with P_c^k(j) = [x^j] F_c(x)^k, likewise for T2, X and D, and the
     moments are F_D(0..order): O(order^3) products, no partition is built
     (Speicher, Math. Ann. 298, 1994).  Cells outside J are zero
-    cumulants.  Float arrays are summed exactly over their cumulants'
-    binary values and each moment is rounded once, so float moments are
-    correctly rounded.  The equivalence with the literal coloring sum is
+    cumulants.  The sum runs over the exact array, and a float job's
+    moments are rounded once.  The equivalence with the literal coloring sum is
     pinned by tests against the oracles in tests/oracles.py.
     """
     if array.order < order:
         raise ValueError("cumulant order %d < requested moment order %d"
                          % (array.order, order))
-    cmap = array.cumulant_map()
+    cmap = array.exact().cumulant_map()
 
     def rvals(cell):
-        try:
-            seq = [Fraction(v) for v in cmap.get(cell, (0,) * array.order)]
-        except (OverflowError, ValueError):
-            raise ValueError("cell %r: cumulants not finite" % (cell,))
         # integral rationals run exactly in machine ints
-        return [int(v) if v.denominator == 1 else v for v in seq]
+        return [int(v) if v.denominator == 1 else v
+                for v in cmap.get(cell, (0,) * array.order)]
 
     r11, r12, r21, r22 = (rvals(cell) for cell in ALL_CELLS)
     rmix = [a + b for a, b in zip(r12, r21)]
@@ -78,15 +71,4 @@ def smf_moments(array: DistributionArray, order: int) -> TruncatedSeries:
                         total += rc[s - 1] * sum(pw[j] * fc[m - s - j]
                                                  for j in range(m - s + 1))
             fc.append(total)
-    out = f["D"]
-    if array.mode == FLOAT:
-        out = [_round(v) for v in out]
-    return TruncatedSeries(out, array.mode)
-
-
-def _round(value) -> float:
-    """Nearest float, infinite past the float range."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+    return TruncatedSeries(reported(f["D"], array.mode), array.mode)

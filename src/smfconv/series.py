@@ -1,9 +1,12 @@
-"""Truncated formal power series over exact rationals or binary64 floats.
+"""Truncated formal power series, and the one rounding step of float mode.
 
 A series is an immutable coefficient tuple c_0..c_N (coefficient of z^0..z^N)
-tagged with a scalar mode.  Rational mode uses :class:`fractions.Fraction`
-throughout, so every operation is exact; float mode runs the same algorithms
-on binary64.  Mixing modes inside one computation raises ``ValueError``.
+tagged with a scalar mode.  The moment engines and the checks compute over
+exact rationals (:class:`fractions.Fraction`); a float-mode job computes over
+the exact binary values of its cumulants, and :func:`reported` rounds each
+value that reaches its report once, to the nearest float.  Float series hold
+those rounded values.  Mixing modes inside one computation raises
+``ValueError``.
 
 The Cauchy-transform argument 1/z + R(z) is never stored as a Laurent
 object: operations that need the pole (:func:`invert_pole_series`) take the
@@ -47,15 +50,26 @@ def scalars_close(a, b, rel: float = 1e-10) -> bool:
     return abs(fa - fb) <= rel * max(1.0, abs(fa), abs(fb))
 
 
-def common_denominator(values, mode: str, scales=None):
-    """(numerators, d) with values[k] / scales[k] = numerators[k] / d.
+def reported(values, mode: str) -> list:
+    """Exact *values* as a job of *mode* reports them: unchanged in
+    rational mode; in float mode each rounded once to the nearest float,
+    infinite past the float range."""
+    if mode == RATIONAL:
+        return list(values)
+    out = []
+    for v in values:
+        try:
+            out.append(float(v))
+        except OverflowError:
+            out.append(math.inf if v > 0 else -math.inf)
+    return out
 
-    In rational mode the numerators are integers and d is the lcm of the
-    denominators of values[k] times scales[k] (integers, 1 by default); in
-    float mode, where every scale is 1, they are the values over d = 1."""
+
+def common_denominator(values, scales=None):
+    """(numerators, d) with values[k] / scales[k] = numerators[k] / d: the
+    numerators are integers and d is the lcm of the denominators of the
+    rationals values[k] times scales[k] (integers, 1 by default)."""
     values = tuple(values)
-    if mode != RATIONAL:
-        return values, 1
     dens = [v.denominator for v in values]
     if scales is not None:
         dens = [d * s for d, s in zip(dens, scales)]
@@ -201,43 +215,15 @@ def invert_pole_series(reg: TruncatedSeries) -> TruncatedSeries:
     one = as_scalar(1, reg.mode)
     c, b = [one, *reg.coeffs], [one]
     for _ in reg.coeffs:
-        extend_pole_inverse(c, b, reg.mode)
+        extend_pole_inverse(c, b)
     return TruncatedSeries(b[1:], reg.mode)
 
 
-def extend_pole_inverse(c: list, b: list, mode: str) -> None:
+def extend_pole_inverse(c: list, b: list) -> None:
     """Append the next coefficient b_m of the inverse to b = [1, b_1..b_{m-1}]
     from c = [1, c_1..c_m, ...], full sequences with the implicit 1 at
     index 0.  The recursion is triangular, so growing both sides one
     coefficient per step gives the same values as inverting anew."""
     m = len(b)
     # sum_{i+j=m} c_i b_j = 0 with c_0 = b_0 = 1
-    s = as_scalar(0, mode)
-    for i in range(1, m + 1):
-        s += c[i] * b[m - i]
-    b.append(-s)
-
-
-def r_from_moments(moments: TruncatedSeries) -> TruncatedSeries:
-    """Free cumulants of a moment sequence, as the R-transform tail.
-
-    Input: m_0..m_N with m_0 = 1.  Output: series with r(k+1) at index k,
-    i.e. R(z) = sum_k out[k] z^k, determined by the triangular system
-    m_n = sum_{k=1}^{n} r_k [z^{n-k}] M(z)^k.
-    """
-    if moments.coeffs[0] != 1:
-        raise ValueError("moment sequence must be normalized (m_0 = 1)")
-    n = moments.order
-    if n == 0:
-        raise ValueError("need at least the first moment")
-    mode = moments.mode
-    powers = [TruncatedSeries.one(n, mode)]
-    for _ in range(n):
-        powers.append(powers[-1] * moments)
-    r = []
-    for m in range(1, n + 1):
-        s = as_scalar(0, mode)
-        for k in range(1, m):
-            s += r[k - 1] * powers[k].coeffs[m - k]
-        r.append(moments.coeffs[m] - s)
-    return TruncatedSeries(r, mode)
+    b.append(-sum(c[i] * b[m - i] for i in range(1, m + 1)))

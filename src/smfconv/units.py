@@ -9,11 +9,10 @@ units decompose as
 and the global identity is the sum of all four.  An element acts on a
 Fock vector by scaling each word by its component at the word's q class.
 
-A :class:`FockVector` holds numerators over one positive denominator:
-integers in rational mode, floats over 1 in float mode.  An element
-keeps its components as numerators over ``den``, the lcm of their
-denominators, so its action multiplies integers and multiplies the
-vector's denominator by ``den``.
+A :class:`FockVector` holds integer numerators over one positive
+denominator.  An element has exact rational components and keeps them as
+numerators over ``den``, the lcm of their denominators, so its action
+multiplies integers and multiplies the vector's denominator by ``den``.
 """
 
 from __future__ import annotations
@@ -44,12 +43,9 @@ class FockVector(NamedTuple):
     entries: dict
     den: int = 1
 
-    def read(self, word, mode: str):
-        """The coefficient of *word*: one Fraction in rational mode, the
-        float entry itself in float mode."""
-        if mode == RATIONAL:
-            return Fraction(self.entries.get(word, 0), self.den)
-        return self.entries.get(word, 0.0)
+    def read(self, word) -> Fraction:
+        """The coefficient of *word*, as one Fraction."""
+        return Fraction(self.entries.get(word, 0), self.den)
 
 
 _UNIT_DECOMP = {
@@ -62,45 +58,42 @@ _UNIT_DECOMP = {
 
 class UnitElement(Record):
     """Element of the unit algebra, stored over the q-projection basis:
-    ``beta`` holds the coefficients in QCELLS order.  ``den`` and
+    ``beta`` holds the rational coefficients in QCELLS order.  ``den`` and
     ``_by_head`` are derived, and take no part in equality or the repr:
     the numerators over the lcm of the components' denominators, keyed by
     the head letter of a word (None for the vacuum)."""
 
-    _fields = ("beta", "mode")
+    _fields = ("beta",)
     __slots__ = _fields + ("den", "_by_head")
 
-    def __init__(self, beta: tuple, mode: str = RATIONAL):
+    def __init__(self, beta: tuple):
         if len(beta) != 4:
             raise ValueError("four q-components required")
-        beta = tuple(as_scalar(v, mode) for v in beta)
-        nums, den = common_denominator(beta, mode)
+        beta = tuple(as_scalar(v, RATIONAL) for v in beta)
+        nums, den = common_denominator(beta)
         by_class = dict(zip(QCELLS, nums))
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_by_head", {
             head: by_class[q_class((head,) if head else ())]
             for head in (None, *_UNIT_DECOMP)})
 
     @classmethod
-    def zero(cls, mode: str = RATIONAL) -> "UnitElement":
-        return cls((0, 0, 0, 0), mode)
+    def zero(cls) -> "UnitElement":
+        return cls((0, 0, 0, 0))
 
     @classmethod
-    def identity(cls, mode: str = RATIONAL) -> "UnitElement":
-        return cls((1, 1, 1, 1), mode)
+    def identity(cls) -> "UnitElement":
+        return cls((1, 1, 1, 1))
 
     @classmethod
-    def q_projection(cls, qcell, mode: str = RATIONAL) -> "UnitElement":
-        return cls(tuple(1 if qc == tuple(qcell) else 0 for qc in QCELLS),
-                   mode)
+    def q_projection(cls, qcell) -> "UnitElement":
+        return cls(tuple(1 if qc == tuple(qcell) else 0 for qc in QCELLS))
 
     @classmethod
-    def internal_unit(cls, i: int, j: int,
-                      mode: str = RATIONAL) -> "UnitElement":
+    def internal_unit(cls, i: int, j: int) -> "UnitElement":
         parts = _UNIT_DECOMP[(i, j)]
-        return cls(tuple(1 if qc in parts else 0 for qc in QCELLS), mode)
+        return cls(tuple(1 if qc in parts else 0 for qc in QCELLS))
 
     def component(self, qcell):
         return self.beta[QCELLS.index(tuple(qcell))]
@@ -117,27 +110,17 @@ class UnitElement(Record):
         return FockVector(out, vec.den * self.den)
 
     def __add__(self, other: "UnitElement") -> "UnitElement":
-        self._check(other)
-        return UnitElement(tuple(a + b for a, b in zip(self.beta, other.beta)),
-                           self.mode)
+        return UnitElement(tuple(a + b for a, b in zip(self.beta, other.beta)))
 
     def __sub__(self, other: "UnitElement") -> "UnitElement":
-        self._check(other)
-        return UnitElement(tuple(a - b for a, b in zip(self.beta, other.beta)),
-                           self.mode)
+        return UnitElement(tuple(a - b for a, b in zip(self.beta, other.beta)))
 
     def __mul__(self, other: "UnitElement") -> "UnitElement":
-        self._check(other)
-        return UnitElement(tuple(a * b for a, b in zip(self.beta, other.beta)),
-                           self.mode)
+        return UnitElement(tuple(a * b for a, b in zip(self.beta, other.beta)))
 
     def scale(self, factor) -> "UnitElement":
-        f = as_scalar(factor, self.mode)
-        return UnitElement(tuple(f * b for b in self.beta), self.mode)
-
-    def _check(self, other: "UnitElement") -> None:
-        if self.mode != other.mode:
-            raise ValueError("scalar mode mismatch")
+        f = as_scalar(factor, RATIONAL)
+        return UnitElement(tuple(f * b for b in self.beta))
 
     def is_projection(self) -> bool:
         return all(b in (0, 1) for b in self.beta)
@@ -148,11 +131,11 @@ class UnitElement(Record):
         return self.component(idx)
 
 
-def compression(i: int, j: int, mode: str = RATIONAL) -> UnitElement:
+def compression(i: int, j: int) -> UnitElement:
     """Projection cutting A down for the per-cell transform identity:
     1 - 1_{1,1}1_{2,2} (= 1 - q11) on the diagonal, 1 - 1_{j,j} off it."""
-    one = UnitElement.identity(mode)
+    one = UnitElement.identity()
     if i == j:
-        return one - (UnitElement.internal_unit(1, 1, mode)
-                      * UnitElement.internal_unit(2, 2, mode))
-    return one - UnitElement.internal_unit(j, j, mode)
+        return one - (UnitElement.internal_unit(1, 1)
+                      * UnitElement.internal_unit(2, 2))
+    return one - UnitElement.internal_unit(j, j)

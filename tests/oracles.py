@@ -8,7 +8,7 @@ formula, composition of reciprocal Cauchy transforms, the pole product
 C(z) B(z) = 1 written out coefficientwise, the closed-form fixed-point
 equations of the five binary convolution kinds, the Fock operators and
 cell polynomials as full column tables over the word basis, acting on
-{word: scalar} dicts with Fraction (or float) coefficients, alternating
+{word: scalar} dicts with Fraction coefficients, alternating
 sums written out one product per composition, and the closed-form
 transform of a square array with semicircle diagonals and point-mass
 off-diagonals.  ``cut_pass_fixed_point`` recomposes the subordination
@@ -19,6 +19,12 @@ checks the creation relation on the whole word basis.  Two thin wrappers
 drive the subordination engine on single laws and on the binary
 convolution kinds, and ``module_imports`` reads a module's imports for
 the engine-independence guards.
+
+The test-only API lives here too: free cumulants from moments
+(``r_from_moments``), a cell's cumulants recovered from the Fock model
+(``single_cell_r``), the subordinate family (``solve_subordination``),
+the closed-form Meixner density, the row-identical arrays of the binary
+convolution kinds and the word-validity predicate.
 
 Matricial labels: a block's label is (c, c) when every enclosing block
 carries its own color c (or nothing encloses it), and (c, c') otherwise,
@@ -39,11 +45,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Sequence, Tuple
 
-from smfconv import (FLOAT, QCELLS, RATIONAL, DistributionArray, FockModel,
-                     NamedLaw, NCPartition, TruncatedSeries, UnitElement,
-                     UnitSeries, as_scalar, can_prepend, compression,
-                     enumerate_nc, invert_pole_series, master_cauchy,
-                     q_class, row_identical_array)
+from smfconv import (FLOAT, QCELLS, RATIONAL, SHAPES, DistributionArray,
+                     FockModel, NamedLaw, NCPartition, TruncatedSeries,
+                     UnitElement, UnitSeries, as_scalar, can_prepend,
+                     compression, enumerate_nc, invert_pole_series,
+                     master_cauchy, q_class)
+from smfconv.analytic import _series_fixed_point
 from smfconv.arrays import ALL_CELLS
 from smfconv.fock import runs
 from smfconv.matricial import _AlternatingTable
@@ -51,6 +58,88 @@ from smfconv.series import scalars_close
 from smfconv.units import FockVector
 
 Label = Tuple[int, int]
+
+
+# -- the test-only API -------------------------------------------------------
+
+
+def r_from_moments(moments: TruncatedSeries) -> TruncatedSeries:
+    """Free cumulants of a moment sequence, as the R-transform tail.
+
+    Input: m_0..m_N with m_0 = 1.  Output: series with r(k+1) at index k,
+    i.e. R(z) = sum_k out[k] z^k, determined by the triangular system
+    m_n = sum_{k=1}^{n} r_k [z^{n-k}] M(z)^k.
+    """
+    if moments.coeffs[0] != 1:
+        raise ValueError("moment sequence must be normalized (m_0 = 1)")
+    n = moments.order
+    if n == 0:
+        raise ValueError("need at least the first moment")
+    mode = moments.mode
+    powers = [TruncatedSeries.one(n, mode)]
+    for _ in range(n):
+        powers.append(powers[-1] * moments)
+    r = []
+    for m in range(1, n + 1):
+        s = as_scalar(0, mode)
+        for k in range(1, m):
+            s += r[k - 1] * powers[k].coeffs[m - k]
+        r.append(moments.coeffs[m] - s)
+    return TruncatedSeries(r, mode)
+
+
+def single_cell_r(model: FockModel, cell, order: int) -> TruncatedSeries:
+    """Cumulants of one cell operator recovered from its own moments
+    in the cell's state; must reproduce the input cumulants."""
+    if order + 1 > model.depth:
+        raise ValueError("need depth >= order + 1")
+    return r_from_moments(model._power_moments(
+        model.toeplitz(cell), model._cell_state(cell), order))
+
+
+def solve_subordination(array: DistributionArray,
+                        order: int) -> Dict[Label, TruncatedSeries]:
+    """Moment generating functions of the four subordinate transforms,
+    exact whatever the array's precision."""
+    return _series_fixed_point(array, order)[0]
+
+
+def meixner_density(a: float, b: float, x: float) -> float:
+    """Continuous part sqrt(4a - (x-b)^2) / (pi (4a + 2bx - x^2)) on
+    [b - 2 sqrt(a), b + 2 sqrt(a)], zero outside."""
+    disc = 4 * a - (x - b) ** 2
+    if disc <= 0:
+        return 0.0
+    return math.sqrt(disc) / (math.pi * (4 * a + 2 * b * x - x * x))
+
+
+def row_identical_array(kind: str, law1: NamedLaw, law2: NamedLaw,
+                        order: int, mode: str = RATIONAL) -> DistributionArray:
+    """Array realizing a binary convolution: row 1 carries law1, row 2 law2,
+    on the shape matching *kind*."""
+    shape_for_kind = {
+        "free": "square",
+        "monotone": "lower_triangular",
+        "boolean": "diagonal",
+        "s_free": "upper_anti_triangular",
+        "orthogonal": "column",
+    }
+    if kind not in shape_for_kind:
+        raise ValueError("unknown convolution kind %r" % (kind,))
+    J = SHAPES[shape_for_kind[kind]]
+    laws = {cell: (law1 if cell[0] == 1 else law2) for cell in J}
+    return DistributionArray.from_laws(laws, order, mode)
+
+
+def word_is_valid(word) -> bool:
+    if not word:
+        return True
+    if word[-1][0] != word[-1][1]:
+        return False
+    for k in range(len(word) - 1, 0, -1):
+        if not can_prepend(word[k - 1], word[k:]):
+            return False
+    return True
 
 
 # -- series operations only the oracles use ----------------------------------
@@ -374,40 +463,32 @@ def scalar_r_as_unit_series(r: TruncatedSeries) -> UnitSeries:
 # -- Fock-model cell polynomials and alternating sums ------------------------
 
 
-def to_vector(scalars: Dict, mode: str) -> FockVector:
+def to_vector(scalars: Dict) -> FockVector:
     """A {word: scalar} dict as a Fock vector: numerators over the lcm of
-    the denominators in rational mode, the floats over 1 in float mode."""
-    if mode != RATIONAL:
-        return FockVector(dict(scalars))
+    the denominators."""
     values = {w: Fraction(v) for w, v in scalars.items()}
     den = math.lcm(*(v.denominator for v in values.values()))
     return FockVector({w: v.numerator * (den // v.denominator)
                        for w, v in values.items()}, den)
 
 
-def to_scalars(vec: FockVector, mode: str) -> Dict:
-    """{word: coefficient} of a Fock vector, Fractions in rational mode."""
-    if mode != RATIONAL:
-        return dict(vec.entries)
+def to_scalars(vec: FockVector) -> Dict:
+    """{word: coefficient} of a Fock vector, as Fractions."""
     return {w: Fraction(c, vec.den) for w, c in vec.entries.items()}
 
 
-def apply_scalars(op, scalars: Dict, mode: str) -> Dict:
+def apply_scalars(op, scalars: Dict) -> Dict:
     """A library operator applied to a {word: scalar} dict."""
-    return to_scalars(op.apply(to_vector(scalars, mode)), mode)
+    return to_scalars(op.apply(to_vector(scalars)))
 
 
-def column_scalars(op, w, mode: str) -> tuple:
+def column_scalars(op, w) -> tuple:
     """Column w of a library LinearOp, its entries over its denominator."""
-    if mode != RATIONAL:
-        return op.column(w)
     return tuple((w2, Fraction(a, op.den)) for w2, a in op.column(w))
 
 
 # The Fock operators as they acted on {word: scalar} dicts with Fraction
-# (or float) coefficients before vectors carried one denominator.  Each
-# adds its terms in the library's order, so in float mode every value
-# must match the library's repr for repr.
+# coefficients before vectors carried one denominator.
 
 
 class DictOp:
@@ -458,34 +539,34 @@ class DictPoly:
 STATE_WORDS = {"phi": (), "phi1": ((1, 1),), "phi2": ((2, 2),)}
 
 
-def dict_state_moment(state: str, factors: Sequence, mode: str):
+def dict_state_moment(state: str, factors: Sequence):
     """<(f_1 ... f_n) v, v> on dicts, factors listed left to right."""
     ref = STATE_WORDS[state]
-    vec = {ref: as_scalar(1, mode)}
+    vec = {ref: Fraction(1)}
     for f in reversed(factors):
         vec = f.apply(vec)
-    return vec.get(ref, as_scalar(0, mode))
+    return vec.get(ref, Fraction(0))
 
 
-def dict_power_moments(op, state: str, order: int, mode: str) -> list:
+def dict_power_moments(op, state: str, order: int) -> list:
     """<op^m v, v> for m = 0..order, with no pruning."""
     ref = STATE_WORDS[state]
-    vec = {ref: as_scalar(1, mode)}
-    out = [as_scalar(1, mode)]
+    vec = {ref: Fraction(1)}
+    out = [Fraction(1)]
     for _ in range(order):
         vec = op.apply(vec)
-        out.append(vec.get(ref, as_scalar(0, mode)))
+        out.append(vec.get(ref, Fraction(0)))
     return out
 
 
-def dict_alternating_sums(b_ops: Sequence, mid, state: str, top: int,
-                          mode: str) -> list:
+def dict_alternating_sums(b_ops: Sequence, mid, state: str,
+                          top: int) -> list:
     """S_1..S_top of the alternating products b_{n1} M b_{n2} .. M b_{nk}
     by the recursion Y_d = b_{d-1} v + X_d, X_d = sum_n b_n M Y_{d-1-n},
     S_d = <Y_d, v>, with no pruning; b_ops are DictUnits."""
-    zero = as_scalar(0, mode)
+    zero = Fraction(0)
     ref = STATE_WORDS[state]
-    base = {ref: as_scalar(1, mode)}
+    base = {ref: Fraction(1)}
     X, MY, sums = [None], [None], []
     for level in range(1, top + 1):
         if level > 1:
@@ -508,17 +589,17 @@ def poly_columns(model: FockModel, cell, coeffs: Sequence) -> DictOp:
     """coeffs[0]*1_cell + coeffs[1]*a_cell + coeffs[2]*a_cell^2 + ... as a
     column table: one column per basis word, each built by applying the
     powers of the cell operator to that word alone."""
-    unit = UnitElement.internal_unit(*cell, model.mode)
+    unit = UnitElement.internal_unit(*cell)
     a_op = model.toeplitz(cell)
     cols = {}
     for w in model.words:
-        vec = {w: as_scalar(1, model.mode)}
+        vec = {w: Fraction(1)}
         acc: Dict = {}
         f = unit.component(q_class(w))
         if coeffs[0] != 0 and f != 0:
             acc[w] = coeffs[0] * f
         for c in coeffs[1:]:
-            vec = apply_scalars(a_op, vec, model.mode)
+            vec = apply_scalars(a_op, vec)
             if c != 0:
                 for w2, v in vec.items():
                     acc[w2] = acc.get(w2, 0) + c * v
@@ -535,7 +616,7 @@ def eager_tables(model: FockModel) -> Dict:
     the cell tables in sorted cell order, and each compression by
     filtering A to the words in its range.  Keys are ("a", cell), "A"
     and ("PAP", cell); a word with no column has no key."""
-    one = as_scalar(1, model.mode)
+    one = Fraction(1)
     words = model.words
     tables = {}
     for cell in sorted(model.J):
@@ -544,7 +625,7 @@ def eager_tables(model: FockModel) -> Dict:
                if len(w) < model.depth and can_prepend(cell, w)}
         ann = {w: ((w[1:], alpha),) for w in words if w and w[0] == cell}
         ws = model.weights[cell]
-        unit = UnitElement.internal_unit(*cell, model.mode)
+        unit = UnitElement.internal_unit(*cell)
         cols: Dict = {}
 
         def add(w, w2, coeff):
@@ -574,7 +655,7 @@ def eager_tables(model: FockModel) -> Dict:
     tables["A"] = {w: tuple((w2, a) for w2, a in tgt.items() if a != 0)
                    for w, tgt in merged.items()}
     for cell in sorted(model.J):
-        p = compression(*cell, model.mode)
+        p = compression(*cell)
         kept = {w for w in words if p.component(q_class(w)) != 0}
         tables["PAP", cell] = {
             w: tuple(e for e in entries if e[0] in kept)
@@ -589,7 +670,7 @@ def composition_sum(model: FockModel, b_ops: Sequence, mid_op, state: str,
     time; a b index past the end of b_ops counts as a zero b."""
     base = model.state_vector(state)
     ref = STATE_WORDS[state]
-    total = as_scalar(0, model.mode)
+    total = Fraction(0)
     for cuts in itertools.product((False, True), repeat=m - 1):
         parts = [1]
         for cut in cuts:
@@ -604,7 +685,7 @@ def composition_sum(model: FockModel, b_ops: Sequence, mid_op, state: str,
             if i:
                 vec = mid_op.apply(vec)
             vec = b_ops[p - 1].apply(vec)
-        total += vec.read(ref, model.mode)
+        total += vec.read(ref)
     return total
 
 
@@ -613,24 +694,22 @@ def reconstruct_from_scratch(model: FockModel, order: int) -> UnitSeries:
     fresh composition sum: S_{m+1} = 0, where b_m enters only as
     <b_m v, v>, so b_m's state component is minus S_{m+1} taken with b_m
     left out.  q22 follows from C22 = C21 + C12 - C11."""
-    mode = model.mode
     row = {i: next(c for c in ((i, i), (i, 3 - i)) if c in model.J)
            for i in (1, 2)}
     mids = {(1, 1): ("phi", model.total()),
             (2, 1): ("phi1", model.compressed_total(row[1])),
             (1, 2): ("phi2", model.compressed_total(row[2]))}
-    b_ops = [UnitElement.identity(mode)]
+    b_ops = [UnitElement.identity()]
     tails = {qc: [] for qc in QCELLS}
     for m in range(1, order + 2):
         for qc, (state, mid) in mids.items():
             tails[qc].append(-composition_sum(model, b_ops, mid, state,
                                               m + 1))
-        c = {qc: invert_pole_series(TruncatedSeries(tails[qc], mode))
+        c = {qc: invert_pole_series(TruncatedSeries(tails[qc]))
              for qc in mids}
         c[(2, 2)] = c[(2, 1)] + c[(1, 2)] - c[(1, 1)]
         tails[(2, 2)].append(invert_pole_series(c[(2, 2)]).coeffs[-1])
-        b_ops.append(UnitElement(
-            tuple(tails[qc][-1] for qc in QCELLS), mode))
+        b_ops.append(UnitElement(tuple(tails[qc][-1] for qc in QCELLS)))
     return UnitSeries.from_map(c)
 
 
@@ -639,11 +718,10 @@ def reinverting_reconstruct(model: FockModel, order: int) -> UnitSeries:
     coefficient per step: at each step m every component's whole tail
     b_1..b_m is inverted anew with ``invert_pole_series``, and the q22
     tail inverted back from C22 = C21 + C12 - C11 as a series.  O(order^3)
-    products; the library must match it bit for bit."""
-    mode = model.mode
+    products; the library must match it exactly."""
     row = {i: next(c for c in ((i, i), (i, 3 - i)) if c in model.J)
            for i in (1, 2)}
-    b_ops = [UnitElement.identity(mode)]
+    b_ops = [UnitElement.identity()]
     top = order + 2
     tables = {
         (1, 1): _AlternatingTable(model, b_ops, model.total(), "phi", top),
@@ -656,12 +734,11 @@ def reinverting_reconstruct(model: FockModel, order: int) -> UnitSeries:
     for m in range(1, order + 2):
         for qc, table in tables.items():
             b_tails[qc].append(-table.sum(m + 1))
-        c = {qc: invert_pole_series(TruncatedSeries(b_tails[qc], mode))
+        c = {qc: invert_pole_series(TruncatedSeries(b_tails[qc]))
              for qc in tables}
         c[(2, 2)] = c[(2, 1)] + c[(1, 2)] - c[(1, 1)]
         b_tails[(2, 2)].append(invert_pole_series(c[(2, 2)]).coeffs[-1])
-        b_ops.append(UnitElement(
-            tuple(b_tails[qc][-1] for qc in QCELLS), mode))
+        b_ops.append(UnitElement(tuple(b_tails[qc][-1] for qc in QCELLS)))
     return UnitSeries.from_map(c)
 
 
@@ -673,7 +750,6 @@ def full_relation_violations(model: FockModel) -> list:
     depth, for every cell of J, in basis order; the violation messages
     are those of ``FockModel.creation_relation_violations``."""
     bad = []
-    one = 1 if model.mode == RATIONAL else 1.0      # a numerator
     for cell in sorted(model.J):
         a2 = model.alpha[cell] * model.alpha[cell]
         cre, ann = model.creation(cell), model.annihilation(cell)
@@ -681,10 +757,8 @@ def full_relation_violations(model: FockModel) -> list:
         for w in model.words:
             if len(w) >= model.depth:
                 continue
-            lhs = ann.apply(cre.apply(FockVector({w: one})))
-            got = lhs.read(w, model.mode)
-            if len(lhs.entries) > 1 or \
-                    not scalars_close(got, want[q_class(w)]):
+            lhs = ann.apply(cre.apply(FockVector({w: 1})))
+            if len(lhs.entries) > 1 or lhs.read(w) != want[q_class(w)]:
                 bad.append("relation fails on cell %r word %r" % (cell, w))
     return bad
 
@@ -718,7 +792,7 @@ def cut_pass_fixed_point(array: DistributionArray, order: int):
     recomposes every K = R(w M*(w)) from scratch at order t, with
     ``compose``, the library's series products and ``reciprocal``, and pairs
     the K series as written out in the paper's master formula.
-    O(order^4) products; the one-pass engine must match it bit for bit."""
+    O(order^4) products; the one-pass engine must match it exactly."""
     mode = array.mode
     zero = as_scalar(0, mode)
     padded = array.padded(order + 1)

@@ -20,14 +20,14 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import (compose, enumerate_admissible, f_compose_moments,
-                     moments_from_cumulants, partition_contribution,
-                     reciprocal, scalar_r_as_unit_series, shift)
+                     meixner_density, moments_from_cumulants,
+                     partition_contribution, r_from_moments, reciprocal,
+                     scalar_r_as_unit_series, shift)
 from smfconv import (DistributionArray, FockModel, NCPartition, NamedLaw,
                      SHAPES, TruncatedSeries, assemble_matricial_r,
                      compressed_residuals, enumerate_nc, invert_C,
                      linearization_residuals, master_cauchy, meixner_atoms,
-                     meixner_density, r_from_moments, reconstruct_unique,
-                     smf_moments)
+                     reconstruct_unique, smf_moments)
 
 SEED = 20260809
 

@@ -45,6 +45,24 @@ def test_rational_mode_rejects_floats():
         DistributionArray.from_cumulants({(1, 1): (0.5,)})
 
 
+def test_exact_array_holds_the_binary_values():
+    third = 1 / 3
+    arr = DistributionArray.from_cumulants({(1, 1): (0.1, third),
+                                            (2, 2): (2.0, 0.0)}, "float")
+    exact = arr.exact()
+    assert exact.mode == "rational" and exact.J == arr.J
+    assert exact.cumulant_map() == {(1, 1): (F(0.1), F(third)),
+                                    (2, 2): (F(2), F(0))}
+    assert all(type(v) is F for _, seq in exact.cells for v in seq)
+    rational = DistributionArray.from_cumulants({(1, 1): (F(1, 3),)})
+    assert rational.exact() is rational
+    for bad in (float("inf"), float("nan")):
+        arr = DistributionArray.from_cumulants({(2, 1): (1.0, bad)}, "float")
+        with pytest.raises(ValueError, match=r"cell \(2, 1\): cumulants not "
+                                             "finite"):
+            arr.exact()
+
+
 def test_shapes_table():
     assert SHAPES["square"] == {(1, 1), (1, 2), (2, 1), (2, 2)}
     assert SHAPES["upper_anti_triangular"] == {(1, 1), (1, 2), (2, 1)}
@@ -63,8 +81,8 @@ def test_unit_element_algebra():
     assert UnitElement.internal_unit(1, 2).is_projection()
     with pytest.raises(ValueError):
         UnitElement((1, 2, 3))
-    with pytest.raises(ValueError):
-        u + UnitElement((1.0, 0.0, 0.0, 0.0), mode="float")
+    with pytest.raises(ValueError):         # components are rationals
+        UnitElement((1.0, 0.0, 0.0, 0.0))
 
 
 def test_unit_element_states():

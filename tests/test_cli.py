@@ -314,6 +314,10 @@ def test_density_symmetric_without_shift(tmp_path, capsys):
 
 # Reports recorded before the subordination map and the pole inversion were
 # each written once; any drift in the float path shows up here byte for byte.
+# The float moments were re-recorded when every engine came to compute over
+# the exact binary values and round once: the analytic engine's -0.0 and
+# -1.4758999999999998, binary64 arithmetic, became 0.0 and -1.4758999999999995,
+# the correctly rounded values the other two engines already reported.
 PINNED_FLOAT_CONFIG = {
     "version": 1,
     "shape": "square",
@@ -338,8 +342,8 @@ PINNED_FLOAT_REPORT = (
     '[2.4000000000000004,0.0003022011454564263],[3.2,'
     '6.403067316148639e-05],[4.0,3.034957277358017e-05]]},'
     '"engines":["partition","fock","analytic"],'
-    '"moments":{"analytic":[1.0,-0.0,2.0,-0.15999999999999998,'
-    '6.2379999999999995,-1.4758999999999998,22.488045],"fock":[1.0,0.0,'
+    '"moments":{"analytic":[1.0,0.0,2.0,-0.15999999999999998,'
+    '6.2379999999999995,-1.4758999999999995,22.488045],"fock":[1.0,0.0,'
     '2.0,-0.15999999999999998,6.2379999999999995,-1.4758999999999995,'
     '22.488045],"partition":[1.0,0.0,2.0,-0.15999999999999998,'
     '6.2379999999999995,-1.4758999999999995,22.488045]},"order":6,'
@@ -567,3 +571,15 @@ def test_non_finite_float_values_exit_two(tmp_path, capsys, cells, message):
     assert (code, out) == (2, "")
     assert err.startswith("config error: " + message)
     assert err.count("\n") == 1
+
+
+def test_report_value_past_the_digit_limit_exits_two(tmp_path, capsys):
+    # a valid rational job whose moments need more digits than Python
+    # converts to text: one line naming the limit, not the interpreter's
+    # advice on how to raise it
+    cfg = {"cells": {"1,1": ["1/3", "1e-2000"]}, "order": 12,
+           "engines": ["partition", "fock"]}
+    code, out, err = run_cli(tmp_path, cfg, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: a report value needs more than %d digits\n" \
+        % sys.get_int_max_str_digits()

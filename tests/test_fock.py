@@ -7,11 +7,10 @@ import smfconv.fock
 from oracles import (CountingOp, apply_scalars, column_scalars,
                      dict_state_moment, eager_tables,
                      full_relation_violations, module_imports, poly_columns,
-                     to_scalars, to_vector)
+                     single_cell_r, to_scalars, to_vector, word_is_valid)
 from smfconv import (ALL_CELLS, FLOAT, RATIONAL, DistributionArray,
                      FockModel, SHAPES, TruncatedSeries, UnitElement,
-                     as_scalar, can_prepend, compression, enumerate_words,
-                     smf_moments, word_is_valid)
+                     can_prepend, compression, enumerate_words, smf_moments)
 from smfconv.fock import LinearOp
 from smfconv.series import common_denominator
 
@@ -54,10 +53,10 @@ def test_creation_examples():
     arr = square_array(random.Random(0))
     model = FockModel(arr, 4)
     lc = model.creation((1, 2))
-    assert apply_scalars(lc, {(): F(1)}, RATIONAL) == {}    # vacuum killed
+    assert apply_scalars(lc, {(): F(1)}) == {}    # vacuum killed
     ld = model.creation((1, 1))
-    assert apply_scalars(ld, {(): F(1)}, RATIONAL) == {((1, 1),): F(1)}
-    assert apply_scalars(lc, {((1, 1),): F(1)}, RATIONAL) == {}  # chaining
+    assert apply_scalars(ld, {(): F(1)}) == {((1, 1),): F(1)}
+    assert apply_scalars(lc, {((1, 1),): F(1)}) == {}  # chaining
 
 
 def test_unit_expectations():
@@ -94,17 +93,17 @@ def test_single_cell_r_reproduces_cumulants():
     arr = square_array(rng)
     model = FockModel(arr, 7)
     for cell in sorted(arr.J):
-        got = model.single_cell_r(cell, 6)
+        got = single_cell_r(model, cell, 6)
         assert got == TruncatedSeries(arr.cumulant_map()[cell])
     # named degenerations
     semi = DistributionArray.from_cumulants({(1, 1): (F(0), F(1), F(0))})
-    assert FockModel(semi, 4).single_cell_r((1, 1), 3) == \
+    assert single_cell_r(FockModel(semi, 4), (1, 1), 3) == \
         TruncatedSeries([0, 1, 0])
     point = DistributionArray.from_cumulants({(1, 1): (F(5), F(0))})
-    assert FockModel(point, 4).single_cell_r((1, 1), 2) == \
+    assert single_cell_r(FockModel(point, 4), (1, 1), 2) == \
         TruncatedSeries([5, 0])
     zero = DistributionArray.from_cumulants({(2, 2): (F(0), F(0))})
-    assert FockModel(zero, 4).single_cell_r((2, 2), 2) == \
+    assert single_cell_r(FockModel(zero, 4), (2, 2), 2) == \
         TruncatedSeries([0, 0])
 
 
@@ -116,7 +115,8 @@ def test_alpha_is_a_gauge_knob():
                                       (1, 2): F(5, 2), (2, 2): F(1)})
     assert plain.moments(6) == scaled.moments(6)
     for cell in sorted(arr.J):
-        assert scaled.single_cell_r(cell, 5) == plain.single_cell_r(cell, 5)
+        assert single_cell_r(scaled, cell, 5) == \
+            single_cell_r(plain, cell, 5)
 
 
 def test_creation_annihilation_relation_below_boundary():
@@ -133,7 +133,7 @@ def broken_creation(model, cell, cap=0, flip=None, factor=1):
     """Make model.creation(cell) prepend with the depth cap moved by
     *cap*, with the prepend condition negated on words whose head (or
     vacuum) is *flip*, and with its weight multiplied by *factor*."""
-    (a,), den = common_denominator([model.alpha[cell]], model.mode)
+    (a,), den = common_denominator([model.alpha[cell]])
     depth, plain = model.depth + cap, model.creation
 
     def rule(w):
@@ -197,12 +197,12 @@ def test_q_projections_partition_unity():
           ((1, 1), (1, 2), (2, 1), (2, 2))]
     for w in model.words:
         vec = {w: F(1)}
-        images = [apply_scalars(q, vec, RATIONAL) for q in qs]
+        images = [apply_scalars(q, vec) for q in qs]
         hits = [img for img in images if img]
         assert len(hits) == 1 and hits[0] == vec        # orthogonal, sum = id
         for q in qs:
-            once = apply_scalars(q, vec, RATIONAL)
-            assert apply_scalars(q, once, RATIONAL) == once  # idempotent
+            once = apply_scalars(q, vec)
+            assert apply_scalars(q, once) == once  # idempotent
 
 
 def test_unit_correspondences_as_matrix_identities():
@@ -223,8 +223,8 @@ def test_unit_correspondences_as_matrix_identities():
         assert unit == combo
         for w in model.words:
             vec = {w: F(1)}
-            assert apply_scalars(unit, vec, RATIONAL) == \
-                apply_scalars(combo, vec, RATIONAL)
+            assert apply_scalars(unit, vec) == \
+                apply_scalars(combo, vec)
 
 
 def test_state_values_on_unit_algebra():
@@ -262,34 +262,35 @@ def test_cell_polynomials_match_column_oracle():
                 coeffs = [F(rng.randint(-2, 2), rng.randint(1, 2))
                           for _ in range(degree + 1)]
                 cols = poly_columns(model, cell, coeffs)
-                mean = dict_state_moment(state, [cols], RATIONAL)
+                mean = dict_state_moment(state, [cols])
                 centred = poly_columns(model, cell,
                                        [coeffs[0] - mean] + coeffs[1:])
                 for op, table in ((model._poly_op(cell, coeffs), cols),
                                   (model._centered_poly(cell, coeffs),
                                    centred)):
                     for w in model.words:
-                        assert apply_scalars(op, {w: F(1)}, RATIONAL) == \
+                        assert apply_scalars(op, {w: F(1)}) == \
                             dict(table.columns.get(w, ()))
 
 
 def test_compressed_total_is_compression_of_total():
     # the column table must equal P A P applied factor by factor, on every
-    # basis word, with P the cell's compression and A the total operator
+    # basis word, with P the cell's compression and A the total operator;
+    # a float array builds the model on its exact binary values
     rng = random.Random(15)
     for mode in (RATIONAL, FLOAT):
         for J in SHAPES.values():
             cums = {cell: tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
                                 for _ in range(5)) for cell in J}
             model = FockModel(DistributionArray.from_cumulants(cums, mode), 5)
-            one, total = as_scalar(1, mode), model.total()
+            total = model.total()
             for cell in sorted(J):
-                p = compression(*cell, mode)
+                p = compression(*cell)
                 pap = model.compressed_total(cell)
                 for w in model.words:
-                    vec = to_vector({w: one}, mode)
-                    assert to_scalars(pap.apply(vec), mode) == to_scalars(
-                        p.apply(total.apply(p.apply(vec))), mode)
+                    vec = to_vector({w: F(1)})
+                    assert to_scalars(pap.apply(vec)) == to_scalars(
+                        p.apply(total.apply(p.apply(vec))))
 
 
 def test_on_demand_columns_match_eager_tables():
@@ -314,13 +315,14 @@ def test_on_demand_columns_match_eager_tables():
                 assert set(ops) == set(tables)
                 for key, op in ops.items():
                     for w in model.words:
-                        assert column_scalars(op, w, mode) == \
+                        assert column_scalars(op, w) == \
                             tables[key].get(w, ())
 
 
 def test_pruned_moments_equal_unpruned_products():
     # run-count pruning must not change a single bit: each moment equals
-    # the plain product of total operators applied to the vacuum
+    # the plain product of total operators applied to the vacuum, exactly,
+    # and in float mode rounded once
     rng = random.Random(17)
     for mode in (RATIONAL, FLOAT):
         for J in SHAPES.values():
@@ -331,6 +333,9 @@ def test_pruned_moments_equal_unpruned_products():
             got = model.moments(7).coeffs
             for m in range(1, 8):
                 want = model.state_moment("phi", [model.total()] * m)
+                assert type(want) is F
+                if mode == FLOAT:
+                    want = float(want)
                 assert got[m] == want
                 assert type(got[m]) is type(want)
 
@@ -370,18 +375,21 @@ def test_depth_guards():
     with pytest.raises(ValueError):
         model.state_moment("phi", [model.total()] * 4)
     with pytest.raises(ValueError):
-        model.single_cell_r((1, 2), 3)
+        single_cell_r(model, (1, 2), 3)
     with pytest.raises(ValueError):
         FockModel(arr, 0)
 
 
 def test_float_mode_model():
+    # the float model is the exact model on the binary values; only its
+    # moments are rounded, once each
     arr = DistributionArray.from_cumulants(
         {(1, 1): (0.5, 1.0), (2, 2): (-1.0, 2.0)}, mode="float")
     model = FockModel(arr.padded(4), 4)
     exact = DistributionArray.from_cumulants(
         {(1, 1): (F(1, 2), F(1)), (2, 2): (F(-1), F(2))}).padded(4)
+    assert model.array == exact and model.mode == FLOAT
     want = FockModel(exact, 4).moments(4)
     got = model.moments(4)
-    for a, b in zip(want.coeffs, got.coeffs):
-        assert abs(float(a) - b) < 1e-10
+    assert got.mode == FLOAT
+    assert list(got.coeffs) == [float(a) for a in want.coeffs]

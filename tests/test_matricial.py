@@ -10,16 +10,14 @@ from oracles import (CountingOp, DictOp, DictPoly, DictUnit, composition_sum,
                      dict_alternating_sums, dict_power_moments,
                      dict_state_moment, eager_tables, module_imports,
                      moments_from_cumulants, pole_product_is_one,
-                     reconstruct_from_scratch, reinverting_reconstruct,
-                     scalar_r_as_unit_series)
+                     r_from_moments, reconstruct_from_scratch,
+                     reinverting_reconstruct, scalar_r_as_unit_series)
 from smfconv import (FLOAT, RATIONAL, DistributionArray, FockModel, NamedLaw,
                      SHAPES, TruncatedSeries, UnitElement, UnitSeries,
                      as_scalar, assemble_matricial_r, b_elements,
                      compressed_residuals, invert_C, linearization_residuals,
-                     r_from_moments, reconstruct_unique, smf_moments)
-from smfconv.cli import FLOAT_TOL
+                     reconstruct_unique, smf_moments)
 from smfconv.matricial import _AlternatingTable
-from smfconv.series import scalars_close
 
 
 def random_array(rng, J, order=8):
@@ -162,6 +160,8 @@ def test_reconstruct_round_trip():
 
 
 def test_reconstruct_round_trip_float_mode():
+    # a float array reconstructs exactly, over its binary values: the
+    # series are those of the exact array, Fraction for Fraction
     rng = random.Random(59)
     for J in SHAPES.values():
         exact = random_array(rng, J, 7)
@@ -169,25 +169,25 @@ def test_reconstruct_round_trip_float_mode():
             {cell: tuple(float(v) for v in seq) for cell, seq in exact.cells},
             mode="float")
         rebuilt = reconstruct_unique(FockModel(arr, 6), 5)
-        assert rebuilt.mode == "float"
-        assert rebuilt.agrees(assemble_matricial_r(arr, 5), 1e-9)
+        assert rebuilt == assemble_matricial_r(arr, 5)
+        assert rebuilt == assemble_matricial_r(exact, 5)
         want = reconstruct_unique(FockModel(exact, 6), 5)
         for qc in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            for a, b in zip(want.component(qc).coeffs,
-                            rebuilt.component(qc).coeffs):
-                assert abs(float(a) - b) <= 1e-9 * max(1.0, abs(float(a)))
+            coeffs = rebuilt.component(qc).coeffs
+            assert coeffs == want.component(qc).coeffs
+            assert all(type(c) is F for c in coeffs)
 
 
 def test_residual_tables_match_composition_oracle():
     # with a B that is not the inverse of C the sums are far from 1, 0, ...;
-    # the float arrays hold thirds, which binary64 rounds
+    # the float arrays hold thirds, which binary64 rounds, and their
+    # residuals are the exact sums over those binary values rounded once
     for mode, rng in (("rational", random.Random(61)),
                       ("float", random.Random(62))):
         def close(got, want):
             if mode == "rational":
                 return got == want
-            return len(got) == len(want) and all(
-                scalars_close(a, b, FLOAT_TOL) for a, b in zip(got, want))
+            return got == [float(w) for w in want]
 
         def draw(J):
             arr = random_array(rng, J, 6)
@@ -258,11 +258,8 @@ _VALUES = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3,
                                                 max_denominator=97))
 
 
-def _same(got, want, mode):
-    # Fraction for Fraction in rational mode, repr for repr in float mode
-    if mode == RATIONAL:
-        return type(got) is F and got == want
-    return repr(got) == repr(want)
+def _same(got, want):
+    return type(got) is F and got == want
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -272,7 +269,8 @@ def test_vectors_match_fraction_dict_reference(shape, depth, data):
     # the numerator-over-denominator vectors must read exactly what the
     # Fraction-dict operators give: state moments of random products,
     # moment sequences and every alternating sum, non-integer alpha
-    # gauges, zero cumulants and denominators up to 97 included
+    # gauges, zero cumulants and denominators up to 97 included; a float
+    # array and float coefficients act through their binary values
     J = sorted(SHAPES[shape])
     cums = {cell: data.draw(st.lists(_VALUES, min_size=depth,
                                      max_size=depth)) for cell in J}
@@ -298,33 +296,33 @@ def test_vectors_match_fraction_dict_reference(shape, depth, data):
 
         factors, dict_factors = [], []
         for kind, cell, values in plan:
-            values = [as_scalar(v, mode) for v in values]
+            values = [F(as_scalar(v, mode)) for v in values]
             if kind == "unit":
-                u = UnitElement(tuple((values * 4)[:4]), mode)
+                u = UnitElement(tuple((values * 4)[:4]))
                 factors.append(u)
                 dict_factors.append(DictUnit(u))
             elif kind == "poly":
                 factors.append(model._poly_op(cell, values))
                 dict_factors.append(DictPoly(
-                    DictUnit(UnitElement.internal_unit(*cell, mode)),
+                    DictUnit(UnitElement.internal_unit(*cell)),
                     ref["a", cell], values))
             else:
                 key = "A" if kind == "A" else (kind, cell)
                 factors.append(lib[key])
                 dict_factors.append(ref[key])
         assert _same(model.state_moment(state, factors),
-                     dict_state_moment(state, dict_factors, mode), mode)
+                     dict_state_moment(state, dict_factors))
         for f, g in zip(factors, dict_factors):
             for st_ in ("phi", "phi1", "phi2"):
                 assert _same(model.state_moment(st_, [f]),
-                             dict_state_moment(st_, [g], mode), mode)
+                             dict_state_moment(st_, [g]))
 
         pairs = [("A", "phi", depth)] + [
             (("a", cell), model._cell_state(cell), depth - 1) for cell in J]
         for key, st_, order in pairs:
             got = model._power_moments(lib[key], st_, order).coeffs
-            want = dict_power_moments(ref[key], st_, order, mode)
-            assert all(_same(g, w, mode) for g, w in zip(got, want))
+            want = dict_power_moments(ref[key], st_, order)
+            assert all(_same(g, w) for g, w in zip(got, want))
 
         b_ops = b_elements(invert_C(assemble_matricial_r(
             DistributionArray.from_cumulants(cums, mode), depth - 1)), depth)
@@ -333,8 +331,8 @@ def test_vectors_match_fraction_dict_reference(shape, depth, data):
                                     else "phi2") for cell in J]
         for key, st_ in tables:
             table = _AlternatingTable(model, b_ops, lib[key], st_, depth)
-            want = dict_alternating_sums(dict_b, ref[key], st_, depth, mode)
-            assert all(_same(table.sum(d), w, mode)
+            want = dict_alternating_sums(dict_b, ref[key], st_, depth)
+            assert all(_same(table.sum(d), w)
                        for d, w in zip(range(1, depth + 1), want))
 
 
@@ -352,14 +350,14 @@ def test_reconstruct_matches_from_scratch_solve():
             {cell: tuple(float(v) for v in seq) for cell, seq in exact.cells},
             mode="float")
         model = FockModel(arr, 6)
-        assert reconstruct_unique(model, 5).agrees(
-            reconstruct_from_scratch(model, 5), FLOAT_TOL)
+        assert reconstruct_unique(model, 5) == \
+            reconstruct_from_scratch(model, 5)
 
 
 def test_grown_inverses_match_reinverting_loop():
-    # one coefficient per step gives the re-inverted tails exactly in
-    # rational mode and repr for repr in float mode; the float data have
-    # denominators up to 9, so that a change of summation order shows
+    # one coefficient per step gives the re-inverted tails exactly, for
+    # rational arrays and for float arrays with denominators up to 9,
+    # which binary64 rounds
     rng = random.Random(73)
     for J in SHAPES.values():
         for mode, top in ((RATIONAL, 3), (FLOAT, 9)):
@@ -373,8 +371,7 @@ def test_grown_inverses_match_reinverting_loop():
                 for (qc, a), (qc2, b) in zip(got, want):
                     assert qc == qc2 and len(a.coeffs) == order + 1
                     assert repr(a) == repr(b)
-                    if mode == RATIONAL:
-                        assert a.coeffs == b.coeffs
+                    assert a.coeffs == b.coeffs
 
 
 def test_reconstruct_zero_array():

@@ -4,9 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import (compose, moments_from_cumulants, pole_product_is_one,
-                     reciprocal, shift)
-from smfconv import (FLOAT, RATIONAL, TruncatedSeries, invert_pole_series,
-                     r_from_moments)
+                     r_from_moments, reciprocal, shift)
+from smfconv import FLOAT, RATIONAL, TruncatedSeries, invert_pole_series
 
 
 def S(*coeffs, mode=RATIONAL):
