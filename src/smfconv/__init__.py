@@ -11,8 +11,8 @@ transform uniquely from moment data.
 from .analytic import cauchy_value, master_cauchy, meixner_atoms, \
     meixner_cauchy, meixner_parameters, stieltjes_density
 from .arrays import ALL_CELLS, DistributionArray, NamedLaw, SHAPES
-from .fock import FockModel, can_prepend, enumerate_words
-from .matricial import UnitSeries, assemble_matricial_r, b_elements, \
+from .fock import FockModel
+from .matricial import UnitSeries, assemble_matricial_r, \
     compressed_residuals, invert_C, linearization_residuals, \
     reconstruct_unique
 from .moments import smf_moments
@@ -27,9 +27,8 @@ __all__ = [
     "ALL_CELLS", "DistributionArray", "FLOAT", "FockModel", "NCPartition",
     "NamedLaw", "QCELLS", "RATIONAL", "SHAPES", "TruncatedSeries",
     "UnitElement", "UnitSeries", "as_scalar", "assemble_matricial_r",
-    "b_elements", "can_prepend", "cauchy_value", "compression",
-    "compressed_residuals", "enumerate_nc", "enumerate_words", "invert_C",
-    "invert_pole_series", "linearization_residuals", "master_cauchy",
-    "meixner_atoms", "meixner_cauchy", "meixner_parameters", "q_class",
-    "reconstruct_unique", "smf_moments", "stieltjes_density",
+    "cauchy_value", "compression", "compressed_residuals", "enumerate_nc",
+    "invert_C", "invert_pole_series", "linearization_residuals",
+    "master_cauchy", "meixner_atoms", "meixner_cauchy", "meixner_parameters",
+    "q_class", "reconstruct_unique", "smf_moments", "stieltjes_density",
 ]

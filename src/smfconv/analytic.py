@@ -17,7 +17,14 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .arrays import ALL_CELLS, DistributionArray
-from .series import FLOAT, TruncatedSeries, as_scalar, reported
+from .series import FLOAT, TruncatedSeries, as_scalar, \
+    extend_pole_inverse, reported
+
+# cauchy_value stops after CAUCHY_MAX_ITER steps or at a step below
+# CAUCHY_TOL; meixner_atoms keeps the residues above ATOM_WEIGHT_FLOOR
+CAUCHY_MAX_ITER = 500
+CAUCHY_TOL = 1e-13
+ATOM_WEIGHT_FLOOR = 1e-12
 
 # member <- the two K values its resolvent pairs: member (j,j) pairs
 # K_{j,j} with K_{j',j}, member (j,j') pairs K_{j,j'} with K_{j',j}, and
@@ -61,7 +68,7 @@ def _series_fixed_point(array: DistributionArray, order: int):
     powers = {cell: [] for cell in ALL_CELLS}    # [k][s] = [w^s] g_c^k
     k = {cell: [] for cell in ALL_CELLS}
     den = {member: [one] for member, _ in PAIRING}   # 1 - w (K_a + K_b)
-    out = {member: [] for member, _ in PAIRING}      # its reciprocal
+    out = {member: [one] for member, _ in PAIRING}   # its reciprocal
     for t in range(order + 1):
         for cell in ALL_CELLS:
             gc, p = g[cell], powers[cell]
@@ -79,13 +86,10 @@ def _series_fixed_point(array: DistributionArray, order: int):
                 if fk != 0:
                     acc += fk * power[t]
             k[cell].append(acc)
-        for member, (a, b) in PAIRING:
-            d, inv = den[member], out[member]
-            if t == 0:
-                inv.append(one)     # 1 / d[0], with d[0] = 1 exactly
-                continue
-            d.append(-(k[a][t - 1] + k[b][t - 1]))
-            inv.append(-sum(d[i] * inv[t - i] for i in range(1, t + 1)))
+        if t:                   # both series start at 1
+            for member, (a, b) in PAIRING:
+                den[member].append(-(k[a][t - 1] + k[b][t - 1]))
+                extend_pole_inverse(den[member], out[member])
     family = {member: TruncatedSeries(coeffs)
               for member, coeffs in out.items()}
     master = family.pop(None)
@@ -139,8 +143,7 @@ def meixner_cauchy(a: float, b: float, z: complex) -> complex:
     return (b - s) / den
 
 
-def meixner_atoms(a: float, b: float,
-                  weight_floor: float = 1e-12) -> List[Tuple[float, float]]:
+def meixner_atoms(a: float, b: float) -> List[Tuple[float, float]]:
     """Atoms as residues of the closed form at the real zeros of the
     denominator z = b +- sqrt(b^2 + 4a); only one carries positive weight
     (none for b = 0)."""
@@ -148,13 +151,12 @@ def meixner_atoms(a: float, b: float,
     out = []
     for z0, w in ((b + s, (b - abs(b)) / (-2 * s)),
                   (b - s, (b + abs(b)) / (2 * s))):
-        if w > weight_floor:
+        if w > ATOM_WEIGHT_FLOOR:
             out.append((z0, w))
     return out
 
 
-def cauchy_value(array: DistributionArray, z: complex,
-                 max_iter: int = 500, tol: float = 1e-13) -> complex:
+def cauchy_value(array: DistributionArray, z: complex) -> complex:
     """Numeric G(z) by damped iteration of the subordination fixed point.
 
     Works for any array with finitely many cumulants; Im z > 0 required.
@@ -181,11 +183,11 @@ def cauchy_value(array: DistributionArray, z: complex,
         return {member: 1.0 / (z - k[a] - k[b]) for member, (a, b) in PAIRING}
 
     g = {cell: 1.0 / z for cell in ALL_CELLS}
-    for _ in range(max_iter):
+    for _ in range(CAUCHY_MAX_ITER):
         new = family(g)
         delta = max(abs(new[c] - g[c]) for c in ALL_CELLS)
         g = {c: 0.5 * g[c] + 0.5 * new[c] for c in ALL_CELLS}
-        if delta < tol:
+        if delta < CAUCHY_TOL:
             break
     return family(g)[None]
 

@@ -176,6 +176,9 @@ def parse_config(data: dict) -> JobConfig:
     if "axioms" in checks and order < 2:
         # the conjugate-state conditions act on one-letter words
         raise ConfigError("check axioms needs order >= 2")
+    if "uniqueness" in checks and {i for i, _ in laws} != {1, 2}:
+        # each row's compressed state yields one component of R
+        raise ConfigError("check uniqueness needs a cell in each row")
 
     density = data.get("density")
     if density is not None:

@@ -31,7 +31,7 @@ it is built, the lcm of the denominators of every entry it can produce,
 and supplies its entries as numerators over it; the output denominator
 is the input denominator times the operator's.  So no entry of a vector
 costs a gcd.  A scalar leaves the vector layer only where it is read
-(``state_moment``, the moment sequences, the alternating tables of
+(``state_moment``, the moment sequences, the resolvent tables of
 :mod:`smfconv.matricial`, ``creation_relation_violations``), as one
 ``Fraction(num, den)`` per read.
 

@@ -8,6 +8,15 @@ coefficient k of an R-side series is c_{k+1} (so the series is the regular
 part of 1/z + R), and coefficient k of a B-side series is b_{k+1} (the
 multiplicative inverse being z + z^2 * tail), with c_0 = b_0 = 1 implicit.
 
+The checks read, for a middle operator M (the total A or a compression)
+and a state vector v, the coefficients S_d of <(1 - B M)^{-1} B v, v>:
+the products <b_{n_1} M b_{n_2} .. M b_{n_k} v, v> summed over k and
+n_1 + .. + n_k = d - k.  Expected are 1, 0, 0, ...  As (1 - B M)^{-1} B =
+(C - M)^{-1}, the sums come from one recursion on the unit coefficients
+r_j = c_{j+1} of R, which are zero past the last cumulant:
+
+    Y_1 = v,   Y_{d+1} = M Y_d - sum_{j<d} r_j Y_{d-j},   S_d = <Y_d, v>.
+
 Every series and sum here is exact: the transforms are assembled from the
 exact array (``DistributionArray.exact``) and the Fock model is exact, so
 the residual tables and the reconstruction decide their identities
@@ -22,9 +31,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .arrays import DistributionArray
 from .fock import STATE_WORDS, FockModel, runs
-from .series import Record, TruncatedSeries, extend_pole_inverse, \
-    invert_pole_series, reported
-from .units import QCELLS, FockVector, UnitElement
+from .series import Record, TruncatedSeries, invert_pole_series, reported
+from .units import QCELLS, FockVector, UnitElement, q_class
 
 # q-component of the assembled transform <- pairwise sums of cell transforms
 Q_SUMMANDS = {
@@ -102,88 +110,80 @@ def invert_C(r: UnitSeries) -> UnitSeries:
         {qc: invert_pole_series(r.component(qc)) for qc in QCELLS})
 
 
-def b_elements(B: UnitSeries, count: int) -> List[UnitElement]:
-    """Inverse-series coefficients b_0..b_count as unit elements."""
-    if count > B.order + 1:
-        raise ValueError("B holds b_1..b_%d, requested b_%d"
-                         % (B.order + 1, count))
-    out = [UnitElement.identity()]
-    for n in range(count):
-        out.append(B.coefficient(n))
-    return out
-
-
-def _combine(vectors: Sequence[FockVector]) -> FockVector:
-    """Sum of Fock vectors over the lcm of their denominators, adding
-    the entries vector by vector; zero sums are kept."""
-    den = math.lcm(*(v.den for v in vectors))
-    out: dict = {}
-    for v in vectors:
-        f = den // v.den
-        if f == 1:
-            for w, c in v.entries.items():
-                out[w] = out.get(w, 0) + c
-        else:
-            for w, c in v.entries.items():
-                out[w] = out.get(w, 0) + c * f
+def _difference(v: FockVector, minus: Sequence[FockVector]) -> FockVector:
+    """v less the sum of the vectors *minus*, over the lcm of their
+    denominators; zero entries are kept."""
+    den = math.lcm(v.den, *(u.den for u in minus))
+    f = den // v.den
+    out = dict(v.entries) if f == 1 else \
+        {w: c * f for w, c in v.entries.items()}
+    for u in minus:
+        f = den // u.den
+        for w, c in u.entries.items():
+            out[w] = out.get(w, 0) - (c if f == 1 else c * f)
     return FockVector(out, den)
 
 
-class _AlternatingTable:
-    """S_d = sum_{k=1}^d sum_{n1+..+nk=d-k} <b_{n1} M b_{n2} .. M b_{nk} v, v>
-    for one state vector v and d = 1..top, by one linear recursion in d.
+class _ResolventTable:
+    """S_d = <Y_d, v> for one state vector v and d = 1..top, by the
+    recursion of the module docstring.
 
-    Summed by first factor, the products of S_d applied to v add up to
-    Y_d = b_{d-1} v + X_d, X_d = sum_{n=0}^{d-2} b_n M Y_{d-1-n}, and
-    S_d = <Y_d, v>.  Level d keeps X_d and M Y_d, applied once when level
-    d + 1 is built, so m levels apply M m - 1 times.  X_d needs only
-    b_0..b_{d-2}, so a b_{d-1} not yet in b_ops counts as zero: that is
-    how reconstruct_unique solves for it.  Callers may append to b_ops.
-    Each sum of vectors is taken over the lcm of their denominators, and
-    S_d is read as one Fraction.
+    Building level d + 1 applies M once, to Y_d, and each nonzero r_j,
+    j <= d - 2, once, to Y_{d-j}: Z_{d+1} is their difference.  The last
+    term, r_{d-1} v, is v times the component of r_{d-1} at the q class
+    of the reference word, so it is added as a scalar: to S_{d+1}, and to
+    Y_{d+1} when that is first needed.  An r_{d-1} not yet in r_ops counts
+    as zero in S_{d+1}: that is how reconstruct_unique solves for it
+    before appending it to r_ops.
 
-    The tables prune by run count, as ``FockModel._power_moments`` does.
+    The table prunes by run count, as ``FockModel._power_moments`` does.
     Y_L meets at most top - L more applications of M before its images
     are read at a level <= top; each strips at most one run from the
-    front of a word, and the b_n keep every word.  So a word of Y_L with
+    front of a word, and the r_j keep every word.  So a word of Y_L with
     more than top - L + runs(ref) runs never reaches the reference word
-    and is dropped before M is applied.  The surviving entries get the
-    same contributions, so every S_d is unchanged.
+    and is dropped, which leaves every S_d unchanged.
     """
 
-    def __init__(self, model: FockModel, b_ops: list, mid_op, state: str,
-                 top: int):
-        self.b_ops, self.mid, self.top = b_ops, mid_op, top
-        self.base = model.state_vector(state)
+    def __init__(self, r_ops: list, mid_op, state: str, top: int):
+        self.r_ops, self.mid, self.top = r_ops, mid_op, top
         self.ref = STATE_WORDS[state]
-        self.ref_runs = runs(self.ref)
-        self.X: list = [None]             # X_d at index d
-        self.MY: list = [None]            # M Y_d at index d
+        self.qref, self.ref_runs = q_class(self.ref), runs(self.ref)
+        self.Y: list = [None]             # Y_d at index d, pruned
+        self.Z = FockVector({self.ref: 1})    # Z_d for d = len(Y)
+        self.at_ref = [None, self.Z.read(self.ref)]   # <Z_d, v> at index d
+
+    def _scalar(self, d: int):
+        """r_{d-2} at the q class of the reference word; 0 while unknown."""
+        if 2 <= d < len(self.r_ops) + 2:
+            return self.r_ops[d - 2].component(self.qref)
+        return 0
 
     def sum(self, d: int):
         if d > self.top:
             raise ValueError("level %d is above the table's top level %d"
                              % (d, self.top))
-        for level in range(len(self.X), d + 1):
-            if level > 1:                 # b_{level-2} is known by now
-                y = _combine([self.b_ops[level - 2].apply(self.base),
-                              self.X[level - 1]])
-                limit = self.top - (level - 1) + self.ref_runs
-                self.MY.append(self.mid.apply(FockVector(
-                    {w: c for w, c in y.entries.items()
-                     if c != 0 and runs(w) <= limit}, y.den)))
-            acc = _combine([self.b_ops[n].apply(self.MY[level - 1 - n])
-                            for n in range(level - 1)])
-            self.X.append(FockVector(
-                {w: c for w, c in acc.entries.items() if c != 0}, acc.den))
-        # S_d = <b_{d-1} v + X_d, v>, both terms read over one denominator
-        parts = [self.X[d]]
-        if d - 1 < len(self.b_ops):
-            parts.insert(0, self.b_ops[d - 1].apply(self.base))
-        ref = self.ref
-        at_ref = [FockVector({ref: v.entries[ref]}, v.den)
-                  for v in parts if ref in v.entries]
-        return _combine(at_ref).read(ref)
+        while len(self.Y) < d:
+            level, x = len(self.Y), self._scalar(len(self.Y))
+            y = _difference(self.Z, [FockVector(
+                {self.ref: x.numerator}, x.denominator)] if x else [])
+            limit = self.top - level + self.ref_runs
+            self.Y.append(FockVector({w: c for w, c in y.entries.items()
+                                      if c != 0 and runs(w) <= limit}, y.den))
+            self.Z = _difference(self.mid.apply(self.Y[level]), [
+                r.apply(self.Y[level - j])
+                for j, r in enumerate(self.r_ops[:level - 1]) if any(r.beta)])
+            self.at_ref.append(self.Z.read(self.ref))
+        return self.at_ref[d] - self._scalar(d)
+
+
+def _r_elements(B: UnitSeries, m_max: int) -> List[UnitElement]:
+    """r_0..r_{m_max-2} of R = invert_C(B), the pole inverse being an
+    involution on tails; the levels up to m_max need no more."""
+    if m_max > B.order + 1:
+        raise ValueError("B holds b_1..b_%d, requested b_%d"
+                         % (B.order + 1, m_max))
+    R = invert_C(B)
+    return [R.coefficient(j) for j in range(m_max - 1)]
 
 
 def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
@@ -193,8 +193,8 @@ def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
     if m_max > model.depth:
         raise ValueError("m_max %d exceeds model depth %d"
                          % (m_max, model.depth))
-    table = _AlternatingTable(model, b_elements(B, m_max), model.total(),
-                              "phi", m_max)
+    table = _ResolventTable(_r_elements(B, m_max), model.total(), "phi",
+                            m_max)
     return reported((table.sum(d) for d in range(1, m_max + 1)), model.mode)
 
 
@@ -208,11 +208,11 @@ def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
     """
     if m_max > model.depth:
         raise ValueError("need model depth >= m_max")
-    b_ops = b_elements(B, m_max)
+    r_ops = _r_elements(B, m_max)
     out = {}
     for cell in sorted(model.J):
-        table = _AlternatingTable(model, b_ops, model.compressed_total(cell),
-                                  "phi1" if cell[0] == 1 else "phi2", m_max)
+        table = _ResolventTable(r_ops, model.compressed_total(cell),
+                                "phi1" if cell[0] == 1 else "phi2", m_max)
         out[cell] = reported((table.sum(d) for d in range(1, m_max + 1)),
                              model.mode)
     return out
@@ -223,10 +223,9 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
 
     Solves the vacuum-state recursion for the q11 components and the two
     compressed conjugate-state recursions for q21 and q12; the q22
-    component follows from the linear relation Q22 = Q21 + Q12 - Q11 on
-    the Cauchy-argument side.  Needs one cell in each row of J and model
-    depth at least order + 1.  The series are exact whatever the model's
-    precision.
+    component follows from the linear relation R22 = R21 + R12 - R11.
+    Needs one cell in each row of J and model depth at least order + 1.
+    The series are exact whatever the model's precision.
     """
     if order + 1 > model.depth:
         raise ValueError("need model depth >= order + 1")
@@ -239,28 +238,22 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
     if set(row_cell) != {1, 2}:
         raise ValueError("reconstruction needs a cell in each row of J")
 
-    # B-side components read off moment data, one table per state; the
-    # level-(m+1) sum vanishes, and b_m enters it only as <b_m v, v>
-    b_ops = [UnitElement.identity()]
+    # one table per state; S_{m+2} vanishes, and r_m enters it only as
+    # <r_m v, v>, so each table read without r_m gives r_m's component at
+    # the q class of its reference word
+    r_ops: List[UnitElement] = []
     top = order + 2
     tables = {
-        (1, 1): _AlternatingTable(model, b_ops, model.total(), "phi", top),
-        (2, 1): _AlternatingTable(
-            model, b_ops, model.compressed_total(row_cell[1]), "phi1", top),
-        (1, 2): _AlternatingTable(
-            model, b_ops, model.compressed_total(row_cell[2]), "phi2", top),
+        (1, 1): _ResolventTable(r_ops, model.total(), "phi", top),
+        (2, 1): _ResolventTable(
+            r_ops, model.compressed_total(row_cell[1]), "phi1", top),
+        (1, 2): _ResolventTable(
+            r_ops, model.compressed_total(row_cell[2]), "phi2", top),
     }
-    # b_0..b_m and c_0..c_m per component, b_0 = c_0 = 1; the pole-series
-    # inverse is an involution b <-> c, grown one coefficient per step
-    b = {qc: [1] for qc in QCELLS}
-    c = {qc: [1] for qc in QCELLS}
-    for m in range(1, order + 2):
-        for qc, table in tables.items():
-            b[qc].append(-table.sum(m + 1))
-            extend_pole_inverse(b[qc], c[qc])
-        c[(2, 2)].append(c[(2, 1)][m] + c[(1, 2)][m] - c[(1, 1)][m])
-        extend_pole_inverse(c[(2, 2)], b[(2, 2)])
-        b_ops.append(UnitElement(tuple(b[qc][m] for qc in QCELLS)))
-
+    for m in range(order + 1):
+        r = {qc: table.sum(m + 2) for qc, table in tables.items()}
+        r[(2, 2)] = r[(2, 1)] + r[(1, 2)] - r[(1, 1)]
+        r_ops.append(UnitElement(tuple(r[qc] for qc in QCELLS)))
     return UnitSeries.from_map(
-        {qc: TruncatedSeries(c[qc][1:]) for qc in QCELLS})
+        {qc: TruncatedSeries(u.component(qc) for u in r_ops)
+         for qc in QCELLS})

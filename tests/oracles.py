@@ -9,7 +9,9 @@ C(z) B(z) = 1 written out coefficientwise, the closed-form fixed-point
 equations of the five binary convolution kinds, the Fock operators and
 cell polynomials as full column tables over the word basis, acting on
 {word: scalar} dicts with Fraction coefficients, alternating
-sums written out one product per composition, and the closed-form
+sums written out one product per composition and summed over the
+coefficients of B = C^{-1} by ``_AlternatingTable`` (the library sums
+them over R), and the closed-form
 transform of a square array with semicircle diagonals and point-mass
 off-diagonals.  ``cut_pass_fixed_point`` recomposes the subordination
 series from scratch at every order, with the series composition,
@@ -24,7 +26,8 @@ The test-only API lives here too: free cumulants from moments
 (``r_from_moments``), a cell's cumulants recovered from the Fock model
 (``single_cell_r``), the subordinate family (``solve_subordination``),
 the closed-form Meixner density, the row-identical arrays of the binary
-convolution kinds and the word-validity predicate.
+convolution kinds, the word-validity predicate and the B-side unit
+coefficients (``b_elements``).
 
 Matricial labels: a block's label is (c, c) when every enclosing block
 carries its own color c (or nothing encloses it), and (c, c') otherwise,
@@ -43,17 +46,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from smfconv import (FLOAT, QCELLS, RATIONAL, SHAPES, DistributionArray,
                      FockModel, NamedLaw, NCPartition, TruncatedSeries,
-                     UnitElement, UnitSeries, as_scalar, can_prepend,
-                     compression, enumerate_nc, invert_pole_series,
-                     master_cauchy, q_class)
+                     UnitElement, UnitSeries, as_scalar, compression,
+                     enumerate_nc, invert_pole_series, master_cauchy,
+                     q_class)
 from smfconv.analytic import _series_fixed_point
 from smfconv.arrays import ALL_CELLS
-from smfconv.fock import runs
-from smfconv.matricial import _AlternatingTable
+from smfconv.fock import can_prepend, runs
 from smfconv.series import scalars_close
 from smfconv.units import FockVector
 
@@ -140,6 +142,17 @@ def word_is_valid(word) -> bool:
         if not can_prepend(word[k - 1], word[k:]):
             return False
     return True
+
+
+def b_elements(B: UnitSeries, count: int) -> List[UnitElement]:
+    """Inverse-series coefficients b_0..b_count as unit elements."""
+    if count > B.order + 1:
+        raise ValueError("B holds b_1..b_%d, requested b_%d"
+                         % (B.order + 1, count))
+    out = [UnitElement.identity()]
+    for n in range(count):
+        out.append(B.coefficient(n))
+    return out
 
 
 # -- series operations only the oracles use ----------------------------------
@@ -713,12 +726,89 @@ def reconstruct_from_scratch(model: FockModel, order: int) -> UnitSeries:
     return UnitSeries.from_map(c)
 
 
+# -- alternating sums on the B side, as the library summed them before -------
+
+
+def _combine(vectors: Sequence[FockVector]) -> FockVector:
+    """Sum of Fock vectors over the lcm of their denominators, adding
+    the entries vector by vector; zero sums are kept."""
+    den = math.lcm(*(v.den for v in vectors))
+    out: dict = {}
+    for v in vectors:
+        f = den // v.den
+        if f == 1:
+            for w, c in v.entries.items():
+                out[w] = out.get(w, 0) + c
+        else:
+            for w, c in v.entries.items():
+                out[w] = out.get(w, 0) + c * f
+    return FockVector(out, den)
+
+
+class _AlternatingTable:
+    """S_d = sum_{k=1}^d sum_{n1+..+nk=d-k} <b_{n1} M b_{n2} .. M b_{nk} v, v>
+    for one state vector v and d = 1..top, by one linear recursion in d.
+
+    Summed by first factor, the products of S_d applied to v add up to
+    Y_d = b_{d-1} v + X_d, X_d = sum_{n=0}^{d-2} b_n M Y_{d-1-n}, and
+    S_d = <Y_d, v>.  Level d keeps X_d and M Y_d, applied once when level
+    d + 1 is built, so m levels apply M m - 1 times.  X_d needs only
+    b_0..b_{d-2}, so a b_{d-1} not yet in b_ops counts as zero: that is
+    how reconstruct_unique solves for it.  Callers may append to b_ops.
+    Each sum of vectors is taken over the lcm of their denominators, and
+    S_d is read as one Fraction.
+
+    The tables prune by run count, as ``FockModel._power_moments`` does.
+    Y_L meets at most top - L more applications of M before its images
+    are read at a level <= top; each strips at most one run from the
+    front of a word, and the b_n keep every word.  So a word of Y_L with
+    more than top - L + runs(ref) runs never reaches the reference word
+    and is dropped before M is applied.  The surviving entries get the
+    same contributions, so every S_d is unchanged.
+    """
+
+    def __init__(self, model: FockModel, b_ops: list, mid_op, state: str,
+                 top: int):
+        self.b_ops, self.mid, self.top = b_ops, mid_op, top
+        self.base = model.state_vector(state)
+        self.ref = STATE_WORDS[state]
+        self.ref_runs = runs(self.ref)
+        self.X: list = [None]             # X_d at index d
+        self.MY: list = [None]            # M Y_d at index d
+
+    def sum(self, d: int):
+        if d > self.top:
+            raise ValueError("level %d is above the table's top level %d"
+                             % (d, self.top))
+        for level in range(len(self.X), d + 1):
+            if level > 1:                 # b_{level-2} is known by now
+                y = _combine([self.b_ops[level - 2].apply(self.base),
+                              self.X[level - 1]])
+                limit = self.top - (level - 1) + self.ref_runs
+                self.MY.append(self.mid.apply(FockVector(
+                    {w: c for w, c in y.entries.items()
+                     if c != 0 and runs(w) <= limit}, y.den)))
+            acc = _combine([self.b_ops[n].apply(self.MY[level - 1 - n])
+                            for n in range(level - 1)])
+            self.X.append(FockVector(
+                {w: c for w, c in acc.entries.items() if c != 0}, acc.den))
+        # S_d = <b_{d-1} v + X_d, v>, both terms read over one denominator
+        parts = [self.X[d]]
+        if d - 1 < len(self.b_ops):
+            parts.insert(0, self.b_ops[d - 1].apply(self.base))
+        ref = self.ref
+        at_ref = [FockVector({ref: v.entries[ref]}, v.den)
+                  for v in parts if ref in v.entries]
+        return _combine(at_ref).read(ref)
+
+
 def reinverting_reconstruct(model: FockModel, order: int) -> UnitSeries:
-    """``reconstruct_unique`` as it was before its inverses grew one
-    coefficient per step: at each step m every component's whole tail
-    b_1..b_m is inverted anew with ``invert_pole_series``, and the q22
-    tail inverted back from C22 = C21 + C12 - C11 as a series.  O(order^3)
-    products; the library must match it exactly."""
+    """``reconstruct_unique`` solved on the B side, over the alternating
+    tables: b_m is minus S_{m+1} read without it, at each step m every
+    component's whole tail b_1..b_m is inverted anew with
+    ``invert_pole_series``, and the q22 tail inverted back from
+    C22 = C21 + C12 - C11 as a series.  The library must match it
+    exactly."""
     row = {i: next(c for c in ((i, i), (i, 3 - i)) if c in model.J)
            for i in (1, 2)}
     b_ops = [UnitElement.identity()]

@@ -307,9 +307,9 @@ def test_fixed_point_matches_split_closed_form_where_it_converges():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the damped iteration of cauchy_value stops at max_iter without "
-           "converging near the left spectral edge; its last iterate is off "
-           "by up to 4.6e-3 in density")
+    reason="the damped iteration of cauchy_value stops at CAUCHY_MAX_ITER "
+           "steps without converging near the left spectral edge; its last "
+           "iterate is off by up to 4.6e-3 in density")
 def test_fixed_point_matches_split_closed_form_near_the_edge():
     arr = split_array(*SPLIT_ARRAY)
     for x in (-2.1268717817679397, -2.1357708268799396, -2.189165097551938):

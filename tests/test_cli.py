@@ -136,6 +136,10 @@ def test_density_rejected_in_rational_mode(tmp_path, capsys):
     assert "config error" in err
 
 
+class _EngineReached(Exception):
+    pass
+
+
 @pytest.mark.parametrize("mutate", [
     lambda c: c.update(order=0),
     lambda c: c.update(order=13),
@@ -163,8 +167,15 @@ def test_density_rejected_in_rational_mode(tmp_path, capsys):
     lambda c: c["cells"]["1,2"].update(a=True),
     lambda c: c["cells"].update({"1,2": [True, False]}),
     lambda c: c["cells"].update({"1, 1": [5]}),
+    lambda c: c.update(shape="custom", checks=["eq56", "uniqueness"],
+                       cells={"1,1": ["1/2", "1"], "1,2": ["1/3"]}),
 ])
-def test_bad_configs_exit_two(tmp_path, capsys, mutate):
+def test_bad_configs_exit_two(tmp_path, capsys, monkeypatch, mutate):
+    # every one is rejected before the job starts
+    def job(config):
+        raise _EngineReached
+
+    monkeypatch.setattr("smfconv.cli.run", job)
     cfg = json.loads(json.dumps(SQUARE_SEMI))
     mutate(cfg)
     code, out, err = run_cli(tmp_path, cfg, capsys=capsys)
@@ -496,10 +507,6 @@ _FIELD = st.one_of(st.floats(-100, 100), st.integers(-100, 100),
 _POINTS = st.one_of(st.integers(2, 50),
                     st.integers(-3, MAX_DENSITY_POINTS + 3),
                     st.integers(), st.floats(), _JUNK)
-
-
-class _EngineReached(Exception):
-    pass
 
 
 @settings(max_examples=300, deadline=None, database=None,

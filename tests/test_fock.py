@@ -10,8 +10,8 @@ from oracles import (CountingOp, apply_scalars, column_scalars,
                      single_cell_r, to_scalars, to_vector, word_is_valid)
 from smfconv import (ALL_CELLS, FLOAT, RATIONAL, DistributionArray,
                      FockModel, SHAPES, TruncatedSeries, UnitElement,
-                     can_prepend, compression, enumerate_words, smf_moments)
-from smfconv.fock import LinearOp
+                     compression, smf_moments)
+from smfconv.fock import LinearOp, can_prepend, enumerate_words
 from smfconv.series import common_denominator
 
 

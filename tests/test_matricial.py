@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smfconv.matricial
-from oracles import (CountingOp, DictOp, DictPoly, DictUnit, composition_sum,
-                     dict_alternating_sums, dict_power_moments,
+from oracles import (CountingOp, DictOp, DictPoly, DictUnit, b_elements,
+                     composition_sum, dict_alternating_sums,
+                     dict_power_moments,
                      dict_state_moment, eager_tables, module_imports,
                      moments_from_cumulants, pole_product_is_one,
                      r_from_moments, reconstruct_from_scratch,
                      reinverting_reconstruct, scalar_r_as_unit_series)
 from smfconv import (FLOAT, RATIONAL, DistributionArray, FockModel, NamedLaw,
                      SHAPES, TruncatedSeries, UnitElement, UnitSeries,
-                     as_scalar, assemble_matricial_r, b_elements,
+                     as_scalar, assemble_matricial_r,
                      compressed_residuals, invert_C, linearization_residuals,
                      reconstruct_unique, smf_moments)
-from smfconv.matricial import _AlternatingTable
+from smfconv.matricial import _ResolventTable
 
 
 def random_array(rng, J, order=8):
@@ -248,10 +249,52 @@ def test_tables_apply_the_middle_operator_once_per_level():
     assert all(c.within_run_bound(8, ref_runs)
                for c, ref_runs in zip(counters, (0, 1, 1)))
 
-    table = _AlternatingTable(model, b_elements(B, 8), total, "phi", 8)
+    R = assemble_matricial_r(arr, 7)
+    table = _ResolventTable([R.coefficient(j) for j in range(7)], total,
+                            "phi", 8)
     assert table.sum(8) == 0
     with pytest.raises(ValueError):
         table.sum(9)
+
+
+def test_levels_apply_only_the_nonzero_transform_coefficients(monkeypatch):
+    # R of the README Meixner array has two nonzero coefficients, the
+    # summed means and variances, so a table level applies at most two
+    # unit elements however deep it is; summed over the dense B
+    # coefficients, level d applied d - 1
+    arr = DistributionArray.from_laws(
+        {(1, 1): NamedLaw.semicircle(1), (2, 2): NamedLaw.semicircle(1),
+         (1, 2): NamedLaw.point_mass(F(1, 2)),
+         (2, 1): NamedLaw.point_mass(F(1, 2))}, 12)
+    R = assemble_matricial_r(arr, 11)
+    assert sum(1 for j in range(12) if any(R.coefficient(j).beta)) == 2
+    model = FockModel(arr, 12)
+    units_between = [0]            # unit applications since the last M
+
+    class Logged:
+        def __init__(self, op):
+            self.op = op
+
+        def apply(self, vec):
+            units_between.append(0)
+            return self.op.apply(vec)
+
+    def logged_unit(self, vec, apply=UnitElement.apply):
+        units_between[-1] += 1
+        return apply(self, vec)
+
+    total = model.total()
+    compressed = {cell: model.compressed_total(cell) for cell in model.J}
+    model.total = lambda: Logged(total)
+    model.compressed_total = lambda cell: Logged(compressed[cell])
+    monkeypatch.setattr(UnitElement, "apply", logged_unit)
+    B = invert_C(R)
+    assert linearization_residuals(model, B, 12) == [1] + [0] * 11
+    for res in compressed_residuals(model, B, 12).values():
+        assert res == [1] + [0] * 11
+    assert reconstruct_unique(model, 10) == assemble_matricial_r(arr, 10)
+    assert len(units_between) > 11 * 8
+    assert max(units_between) <= 2
 
 
 _VALUES = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3,
@@ -324,13 +367,14 @@ def test_vectors_match_fraction_dict_reference(shape, depth, data):
             want = dict_power_moments(ref[key], st_, order)
             assert all(_same(g, w) for g, w in zip(got, want))
 
-        b_ops = b_elements(invert_C(assemble_matricial_r(
-            DistributionArray.from_cumulants(cums, mode), depth - 1)), depth)
-        dict_b = [DictUnit(b) for b in b_ops]
+        R = assemble_matricial_r(
+            DistributionArray.from_cumulants(cums, mode), depth - 1)
+        r_ops = [R.coefficient(j) for j in range(depth - 1)]
+        dict_b = [DictUnit(b) for b in b_elements(invert_C(R), depth)]
         tables = [("A", "phi")] + [(("PAP", cell), "phi1" if cell[0] == 1
                                     else "phi2") for cell in J]
         for key, st_ in tables:
-            table = _AlternatingTable(model, b_ops, lib[key], st_, depth)
+            table = _ResolventTable(r_ops, lib[key], st_, depth)
             want = dict_alternating_sums(dict_b, ref[key], st_, depth)
             assert all(_same(table.sum(d), w)
                        for d, w in zip(range(1, depth + 1), want))
@@ -355,9 +399,9 @@ def test_reconstruct_matches_from_scratch_solve():
 
 
 def test_grown_inverses_match_reinverting_loop():
-    # one coefficient per step gives the re-inverted tails exactly, for
-    # rational arrays and for float arrays with denominators up to 9,
-    # which binary64 rounds
+    # reading R off the resolvent tables gives the B-side solve, with its
+    # tails re-inverted at every step, exactly, for rational arrays and
+    # for float arrays with denominators up to 9, which binary64 rounds
     rng = random.Random(73)
     for J in SHAPES.values():
         for mode, top in ((RATIONAL, 3), (FLOAT, 9)):
@@ -432,6 +476,12 @@ def test_depth_guards():
         reconstruct_unique(model, 4)
     with pytest.raises(ValueError):
         b_elements(B, 9)
+    # B holds b_1..b_6: a deep enough model still cannot sum 7 levels
+    deep = FockModel(arr, 7)
+    with pytest.raises(ValueError):
+        linearization_residuals(deep, B, 7)
+    with pytest.raises(ValueError):
+        compressed_residuals(deep, B, 7)
 
 
 def test_unit_series_validation():
