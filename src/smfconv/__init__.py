@@ -6,29 +6,51 @@ the analytic subordination recursion.  On top of the Fock model, the
 unit-valued transform layer assembles the matricial R-transform, checks
 the linearization identities in every state, and reconstructs the
 transform uniquely from moment data.
+
+Importing the package loads none of its modules: each public name, and
+each module that defines one (``smfconv.fock``), resolves on first use,
+so a job imports only the modules it runs.
 """
 
-from .analytic import cauchy_value, master_cauchy, meixner_atoms, \
-    meixner_cauchy, meixner_parameters, stieltjes_density
-from .arrays import ALL_CELLS, DistributionArray, NamedLaw, SHAPES
-from .fock import FockModel
-from .matricial import UnitSeries, assemble_matricial_r, \
-    compressed_residuals, invert_C, linearization_residuals, \
-    reconstruct_unique
-from .moments import smf_moments
-from .partitions import NCPartition, enumerate_nc
-from .series import FLOAT, RATIONAL, TruncatedSeries, as_scalar, \
-    invert_pole_series
-from .units import QCELLS, UnitElement, compression, q_class
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_CELLS", "DistributionArray", "FLOAT", "FockModel", "NCPartition",
-    "NamedLaw", "QCELLS", "RATIONAL", "SHAPES", "TruncatedSeries",
-    "UnitElement", "UnitSeries", "as_scalar", "assemble_matricial_r",
-    "cauchy_value", "compression", "compressed_residuals", "enumerate_nc",
-    "invert_C", "invert_pole_series", "linearization_residuals",
-    "master_cauchy", "meixner_atoms", "meixner_cauchy", "meixner_parameters",
-    "q_class", "reconstruct_unique", "smf_moments", "stieltjes_density",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "analytic": ("cauchy_value", "master_cauchy", "meixner_atoms",
+                 "meixner_cauchy", "meixner_parameters", "stieltjes_density"),
+    "arrays": ("ALL_CELLS", "DistributionArray", "NamedLaw", "SHAPES"),
+    "fock": ("FockModel",),
+    "matricial": ("UnitSeries", "assemble_matricial_r",
+                  "compressed_residuals", "invert_C",
+                  "linearization_residuals", "reconstruct_unique"),
+    "moments": ("smf_moments",),
+    "partitions": ("NCPartition", "enumerate_nc"),
+    "series": ("FLOAT", "RATIONAL", "TruncatedSeries", "as_scalar",
+               "invert_pole_series"),
+    "units": ("QCELLS", "UnitElement", "compression", "q_class"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module("." + name, __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = globals()[name] = getattr(
+        import_module("." + _MODULE_OF[name], __name__), name)
+    return value
+
+
+def __dir__():
+    # the namespace of an eager import: every module and name, no
+    # lookup machinery
+    shown = set(globals()) - {"import_module", "_EXPORTS", "_MODULE_OF",
+                              "__getattr__", "__dir__"}
+    return sorted(shown | set(_EXPORTS) | set(__all__))

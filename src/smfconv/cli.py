@@ -5,11 +5,14 @@ array shape, per-cell laws, a target moment order, the engines to run and
 the verification suites to apply.  Output is canonical JSON (or CSV) on
 stdout.  Exit codes: 0 all engines agree and all checks pass, 1 engine
 disagreement or failed check, 2 bad config / usage.
+
+At module level this imports only what ``parse_config`` needs; ``run``
+imports each engine and check module where it dispatches to it, so a job
+loads only the modules it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -17,16 +20,11 @@ import sys
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .analytic import master_cauchy, stieltjes_density
 from .arrays import ALL_CELLS, DistributionArray, NamedLaw, SHAPES
-from .fock import FockModel
-from .matricial import assemble_matricial_r, compressed_residuals, \
-    invert_C, linearization_residuals, reconstruct_unique
-from .moments import smf_moments
 from .series import FLOAT, RATIONAL, Record, TruncatedSeries, as_scalar, \
     scalars_close
 
-MAX_ORDER = 12
+MAX_ORDER = 20
 MAX_DENSITY_POINTS = 100_000
 ENGINES = ("partition", "fock", "analytic")
 CHECKS = ("axioms", "eq56", "eq611", "uniqueness")
@@ -245,11 +243,14 @@ def run(config: JobConfig) -> Tuple[dict, int]:
     moments: Dict[str, TruncatedSeries] = {}
     for engine in config.engines:
         if engine == "partition":
+            from .moments import smf_moments
             moments[engine] = smf_moments(array, config.order)
         elif engine == "fock":
+            from .fock import FockModel
             model = model or FockModel(array, depth)
             moments[engine] = model.moments(config.order)
         elif engine == "analytic":
+            from .analytic import master_cauchy
             moments[engine] = master_cauchy(array, config.order)
         if mode == FLOAT:
             _require_finite(moments[engine].coeffs, "%s moments" % engine)
@@ -262,6 +263,8 @@ def run(config: JobConfig) -> Tuple[dict, int]:
     failed = failed or not agree
 
     if config.checks:
+        from .fock import FockModel
+        model = model or FockModel(array, depth)
         checks_out = {}
         r_unit = b_unit = None    # shared by eq56, eq611 and uniqueness
         zero, one = as_scalar(0, mode), as_scalar(1, mode)
@@ -273,24 +276,26 @@ def run(config: JobConfig) -> Tuple[dict, int]:
 
         for check in config.checks:
             if check != "axioms" and r_unit is None:
-                r_unit = assemble_matricial_r(array, config.order - 1)
+                from . import matricial     # bound along with r_unit
+                r_unit = matricial.assemble_matricial_r(array,
+                                                        config.order - 1)
             if check == "axioms":
-                model = model or FockModel(array, depth)
                 violations = model.axiom_check(
                     trials=50, max_length=min(5, depth), seed=1)
                 checks_out[check] = {"pass": not violations,
                                      "violations": violations}
             elif check in ("eq56", "eq611"):
-                model = model or FockModel(array, depth)
                 if b_unit is None:
-                    b_unit = invert_C(r_unit)
+                    b_unit = matricial.invert_C(r_unit)
                 if check == "eq56":
-                    res = linearization_residuals(model, b_unit, config.order)
+                    res = matricial.linearization_residuals(
+                        model, b_unit, config.order)
                     checks_out[check] = {
                         "pass": residuals_ok(res),
                         "residuals": [_render(v) for v in res]}
                 else:
-                    table = compressed_residuals(model, b_unit, config.order)
+                    table = matricial.compressed_residuals(
+                        model, b_unit, config.order)
                     rows = {"%d,%d" % cell: [_render(v) for v in res]
                             for cell, res in table.items()}
                     checks_out[check] = {
@@ -298,8 +303,7 @@ def run(config: JobConfig) -> Tuple[dict, int]:
                                     for res in table.values()),
                         "residuals": rows}
             elif check == "uniqueness":
-                model = model or FockModel(array, depth)
-                rebuilt = reconstruct_unique(model, config.order - 1)
+                rebuilt = matricial.reconstruct_unique(model, config.order - 1)
                 checks_out[check] = {
                     "pass": rebuilt.agrees(r_unit, FLOAT_TOL)}
             failed = failed or not checks_out[check]["pass"]
@@ -311,6 +315,7 @@ def run(config: JobConfig) -> Tuple[dict, int]:
         lo, hi = float(d["grid_min"]), float(d["grid_max"])
         eps = float(d.get("eps", 1e-3))
         grid = [lo + (hi - lo) * k / (pts - 1) for k in range(pts)]
+        from .analytic import stieltjes_density
         try:
             rows, atoms = stieltjes_density(array, grid, eps)
         except OverflowError:
@@ -346,7 +351,16 @@ def _emit(report: dict, out_format: str) -> str:
     return "\n".join(lines)
 
 
+def _load_json(fh):
+    try:
+        return json.load(fh)
+    except RecursionError:      # the decoder recurses once per nesting level
+        raise ConfigError("config nests too deeply to decode")
+
+
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="smfconv",
         description="Compute and cross-verify moments of strongly "
@@ -367,11 +381,11 @@ def main(argv=None) -> int:
     try:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = _load_json(fh)
         else:
             if sys.stdin.isatty():
                 raise ConfigError("no --config and stdin is a terminal")
-            data = json.load(sys.stdin)
+            data = _load_json(sys.stdin)
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         if args.order is not None:

@@ -225,6 +225,7 @@ class FockModel:
                       for cell in ALL_CELLS}
         self._words = None
         self._ops: Dict = {}
+        self._runs: Dict[Word, int] = {}    # word -> runs(word)
 
     @property
     def words(self) -> Tuple[Word, ...]:
@@ -367,6 +368,20 @@ class FockModel:
             vec = f.apply(vec)
         return vec.read(STATE_WORDS[state])
 
+    def prune(self, vec: FockVector, max_runs: int) -> FockVector:
+        """The nonzero entries of vec on words of at most max_runs runs.
+        The pruned powers and tables of one model meet the same words at
+        every level, so each word's runs are counted once per model."""
+        counted, kept = self._runs, {}
+        for w, c in vec.entries.items():
+            if c != 0:
+                n = counted.get(w)
+                if n is None:
+                    n = counted[w] = runs(w)
+                if n <= max_runs:
+                    kept[w] = c
+        return FockVector(kept, vec.den)
+
     def _power_moments(self, op, state: str, order: int) -> TruncatedSeries:
         """<op^m v, v> for m = 0..order and the state vector v."""
         vec = self.state_vector(state)
@@ -377,9 +392,7 @@ class FockModel:
             vec = op.apply(vec)
             out.append(vec.read(ref))
             # each application strips at most one run from the front
-            limit = order - m - 1 + ref_runs
-            vec = FockVector({w: c for w, c in vec.entries.items()
-                              if runs(w) <= limit}, vec.den)
+            vec = self.prune(vec, order - m - 1 + ref_runs)
         return TruncatedSeries(out)
 
     def moments(self, order: int) -> TruncatedSeries:

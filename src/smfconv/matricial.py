@@ -136,7 +136,8 @@ class _ResolventTable:
     as zero in S_{d+1}: that is how reconstruct_unique solves for it
     before appending it to r_ops.
 
-    The table prunes by run count, as ``FockModel._power_moments`` does.
+    The table prunes by run count with ``FockModel.prune``, as
+    ``FockModel._power_moments`` does.
     Y_L meets at most top - L more applications of M before its images
     are read at a level <= top; each strips at most one run from the
     front of a word, and the r_j keep every word.  So a word of Y_L with
@@ -144,8 +145,9 @@ class _ResolventTable:
     and is dropped, which leaves every S_d unchanged.
     """
 
-    def __init__(self, r_ops: list, mid_op, state: str, top: int):
-        self.r_ops, self.mid, self.top = r_ops, mid_op, top
+    def __init__(self, model: FockModel, r_ops: list, mid_op, state: str,
+                 top: int):
+        self.model, self.r_ops, self.mid, self.top = model, r_ops, mid_op, top
         self.ref = STATE_WORDS[state]
         self.qref, self.ref_runs = q_class(self.ref), runs(self.ref)
         self.Y: list = [None]             # Y_d at index d, pruned
@@ -166,9 +168,8 @@ class _ResolventTable:
             level, x = len(self.Y), self._scalar(len(self.Y))
             y = _difference(self.Z, [FockVector(
                 {self.ref: x.numerator}, x.denominator)] if x else [])
-            limit = self.top - level + self.ref_runs
-            self.Y.append(FockVector({w: c for w, c in y.entries.items()
-                                      if c != 0 and runs(w) <= limit}, y.den))
+            self.Y.append(self.model.prune(
+                y, self.top - level + self.ref_runs))
             self.Z = _difference(self.mid.apply(self.Y[level]), [
                 r.apply(self.Y[level - j])
                 for j, r in enumerate(self.r_ops[:level - 1]) if any(r.beta)])
@@ -193,8 +194,8 @@ def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
     if m_max > model.depth:
         raise ValueError("m_max %d exceeds model depth %d"
                          % (m_max, model.depth))
-    table = _ResolventTable(_r_elements(B, m_max), model.total(), "phi",
-                            m_max)
+    table = _ResolventTable(model, _r_elements(B, m_max), model.total(),
+                            "phi", m_max)
     return reported((table.sum(d) for d in range(1, m_max + 1)), model.mode)
 
 
@@ -211,7 +212,7 @@ def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
     r_ops = _r_elements(B, m_max)
     out = {}
     for cell in sorted(model.J):
-        table = _ResolventTable(r_ops, model.compressed_total(cell),
+        table = _ResolventTable(model, r_ops, model.compressed_total(cell),
                                 "phi1" if cell[0] == 1 else "phi2", m_max)
         out[cell] = reported((table.sum(d) for d in range(1, m_max + 1)),
                              model.mode)
@@ -244,11 +245,11 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
     r_ops: List[UnitElement] = []
     top = order + 2
     tables = {
-        (1, 1): _ResolventTable(r_ops, model.total(), "phi", top),
+        (1, 1): _ResolventTable(model, r_ops, model.total(), "phi", top),
         (2, 1): _ResolventTable(
-            r_ops, model.compressed_total(row_cell[1]), "phi1", top),
+            model, r_ops, model.compressed_total(row_cell[1]), "phi1", top),
         (1, 2): _ResolventTable(
-            r_ops, model.compressed_total(row_cell[2]), "phi2", top),
+            model, r_ops, model.compressed_total(row_cell[2]), "phi2", top),
     }
     for m in range(order + 1):
         r = {qc: table.sum(m + 2) for qc, table in tables.items()}

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import smfconv
 from smfconv import TruncatedSeries
-from smfconv.cli import MAX_DENSITY_POINTS, main
+from smfconv.cli import MAX_DENSITY_POINTS, MAX_ORDER, main
 
 SQUARE_SEMI = {
     "version": 1,
@@ -142,7 +143,7 @@ class _EngineReached(Exception):
 
 @pytest.mark.parametrize("mutate", [
     lambda c: c.update(order=0),
-    lambda c: c.update(order=13),
+    lambda c: c.update(order=21),
     lambda c: c.update(engines=["quantum"]),
     lambda c: c.update(checks=["nonsense"]),
     lambda c: c.update(shape="circle"),
@@ -182,6 +183,31 @@ def test_bad_configs_exit_two(tmp_path, capsys, monkeypatch, mutate):
     assert code == 2
     assert out == ""
     assert err.startswith("config error") and err.count("\n") == 1
+
+
+# the JSON decoder recurses once per level: past the recursion limit it
+# raises RecursionError, which must not escape as a traceback and exit 1
+@pytest.mark.parametrize("text", [
+    "[" * 200_000,
+    '{"cells": ' + "[" * 200_000 + "]" * 200_000 + "}",
+], ids=["bare", "in_cells"])
+@pytest.mark.parametrize("source", ["config", "stdin"])
+def test_deeply_nested_configs_exit_two(tmp_path, capsys, monkeypatch, text,
+                                        source):
+    def job(config):
+        raise _EngineReached
+
+    monkeypatch.setattr("smfconv.cli.run", job)
+    if source == "config":
+        path = tmp_path / "job.json"
+        path.write_text(text)
+        code = main(["--config", str(path)])
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = main([])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "config error: config nests too deeply to decode\n"
 
 
 # the flags are applied before parse_config sees the document
@@ -243,7 +269,6 @@ def test_unreadable_config_exits_two(capsys):
 
 
 def test_stdin_config(monkeypatch, capsys):
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SQUARE_SEMI)))
     code = main([])
     out, _ = capsys.readouterr()
@@ -253,7 +278,7 @@ def test_stdin_config(monkeypatch, capsys):
 
 def test_engine_disagreement_exits_one(tmp_path, capsys, monkeypatch):
     wrong = TruncatedSeries([1, 9, 9, 9, 9, 9, 9])
-    monkeypatch.setattr("smfconv.cli.smf_moments", lambda a, n: wrong)
+    monkeypatch.setattr("smfconv.moments.smf_moments", lambda a, n: wrong)
     code, out, err = run_cli(tmp_path, SQUARE_SEMI, capsys=capsys)
     assert code == 1
     assert json.loads(out)["agreement"] is False
@@ -473,6 +498,22 @@ def test_order_twelve_all_engines(tmp_path, capsys):
         assert all(c["pass"] for c in report.get("checks", {}).values())
 
 
+def test_order_twenty_partition_and_analytic_agree(tmp_path, capsys):
+    # the largest accepted order, on the README array
+    cfg = {key: value for key, value in MEIXNER.items()
+           if key not in ("precision", "density")}
+    cfg.update(order=20, engines=["partition", "analytic"])
+    assert MAX_ORDER == 20
+    code, out, _ = run_cli(tmp_path, cfg, capsys=capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["agreement"] is True
+    moments = report["moments"]
+    assert moments["partition"] == moments["analytic"]
+    assert len(moments["partition"]) == 21
+    assert moments["partition"][20] == "394943431277/131072"
+
+
 def test_nan_eps_exits_two(tmp_path, capsys):
     cfg = json.loads(json.dumps(MEIXNER))
     cfg["density"]["eps"] = "nan"
@@ -547,7 +588,7 @@ def test_huge_density_grid_never_built(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("density grid evaluated")
 
-    monkeypatch.setattr("smfconv.cli.stieltjes_density", fail)
+    monkeypatch.setattr("smfconv.analytic.stieltjes_density", fail)
     cfg = json.loads(json.dumps(MEIXNER))
     cfg["density"]["points"] = 10 ** 12
     code, out, err = run_cli(tmp_path, cfg, capsys=capsys)

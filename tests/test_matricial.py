@@ -250,8 +250,8 @@ def test_tables_apply_the_middle_operator_once_per_level():
                for c, ref_runs in zip(counters, (0, 1, 1)))
 
     R = assemble_matricial_r(arr, 7)
-    table = _ResolventTable([R.coefficient(j) for j in range(7)], total,
-                            "phi", 8)
+    table = _ResolventTable(model, [R.coefficient(j) for j in range(7)],
+                            total, "phi", 8)
     assert table.sum(8) == 0
     with pytest.raises(ValueError):
         table.sum(9)
@@ -374,7 +374,7 @@ def test_vectors_match_fraction_dict_reference(shape, depth, data):
         tables = [("A", "phi")] + [(("PAP", cell), "phi1" if cell[0] == 1
                                     else "phi2") for cell in J]
         for key, st_ in tables:
-            table = _ResolventTable(r_ops, lib[key], st_, depth)
+            table = _ResolventTable(model, r_ops, lib[key], st_, depth)
             want = dict_alternating_sums(dict_b, ref[key], st_, depth)
             assert all(_same(table.sum(d), w)
                        for d, w in zip(range(1, depth + 1), want))
