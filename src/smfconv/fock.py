@@ -31,9 +31,8 @@ it is built, the lcm of the denominators of every entry it can produce,
 and supplies its entries as numerators over it; the output denominator
 is the input denominator times the operator's.  So no entry of a vector
 costs a gcd.  A scalar leaves the vector layer only where it is read
-(``state_moment``, the moment sequences, the resolvent tables of
-:mod:`smfconv.matricial`, ``creation_relation_violations``), as one
-``Fraction(num, den)`` per read.
+(``state_moment``, the resolvent tables, ``creation_relation_violations``),
+as one ``Fraction(num, den)`` per read.
 
 No operator enumerates the word basis.  A cell operator reads only the
 head of a word, so its column at w is, in this entry order: the creation
@@ -58,12 +57,20 @@ vacuum and, per head letter, the shortest word and one of length
 depth - 1, where a length cap that is off by one shows: at most 9 words
 per cell, against 2^depth - 1 in the basis below the depth.
 
-Moment sequences prune by run count.  One application of a cell
-operator (or of A) removes at most one run, a maximal block of equal
-letters, from the front of a word.  With r applications left, a word
-with more than r + runs(ref) runs can never reach the reference word,
-nor can any of its images, so it is dropped.  The surviving entries get
-the same contributions, so the pruned moments equal the unpruned ones.
+The moments and every matricial check read one pruned recursion.  For M
+(A or a compression), a state vector v with reference word ref and the
+unit coefficients r_j = c_{j+1} of a matricial R-transform, a
+:class:`ResolventTable` computes the coefficients S_d of
+<(C - M)^{-1} v, v>, C = 1/z + R (see :mod:`smfconv.matricial`):
+
+    Y_1 = v,   Y_{d+1} = M Y_d - sum_{j<d} r_j Y_{d-j},   S_d = <Y_d, v>.
+
+With R = 0 this is z (1 - zM)^{-1}: S_{m+1} = <M^m v, v>, and ``moments``
+is the table on A with no coefficients.  M removes at most one run, a
+maximal block of equal letters, from the front of a word, and the r_j
+keep every word.  So when S_d is read up to d = top, the words of Y_L
+with more than top - L + runs(ref) runs never reach ref, and dropping
+them leaves every S_d unchanged.
 """
 
 from __future__ import annotations
@@ -157,6 +164,78 @@ class LinearOp:
 def runs(word: Word) -> int:
     """Number of maximal blocks of equal letters in the word."""
     return 1 + sum(map(ne, word, word[1:])) if word else 0
+
+
+def _difference(v: FockVector, minus: Sequence[FockVector]) -> FockVector:
+    """v less the sum of the vectors *minus*, over the lcm of their
+    denominators, zero entries kept; v itself when *minus* is empty."""
+    if not minus:
+        return v
+    den = math.lcm(v.den, *(u.den for u in minus))
+    f = den // v.den
+    out = dict(v.entries) if f == 1 else \
+        {w: c * f for w, c in v.entries.items()}
+    for u in minus:
+        f = den // u.den
+        for w, c in u.entries.items():
+            out[w] = out.get(w, 0) - (c if f == 1 else c * f)
+    return FockVector(out, den)
+
+
+class ResolventTable:
+    """S_1..S_top of the module docstring's recursion for one state.
+
+    Level d + 1 applies M to Y_d and each nonzero r_j, j <= d - 2, to
+    Y_{d-j}: Z_{d+1} is their difference, pruned at once, as the last
+    term, r_{d-1} v, only adds a scalar at ref: to S_{d+1} and, once
+    built, to Y_{d+1}.  An r_{d-1} not yet in r_ops counts as zero in
+    S_{d+1}: reconstruct_unique solves for it, then appends it before
+    level d + 1 is built.  Level L reads r_0..r_{L-2}, so an r_ops shorter
+    than that is complete.  Y_k is dropped once no nonzero or missing r_j
+    reaches it at a level k + j yet to come (never for k = 1), so with no
+    coefficients a table keeps one level.
+    """
+
+    def __init__(self, model: FockModel, r_ops: Sequence[UnitElement],
+                 mid_op, state: str, top: int):
+        self.model, self.r_ops, self.mid, self.top = model, r_ops, mid_op, top
+        self.ref = STATE_WORDS[state]
+        self.qref, self.ref_runs = q_class(self.ref), runs(self.ref)
+        self.Y: list = [None]             # Y_d at index d, or None
+        self.Z = FockVector({self.ref: 1})    # Z_d for d = len(Y), pruned
+        self.at_ref = [None, self.Z.read(self.ref)]   # <Z_d, v> at index d
+
+    def _scalar(self, d: int):
+        """r_{d-2} at the q class of the reference word; 0 while unknown."""
+        if 2 <= d < len(self.r_ops) + 2:
+            return self.r_ops[d - 2].component(self.qref)
+        return 0
+
+    def sum(self, d: int):
+        if d > self.top:
+            raise ValueError("level %d is above the table's top level %d"
+                             % (d, self.top))
+        Y = self.Y
+        while len(Y) < d:
+            level, x = len(Y), self._scalar(len(Y))
+            Y.append(_difference(self.Z, [FockVector(
+                {self.ref: x.numerator}, x.denominator)] if x else []))
+            self.Z = self.model.prune(_difference(self.mid.apply(Y[level]), [
+                r.apply(Y[level - j])
+                for j, r in enumerate(self.r_ops[:level - 1]) if any(r.beta)]),
+                self.top - level - 1 + self.ref_runs)
+            self.at_ref.append(self.Z.read(self.ref))
+            n, Y[1] = len(self.r_ops), None
+            for k in range(2, level + 1):
+                if Y[k] is not None and not any(
+                        n >= level - 1 if j >= n else any(self.r_ops[j].beta)
+                        for j in range(level + 1 - k, self.top - k)):
+                    Y[k] = None
+        return self.at_ref[d] - self._scalar(d)
+
+    def sums(self) -> list:
+        """S_1..S_top."""
+        return [self.sum(d) for d in range(1, self.top + 1)]
 
 
 class CellPolynomial:
@@ -370,8 +449,8 @@ class FockModel:
 
     def prune(self, vec: FockVector, max_runs: int) -> FockVector:
         """The nonzero entries of vec on words of at most max_runs runs.
-        The pruned powers and tables of one model meet the same words at
-        every level, so each word's runs are counted once per model."""
+        The tables of one model meet the same words at every level, so
+        each word's runs are counted once per model."""
         counted, kept = self._runs, {}
         for w, c in vec.entries.items():
             if c != 0:
@@ -382,25 +461,12 @@ class FockModel:
                     kept[w] = c
         return FockVector(kept, vec.den)
 
-    def _power_moments(self, op, state: str, order: int) -> TruncatedSeries:
-        """<op^m v, v> for m = 0..order and the state vector v."""
-        vec = self.state_vector(state)
-        ref = STATE_WORDS[state]
-        ref_runs = runs(ref)
-        out = [Fraction(1)]
-        for m in range(order):
-            vec = op.apply(vec)
-            out.append(vec.read(ref))
-            # each application strips at most one run from the front
-            vec = self.prune(vec, order - m - 1 + ref_runs)
-        return TruncatedSeries(out)
-
     def moments(self, order: int) -> TruncatedSeries:
         """phi(A^m) for m = 0..order, in the array's precision."""
         if order > self.depth:
             raise ValueError("order %d exceeds depth %d" % (order, self.depth))
-        exact = self._power_moments(self.total(), "phi", order)
-        return TruncatedSeries(reported(exact.coeffs, self.mode), self.mode)
+        table = ResolventTable(self, (), self.total(), "phi", order + 1)
+        return TruncatedSeries(reported(table.sums(), self.mode), self.mode)
 
     # -- verification -------------------------------------------------------
 

@@ -12,10 +12,9 @@ The checks read, for a middle operator M (the total A or a compression)
 and a state vector v, the coefficients S_d of <(1 - B M)^{-1} B v, v>:
 the products <b_{n_1} M b_{n_2} .. M b_{n_k} v, v> summed over k and
 n_1 + .. + n_k = d - k.  Expected are 1, 0, 0, ...  As (1 - B M)^{-1} B =
-(C - M)^{-1}, the sums come from one recursion on the unit coefficients
-r_j = c_{j+1} of R, which are zero past the last cumulant:
-
-    Y_1 = v,   Y_{d+1} = M Y_d - sum_{j<d} r_j Y_{d-j},   S_d = <Y_d, v>.
+(C - M)^{-1}, they come from the coefficients r_j = c_{j+1} of R by the
+pruned recursion of :class:`smfconv.fock.ResolventTable`, which with
+R = 0 gives the Fock moments.
 
 Every series and sum here is exact: the transforms are assembled from the
 exact array (``DistributionArray.exact``) and the Fock model is exact, so
@@ -26,13 +25,12 @@ rounded, once each.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .arrays import DistributionArray
-from .fock import STATE_WORDS, FockModel, runs
+from .fock import FockModel, ResolventTable
 from .series import Record, TruncatedSeries, invert_pole_series, reported
-from .units import QCELLS, FockVector, UnitElement, q_class
+from .units import QCELLS, UnitElement
 
 # q-component of the assembled transform <- pairwise sums of cell transforms
 Q_SUMMANDS = {
@@ -72,14 +70,6 @@ class UnitSeries(Record):
     def coefficient(self, n: int) -> UnitElement:
         return UnitElement(tuple(s.coeffs[n] for _, s in self.components))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnitSeries):
-            return NotImplemented
-        return all(a == b for (_, a), (_, b)
-                   in zip(self.components, other.components))
-
-    __hash__ = None
-
     def agrees(self, other: "UnitSeries", rel: float = 1e-10) -> bool:
         return all(a.agrees(b, rel) for (_, a), (_, b)
                    in zip(self.components, other.components))
@@ -110,76 +100,13 @@ def invert_C(r: UnitSeries) -> UnitSeries:
         {qc: invert_pole_series(r.component(qc)) for qc in QCELLS})
 
 
-def _difference(v: FockVector, minus: Sequence[FockVector]) -> FockVector:
-    """v less the sum of the vectors *minus*, over the lcm of their
-    denominators; zero entries are kept."""
-    den = math.lcm(v.den, *(u.den for u in minus))
-    f = den // v.den
-    out = dict(v.entries) if f == 1 else \
-        {w: c * f for w, c in v.entries.items()}
-    for u in minus:
-        f = den // u.den
-        for w, c in u.entries.items():
-            out[w] = out.get(w, 0) - (c if f == 1 else c * f)
-    return FockVector(out, den)
-
-
-class _ResolventTable:
-    """S_d = <Y_d, v> for one state vector v and d = 1..top, by the
-    recursion of the module docstring.
-
-    Building level d + 1 applies M once, to Y_d, and each nonzero r_j,
-    j <= d - 2, once, to Y_{d-j}: Z_{d+1} is their difference.  The last
-    term, r_{d-1} v, is v times the component of r_{d-1} at the q class
-    of the reference word, so it is added as a scalar: to S_{d+1}, and to
-    Y_{d+1} when that is first needed.  An r_{d-1} not yet in r_ops counts
-    as zero in S_{d+1}: that is how reconstruct_unique solves for it
-    before appending it to r_ops.
-
-    The table prunes by run count with ``FockModel.prune``, as
-    ``FockModel._power_moments`` does.
-    Y_L meets at most top - L more applications of M before its images
-    are read at a level <= top; each strips at most one run from the
-    front of a word, and the r_j keep every word.  So a word of Y_L with
-    more than top - L + runs(ref) runs never reaches the reference word
-    and is dropped, which leaves every S_d unchanged.
-    """
-
-    def __init__(self, model: FockModel, r_ops: list, mid_op, state: str,
-                 top: int):
-        self.model, self.r_ops, self.mid, self.top = model, r_ops, mid_op, top
-        self.ref = STATE_WORDS[state]
-        self.qref, self.ref_runs = q_class(self.ref), runs(self.ref)
-        self.Y: list = [None]             # Y_d at index d, pruned
-        self.Z = FockVector({self.ref: 1})    # Z_d for d = len(Y)
-        self.at_ref = [None, self.Z.read(self.ref)]   # <Z_d, v> at index d
-
-    def _scalar(self, d: int):
-        """r_{d-2} at the q class of the reference word; 0 while unknown."""
-        if 2 <= d < len(self.r_ops) + 2:
-            return self.r_ops[d - 2].component(self.qref)
-        return 0
-
-    def sum(self, d: int):
-        if d > self.top:
-            raise ValueError("level %d is above the table's top level %d"
-                             % (d, self.top))
-        while len(self.Y) < d:
-            level, x = len(self.Y), self._scalar(len(self.Y))
-            y = _difference(self.Z, [FockVector(
-                {self.ref: x.numerator}, x.denominator)] if x else [])
-            self.Y.append(self.model.prune(
-                y, self.top - level + self.ref_runs))
-            self.Z = _difference(self.mid.apply(self.Y[level]), [
-                r.apply(self.Y[level - j])
-                for j, r in enumerate(self.r_ops[:level - 1]) if any(r.beta)])
-            self.at_ref.append(self.Z.read(self.ref))
-        return self.at_ref[d] - self._scalar(d)
-
-
-def _r_elements(B: UnitSeries, m_max: int) -> List[UnitElement]:
+def _r_elements(model: FockModel, B: UnitSeries,
+                m_max: int) -> List[UnitElement]:
     """r_0..r_{m_max-2} of R = invert_C(B), the pole inverse being an
     involution on tails; the levels up to m_max need no more."""
+    if m_max > model.depth:
+        raise ValueError("m_max %d exceeds model depth %d"
+                         % (m_max, model.depth))
     if m_max > B.order + 1:
         raise ValueError("B holds b_1..b_%d, requested b_%d"
                          % (B.order + 1, m_max))
@@ -191,12 +118,9 @@ def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
     """Residuals of the vacuum-state linearization identity, in the
     model's precision; the expected value is 1 at m = 1 and 0 for every
     larger m."""
-    if m_max > model.depth:
-        raise ValueError("m_max %d exceeds model depth %d"
-                         % (m_max, model.depth))
-    table = _ResolventTable(model, _r_elements(B, m_max), model.total(),
-                            "phi", m_max)
-    return reported((table.sum(d) for d in range(1, m_max + 1)), model.mode)
+    table = ResolventTable(model, _r_elements(model, B, m_max),
+                           model.total(), "phi", m_max)
+    return reported(table.sums(), model.mode)
 
 
 def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
@@ -207,15 +131,12 @@ def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
     table is expected to read 1, 0, 0, ...  Residuals are in the model's
     precision.
     """
-    if m_max > model.depth:
-        raise ValueError("need model depth >= m_max")
-    r_ops = _r_elements(B, m_max)
+    r_ops = _r_elements(model, B, m_max)
     out = {}
     for cell in sorted(model.J):
-        table = _ResolventTable(model, r_ops, model.compressed_total(cell),
-                                "phi1" if cell[0] == 1 else "phi2", m_max)
-        out[cell] = reported((table.sum(d) for d in range(1, m_max + 1)),
-                             model.mode)
+        table = ResolventTable(model, r_ops, model.compressed_total(cell),
+                               "phi1" if cell[0] == 1 else "phi2", m_max)
+        out[cell] = reported(table.sums(), model.mode)
     return out
 
 
@@ -245,10 +166,10 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
     r_ops: List[UnitElement] = []
     top = order + 2
     tables = {
-        (1, 1): _ResolventTable(model, r_ops, model.total(), "phi", top),
-        (2, 1): _ResolventTable(
+        (1, 1): ResolventTable(model, r_ops, model.total(), "phi", top),
+        (2, 1): ResolventTable(
             model, r_ops, model.compressed_total(row_cell[1]), "phi1", top),
-        (1, 2): _ResolventTable(
+        (1, 2): ResolventTable(
             model, r_ops, model.compressed_total(row_cell[2]), "phi2", top),
     }
     for m in range(order + 1):

@@ -55,7 +55,7 @@ from smfconv import (FLOAT, QCELLS, RATIONAL, SHAPES, DistributionArray,
                      q_class)
 from smfconv.analytic import _series_fixed_point
 from smfconv.arrays import ALL_CELLS
-from smfconv.fock import can_prepend, runs
+from smfconv.fock import ResolventTable, can_prepend, runs
 from smfconv.series import scalars_close
 from smfconv.units import FockVector
 
@@ -95,8 +95,9 @@ def single_cell_r(model: FockModel, cell, order: int) -> TruncatedSeries:
     in the cell's state; must reproduce the input cumulants."""
     if order + 1 > model.depth:
         raise ValueError("need depth >= order + 1")
-    return r_from_moments(model._power_moments(
-        model.toeplitz(cell), model._cell_state(cell), order))
+    table = ResolventTable(model, (), model.toeplitz(cell),
+                           model._cell_state(cell), order + 1)
+    return r_from_moments(TruncatedSeries(table.sums()))
 
 
 def solve_subordination(array: DistributionArray,
@@ -758,7 +759,7 @@ class _AlternatingTable:
     Each sum of vectors is taken over the lcm of their denominators, and
     S_d is read as one Fraction.
 
-    The tables prune by run count, as ``FockModel._power_moments`` does.
+    The tables prune by run count, as ``smfconv.fock.ResolventTable`` does.
     Y_L meets at most top - L more applications of M before its images
     are read at a level <= top; each strips at most one run from the
     front of a word, and the b_n keep every word.  So a word of Y_L with

@@ -170,6 +170,9 @@ class _EngineReached(Exception):
     lambda c: c["cells"].update({"1, 1": [5]}),
     lambda c: c.update(shape="custom", checks=["eq56", "uniqueness"],
                        cells={"1,1": ["1/2", "1"], "1,2": ["1/3"]}),
+    lambda c: c.update(engines=["fock", "fock"]),
+    lambda c: c.update(engines=["fock", "analytic", "fock"]),
+    lambda c: c.update(checks=["eq56", "eq56"]),
 ])
 def test_bad_configs_exit_two(tmp_path, capsys, monkeypatch, mutate):
     # every one is rejected before the job starts
@@ -183,6 +186,37 @@ def test_bad_configs_exit_two(tmp_path, capsys, monkeypatch, mutate):
     assert code == 2
     assert out == ""
     assert err.startswith("config error") and err.count("\n") == 1
+
+
+_LONG = "x" * 100_000
+
+
+# an error message echoes at most 80 characters of a config value
+@pytest.mark.parametrize("mutate", [
+    lambda c: c.update(version="v" * 2_000_000),
+    lambda c: c.update(version=[[[_LONG]]]),
+    lambda c: c["cells"]["1,2"].update(kind=_LONG),
+    lambda c: c["cells"].update({_LONG: [1]}),
+    lambda c: c["cells"].update({"3," + "1" * 4000: [1]}),
+    lambda c: c["cells"].update({"1," + " " * 100_000 + "2": [[1]]}),
+    lambda c: c["cells"]["1,2"].update(a=_LONG),
+    lambda c: c.update(shape=_LONG),
+    lambda c: c.update({_LONG: 1}),
+], ids=["version", "nested_version", "kind", "cell_key", "cell_outside",
+        "padded_cell_key", "parameter", "shape", "unknown_field"])
+def test_long_config_values_give_one_short_line(tmp_path, capsys, mutate):
+    cfg = json.loads(json.dumps(SQUARE_SEMI))
+    mutate(cfg)
+    code, out, err = run_cli(tmp_path, cfg, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert len(err) < 200 and "..." in err
+
+
+def test_short_config_values_are_echoed_whole(tmp_path, capsys):
+    cfg = dict(SQUARE_SEMI, shape="circle")
+    assert run_cli(tmp_path, cfg, capsys=capsys)[2] == \
+        "config error: unknown shape 'circle'\n"
 
 
 # the JSON decoder recurses once per level: past the recursion limit it

@@ -18,7 +18,7 @@ from smfconv import (FLOAT, RATIONAL, DistributionArray, FockModel, NamedLaw,
                      as_scalar, assemble_matricial_r,
                      compressed_residuals, invert_C, linearization_residuals,
                      reconstruct_unique, smf_moments)
-from smfconv.matricial import _ResolventTable
+from smfconv.fock import ResolventTable
 
 
 def random_array(rng, J, order=8):
@@ -250,11 +250,42 @@ def test_tables_apply_the_middle_operator_once_per_level():
                for c, ref_runs in zip(counters, (0, 1, 1)))
 
     R = assemble_matricial_r(arr, 7)
-    table = _ResolventTable(model, [R.coefficient(j) for j in range(7)],
-                            total, "phi", 8)
+    table = ResolventTable(model, [R.coefficient(j) for j in range(7)],
+                           total, "phi", 8)
     assert table.sum(8) == 0
     with pytest.raises(ValueError):
         table.sum(9)
+
+
+def test_tables_free_the_levels_no_coefficient_reaches():
+    # with no coefficients a table holds only the level it applies M to;
+    # fed one coefficient per level, as reconstruct_unique feeds it, it
+    # keeps Y_2 and up, which the coefficients still to come reach
+    rng = random.Random(73)
+    arr = DistributionArray.from_cumulants(
+        {cell: [F(rng.randint(1, 3)) for _ in range(8)]
+         for cell in SHAPES["square"]})
+    model = FockModel(arr, 8)
+    R = assemble_matricial_r(arr, 7)
+    assert all(any(R.coefficient(j).beta) for j in range(7))
+    held = []
+
+    class Watched:
+        def apply(self, vec):
+            held.append([k for k, y in enumerate(table.Y) if y is not None])
+            return model.total().apply(vec)
+
+    table = ResolventTable(model, (), Watched(), "phi", 8)
+    assert table.sums() == list(model.moments(7).coeffs)
+    assert held == [[L] for L in range(1, 8)]
+
+    held.clear()
+    r_ops = []
+    table = ResolventTable(model, r_ops, Watched(), "phi", 8)
+    for m in range(7):
+        assert table.sum(m + 2) == R.coefficient(m).component((1, 1))
+        r_ops.append(R.coefficient(m))
+    assert held == [[1]] + [list(range(2, L + 1)) for L in range(2, 8)]
 
 
 def test_levels_apply_only_the_nonzero_transform_coefficients(monkeypatch):
@@ -363,7 +394,8 @@ def test_vectors_match_fraction_dict_reference(shape, depth, data):
         pairs = [("A", "phi", depth)] + [
             (("a", cell), model._cell_state(cell), depth - 1) for cell in J]
         for key, st_, order in pairs:
-            got = model._power_moments(lib[key], st_, order).coeffs
+            table = ResolventTable(model, (), lib[key], st_, order + 1)
+            got = table.sums()
             want = dict_power_moments(ref[key], st_, order)
             assert all(_same(g, w) for g, w in zip(got, want))
 
@@ -374,7 +406,7 @@ def test_vectors_match_fraction_dict_reference(shape, depth, data):
         tables = [("A", "phi")] + [(("PAP", cell), "phi1" if cell[0] == 1
                                     else "phi2") for cell in J]
         for key, st_ in tables:
-            table = _ResolventTable(model, r_ops, lib[key], st_, depth)
+            table = ResolventTable(model, r_ops, lib[key], st_, depth)
             want = dict_alternating_sums(dict_b, ref[key], st_, depth)
             assert all(_same(table.sum(d), w)
                        for d, w in zip(range(1, depth + 1), want))
