@@ -3,10 +3,14 @@ for the convolution moments, and density extraction.
 
 Cauchy transforms are carried as moment generating functions: with
 w = 1/z, G(z) = w M(w), so G-composition arguments like R(G(z)) become
-ordinary compositions R(w M(w)) with zero inner constant term.  The
-moment series is exact (it runs on ``DistributionArray.exact``), and a
-float job's moments are rounded once.  The numeric evaluation of G(z)
-and the closed form for density extraction run in binary64.
+ordinary compositions R(w M(w)) with zero inner constant term.  Give
+r(k) degree k and w degree -1: then w M has degree -1, each K_c = R_c(g_c)
+degree 1 and every series below degree 0, so its coefficient t is
+homogeneous of degree t in the cumulants, like the moments of
+:mod:`smfconv.moments`, and the series run exactly over the same graded
+integers.  A float job's moments are rounded once.  The numeric
+evaluation of G(z) and the closed form for density extraction run in
+binary64.
 """
 
 from __future__ import annotations
@@ -53,35 +57,32 @@ def _series_fixed_point(array: DistributionArray, order: int):
     earlier ones: g_c[t] = M*_c[t-1]; column t of the power table
     [w^s] g_c^k and its new row k = t; K_c[t]; then, for each member of
     ``PAIRING``, coefficient t of 1 - w (K_a + K_b) and of its
-    reciprocal.  That is O(order^3) products per cell.  The series are
-    exact, computed over ``array.exact()``, and equal the oracle
-    recomposition at full order, ``cut_pass_fixed_point`` in
-    tests/oracles.py.
+    reciprocal.  That is O(order^3) integer products per cell.  The
+    series are exact and equal the oracle recomposition at full order,
+    ``cut_pass_fixed_point`` in tests/oracles.py.
     """
     if array.order < order:
         raise ValueError("cumulant order %d < requested order %d"
                          % (array.order, order))
-    zero, one = Fraction(0), Fraction(1)
-    padded = array.exact().padded(order + 1)
-    f = {cell: padded.r_series(cell).coeffs for cell in ALL_CELLS}
+    lam, f = array.graded()
     g = {cell: [] for cell in ALL_CELLS}
     powers = {cell: [] for cell in ALL_CELLS}    # [k][s] = [w^s] g_c^k
     k = {cell: [] for cell in ALL_CELLS}
-    den = {member: [one] for member, _ in PAIRING}   # 1 - w (K_a + K_b)
-    out = {member: [one] for member, _ in PAIRING}   # its reciprocal
+    den = {member: [1] for member, _ in PAIRING}   # 1 - w (K_a + K_b)
+    out = {member: [1] for member, _ in PAIRING}   # its reciprocal
     for t in range(order + 1):
         for cell in ALL_CELLS:
             gc, p = g[cell], powers[cell]
-            gc.append(out[cell][t - 1] if t else zero)
+            gc.append(out[cell][t - 1] if t else 0)
             if t == 0:
-                p.append([one])
+                p.append([1])
             else:
-                p[0].append(zero)
+                p[0].append(0)
                 for row in range(1, t):
                     p[row].append(_product_coefficient(p[row - 1], gc, t))
                 p.append([_product_coefficient(p[t - 1], gc, s)
                           for s in range(t + 1)])
-            acc = zero
+            acc = 0
             for power, fk in zip(p, f[cell]):
                 if fk != 0:
                     acc += fk * power[t]
@@ -90,7 +91,8 @@ def _series_fixed_point(array: DistributionArray, order: int):
             for member, (a, b) in PAIRING:
                 den[member].append(-(k[a][t - 1] + k[b][t - 1]))
                 extend_pole_inverse(den[member], out[member])
-    family = {member: TruncatedSeries(coeffs)
+    family = {member: TruncatedSeries([Fraction(c, lam ** t)
+                                       for t, c in enumerate(coeffs)])
               for member, coeffs in out.items()}
     master = family.pop(None)
     return family, master

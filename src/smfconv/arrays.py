@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
@@ -123,6 +124,16 @@ class DistributionArray(Record):
             except (OverflowError, ValueError):
                 raise ValueError("cell %r: cumulants not finite" % (cell,))
         return DistributionArray(tuple(cells), RATIONAL)
+
+    def graded(self) -> Tuple[int, Dict[Cell, list]]:
+        """(lam, ints): lam the lcm of the exact cumulants' denominators
+        (1 for an integral array), and per cell the ints r(k) lam^k,
+        k = 1..order, zeros outside J; see :mod:`smfconv.moments`."""
+        cmap = self.exact().cumulant_map()
+        lam = math.lcm(*(v.denominator for seq in cmap.values() for v in seq))
+        return lam, {cell: [v.numerator * (lam // v.denominator) * lam ** k
+                            for k, v in enumerate(cmap.get(cell, ()))]
+                     or [0] * self.order for cell in ALL_CELLS}
 
     def cumulant_map(self) -> Dict[Cell, tuple]:
         return dict(self.cells)

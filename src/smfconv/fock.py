@@ -188,11 +188,12 @@ class ResolventTable:
     Level d + 1 applies M to Y_d and each nonzero r_j, j <= d - 2, to
     Y_{d-j}: Z_{d+1} is their difference, pruned at once, as the last
     term, r_{d-1} v, only adds a scalar at ref: to S_{d+1} and, once
-    built, to Y_{d+1}.  An r_{d-1} not yet in r_ops counts as zero in
-    S_{d+1}: reconstruct_unique solves for it, then appends it before
-    level d + 1 is built.  Level L reads r_0..r_{L-2}, so an r_ops shorter
-    than that is complete.  Y_k is dropped once no nonzero or missing r_j
-    reaches it at a level k + j yet to come (never for k = 1), so with no
+    built, to Y_{d+1}.  Z_top is left unpruned, as only its entry at ref
+    is read.  An r_{d-1} not yet in r_ops counts as zero in S_{d+1}:
+    reconstruct_unique solves for it, then appends it before level d + 1
+    is built.  Level L reads r_0..r_{L-2}, so an r_ops shorter than that
+    is complete.  Y_k is dropped once no nonzero or missing r_j reaches it
+    at a level k + j yet to come (never for k = 1), so with no
     coefficients a table keeps one level.
     """
 
@@ -220,10 +221,11 @@ class ResolventTable:
             level, x = len(Y), self._scalar(len(Y))
             Y.append(_difference(self.Z, [FockVector(
                 {self.ref: x.numerator}, x.denominator)] if x else []))
-            self.Z = self.model.prune(_difference(self.mid.apply(Y[level]), [
+            Z = _difference(self.mid.apply(Y[level]), [
                 r.apply(Y[level - j])
-                for j, r in enumerate(self.r_ops[:level - 1]) if any(r.beta)]),
-                self.top - level - 1 + self.ref_runs)
+                for j, r in enumerate(self.r_ops[:level - 1]) if any(r.beta)])
+            self.Z = Z if level + 1 == self.top else self.model.prune(
+                Z, self.top - level - 1 + self.ref_runs)
             self.at_ref.append(self.Z.read(self.ref))
             n, Y[1] = len(self.r_ops), None
             for k in range(2, level + 1):
@@ -386,7 +388,8 @@ class FockModel:
 
     def total(self) -> LinearOp:
         """A = sum of the cell operators, over the lcm of their
-        denominators."""
+        denominators, built from the cell rules: A caches its own columns,
+        so no cell column is cached a second time."""
         if "A" not in self._ops:
             cell_ops = [self.toeplitz(cell) for cell in sorted(self.J)]
             den = math.lcm(*(op.den for op in cell_ops))
@@ -395,7 +398,7 @@ class FockModel:
             def rule(w):
                 tgt: Dict = {}
                 for op, f in lifts:
-                    for w2, a in op.column(w):
+                    for w2, a in op.rule(w):
                         if f != 1:
                             a *= f
                         tgt[w2] = tgt.get(w2, 0) + a

@@ -1,7 +1,16 @@
 """Moments of the strongly matricially free convolution via labelled
-colored non-crossing partitions."""
+colored non-crossing partitions.
+
+The moments are homogeneous in the cumulants: m_t is a sum of products
+r(k_1)...r(k_j) with k_1 + ... + k_j = t.  So the sums run over the
+graded integers r(k) lam^k of ``DistributionArray.graded``, lam the lcm
+of the exact cumulants' denominators: there m_t comes out as the integer
+c = lam^t m_t, which turns rational once, as Fraction(c, lam^t).  No
+product of the O(order^3) loop pays a gcd."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .arrays import ALL_CELLS, DistributionArray
 from .series import TruncatedSeries, reported
@@ -31,21 +40,15 @@ def smf_moments(array: DistributionArray, order: int) -> TruncatedSeries:
     with P_c^k(j) = [x^j] F_c(x)^k, likewise for T2, X and D, and the
     moments are F_D(0..order): O(order^3) products, no partition is built
     (Speicher, Math. Ann. 298, 1994).  Cells outside J are zero
-    cumulants.  The sum runs over the exact array, and a float job's
-    moments are rounded once.  The equivalence with the literal coloring sum is
-    pinned by tests against the oracles in tests/oracles.py.
+    cumulants.  A float job's moments are rounded once.  The equivalence
+    with the literal coloring sum is pinned by tests against the oracles in
+    tests/oracles.py.
     """
     if array.order < order:
         raise ValueError("cumulant order %d < requested moment order %d"
                          % (array.order, order))
-    cmap = array.exact().cumulant_map()
-
-    def rvals(cell):
-        # integral rationals run exactly in machine ints
-        return [int(v) if v.denominator == 1 else v
-                for v in cmap.get(cell, (0,) * array.order)]
-
-    r11, r12, r21, r22 = (rvals(cell) for cell in ALL_CELLS)
+    lam, r = array.graded()
+    r11, r12, r21, r22 = (r[cell] for cell in ALL_CELLS)
     rmix = [a + b for a, b in zip(r12, r21)]
     # context -> the (cumulants, child context) branches of a block in it
     branches = {"T1": ((r11, "T1"), (r21, "X")),
@@ -71,4 +74,5 @@ def smf_moments(array: DistributionArray, order: int) -> TruncatedSeries:
                         total += rc[s - 1] * sum(pw[j] * fc[m - s - j]
                                                  for j in range(m - s + 1))
             fc.append(total)
-    return TruncatedSeries(reported(f["D"], array.mode), array.mode)
+    moments = [Fraction(c, lam ** t) for t, c in enumerate(f["D"])]
+    return TruncatedSeries(reported(moments, array.mode), array.mode)
