@@ -1,6 +1,14 @@
 """Cauchy-transform layer: the subordination recursion, the master formula
 for the convolution moments, and density extraction.
 
+The linearization formula writes the matricial R-transform as
+R = sum_c R_c 1_c, so its q-component for class q is the sum of two cell
+transforms, and the subordination system is those four components:
+G_q = 1/(z - K_a - K_b), with K_c = R_c(g_c) and g_c the resolvent of the
+class of the words that cell c starts.  Cell (1,1) reads class (2,1),
+cell (2,2) reads (1,2), both off-diagonal cells read (2,2), and class
+(1,1) is the transform of the convolution.
+
 Cauchy transforms are carried as moment generating functions: with
 w = 1/z, G(z) = w M(w), so G-composition arguments like R(G(z)) become
 ordinary compositions R(w M(w)) with zero inner constant term.  Give
@@ -30,12 +38,13 @@ CAUCHY_MAX_ITER = 500
 CAUCHY_TOL = 1e-13
 ATOM_WEIGHT_FLOOR = 1e-12
 
-# member <- the two K values its resolvent pairs: member (j,j) pairs
-# K_{j,j} with K_{j',j}, member (j,j') pairs K_{j,j'} with K_{j',j}, and
-# the convolution itself (None) pairs K_{1,1} with K_{2,2}
-PAIRING = (((1, 1), ((1, 1), (2, 1))), ((1, 2), ((1, 2), (2, 1))),
-           ((2, 2), ((2, 2), (1, 2))), ((2, 1), ((2, 1), (1, 2))),
-           (None, ((1, 1), (2, 2))))
+# q-class <- the two cell transforms of its resolvent G_q = 1/(z - K_a - K_b),
+# the q-components of the linearization formula R = sum_c R_c 1_c; class
+# (1,1) is the convolution itself
+Q_RESOLVENTS = {(1, 1): ((1, 1), (2, 2)), (2, 1): ((1, 1), (2, 1)),
+                (1, 2): ((2, 2), (1, 2)), (2, 2): ((1, 2), (2, 1))}
+# cell -> the class of the words it starts, whose resolvent g_c reads
+CELL_CLASS = {(1, 1): (2, 1), (2, 2): (1, 2), (1, 2): (2, 2), (2, 1): (2, 2)}
 
 
 def _product_coefficient(a, b, s):
@@ -48,62 +57,57 @@ def _product_coefficient(a, b, s):
 
 
 def _series_fixed_point(array: DistributionArray, order: int):
-    """Subordinate family and master moment series, as truncated series.
+    """(lam, G): the four q-class resolvents' moment series over the
+    graded integers, coefficient t being lam^t times the rational one.
 
-    Transforms are moment generating functions in w = 1/z, so the
-    resolvent is (1 - (a + b) w)^-1 and K_c = R_c(g_c), g_c = w M*_c(w).
-    Coefficient t of each series depends only on lower coefficients of
-    the family, so one pass fixes coefficient t at step t and keeps the
-    earlier ones: g_c[t] = M*_c[t-1]; column t of the power table
-    [w^s] g_c^k and its new row k = t; K_c[t]; then, for each member of
-    ``PAIRING``, coefficient t of 1 - w (K_a + K_b) and of its
-    reciprocal.  That is O(order^3) integer products per cell.  The
-    series are exact and equal the oracle recomposition at full order,
-    ``cut_pass_fixed_point`` in tests/oracles.py.
+    Transforms are moment generating functions in w = 1/z, so G_q =
+    (1 - w (K_a + K_b))^-1 and K_c = R_c(g), g = w G_q for the class q
+    that cell c reads.  Coefficient t of each series depends only on
+    lower coefficients, so one pass fixes coefficient t at step t and
+    keeps the earlier ones: for each class, coefficient t of
+    1 - w (K_a + K_b) and of its reciprocal; g[t] = G_q[t-1] and column t
+    of the power table [w^s] g^k of each class that a cell reads; K_c[t].
+    That is O(order^3) integer products per class.  The series equal the
+    oracle recomposition at full order, ``cut_pass_fixed_point`` in
+    tests/oracles.py.
     """
     if array.order < order:
         raise ValueError("cumulant order %d < requested order %d"
                          % (array.order, order))
     lam, f = array.graded()
-    g = {cell: [] for cell in ALL_CELLS}
-    powers = {cell: [] for cell in ALL_CELLS}    # [k][s] = [w^s] g_c^k
-    k = {cell: [] for cell in ALL_CELLS}
-    den = {member: [1] for member, _ in PAIRING}   # 1 - w (K_a + K_b)
-    out = {member: [1] for member, _ in PAIRING}   # its reciprocal
-    for t in range(order + 1):
-        for cell in ALL_CELLS:
-            gc, p = g[cell], powers[cell]
-            gc.append(out[cell][t - 1] if t else 0)
-            if t == 0:
-                p.append([1])
-            else:
-                p[0].append(0)
-                for row in range(1, t):
-                    p[row].append(_product_coefficient(p[row - 1], gc, t))
-                p.append([_product_coefficient(p[t - 1], gc, s)
-                          for s in range(t + 1)])
+    n = order + 1
+    g = {q: [0] * n for q in CELL_CLASS.values()}
+    # [k][s] = [w^s] g^k; g^k starts at w^k, so step t fills rows 1..t
+    powers = {q: [[1] + [0] * order] + [[0] * n for _ in range(order)]
+              for q in g}
+    k = {cell: [] for cell in CELL_CLASS}
+    den = {q: [1] for q in Q_RESOLVENTS}      # 1 - w (K_a + K_b)
+    out = {q: [1] for q in Q_RESOLVENTS}      # its reciprocal
+    for t in range(n):
+        if t:                   # the series start at 1, each g at 0
+            for q, (a, b) in Q_RESOLVENTS.items():
+                den[q].append(-(k[a][t - 1] + k[b][t - 1]))
+                extend_pole_inverse(den[q], out[q])
+            for q, p in powers.items():
+                g[q][t] = out[q][t - 1]
+                for row in range(1, t + 1):
+                    p[row][t] = _product_coefficient(p[row - 1], g[q], t)
+        for cell, q in CELL_CLASS.items():
             acc = 0
-            for power, fk in zip(p, f[cell]):
+            for power, fk in zip(powers[q], f[cell]):
                 if fk != 0:
                     acc += fk * power[t]
             k[cell].append(acc)
-        if t:                   # both series start at 1
-            for member, (a, b) in PAIRING:
-                den[member].append(-(k[a][t - 1] + k[b][t - 1]))
-                extend_pole_inverse(den[member], out[member])
-    family = {member: TruncatedSeries([Fraction(c, lam ** t)
-                                       for t, c in enumerate(coeffs)])
-              for member, coeffs in out.items()}
-    master = family.pop(None)
-    return family, master
+    return lam, out
 
 
 def master_cauchy(array: DistributionArray, order: int) -> TruncatedSeries:
     """Moment series of the convolution via the subordination family:
     M = 1 / (1 - w [K_{1,1} + K_{2,2}]) with K_{j,j} = R_{j,j}(w M*_{j,j}),
     in the array's precision."""
-    exact = _series_fixed_point(array, order)[1]
-    return TruncatedSeries(reported(exact.coeffs, array.mode), array.mode)
+    lam, out = _series_fixed_point(array, order)
+    exact = [Fraction(c, lam ** t) for t, c in enumerate(out[(1, 1)])]
+    return TruncatedSeries(reported(exact, array.mode), array.mode)
 
 
 # -- density extraction ------------------------------------------------------
@@ -169,29 +173,26 @@ def cauchy_value(array: DistributionArray, z: complex) -> complex:
     r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
          for cell in ALL_CELLS}
 
-    def k_values(g):
+    def resolvents(g):
+        """One step of the fixed point: G_q for each class of
+        ``Q_RESOLVENTS``, each K_c read at g of the class of cell c."""
         k = {}
-        for cell, u in g.items():
-            total = 0.0
+        for cell, q in CELL_CLASS.items():
+            total, u = 0.0, g[q]
             for c in r[cell]:
                 total = total * u + c
             k[cell] = total
-        return k
+        return {q: 1.0 / (z - k[a] - k[b])
+                for q, (a, b) in Q_RESOLVENTS.items()}
 
-    def family(g):
-        """One step of the fixed point: 1/(z - K_a - K_b) for each member
-        of ``PAIRING``; member None is the master transform."""
-        k = k_values(g)
-        return {member: 1.0 / (z - k[a] - k[b]) for member, (a, b) in PAIRING}
-
-    g = {cell: 1.0 / z for cell in ALL_CELLS}
+    g = {q: 1.0 / z for q in CELL_CLASS.values()}
     for _ in range(CAUCHY_MAX_ITER):
-        new = family(g)
-        delta = max(abs(new[c] - g[c]) for c in ALL_CELLS)
-        g = {c: 0.5 * g[c] + 0.5 * new[c] for c in ALL_CELLS}
+        new = resolvents(g)
+        delta = max(abs(new[q] - g[q]) for q in g)
+        g = {q: 0.5 * g[q] + 0.5 * new[q] for q in g}
         if delta < CAUCHY_TOL:
             break
-    return family(g)[None]
+    return resolvents(g)[(1, 1)]
 
 
 def stieltjes_density(array: DistributionArray, grid: Sequence[float],

@@ -138,15 +138,6 @@ class DistributionArray(Record):
     def cumulant_map(self) -> Dict[Cell, tuple]:
         return dict(self.cells)
 
-    def padded(self, order: int) -> "DistributionArray":
-        """Extend every cell with zero cumulants up to r(order)."""
-        if self.order >= order:
-            return self
-        zero = as_scalar(0, self.mode)
-        pad = (zero,) * (order - self.order)
-        return DistributionArray(tuple((c, seq + pad) for c, seq in self.cells),
-                                 self.mode)
-
     def r(self, cell: Cell, k: int):
         """Cumulant r_cell(k); zero outside J."""
         if not 1 <= k <= self.order:

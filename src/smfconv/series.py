@@ -34,7 +34,7 @@ def as_scalar(value: Number, mode: str):
     if mode == RATIONAL:
         if isinstance(value, float):
             raise ValueError("float value %r in rational mode" % (value,))
-        return Fraction(value)
+        return value if isinstance(value, Fraction) else Fraction(value)
     if mode == FLOAT:
         if isinstance(value, str):
             return float(Fraction(value))

@@ -17,17 +17,21 @@ off-diagonals.  ``cut_pass_fixed_point`` recomposes the subordination
 series from scratch at every order, with the series composition,
 shift and reciprocal defined here.  ``reinverting_reconstruct`` inverts
 every transform tail anew at each step, and ``full_relation_violations``
-checks the creation relation on the whole word basis.  Two thin wrappers
+checks the creation relation on the whole word basis.
+``four_unknown_cauchy`` iterates the numeric fixed point with one unknown
+per cell, the off-diagonal resolvent twice.  Two thin wrappers
 drive the subordination engine on single laws and on the binary
-convolution kinds, and ``module_imports`` reads a module's imports for
-the engine-independence guards.
+convolution kinds, ``perfbench_workloads`` loads the benchmark's job
+configs, and ``module_imports`` reads a module's imports for the
+engine-independence guards.
 
 The test-only API lives here too: free cumulants from moments
 (``r_from_moments``), a cell's cumulants recovered from the Fock model
 (``single_cell_r``), the subordinate family (``solve_subordination``),
-the closed-form Meixner density, the row-identical arrays of the binary
-convolution kinds, the word-validity predicate and the B-side unit
-coefficients (``b_elements``).
+arrays padded with zero cumulants (``padded``), the closed-form Meixner
+density, the row-identical arrays of the binary convolution kinds, the
+word-validity predicate and the B-side unit coefficients
+(``b_elements``).
 
 Matricial labels: a block's label is (c, c) when every enclosing block
 carries its own color c (or nothing encloses it), and (c, c') otherwise,
@@ -41,11 +45,13 @@ from __future__ import annotations
 
 import ast
 import cmath
+import importlib.util
 import inspect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from smfconv import (FLOAT, QCELLS, RATIONAL, SHAPES, DistributionArray,
@@ -53,7 +59,8 @@ from smfconv import (FLOAT, QCELLS, RATIONAL, SHAPES, DistributionArray,
                      UnitElement, UnitSeries, as_scalar, compression,
                      enumerate_nc, invert_pole_series, master_cauchy,
                      q_class)
-from smfconv.analytic import _series_fixed_point
+from smfconv.analytic import (CAUCHY_MAX_ITER, CAUCHY_TOL, CELL_CLASS,
+                              _series_fixed_point)
 from smfconv.arrays import ALL_CELLS
 from smfconv.fock import ResolventTable, can_prepend, runs
 from smfconv.series import scalars_close
@@ -103,8 +110,23 @@ def single_cell_r(model: FockModel, cell, order: int) -> TruncatedSeries:
 def solve_subordination(array: DistributionArray,
                         order: int) -> Dict[Label, TruncatedSeries]:
     """Moment generating functions of the four subordinate transforms,
-    exact whatever the array's precision."""
-    return _series_fixed_point(array, order)[0]
+    exact whatever the array's precision: each cell's is the resolvent of
+    the q-class it reads."""
+    lam, resolvents = _series_fixed_point(array, order)
+    return {cell: TruncatedSeries([Fraction(c, lam ** t) for t, c
+                                   in enumerate(resolvents[q])])
+            for cell, q in CELL_CLASS.items()}
+
+
+def padded(array: DistributionArray, order: int) -> DistributionArray:
+    """The array with every cell extended by zero cumulants up to
+    r(order)."""
+    if array.order >= order:
+        return array
+    zero = as_scalar(0, array.mode)
+    pad = (zero,) * (order - array.order)
+    return DistributionArray(tuple((c, seq + pad) for c, seq in array.cells),
+                             array.mode)
 
 
 def meixner_density(a: float, b: float, x: float) -> float:
@@ -886,8 +908,8 @@ def cut_pass_fixed_point(array: DistributionArray, order: int):
     O(order^4) products; the one-pass engine must match it exactly."""
     mode = array.mode
     zero = as_scalar(0, mode)
-    padded = array.padded(order + 1)
-    r = {cell: padded.r_series(cell).truncate(order) for cell in ALL_CELLS}
+    long = padded(array, order + 1)
+    r = {cell: long.r_series(cell).truncate(order) for cell in ALL_CELLS}
 
     def resolvent(a, b):
         s = a + b
@@ -942,6 +964,60 @@ def split_semicircle_cauchy(a11: float, a22: float, b12: float, b21: float,
         return g if g.imag < 0 else ((z - b) + s) / (2 * a)
 
     return 1 / (z - a11 * member(a11, b21) - a22 * member(a22, b12))
+
+
+# -- numeric subordination, one unknown per cell ------------------------------
+
+# member <- the two K values its resolvent pairs: member (j,j) pairs
+# K_{j,j} with K_{j',j}, member (j,j') pairs K_{j,j'} with K_{j',j}, and
+# the convolution itself (None) pairs K_{1,1} with K_{2,2}
+CELL_PAIRING = (((1, 1), ((1, 1), (2, 1))), ((1, 2), ((1, 2), (2, 1))),
+                ((2, 2), ((2, 2), (1, 2))), ((2, 1), ((2, 1), (1, 2))),
+                (None, ((1, 1), (2, 2))))
+
+
+def four_unknown_cauchy(array: DistributionArray, z: complex):
+    """(G(z), converged): the damped fixed-point iteration with one
+    unknown per cell, so the off-diagonal resolvent 1/(z - K12 - K21) is
+    iterated twice, once per off-diagonal cell.  Same damping, tolerance
+    and step cap as ``cauchy_value``, which has one unknown per q-class
+    that a cell reads."""
+    r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
+         for cell in ALL_CELLS}
+
+    def family(g):
+        k = {}
+        for cell, u in g.items():
+            total = 0.0
+            for c in r[cell]:
+                total = total * u + c
+            k[cell] = total
+        return {member: 1.0 / (z - k[a] - k[b])
+                for member, (a, b) in CELL_PAIRING}
+
+    g = {cell: 1.0 / z for cell in ALL_CELLS}
+    converged = False
+    for _ in range(CAUCHY_MAX_ITER):
+        new = family(g)
+        delta = max(abs(new[c] - g[c]) for c in ALL_CELLS)
+        g = {c: 0.5 * g[c] + 0.5 * new[c] for c in ALL_CELLS}
+        if delta < CAUCHY_TOL:
+            converged = True
+            break
+    return family(g)[None], converged
+
+
+# -- the benchmark's job configs ---------------------------------------------
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded from its path: the seeded job configs
+    and the density arrays of the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- engine independence -----------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import (compose, enumerate_admissible, f_compose_moments,
-                     meixner_density, moments_from_cumulants,
+                     meixner_density, moments_from_cumulants, padded,
                      partition_contribution, r_from_moments, reciprocal,
                      scalar_r_as_unit_series, shift)
 from smfconv import (DistributionArray, FockModel, NCPartition, NamedLaw,
@@ -60,7 +60,8 @@ def randomized_arrays():
         for _ in range(20):
             cums = {cell: tuple(F(rng.randint(-3, 3)) for _ in range(6))
                     for cell in sorted(J)}
-            out.append((name, DistributionArray.from_cumulants(cums).padded(8)))
+            out.append((name,
+                        padded(DistributionArray.from_cumulants(cums), 8)))
     return tuple(out)
 
 

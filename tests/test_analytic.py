@@ -7,14 +7,16 @@ from scipy.integrate import quad
 
 import smfconv.analytic
 from oracles import (binary_convolutions, binary_fixed_point_rhs, compose,
-                     cut_pass_fixed_point, f_compose_moments, law_moments,
-                     meixner_density, module_imports, moments_from_cumulants,
-                     reciprocal, shift, solve_subordination,
-                     split_semicircle_cauchy)
+                     cut_pass_fixed_point, f_compose_moments,
+                     four_unknown_cauchy, law_moments, meixner_density,
+                     module_imports, moments_from_cumulants,
+                     perfbench_workloads, reciprocal, shift,
+                     solve_subordination, split_semicircle_cauchy)
 from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
                      TruncatedSeries, cauchy_value, master_cauchy,
                      meixner_atoms, meixner_cauchy, meixner_parameters,
                      smf_moments, stieltjes_density)
+from smfconv.analytic import _series_fixed_point
 
 SEMI = NamedLaw.semicircle(1)
 
@@ -58,6 +60,11 @@ def test_subordinate_family_zero():
         assert [str(c) for c in series.coeffs] == ["1", "0", "0", "0", "0"]
 
 
+# cell -> the q-class whose resolvent its subordinate transform is, as the
+# linearization formula gives it: the class of the words the cell starts
+READS = {(1, 1): (2, 1), (2, 2): (1, 2), (1, 2): (2, 2), (2, 1): (2, 2)}
+
+
 @pytest.mark.parametrize("mode", ["rational", FLOAT])
 def test_one_pass_matches_cut_pass_oracle(mode):
     # the series are exact over the array's binary values, and a float
@@ -65,6 +72,9 @@ def test_one_pass_matches_cut_pass_oracle(mode):
     # binary64 arithmetic, such as -(+0), never reaches them
     def reprs(series):
         return [repr(c) for c in series.coeffs]
+
+    def resolvent(lam, coeffs):
+        return [repr(F(c, lam ** t)) for t, c in enumerate(coeffs)]
 
     pick = [0, 0, 1, -1, F(1, 2), -2, 3]
     if mode == FLOAT:
@@ -77,10 +87,13 @@ def test_one_pass_matches_cut_pass_oracle(mode):
                  for cell in J}, mode=mode)
             want_family, want_master = cut_pass_fixed_point(arr.exact(),
                                                             order)
-            family = solve_subordination(arr, order)
-            assert list(family) == list(want_family)
+            lam, classes = _series_fixed_point(arr, order)
+            assert sorted(classes) == sorted({(1, 1), *READS.values()})
+            # both off-diagonal members are checked against class (2,2)
+            assert sorted(want_family) == sorted(READS)
             for cell, series in want_family.items():
-                assert reprs(family[cell]) == reprs(series)
+                assert resolvent(lam, classes[READS[cell]]) == reprs(series)
+            assert resolvent(lam, classes[(1, 1)]) == reprs(want_master)
             master = master_cauchy(arr, order)
             assert master.mode == mode
             if mode == FLOAT:
@@ -94,7 +107,7 @@ def test_one_pass_matches_cut_pass_oracle(mode):
 
 def test_analytic_imports_no_other_engine():
     assert module_imports(smfconv.analytic).isdisjoint(
-        {"moments", "fock", "partitions", "matricial"})
+        {"moments", "fock", "partitions", "matricial", "units"})
 
 
 def test_master_matches_partition_engine_all_shapes():
@@ -316,6 +329,66 @@ def test_fixed_point_matches_split_closed_form_near_the_edge():
         z = complex(x, 1e-3)
         assert abs(cauchy_value(arr, z)
                    - split_semicircle_cauchy(*SPLIT_ARRAY, z)) < 1e-9
+
+
+def test_three_unknowns_match_the_four_unknown_iteration():
+    # with point-mass off-diagonals K12 and K21 are constants, so the two
+    # off-diagonal unknowns of the reference iterate the same resolvent
+    # and the one class (2,2) replaces them bit for bit
+    workloads = perfbench_workloads()
+    rng = random.Random(29)
+    for a11, a22, b12, b21 in workloads.DENSITY_ARRAYS:
+        arr = split_array(a11, a22, b12, b21)
+        edge = 2 * math.sqrt(max(a11, a22)) + abs(b12) + abs(b21)
+        for _ in range(4):
+            z = complex(rng.uniform(-edge, edge), workloads.DENSITY_EPS)
+            assert cauchy_value(arr, z) == four_unknown_cauchy(arr, z)[0]
+    # off-diagonal R-transforms that depend on g: the two unknowns of the
+    # reference round z - K12 - K21 in two orders, so the values agree
+    # to rounding wherever the reference converged
+    compared = 0
+    for _ in range(3):
+        arr = DistributionArray.from_cumulants(
+            {cell: tuple(rng.uniform(-0.5, 0.5) for _ in range(4))
+             for cell in SHAPES["square"]}, mode=FLOAT)
+        for _ in range(12):
+            z = complex(rng.uniform(-3, 3), rng.choice((1e-3, 0.1, 1.0)))
+            want, converged = four_unknown_cauchy(arr, z)
+            if converged:
+                compared += 1
+                assert abs(cauchy_value(arr, z) - want) \
+                    <= 1e-12 * max(1.0, abs(want))
+    assert compared >= 24
+
+
+def test_three_unknowns_match_the_four_unknown_iteration():
+    # with point-mass off-diagonals K12 and K21 are constants, so the two
+    # off-diagonal unknowns of the reference iterate the same resolvent
+    # and the one class (2,2) replaces them bit for bit
+    workloads = perfbench_workloads()
+    rng = random.Random(29)
+    for a11, a22, b12, b21 in workloads.DENSITY_ARRAYS:
+        arr = split_array(a11, a22, b12, b21)
+        edge = 2 * math.sqrt(max(a11, a22)) + abs(b12) + abs(b21)
+        for _ in range(4):
+            z = complex(rng.uniform(-edge, edge), workloads.DENSITY_EPS)
+            assert cauchy_value(arr, z) == four_unknown_cauchy(arr, z)[0]
+    # off-diagonal R-transforms that depend on g: the two unknowns of the
+    # reference round z - K12 - K21 in two orders, so the values agree
+    # to rounding wherever the reference converged
+    compared = 0
+    for _ in range(3):
+        arr = DistributionArray.from_cumulants(
+            {cell: tuple(rng.uniform(-0.5, 0.5) for _ in range(4))
+             for cell in SHAPES["square"]}, mode=FLOAT)
+        for _ in range(12):
+            z = complex(rng.uniform(-3, 3), rng.choice((1e-3, 0.1, 1.0)))
+            want, converged = four_unknown_cauchy(arr, z)
+            if converged:
+                compared += 1
+                assert abs(cauchy_value(arr, z) - want) \
+                    <= 1e-12 * max(1.0, abs(want))
+    assert compared >= 24
 
 
 def test_fixed_point_requires_upper_half_plane():

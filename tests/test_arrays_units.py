@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import smfconv.units
+from oracles import padded
 from smfconv import DistributionArray, NamedLaw, SHAPES, UnitElement
 
 
@@ -33,11 +34,11 @@ def test_cumulant_lookup_and_padding():
     assert arr.r((2, 2), 1) == 0          # outside J: identically zero
     with pytest.raises(ValueError):
         arr.r((1, 1), 3)
-    padded = arr.padded(4)
-    assert padded.order == 4
-    assert padded.r((1, 1), 4) == 0
-    assert padded.J == arr.J
-    assert arr.padded(1) is arr
+    longer = padded(arr, 4)
+    assert longer.order == 4
+    assert longer.r((1, 1), 4) == 0
+    assert longer.J == arr.J
+    assert padded(arr, 1) is arr
 
 
 def test_rational_mode_rejects_floats():

@@ -6,8 +6,8 @@ import pytest
 import smfconv.fock
 from oracles import (CountingOp, apply_scalars, column_scalars,
                      dict_state_moment, eager_tables,
-                     full_relation_violations, module_imports, poly_columns,
-                     single_cell_r, to_scalars, to_vector, word_is_valid)
+                     full_relation_violations, module_imports, padded,
+                     poly_columns, single_cell_r, to_scalars, to_vector, word_is_valid)
 from smfconv import (ALL_CELLS, FLOAT, RATIONAL, DistributionArray,
                      FockModel, SHAPES, TruncatedSeries, UnitElement,
                      compression, smf_moments)
@@ -385,9 +385,9 @@ def test_float_mode_model():
     # moments are rounded, once each
     arr = DistributionArray.from_cumulants(
         {(1, 1): (0.5, 1.0), (2, 2): (-1.0, 2.0)}, mode="float")
-    model = FockModel(arr.padded(4), 4)
-    exact = DistributionArray.from_cumulants(
-        {(1, 1): (F(1, 2), F(1)), (2, 2): (F(-1), F(2))}).padded(4)
+    model = FockModel(padded(arr, 4), 4)
+    exact = padded(DistributionArray.from_cumulants(
+        {(1, 1): (F(1, 2), F(1)), (2, 2): (F(-1), F(2))}), 4)
     assert model.array == exact and model.mode == FLOAT
     want = FockModel(exact, 4).moments(4)
     got = model.moments(4)

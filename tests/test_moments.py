@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import smfconv.moments
 from oracles import (enumerate_admissible, f_compose_moments,
                      forest_moments, label_and_admit, module_imports,
-                     moments_from_cumulants, partition_contribution,
+                     moments_from_cumulants, padded, partition_contribution,
                      reciprocal)
 from smfconv import (DistributionArray, FLOAT, NCPartition, SHAPES,
                      TruncatedSeries, enumerate_nc, smf_moments)
@@ -16,7 +16,7 @@ from smfconv import (DistributionArray, FLOAT, NCPartition, SHAPES,
 
 def array_of(cums, order=None):
     arr = DistributionArray.from_cumulants(cums)
-    return arr.padded(order) if order else arr
+    return padded(arr, order) if order else arr
 
 
 def test_semicircle_moments_are_catalan():
