@@ -21,14 +21,13 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .arrays import ALL_CELLS, DistributionArray, NamedLaw, SHAPES
-from .series import FLOAT, RATIONAL, Record, TruncatedSeries, as_scalar, \
-    scalars_close
+from .series import FLOAT, RATIONAL, Record, TruncatedSeries
 
 MAX_ORDER = 20
 MAX_DENSITY_POINTS = 100_000
 ENGINES = ("partition", "fock", "analytic")
 CHECKS = ("axioms", "eq56", "eq611", "uniqueness")
-FLOAT_TOL = 1e-9
+FLOAT_TOL = 1e-9    # read only by perfbench's replay of a job
 
 
 class ConfigError(Exception):
@@ -232,9 +231,9 @@ def _render_series(series: TruncatedSeries) -> list:
 
 
 def _series_agree(a: TruncatedSeries, b: TruncatedSeries, mode: str) -> bool:
-    """Exact on rationals, within FLOAT_TOL on floats (``scalars_close``
-    decides by type, so *mode* is not consulted)."""
-    return a.agrees(b, FLOAT_TOL)
+    """Equality of the reported coefficients in either precision: each is
+    exact, or the exact value rounded once, so *mode* is not consulted."""
+    return a == b
 
 
 def run(config: JobConfig) -> Tuple[dict, int]:
@@ -280,12 +279,9 @@ def run(config: JobConfig) -> Tuple[dict, int]:
         model = model or FockModel(array, depth)
         checks_out = {}
         r_unit = b_unit = None    # shared by eq56, eq611 and uniqueness
-        zero, one = as_scalar(0, mode), as_scalar(1, mode)
 
         def residuals_ok(res):
-            return (scalars_close(res[0], one, FLOAT_TOL)
-                    and all(scalars_close(v, zero, FLOAT_TOL)
-                            for v in res[1:]))
+            return res[0] == 1 and not any(res[1:])
 
         for check in config.checks:
             if check != "axioms" and r_unit is None:
@@ -294,7 +290,7 @@ def run(config: JobConfig) -> Tuple[dict, int]:
                                                         config.order - 1)
             if check == "axioms":
                 violations = model.axiom_check(
-                    trials=50, max_length=min(5, depth), seed=1)
+                    trials=50, max_length=5, seed=1)
                 checks_out[check] = {"pass": not violations,
                                      "violations": violations}
             elif check in ("eq56", "eq611"):

@@ -192,9 +192,10 @@ class ResolventTable:
     is read.  An r_{d-1} not yet in r_ops counts as zero in S_{d+1}:
     reconstruct_unique solves for it, then appends it before level d + 1
     is built.  Level L reads r_0..r_{L-2}, so an r_ops shorter than that
-    is complete.  Y_k is dropped once no nonzero or missing r_j reaches it
-    at a level k + j yet to come (never for k = 1), so with no
-    coefficients a table keeps one level.
+    is complete.  Y_1 = v is dropped at once, as r_{d-1} v enters only as
+    that scalar at ref; Y_k is dropped once no nonzero or missing r_j
+    reaches it at a level k + j yet to come, so with no coefficients a
+    table keeps one level.
     """
 
     def __init__(self, model: FockModel, r_ops: Sequence[UnitElement],

@@ -11,6 +11,10 @@ Whatever the document, the exit code says what happened:
 * a float job that exits 1 exits 1 in rational precision on the exact
   binary values of its cumulants, so a float failure is never an
   artefact of rounding.
+
+A valid array of any shape, with all three engines and every check that
+applies to it, passes: the linearization and uniqueness theorems stated
+as a property of the whole job, in both precisions.
 """
 
 import contextlib
@@ -164,3 +168,40 @@ def test_float_failures_are_exact_on_the_regression_arrays():
     small["cells"]["1,1"]["b"] = 1e7
     small["checks"] = list(CHECKS)
     assert run_main(small)[0] == 0
+
+
+# a valid array: cumulant lists or named laws over the awkward numbers,
+# and cumulants at the 1e-12 scale, where a tolerance would hide a defect
+_ARRAY_VALUE = st.one_of(_VALUE, st.floats(-1e3, 1e3).map(lambda v: v * 1e-12))
+_ARRAY_CUMULANTS = st.lists(_ARRAY_VALUE, min_size=1, max_size=4)
+_ARRAY_LAW = st.one_of(
+    _ARRAY_CUMULANTS,
+    st.fixed_dictionaries({"kind": st.just("semicircle"), "a": _ARRAY_VALUE}),
+    st.fixed_dictionaries({"kind": st.just("point_mass"),
+                           "b": _ARRAY_VALUE}))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(cells=st.dictionaries(st.sampled_from(CELL_KEYS), _ARRAY_LAW,
+                             min_size=1, max_size=4),
+       order=st.integers(1, 6))
+# float moments overflow, and the exact reports run to thousands of digits
+@example(cells={"1,1": [1e300, 5e-324, 1e300, 5e-324],
+                "2,2": [5e-324, "1/97", 1e20, -1e8], "1,2": [1e300, "1/97"],
+                "2,1": [5e-324, 1e300, "-1/3", 123456789]}, order=6)
+def test_a_valid_job_passes_in_both_precisions(cells, order):
+    # uniqueness needs a cell in each row, axioms an order of 2 or more
+    checks = [c for c in CHECKS
+              if (c != "uniqueness" or {k[0] for k in cells} == {"1", "2"})
+              and (c != "axioms" or order >= 2)]
+    doc = {"cells": cells, "order": order, "engines": list(ENGINES),
+           "checks": checks, "precision": "float"}
+    code, out, err = run_main(doc)
+    event("float exit %s" % code)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("config error: ") and "not finite" in err
+    else:
+        assert (code, err) == (0, "")
+    code, out, err = run_main(exact_twin(doc))
+    assert (code, err) == (0, "")

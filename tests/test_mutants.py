@@ -7,6 +7,11 @@ shape, and its checks_r8 job 0, each at order 6.  Which job kills a
 mutant depends on the shape: the diagonal job has no off-diagonal cell
 and survives all three, and on point-mass off-diagonals K12 and K21 do
 not depend on g, so a stale (2,2) power table changes nothing there.
+
+Float jobs decide agreement, ``eq56`` and ``eq611`` by equality of the
+reported values, as rational jobs do, so a defect whose effect is 1e-12
+of a moment still makes a float job exit 1.  A tolerance of 1e-9 would
+let each float mutant below pass.
 """
 
 import inspect
@@ -15,7 +20,7 @@ import json
 import pytest
 
 from oracles import perfbench_workloads
-from smfconv import analytic
+from smfconv import analytic, fock, matricial
 from smfconv.cli import main
 
 ORDER = 6
@@ -72,3 +77,52 @@ def test_mutant_makes_a_job_exit_one(mutate, configs, tmp_path, capsys,
                                      monkeypatch):
     mutate(monkeypatch)
     assert 1 in exit_codes(configs, tmp_path, capsys)
+
+
+# float order-6 square arrays with eq56 and eq611: the off-diagonal cells
+# differ by 1e-12 in every cumulant, or every cell has a fourth cumulant
+# of 1e-12
+def _float_job(cells):
+    return {"shape": "square", "cells": cells, "order": ORDER,
+            "precision": "float", "checks": ["eq56", "eq611"]}
+
+
+OFF_DIAGONAL_1E12 = _float_job({
+    "1,1": [0, 1], "2,2": [0.25, 0.5],
+    "1,2": [0.5, 0.3, 0.2], "2,1": [0.5 + 1e-12, 0.3 + 1e-12, 0.2 + 1e-12]})
+FOURTH_CUMULANTS_1E12 = _float_job({
+    "1,1": [0, 1, 0.2, 1e-12], "2,2": [0, 1, 0.1, 1e-12],
+    "1,2": [0.5, 0.3, 0.2, 1e-12], "2,1": [0.4, 0.3, 0.1, 1e-12]})
+
+
+def swap_a_cell_in_a_q_summand(monkeypatch):
+    # R's q21 component sums the (1,1) and (1,2) transforms, not (2,1)
+    monkeypatch.setitem(matricial.Q_SUMMANDS, (2, 1), ((1, 1), (1, 2)))
+
+
+def truncate_the_cell_weights(monkeypatch):
+    # the cell operators ignore the cumulants past the third
+    build = fock.FockModel.__init__
+
+    def init(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        self.weights = {cell: ws[:3] for cell, ws in self.weights.items()}
+    monkeypatch.setattr(fock.FockModel, "__init__", init)
+
+
+FLOAT_MUTANTS = [(swap_a_cell_in_a_class, OFF_DIAGONAL_1E12),
+                 (swap_a_cell_in_a_q_summand, OFF_DIAGONAL_1E12),
+                 (truncate_the_cell_weights, FOURTH_CUMULANTS_1E12)]
+
+
+def test_the_float_jobs_pass_unmutated(tmp_path, capsys):
+    assert exit_codes([OFF_DIAGONAL_1E12, FOURTH_CUMULANTS_1E12], tmp_path,
+                      capsys) == [0, 0]
+
+
+@pytest.mark.parametrize("mutate, config", FLOAT_MUTANTS,
+                         ids=[m.__name__ for m, _ in FLOAT_MUTANTS])
+def test_float_mutant_exits_one(mutate, config, tmp_path, capsys,
+                                monkeypatch):
+    mutate(monkeypatch)
+    assert exit_codes([config], tmp_path, capsys) == [1]
