@@ -26,14 +26,18 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .arrays import ALL_CELLS, DistributionArray
 from .series import FLOAT, TruncatedSeries, as_scalar, \
     extend_pole_inverse, reported
 
-# cauchy_value stops after CAUCHY_MAX_ITER steps or at a step below
-# CAUCHY_TOL; meixner_atoms keeps the residues above ATOM_WEIGHT_FLOOR
+# cauchy_value damps the fixed point for CAUCHY_DAMPED_ITER steps, then
+# tries Newton for NEWTON_MAX_ITER steps, then damps on to CAUCHY_MAX_ITER
+# steps; each stops at a step below CAUCHY_TOL.  meixner_atoms keeps the
+# residues above ATOM_WEIGHT_FLOOR
+CAUCHY_DAMPED_ITER = 200
+NEWTON_MAX_ITER = 50
 CAUCHY_MAX_ITER = 500
 CAUCHY_TOL = 1e-13
 ATOM_WEIGHT_FLOOR = 1e-12
@@ -45,6 +49,9 @@ Q_RESOLVENTS = {(1, 1): ((1, 1), (2, 2)), (2, 1): ((1, 1), (2, 1)),
                 (1, 2): ((2, 2), (1, 2)), (2, 2): ((1, 2), (2, 1))}
 # cell -> the class of the words it starts, whose resolvent g_c reads
 CELL_CLASS = {(1, 1): (2, 1), (2, 2): (1, 2), (1, 2): (2, 2), (2, 1): (2, 2)}
+# the classes that cells read, in an order where each reads only itself
+# and the classes before it: class (2,2) resolves alone
+NEWTON_ORDER = ((2, 2), (2, 1), (1, 2))
 
 
 def _product_coefficient(a, b, s):
@@ -162,11 +169,53 @@ def meixner_atoms(a: float, b: float) -> List[Tuple[float, float]]:
     return out
 
 
-def cauchy_value(array: DistributionArray, z: complex) -> complex:
-    """Numeric G(z) by damped iteration of the subordination fixed point.
+def _horner(coeffs, u):
+    """(K(u), K'(u)) for the polynomial of *coeffs*, highest order first."""
+    k = dk = 0.0
+    for c in coeffs:
+        dk = dk * u + k
+        k = k * u + c
+    return k, dk
 
-    Works for any array with finitely many cumulants; Im z > 0 required.
+
+def _newton(r, z: complex, g):
+    """The resolvents of the classes that cells read, by Newton from *g*
+    along ``NEWTON_ORDER``; None when a class finds no root it accepts.
+    A zero derivative or an overflow raises ZeroDivisionError or
+    OverflowError.
+
+    Class q solves f(u) = u (z - K(u) - c) - 1, with K the sum of the
+    tails of its cells that read q and c the sum of the others, read at
+    the classes already solved.  A root is accepted when a step falls
+    below CAUCHY_TOL within NEWTON_MAX_ITER steps, Im u <= 0 and the map
+    u -> 1/(z - K(u) - c) attracts there, |K'(u) u^2| < 1: the
+    Denjoy-Wolff point that the damped map converges to.
     """
+    roots = {}
+    for q in NEWTON_ORDER:
+        # every cell has the array's cumulant order
+        coeffs = [sum(col) for col in zip(*(
+            r[cell] for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] == q))]
+        c = sum(_horner(r[cell], roots[CELL_CLASS[cell]])[0]
+                for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] != q)
+        u = g[q]
+        for _ in range(NEWTON_MAX_ITER):
+            k, dk = _horner(coeffs, u)
+            step = (u * (z - k - c) - 1) / (z - k - c - u * dk)
+            u -= step
+            if abs(step) < CAUCHY_TOL:
+                break
+        else:
+            return None
+        if not (u.imag <= 0 and abs(_horner(coeffs, u)[1] * u * u) < 1):
+            return None
+        roots[q] = u
+    return roots
+
+
+def _cauchy(array: DistributionArray, z: complex):
+    """(G(z), converged): ``cauchy_value`` and whether its fixed point
+    converged."""
     if z.imag <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
     # cumulant tails highest order first, for Horner evaluation
@@ -185,23 +234,49 @@ def cauchy_value(array: DistributionArray, z: complex) -> complex:
         return {q: 1.0 / (z - k[a] - k[b])
                 for q, (a, b) in Q_RESOLVENTS.items()}
 
-    g = {q: 1.0 / z for q in CELL_CLASS.values()}
-    for _ in range(CAUCHY_MAX_ITER):
-        new = resolvents(g)
-        delta = max(abs(new[q] - g[q]) for q in g)
-        g = {q: 0.5 * g[q] + 0.5 * new[q] for q in g}
-        if delta < CAUCHY_TOL:
-            break
-    return resolvents(g)[(1, 1)]
+    def damp(g, steps):
+        for _ in range(steps):
+            new = resolvents(g)
+            delta = max(abs(new[q] - g[q]) for q in g)
+            g = {q: 0.5 * g[q] + 0.5 * new[q] for q in g}
+            if delta < CAUCHY_TOL:
+                return g, True
+        return g, False
+
+    g, converged = damp({q: 1.0 / z for q in CELL_CLASS.values()},
+                        CAUCHY_DAMPED_ITER)
+    if not converged:
+        try:
+            roots = _newton(r, z, g)
+        except (ZeroDivisionError, OverflowError):
+            roots = None
+        if roots is not None:
+            return resolvents(roots)[(1, 1)], True
+        g, converged = damp(g, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
+    return resolvents(g)[(1, 1)], converged
+
+
+def cauchy_value(array: DistributionArray, z: complex) -> complex:
+    """Numeric G(z) of the subordination fixed point.
+
+    Works for any array with finitely many cumulants; Im z > 0 required.
+    The damped iteration runs CAUCHY_DAMPED_ITER steps; a point it leaves
+    unconverged is finished by Newton on the classes in ``NEWTON_ORDER``
+    when Newton finds the attracting root, and otherwise damped on to
+    CAUCHY_MAX_ITER steps, whose last iterate is returned.
+    """
+    return _cauchy(array, z)[0]
 
 
 def stieltjes_density(array: DistributionArray, grid: Sequence[float],
-                      eps: float):
+                      eps: float, unconverged: Optional[list] = None):
     """Sampled density -Im G(x + i eps)/pi on the grid, plus the atom list.
 
     Uses the closed form when the array matches the semicircle/point-mass
     pattern (then atoms come from residues); otherwise evaluates the
-    subordination fixed point numerically and reports no atoms.
+    subordination fixed point numerically and reports no atoms.  The x of
+    each point whose fixed point did not converge is appended to
+    *unconverged* when a list is given.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -211,8 +286,12 @@ def stieltjes_density(array: DistributionArray, grid: Sequence[float],
     rows = []
     for x in grid:
         z = complex(x, eps)
-        g = (meixner_cauchy(params[0], params[1], z) if params
-             else cauchy_value(array, z))
+        if params:
+            g = meixner_cauchy(params[0], params[1], z)
+        else:
+            g, converged = _cauchy(array, z)
+            if not converged and unconverged is not None:
+                unconverged.append(float(x))
         rows.append((float(x), -g.imag / math.pi))
     atoms = meixner_atoms(*params) if params else []
     return rows, atoms

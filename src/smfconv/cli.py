@@ -324,10 +324,14 @@ def run(config: JobConfig) -> Tuple[dict, int]:
         eps = float(d.get("eps", 1e-3))
         grid = [lo + (hi - lo) * k / (pts - 1) for k in range(pts)]
         from .analytic import stieltjes_density
+        unconverged = []
         try:
-            rows, atoms = stieltjes_density(array, grid, eps)
+            rows, atoms = stieltjes_density(array, grid, eps, unconverged)
         except OverflowError:
             raise ConfigError("density grid overflows float precision")
+        if unconverged:     # out of band: the report's shape is unchanged
+            print("density: %d of %d grid points did not converge"
+                  % (len(unconverged), pts), file=sys.stderr)
         report["density"] = {
             "eps": eps,
             "grid": [[x, y] for x, y in rows],

@@ -976,12 +976,14 @@ CELL_PAIRING = (((1, 1), ((1, 1), (2, 1))), ((1, 2), ((1, 2), (2, 1))),
                 (None, ((1, 1), (2, 2))))
 
 
-def four_unknown_cauchy(array: DistributionArray, z: complex):
-    """(G(z), converged): the damped fixed-point iteration with one
+def four_unknown_cauchy(array: DistributionArray, z: complex,
+                        max_iter: int = CAUCHY_MAX_ITER):
+    """(G(z), converged, steps): the damped fixed-point iteration with one
     unknown per cell, so the off-diagonal resolvent 1/(z - K12 - K21) is
-    iterated twice, once per off-diagonal cell.  Same damping, tolerance
-    and step cap as ``cauchy_value``, which has one unknown per q-class
-    that a cell reads."""
+    iterated twice, once per off-diagonal cell.  Same damping and
+    tolerance as the damped map of ``cauchy_value``, which has one unknown
+    per q-class that a cell reads, run to at most *max_iter* steps with no
+    Newton finish; *steps* counts the steps taken."""
     r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
          for cell in ALL_CELLS}
 
@@ -996,15 +998,13 @@ def four_unknown_cauchy(array: DistributionArray, z: complex):
                 for member, (a, b) in CELL_PAIRING}
 
     g = {cell: 1.0 / z for cell in ALL_CELLS}
-    converged = False
-    for _ in range(CAUCHY_MAX_ITER):
+    for step in range(1, max_iter + 1):
         new = family(g)
         delta = max(abs(new[c] - g[c]) for c in ALL_CELLS)
         g = {c: 0.5 * g[c] + 0.5 * new[c] for c in ALL_CELLS}
         if delta < CAUCHY_TOL:
-            converged = True
-            break
-    return family(g)[None], converged
+            return family(g)[None], True, step
+    return family(g)[None], False, max_iter
 
 
 # -- the benchmark's job configs ---------------------------------------------

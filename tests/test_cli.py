@@ -388,6 +388,10 @@ def test_density_symmetric_without_shift(tmp_path, capsys):
 # the exact binary values and round once: the analytic engine's -0.0 and
 # -1.4758999999999998, binary64 arithmetic, became 0.0 and -1.4758999999999995,
 # the correctly rounded values the other two engines already reported.
+# Two density values were re-recorded when Newton came to finish the points
+# the damped map leaves after CAUCHY_DAMPED_ITER steps: x = -2.4, which the
+# damped map never converged at, moved by 2.8e-11 onto the closed form, and
+# x = 1.6 (222 damped steps) by 2.2e-14.
 PINNED_FLOAT_CONFIG = {
     "version": 1,
     "shape": "square",
@@ -406,9 +410,9 @@ PINNED_FLOAT_CONFIG = {
 PINNED_FLOAT_REPORT = (
     '{"agreement":true,"density":{"atoms":[],"eps":0.001,"grid":[[-4.0,'
     '3.1454444964309384e-05],[-3.2,7.147868539174836e-05],[-2.4,'
-    '0.09002792799943922],[-1.6,0.3312489835417363],[-0.7999999999999998,'
+    '0.09002792802791999],[-1.6,0.3312489835417363],[-0.7999999999999998,'
     '0.17772381037890012],[0.0,0.16148897293061798],[0.7999999999999998,'
-    '0.17695656063580725],[1.5999999999999996,0.2810033885490872],'
+    '0.17695656063580725],[1.5999999999999996,0.2810033885491095],'
     '[2.4000000000000004,0.0003022011454564263],[3.2,'
     '6.403067316148639e-05],[4.0,3.034957277358017e-05]]},'
     '"engines":["partition","fock","analytic"],'
@@ -458,6 +462,49 @@ def test_pinned_reports_byte_identical(tmp_path, capsys, config, report):
     code, out, _ = run_cli(tmp_path, config, capsys=capsys)
     assert code == 0
     assert out == report + "\n"
+
+
+# The split semicircle/point-mass array of the density_f10 workload near
+# its left spectral edge, where the damped map alone does not converge
+# within CAUCHY_MAX_ITER steps at five of the six points.
+EDGE_JOB = {
+    "version": 1,
+    "shape": "square",
+    "cells": {
+        "1,1": {"kind": "semicircle", "a": "0.983"},
+        "2,2": {"kind": "semicircle", "a": "1.348"},
+        "1,2": {"kind": "point_mass", "b": "0.182"},
+        "2,1": {"kind": "point_mass", "b": "-0.214"},
+    },
+    "order": 4,
+    "precision": "float",
+    "density": {"grid_min": -2.2, "grid_max": -2.1, "points": 6,
+                "eps": 1e-3},
+}
+
+
+def test_unconverged_density_points_are_counted_on_stderr(
+        tmp_path, capsys, monkeypatch):
+    reports = {}
+    for out_format in ("json", "csv"):
+        code, out, err = run_cli(tmp_path, EDGE_JOB, "--out", out_format,
+                                 capsys=capsys)
+        assert (code, err) == (0, "")
+        reports[out_format] = out
+    monkeypatch.setattr("smfconv.analytic._newton", lambda r, z, g: None)
+    code, out, err = run_cli(tmp_path, EDGE_JOB, capsys=capsys)
+    assert code == 0
+    assert err == "density: 5 of 6 grid points did not converge\n"
+    want, got = json.loads(reports["json"]), json.loads(out)
+    assert [x for x, _ in got["density"].pop("grid")] \
+        == [x for x, _ in want["density"].pop("grid")]
+    assert got == want
+    code, out, err = run_cli(tmp_path, EDGE_JOB, "--out", "csv",
+                             capsys=capsys)
+    assert code == 0
+    assert err == "density: 5 of 6 grid points did not converge\n"
+    assert [line.split(",")[0] for line in out.splitlines()] \
+        == [line.split(",")[0] for line in reports["csv"].splitlines()]
 
 
 # An array of one cell has no alternating sequence of two cells; the axiom
