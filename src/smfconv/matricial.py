@@ -1,26 +1,21 @@
 """Unit-valued transform layer: assembling the matricial R-transform,
-inverting its Cauchy argument, checking the linearization residuals in all
-states, and reconstructing the transform uniquely from moment data.
+checking the linearization identities in all states, and reconstructing
+the transform uniquely from moment data.
 
 A unit-valued series is stored as four scalar series over the q basis.
 Transform series use the tail convention of :func:`series.invert_pole_series`:
 coefficient k of an R-side series is c_{k+1} (so the series is the regular
-part of 1/z + R), and coefficient k of a B-side series is b_{k+1} (the
+part of C = 1/z + R), and coefficient k of a B-side series is b_{k+1} (the
 multiplicative inverse being z + z^2 * tail), with c_0 = b_0 = 1 implicit.
 
-The checks read, for a middle operator M (the total A or a compression)
-and a state vector v, the coefficients S_d of <(1 - B M)^{-1} B v, v>:
-the products <b_{n_1} M b_{n_2} .. M b_{n_k} v, v> summed over k and
-n_1 + .. + n_k = d - k.  Expected are 1, 0, 0, ...  As (1 - B M)^{-1} B =
-(C - M)^{-1}, they come from the coefficients r_j = c_{j+1} of R by the
-pruned recursion of :class:`smfconv.fock.ResolventTable`, which with
-R = 0 gives the Fock moments.
-
-Every series and sum here is exact: the transforms are assembled from the
-exact array (``DistributionArray.exact``) and the Fock model is exact, so
-the residual tables and the reconstruction decide their identities
-exactly in both precisions.  Only the residuals a float job reports are
-rounded, once each.
+For a middle operator M (the total A or a compression) and a state vector
+v, a :class:`smfconv.fock.ResolventTable` reads the coefficients S_d of
+<(1 - B M)^{-1} B v, v> = <(C - M)^{-1} v, v> off the coefficients of R;
+the identities expect 1, 0, 0, ...  One table per operator and state
+serves eq56, eq611 and uniqueness (:func:`check_residuals`), so a job
+forms no B.  The tables and the reconstruction are exact whatever the
+array's precision; only the residuals a float job reports are rounded,
+once each.
 """
 
 from __future__ import annotations
@@ -100,6 +95,31 @@ def invert_C(r: UnitSeries) -> UnitSeries:
         {qc: invert_pole_series(r.component(qc)) for qc in QCELLS})
 
 
+def _tables(model: FockModel, r_ops, tops: Dict) -> Dict:
+    """The resolvent tables of the checks, keyed as *tops* is, each summed
+    to its own top level: key None is the table of A in the vacuum state
+    phi, a cell that of the cell's compressed total in its row's state."""
+    return {key: ResolventTable(
+        model, r_ops,
+        model.total() if key is None else model.compressed_total(key),
+        "phi" if key is None else "phi%d" % key[0], top)
+        for key, top in tops.items()}
+
+
+def _row_cells(J) -> Tuple[Tuple[int, int], ...]:
+    """Per row, the cell whose compressed state yields one component of
+    R: the diagonal cell when it is in J, else the row's other cell."""
+    cells = tuple((i, i) if (i, i) in J else (i, 3 - i) for i in (1, 2))
+    if not set(cells) <= set(J):
+        raise ValueError("reconstruction needs a cell in each row of J")
+    return cells
+
+
+def _q22(r: Dict):
+    """R22 = R21 + R12 - R11, from components keyed by q cell."""
+    return r[(2, 1)] + r[(1, 2)] - r[(1, 1)]
+
+
 def _r_elements(model: FockModel, B: UnitSeries,
                 m_max: int) -> List[UnitElement]:
     """r_0..r_{m_max-2} of R = invert_C(B), the pole inverse being an
@@ -118,63 +138,81 @@ def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
     """Residuals of the vacuum-state linearization identity, in the
     model's precision; the expected value is 1 at m = 1 and 0 for every
     larger m."""
-    table = ResolventTable(model, _r_elements(model, B, m_max),
-                           model.total(), "phi", m_max)
-    return reported(table.sums(), model.mode)
+    table = _tables(model, _r_elements(model, B, m_max), {None: m_max})
+    return reported(table[None].sums(), model.mode)
 
 
 def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
-    """Per-cell residual table of the compressed identity.
+    """Per-cell residuals of the compressed identity, in the model's
+    precision: cell (i,j) pairs P_{i,j} A P_{i,j} (P = 1 - q11 on the
+    diagonal, 1 - 1_{j,j} off it) with the state at e_{i,i}."""
+    tables = _tables(model, _r_elements(model, B, m_max),
+                     dict.fromkeys(sorted(model.J), m_max))
+    return {cell: reported(table.sums(), model.mode)
+            for cell, table in tables.items()}
 
-    Cell (i,j) pairs the compression P_{i,j} (1 - q11 on the diagonal,
-    1 - 1_{j,j} off it) with the vector state at e_{i,i}; each row of the
-    table is expected to read 1, 0, 0, ...  Residuals are in the model's
-    precision.
+
+def check_residuals(model: FockModel, R: UnitSeries, m_max: int,
+                    checks) -> Dict[str, tuple]:
+    """{check: (pass, residuals)} for each of eq56, eq611 and uniqueness
+    in *checks*, from tables of R's coefficients r_0..r_{m_max-1}.
+
+    eq56 reads S_1..S_{m_max} of the vacuum table, eq611 those of each
+    cell's table (a dict by cell), in the model's precision.  uniqueness
+    (residuals None) passes when ``reconstruct_unique(model, m_max - 1)``
+    rebuilds R.  That reads r_m off level m + 2 of the vacuum and row-cell
+    tables, which reads only r_0..r_m, r_m as the scalar at the reference
+    word.  So by induction on m the r_m solved for is S_{m+2} plus R's r_m
+    at that word's q class: the three tables, alone built to m_max + 1,
+    must read 0 at d = 2..m_max+1, and R must satisfy q22 = ``_q22``.
     """
-    r_ops = _r_elements(model, B, m_max)
+    if m_max > model.depth:
+        raise ValueError("need model depth >= m_max")
+    r_ops = [R.coefficient(j) for j in range(m_max)]
+    unique = (None, *_row_cells(model.J)) if "uniqueness" in checks else ()
+    keys = {"eq56": [None], "eq611": sorted(model.J)}
+    tops = {key: m_max for c in checks for key in keys.get(c, ())}
+    tops.update(dict.fromkeys(unique, m_max + 1))
+    tables = _tables(model, r_ops, tops)
+
+    def residuals(key):
+        return reported([tables[key].sum(d) for d in range(1, m_max + 1)],
+                        model.mode)
+
+    def passed(res):
+        return res[0] == 1 and not any(res[1:])
+
     out = {}
-    for cell in sorted(model.J):
-        table = ResolventTable(model, r_ops, model.compressed_total(cell),
-                               "phi1" if cell[0] == 1 else "phi2", m_max)
-        out[cell] = reported(table.sums(), model.mode)
+    if "eq56" in checks:
+        res = residuals(None)
+        out["eq56"] = (passed(res), res)
+    if "eq611" in checks:
+        rows = {cell: residuals(cell) for cell in sorted(model.J)}
+        out["eq611"] = (all(map(passed, rows.values())), rows)
+    if unique:
+        out["uniqueness"] = (all(
+            tables[key].sum(d) == 0 for key in unique
+            for d in range(2, m_max + 2)) and all(
+            r.component((2, 2)) == _q22(dict(zip(QCELLS, r.beta)))
+            for r in r_ops), None)
     return out
 
 
 def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
-    """Recover the matricial R-transform from moment data alone.
-
-    Solves the vacuum-state recursion for the q11 components and the two
-    compressed conjugate-state recursions for q21 and q12; the q22
-    component follows from the linear relation R22 = R21 + R12 - R11.
-    Needs one cell in each row of J and model depth at least order + 1.
-    The series are exact whatever the model's precision.
-    """
+    """Recover the matricial R-transform to *order* from moment data
+    alone, exactly in both precisions.  S_{m+2} vanishes and r_m enters
+    it only as <r_m v, v>, so level m + 2 of the vacuum and row-cell
+    tables, read without r_m, gives r_m at the q class of each table's
+    reference word (q11, q21, q12); q22 follows by ``_q22``.  Needs a cell
+    in each row of J and model depth at least order + 1."""
     if order + 1 > model.depth:
         raise ValueError("need model depth >= order + 1")
-    row_cell = {}
-    for i in (1, 2):
-        for cell in ((i, i), (i, 3 - i)):
-            if cell in model.J:
-                row_cell[i] = cell
-                break
-    if set(row_cell) != {1, 2}:
-        raise ValueError("reconstruction needs a cell in each row of J")
-
-    # one table per state; S_{m+2} vanishes, and r_m enters it only as
-    # <r_m v, v>, so each table read without r_m gives r_m's component at
-    # the q class of its reference word
     r_ops: List[UnitElement] = []
-    top = order + 2
-    tables = {
-        (1, 1): ResolventTable(model, r_ops, model.total(), "phi", top),
-        (2, 1): ResolventTable(
-            model, r_ops, model.compressed_total(row_cell[1]), "phi1", top),
-        (1, 2): ResolventTable(
-            model, r_ops, model.compressed_total(row_cell[2]), "phi2", top),
-    }
+    tables = _tables(model, r_ops,
+                     dict.fromkeys((None, *_row_cells(model.J)), order + 2))
     for m in range(order + 1):
-        r = {qc: table.sum(m + 2) for qc, table in tables.items()}
-        r[(2, 2)] = r[(2, 1)] + r[(1, 2)] - r[(1, 1)]
+        r = {table.qref: table.sum(m + 2) for table in tables.values()}
+        r[(2, 2)] = _q22(r)
         r_ops.append(UnitElement(tuple(r[qc] for qc in QCELLS)))
     return UnitSeries.from_map(
         {qc: TruncatedSeries(u.component(qc) for u in r_ops)

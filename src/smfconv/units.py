@@ -87,10 +87,6 @@ class UnitElement(Record):
         return cls((1, 1, 1, 1))
 
     @classmethod
-    def q_projection(cls, qcell) -> "UnitElement":
-        return cls(tuple(1 if qc == tuple(qcell) else 0 for qc in QCELLS))
-
-    @classmethod
     def internal_unit(cls, i: int, j: int) -> "UnitElement":
         parts = _UNIT_DECOMP[(i, j)]
         return cls(tuple(1 if qc in parts else 0 for qc in QCELLS))
@@ -121,9 +117,6 @@ class UnitElement(Record):
     def scale(self, factor) -> "UnitElement":
         f = as_scalar(factor, RATIONAL)
         return UnitElement(tuple(f * b for b in self.beta))
-
-    def is_projection(self) -> bool:
-        return all(b in (0, 1) for b in self.beta)
 
     def state_value(self, state: str):
         """Value of the element under phi, phi1 or phi2."""

@@ -30,8 +30,8 @@ The test-only API lives here too: free cumulants from moments
 (``single_cell_r``), the subordinate family (``solve_subordination``),
 arrays padded with zero cumulants (``padded``), the closed-form Meixner
 density, the row-identical arrays of the binary convolution kinds, the
-word-validity predicate and the B-side unit coefficients
-(``b_elements``).
+word-validity predicate, the B-side unit coefficients (``b_elements``)
+and the q-basis projections (``q_projection``, ``is_projection``).
 
 Matricial labels: a block's label is (c, c) when every enclosing block
 carries its own color c (or nothing encloses it), and (c, c') otherwise,
@@ -489,6 +489,17 @@ def pole_product_is_one(reg: TruncatedSeries, tail: TruncatedSeries) -> bool:
         if not scalars_close(s, want):
             return False
     return True
+
+
+def q_projection(qcell) -> UnitElement:
+    """The q-basis projection of one q cell."""
+    return UnitElement(tuple(1 if qc == tuple(qcell) else 0
+                             for qc in QCELLS))
+
+
+def is_projection(u: UnitElement) -> bool:
+    """Every q component is 0 or 1."""
+    return all(b in (0, 1) for b in u.beta)
 
 
 def scalar_r_as_unit_series(r: TruncatedSeries) -> UnitSeries:

@@ -7,7 +7,8 @@ import smfconv.fock
 from oracles import (CountingOp, apply_scalars, column_scalars,
                      dict_state_moment, eager_tables,
                      full_relation_violations, module_imports, padded,
-                     poly_columns, single_cell_r, to_scalars, to_vector, word_is_valid)
+                     poly_columns, q_projection, single_cell_r, to_scalars,
+                     to_vector, word_is_valid)
 from smfconv import (ALL_CELLS, FLOAT, RATIONAL, DistributionArray,
                      FockModel, SHAPES, TruncatedSeries, UnitElement,
                      compression, smf_moments)
@@ -193,7 +194,7 @@ def test_relation_check_applies_creation_nine_times_per_cell():
 def test_q_projections_partition_unity():
     arr = square_array(random.Random(7))
     model = FockModel(arr, 4)
-    qs = [UnitElement.q_projection(qc) for qc in
+    qs = [q_projection(qc) for qc in
           ((1, 1), (1, 2), (2, 1), (2, 2))]
     for w in model.words:
         vec = {w: F(1)}
@@ -208,7 +209,7 @@ def test_q_projections_partition_unity():
 def test_unit_correspondences_as_matrix_identities():
     arr = square_array(random.Random(8))
     model = FockModel(arr, 4)
-    q = {qc: UnitElement.q_projection(qc)
+    q = {qc: q_projection(qc)
          for qc in ((1, 1), (1, 2), (2, 1), (2, 2))}
     pairs = {
         (1, 1): q[(1, 1)] + q[(2, 1)],

@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import smfconv.matricial
 from oracles import (CountingOp, DictOp, DictPoly, DictUnit, b_elements,
                      composition_sum, dict_alternating_sums,
                      dict_power_moments,
-                     dict_state_moment, eager_tables, module_imports,
-                     moments_from_cumulants, pole_product_is_one,
-                     r_from_moments, reconstruct_from_scratch,
-                     reinverting_reconstruct, scalar_r_as_unit_series)
-from smfconv import (FLOAT, RATIONAL, DistributionArray, FockModel, NamedLaw,
-                     SHAPES, TruncatedSeries, UnitElement, UnitSeries,
-                     as_scalar, assemble_matricial_r,
-                     compressed_residuals, invert_C, linearization_residuals,
-                     reconstruct_unique, smf_moments)
+                     dict_state_moment, eager_tables, is_projection,
+                     module_imports, moments_from_cumulants,
+                     pole_product_is_one, q_projection, r_from_moments,
+                     reconstruct_from_scratch, reinverting_reconstruct,
+                     scalar_r_as_unit_series)
+from smfconv import (FLOAT, QCELLS, RATIONAL, DistributionArray, FockModel,
+                     NamedLaw, SHAPES, TruncatedSeries, UnitElement,
+                     UnitSeries, as_scalar, assemble_matricial_r, cli,
+                     compressed_residuals, fock, invert_C,
+                     linearization_residuals, matricial, reconstruct_unique,
+                     series, smf_moments)
 from smfconv.fock import ResolventTable
+from smfconv.matricial import check_residuals
 
 
 def random_array(rng, J, order=8):
@@ -140,7 +142,7 @@ def test_per_cell_residuals_all_shapes():
 
 def test_compression_projections():
     from smfconv import UnitElement, compression
-    q = {qc: UnitElement.q_projection(qc)
+    q = {qc: q_projection(qc)
          for qc in ((1, 1), (1, 2), (2, 1), (2, 2))}
     off_vacuum = q[(1, 2)] + q[(2, 1)] + q[(2, 2)]
     assert compression(1, 1) == off_vacuum
@@ -148,7 +150,7 @@ def test_compression_projections():
     assert compression(1, 2) == q[(2, 1)] + q[(2, 2)]
     assert compression(2, 1) == q[(1, 2)] + q[(2, 2)]
     for c in (compression(1, 1), compression(1, 2), compression(2, 1)):
-        assert c.is_projection()
+        assert is_projection(c)
 
 
 def test_reconstruct_round_trip():
@@ -507,6 +509,8 @@ def test_depth_guards():
     with pytest.raises(ValueError):
         reconstruct_unique(model, 4)
     with pytest.raises(ValueError):
+        check_residuals(model, assemble_matricial_r(arr, 4), 5, ("eq56",))
+    with pytest.raises(ValueError):
         b_elements(B, 9)
     # B holds b_1..b_6: a deep enough model still cannot sum 7 levels
     deep = FockModel(arr, 7)
@@ -523,5 +527,107 @@ def test_unit_series_validation():
 
 
 def test_matricial_imports_no_engine():
-    assert module_imports(smfconv.matricial).isdisjoint(
+    assert module_imports(matricial).isdisjoint(
         {"analytic", "moments", "partitions"})
+
+
+def _perturbed(R: UnitSeries, j: int, deltas: dict) -> UnitSeries:
+    """R with deltas[qc] added to coefficient j of component qc."""
+    comp = {}
+    for qc in QCELLS:
+        coeffs = list(R.component(qc).coeffs)
+        coeffs[j] += deltas.get(qc, 0)
+        comp[qc] = TruncatedSeries(coeffs)
+    return UnitSeries.from_map(comp)
+
+
+CHECKS = ("eq56", "eq611", "uniqueness")
+
+
+def _verdicts_of_the_separate_checks(model, R, m_max):
+    def passed(res):
+        return res[0] == 1 and not any(res[1:])
+
+    B = invert_C(R)
+    res = linearization_residuals(model, B, m_max)
+    rows = compressed_residuals(model, B, m_max)
+    return {"eq56": (passed(res), res),
+            "eq611": (all(map(passed, rows.values())), rows),
+            "uniqueness": (reconstruct_unique(model, m_max - 1) == R, None)}
+
+
+def test_check_residuals_match_the_separate_checks():
+    # one set of tables gives the residuals of the B-taking functions and
+    # the verdict of the reconstruction, on the assembled R and on R with
+    # one coefficient perturbed: of q22, of the last order, or any other;
+    # and on R with its last q21 and q22 coefficients moved together, which
+    # keeps R22 = R21 + R12 - R11, so only level m_max + 1 sees it.  Each
+    # check requested alone reads the same
+    rng = random.Random(79)
+    failed = set()
+    for shape in sorted(SHAPES):
+        for m_max in range(1, 8):
+            for mode in (RATIONAL, FLOAT):
+                exact = random_array(rng, SHAPES[shape], m_max + 1)
+                arr = exact if mode == RATIONAL else \
+                    DistributionArray.from_cumulants(
+                        {cell: tuple(float(v) / 3 for v in seq)
+                         for cell, seq in exact.cells}, mode)
+                model = FockModel(arr, m_max)
+                assembled = assemble_matricial_r(arr, m_max - 1)
+                delta = F(rng.choice((-1, 1)), rng.randint(1, 5))
+                last = m_max - 1
+                runs = [(None, assembled), ("kept", _perturbed(
+                    assembled, last, {(2, 1): delta, (2, 2): delta}))] + [
+                    (qc, _perturbed(assembled, j, {qc: delta}))
+                    for qc, j in (((2, 2), rng.randrange(m_max)),
+                                  (rng.choice(QCELLS), last),
+                                  (rng.choice(QCELLS), rng.randrange(m_max)))]
+                for qc, R in runs:
+                    got = check_residuals(model, R, m_max, CHECKS)
+                    assert got == _verdicts_of_the_separate_checks(
+                        model, R, m_max)
+                    for check in CHECKS:
+                        assert check_residuals(model, R, m_max, (check,)) \
+                            == {check: got[check]}
+                        if not got[check][0]:
+                            failed.add(check)
+                    # the moments determine R: every perturbation fails
+                    # uniqueness
+                    assert all(ok for ok, _ in got.values()) == (qc is None)
+                    assert got["uniqueness"][0] == (qc is None)
+    assert failed == set(CHECKS)
+
+
+SQUARE_ORDER6 = {"shape": "square", "order": 6, "engines": ["partition"],
+                 "cells": {"1,1": ["1/2", 1, "1/3"], "1,2": [1, "1/2"],
+                           "2,1": ["1/3", "2/3"], "2,2": [0, 1, "1/5"]}}
+
+
+@pytest.mark.parametrize("checks, tables", [
+    (["eq56", "eq611", "uniqueness"], 1 + 4), (["eq56"], 1),
+    (["eq611"], 4), (["uniqueness"], 3)])
+def test_the_checks_share_their_tables_and_invert_nothing(
+        checks, tables, monkeypatch):
+    # a job builds one vacuum table and one table per cell of J, and
+    # reads R off its assembled coefficients without inverting it
+    built, inverted = [], []
+    init = ResolventTable.__init__
+    invert = series.invert_pole_series
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_invert(reg):
+        inverted.append(reg)
+        return invert(reg)
+
+    monkeypatch.setattr(fock.ResolventTable, "__init__", counted_init)
+    for module in (series, matricial):
+        monkeypatch.setattr(module, "invert_pole_series", counted_invert)
+    config = cli.parse_config(dict(SQUARE_ORDER6, checks=checks))
+    report, code = cli.run(config)
+    assert code == 0 and all(c["pass"] for c in report["checks"].values())
+    assert len(built) == tables
+    assert len(inverted) == 0

@@ -8,6 +8,13 @@ mutant depends on the shape: the diagonal job has no off-diagonal cell
 and survives all three, and on point-mass off-diagonals K12 and K21 do
 not depend on g, so a stale (2,2) power table changes nothing there.
 
+Two mutants of the q22 component run on checks_r8 job 0 with
+``uniqueness`` alone, so that check must catch each by itself: R's q22
+summed from the wrong cells, and the relation R22 = R21 + R12 - R11
+without its R11 term.  Only ``uniqueness`` can see the second, as no
+table of ``eq56`` or ``eq611`` reads q22 at its reference word; it
+needs R11 != 0, which that job has.
+
 Float jobs decide agreement, ``eq56`` and ``eq611`` by equality of the
 reported values, as rational jobs do, so a defect whose effect is 1e-12
 of a moment still makes a float job exit 1.  A tolerance of 1e-9 would
@@ -20,8 +27,8 @@ import json
 import pytest
 
 from oracles import perfbench_workloads
-from smfconv import analytic, fock, matricial
-from smfconv.cli import main
+from smfconv import DistributionArray, analytic, fock, matricial
+from smfconv.cli import main, parse_config
 
 ORDER = 6
 JOBS = [("engines_r10", index) for index in range(5)] + [("checks_r8", 0)]
@@ -126,3 +133,35 @@ def test_float_mutant_exits_one(mutate, config, tmp_path, capsys,
                                 monkeypatch):
     mutate(monkeypatch)
     assert exit_codes([config], tmp_path, capsys) == [1]
+
+
+def q22_sums_one_cell_twice(monkeypatch):
+    # R's q22 component sums the (1,2) transform twice, not (1,2) and (2,1)
+    monkeypatch.setitem(matricial.Q_SUMMANDS, (2, 2), ((1, 2), (1, 2)))
+
+
+def drop_r11_from_the_q22_relation(monkeypatch):
+    monkeypatch.setattr(matricial, "_q22", lambda r: r[(2, 1)] + r[(1, 2)])
+
+
+@pytest.fixture(scope="module")
+def uniqueness_job(configs):
+    return dict(configs[JOBS.index(("checks_r8", 0))], checks=["uniqueness"])
+
+
+def test_the_uniqueness_job_passes_unmutated(uniqueness_job, tmp_path,
+                                             capsys):
+    assert exit_codes([uniqueness_job], tmp_path, capsys) == [0]
+    # R11 != 0, so dropping it from the relation changes R22
+    config = parse_config(dict(uniqueness_job, order=ORDER))
+    R = matricial.assemble_matricial_r(DistributionArray.from_laws(
+        config.laws, ORDER, config.precision), ORDER - 1)
+    assert any(R.component((1, 1)).coeffs)
+
+
+@pytest.mark.parametrize("mutate", [q22_sums_one_cell_twice,
+                                    drop_r11_from_the_q22_relation])
+def test_uniqueness_mutant_exits_one(mutate, uniqueness_job, tmp_path,
+                                     capsys, monkeypatch):
+    mutate(monkeypatch)
+    assert exit_codes([uniqueness_job], tmp_path, capsys) == [1]

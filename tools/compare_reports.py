@@ -17,7 +17,12 @@ The list:
   partition,analytic``, each in rational and in float precision, and
   the README density block on it in float precision;
 * the README job at order 20 with all four checks, in both precisions;
-* checks_r8 jobs 0-2 with ``--precision float``.
+* checks_r8 jobs 0-2 with ``--precision float``;
+* checks_r8 job 0 with ``--checks`` set to each of ``eq56``, ``eq611``,
+  ``uniqueness``, ``eq56,uniqueness`` and ``eq611,uniqueness``, in
+  rational and in float precision;
+* engines_r10 jobs 0-4 (one per named shape) with ``--order 6 --checks
+  eq56,eq611,uniqueness``.
 
 Configs come from perfbench/workloads.py, loaded from its path and not
 changed.  Config files are written to a temporary directory that is
@@ -55,6 +60,9 @@ README_JOB = {
 }
 README_DENSITY = {"grid_min": -2.0, "grid_max": 3.0, "points": 201,
                   "eps": 1e-4}
+# the subsets of the three table checks that the all-checks jobs never run
+CHECK_SUBSETS = ("eq56", "eq611", "uniqueness", "eq56,uniqueness",
+                 "eq611,uniqueness")
 
 
 def load_workloads():
@@ -93,6 +101,17 @@ def invocations(workloads):
         out.append(("checks_r8/%d/float" % index,
                     workloads.job_config("checks_r8", SEED, index),
                     ["--precision", "float"], False))
+    job = workloads.job_config("checks_r8", SEED, 0)
+    for checks in CHECK_SUBSETS:
+        for precision in ("rational", "float"):
+            out.append(("checks_r8/0/%s/%s" % (checks, precision), job,
+                        ["--checks", checks, "--precision", precision],
+                        False))
+    for index in range(5):
+        out.append(("engines_r10/%d/order6-checks" % index,
+                    workloads.job_config("engines_r10", SEED, index),
+                    ["--order", "6", "--checks", "eq56,eq611,uniqueness"],
+                    False))
     return out
 
 
