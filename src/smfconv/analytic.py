@@ -16,9 +16,9 @@ r(k) degree k and w degree -1: then w M has degree -1, each K_c = R_c(g_c)
 degree 1 and every series below degree 0, so its coefficient t is
 homogeneous of degree t in the cumulants, like the moments of
 :mod:`smfconv.moments`, and the series run exactly over the same graded
-integers.  A float job's moments are rounded once.  The numeric
-evaluation of G(z) and the closed form for density extraction run in
-binary64.
+integers, which this module computes for itself.  A float job's moments
+are rounded once.  The numeric evaluation of G(z) and the closed form
+for density extraction run in binary64.
 """
 
 from __future__ import annotations
@@ -81,7 +81,13 @@ def _series_fixed_point(array: DistributionArray, order: int):
     if array.order < order:
         raise ValueError("cumulant order %d < requested order %d"
                          % (array.order, order))
-    lam, f = array.graded()
+    # graded here, not by DistributionArray.graded as the partition engine
+    # is, so that no defect there reaches both: f[c][k-1] = r_c(k) lam^k
+    cums = array.exact().cumulant_map()
+    lam = math.lcm(*(v.denominator for seq in cums.values() for v in seq))
+    f = {cell: [v.numerator * lam ** k // v.denominator
+                for k, v in enumerate(cums.get(cell, ()), 1)]
+         for cell in CELL_CLASS}
     n = order + 1
     g = {q: [0] * n for q in CELL_CLASS.values()}
     # [k][s] = [w^s] g^k; g^k starts at w^k, so step t fills rows 1..t

@@ -7,55 +7,56 @@ prepended when it repeats the first letter of the word, or when it is
 off-diagonal and its second index matches the first index of the word;
 diagonal letters are the only ones that may start a word from the vacuum.
 
-Creation prepends (scaled by alpha), annihilation strips a matching first
-letter (scaled by alpha), and the cell operator is
+Creation prepends a letter, annihilation strips a matching first letter,
+and the cell operator is
 
-    a_{i,j} = l_{i,j} + sum_k s_{i,j}(k) (l*_{i,j})^(k-1)
+    a_{i,j} = l_{i,j} + sum_k r_{i,j}(k) (l*_{i,j})^(k-1)
 
-where the zeroth annihilator power is the internal unit 1_{i,j} and the
-weights satisfy s(k) alpha^(2(k-1)) = r(k), so the cell realizes the
-prescribed cumulants.  Truncation at depth d is exact for any product of
-at most d factors applied to the vacuum.
+where the zeroth annihilator power is the internal unit 1_{i,j}, so the
+cell realizes the prescribed cumulants.  Truncation at depth d is exact
+for any product of at most d factors applied to the vacuum.  The two
+rules, ``created`` and ``stripped``, are written once: the cell
+operators and the relation check both call them.
 
 The model is built on the exact array (``DistributionArray.exact``), so
 every vector, operator and check is exact in both precisions, and only
 ``moments`` rounds, once, for a float job.  A vector is a
 :class:`~smfconv.units.FockVector`, integer numerators {word: num} over
 one positive denominator.  An operator is anything with
-``apply(vec) -> vec``: a :class:`LinearOp` given by a column rule
-(creation, annihilation, the cell operators, the total A and its
-compressions), a :class:`CellPolynomial`, or a
-:class:`~smfconv.units.UnitElement`, which scales each word by its
-q-class component.  Every operator has a denominator ``den`` fixed when
-it is built, the lcm of the denominators of every entry it can produce,
-and supplies its entries as numerators over it; the output denominator
-is the input denominator times the operator's.  So no entry of a vector
-costs a gcd.  A scalar leaves the vector layer only where it is read
-(``state_moment``, the resolvent tables, ``creation_relation_violations``),
-as one ``Fraction(num, den)`` per read.
+``apply(vec) -> vec``: a :class:`LinearOp` given by a column rule (the
+cell operators, the total A and its compressions), a
+:class:`CellPolynomial`, or a :class:`~smfconv.units.UnitElement`, which
+scales each word by its q-class component.  Every operator has a
+denominator ``den`` fixed when it is built, the lcm of the denominators
+of every entry it can produce, and supplies its entries as numerators
+over it; the output denominator is the input denominator times the
+operator's.  So no entry of a vector costs a gcd.  A scalar leaves the
+vector layer only where it is read (``state_moment``, the resolvent
+tables, ``creation_relation_violations``), as one ``Fraction(num, den)``
+per read.
 
 No operator enumerates the word basis.  A cell operator reads only the
 head of a word, so its column at w is, in this entry order: the creation
-entry (cell,)+w with weight alpha when the letter may be prepended and w
-is shorter than the depth; w itself with weight s(1) times the cell
-unit's component at the q class of w; and for k = 2, 3, ... while the
-head letter is the cell, w with k - 1 letters stripped, with weight
-s(k) alpha^(k-1).  The column of A merges the cell columns in sorted
-cell order over the lcm of the cell denominators, summing repeated
-targets in that order, and a compression keeps the entries of A whose
-source and target lie in its range, over the same denominator.  A
-:class:`LinearOp` computes a column the first time a vector reaches its
-word and caches it in ``columns``.
+entry ``created(cell, w, depth)`` with weight 1 when there is one; w
+itself with weight r(1) times the cell unit's component at the q class
+of w; and for k = 2, 3, ... while ``stripped`` finds the cell at the
+head, w with k - 1 letters stripped, with weight r(k).  The column of A
+merges the cell columns in sorted cell order over the lcm of the cell
+denominators, summing repeated targets in that order, and a compression
+keeps the entries of A whose source and target lie in its range, over
+the same denominator.  A :class:`LinearOp` computes a column the first
+time a vector reaches its word and caches it in ``columns``.
 
-The relation l*_c l_c = alpha^2 1_c is checked on words shorter than
-the depth, but not on all of them.  The creation column at w reads only
-the head letter of w (through ``can_prepend``) and whether w is shorter
-than the depth; the annihilation column and the unit 1_c read only the
-head letter.  So on words below the depth both sides take one value per
-head letter, and one for the vacuum.  ``relation_words`` checks the
-vacuum and, per head letter, the shortest word and one of length
-depth - 1, where a length cap that is off by one shows: at most 9 words
-per cell, against 2^depth - 1 in the basis below the depth.
+The relation l*_c l_c = 1_c is checked with the two rules the cell
+operator applies, on words shorter than the depth, but not on all of
+them.  ``created`` reads only the head letter of w (through
+``can_prepend``) and whether w is shorter than the depth; ``stripped``
+and the unit 1_c read only the head letter.  So on words below the depth
+both sides take one value per head letter, and one for the vacuum.
+``relation_words`` checks the vacuum and, per head letter, the shortest
+word and one of length depth - 1, where a length cap that is off by one
+shows: at most 9 words per cell, against 2^depth - 1 in the basis below
+the depth.
 
 The moments and every matricial check read one pruned recursion.  For M
 (A or a compression), a state vector v with reference word ref and the
@@ -77,7 +78,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from operator import ne
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
@@ -99,6 +99,20 @@ def can_prepend(letter: Letter, word: Word) -> bool:
     head = word[0]
     return letter == head or (letter[0] != letter[1]
                               and letter[1] == head[0])
+
+
+def created(cell: Cell, w: Word, depth: int) -> Word | None:
+    """l_cell on a basis word: cell prepended, or None when the letter may
+    not be prepended or w is at the depth."""
+    if len(w) < depth and can_prepend(cell, w):
+        return (cell,) + w
+    return None
+
+
+def stripped(cell: Cell, w: Word) -> Word | None:
+    """l*_cell on a basis word: w without its head letter, or None when
+    the head is not cell."""
+    return w[1:] if w and w[0] == cell else None
 
 
 def enumerate_words(J: Iterable[Cell], depth: int) -> Tuple[Word, ...]:
@@ -272,37 +286,17 @@ class CellPolynomial:
 
 
 class FockModel:
-    """Word basis plus weighted-shift operators for one distribution array.
+    """Word basis plus weighted-shift operators for one distribution array;
+    ``weights`` holds each cell's exact cumulants r(1), r(2), ..."""
 
-    alpha defaults to 1 on every cell; the cell distribution depends only
-    on r(k), so alpha is a pure gauge knob retained to test invariance.
-    """
-
-    def __init__(self, array: DistributionArray, depth: int,
-                 alpha: Dict[Cell, object] | None = None):
+    def __init__(self, array: DistributionArray, depth: int):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.mode = array.mode          # the precision ``moments`` reports
         self.array = array = array.exact()
         self.depth = depth
         self.J = array.J
-        self.alpha = {cell: Fraction(1) for cell in self.J}
-        if alpha:
-            for cell, val in alpha.items():
-                a = Fraction(val)
-                if not a > 0:
-                    raise ValueError("alpha must be positive")
-                self.alpha[cell] = a
-        # s(k) = r(k) / alpha^(2(k-1))
-        self.weights = {}
-        for cell, cums in array.cells:
-            a2 = self.alpha[cell] * self.alpha[cell]
-            scale = Fraction(1)
-            ws = []
-            for r in cums:
-                ws.append(r / scale)
-                scale *= a2
-            self.weights[cell] = tuple(ws)
+        self.weights = dict(array.cells)
         self.units = {cell: UnitElement.internal_unit(*cell)
                       for cell in ALL_CELLS}
         self._words = None
@@ -322,65 +316,36 @@ class FockModel:
 
     # -- operator constructors -------------------------------------------
 
-    def creation(self, cell: Cell) -> LinearOp:
-        key = ("l", cell)
-        if key not in self._ops:
-            (a,), den = common_denominator([self.alpha[cell]])
-            depth = self.depth
-
-            def rule(w):
-                if len(w) < depth and can_prepend(cell, w):
-                    return (((cell,) + w, a),)
-                return ()
-            self._ops[key] = LinearOp(rule, den)
-        return self._ops[key]
-
-    def annihilation(self, cell: Cell) -> LinearOp:
-        key = ("l*", cell)
-        if key not in self._ops:
-            (a,), den = common_denominator([self.alpha[cell]])
-
-            def rule(w):
-                return ((w[1:], a),) if w and w[0] == cell else ()
-            self._ops[key] = LinearOp(rule, den)
-        return self._ops[key]
-
     def toeplitz(self, cell: Cell) -> LinearOp:
-        """a_cell = creation + sum_k s(k) annihilation^(k-1)."""
+        """a_cell = creation + sum_k r(k) annihilation^(k-1)."""
         key = ("a", cell)
         if key not in self._ops:
             if cell not in self.J:
                 raise ValueError("cell %r not in the array" % (cell,))
-            a, depth = self.alpha[cell], self.depth
-            ws = self.weights[cell]
-            unit = self.units[cell]
-            # s(1) times the unit's component, per q class of the word
+            depth, ws, unit = self.depth, self.weights[cell], self.units[cell]
+            # r(1) times the unit's component, per q class of the word
             diag = [ws[0] * unit.component(qc) for qc in QCELLS] \
                 if ws else []
-            # s(k) alpha^(k-1) for k >= 2, the power taken one factor at
-            # a time
-            strips, amp = [], 1
-            for r in ws[1:]:
-                amp *= a
-                strips.append(r * amp)
-            # all entries as numerators over one denominator
-            nums, den = common_denominator([a, *diag, *strips])
-            k = 1 + len(diag)
-            a, diag, strips = nums[0], dict(zip(QCELLS, nums[1:k])), nums[k:]
+            # all entries as numerators over one denominator, creation's
+            # weight 1 being den
+            nums, den = common_denominator([*diag, *ws[1:]])
+            diag, strips = dict(zip(QCELLS, nums[:len(diag)])), \
+                nums[len(diag):]
 
             def rule(w):
                 col = []
-                if len(w) < depth and can_prepend(cell, w):
-                    col.append(((cell,) + w, a))
+                up = created(cell, w, depth)
+                if up is not None:
+                    col.append((up, den))
                 if diag:
                     d = diag[q_class(w)]
                     if d != 0:
                         col.append((w, d))
                 tail = w
                 for c in strips:
-                    if not tail or tail[0] != cell:
+                    tail = stripped(cell, tail)
+                    if tail is None:
                         break
-                    tail = tail[1:]
                     if c != 0:
                         col.append((tail, c))
                 return tuple(col)
@@ -475,20 +440,18 @@ class FockModel:
     # -- verification -------------------------------------------------------
 
     def creation_relation_violations(self) -> List[str]:
-        """Check l*_{c} l_{c} = alpha^2 1_{c} on words shorter than depth,
-        one word per class of ``relation_words`` (see the module
-        docstring for why that decides it)."""
+        """Check l*_{c} l_{c} = 1_{c}, with the rules ``toeplitz`` applies,
+        on words shorter than depth, one word per class of
+        ``relation_words`` (see the module docstring for why that decides
+        it): l*_c l_c keeps w where 1_c does, and kills it elsewhere."""
         bad = []
-        words = relation_words(self.depth)
         for cell in sorted(self.J):
-            a2 = self.alpha[cell] * self.alpha[cell]
-            cre, ann = self.creation(cell), self.annihilation(cell)
-            want = {qc: a2 * self.units[cell].component(qc) for qc in QCELLS}
-            for w in words:
-                lhs = ann.apply(cre.apply(FockVector({w: 1})))
-                if len(lhs.entries) > 1 or lhs.read(w) != want[q_class(w)]:
-                    bad.append("relation fails on cell %r word %r"
-                               % (cell, w))
+            unit = self.units[cell]
+            for w in relation_words(self.depth):
+                up = created(cell, w, self.depth)
+                back = None if up is None else stripped(cell, up)
+                if back != (w if unit.component(q_class(w)) else None):
+                    bad.append("relation fails on cell %r word %r" % (cell, w))
         return bad
 
     def _poly_op(self, cell: Cell, coeffs: Sequence) -> CellPolynomial:

@@ -663,14 +663,12 @@ def eager_tables(model: FockModel) -> Dict:
     the cell tables in sorted cell order, and each compression by
     filtering A to the words in its range.  Keys are ("a", cell), "A"
     and ("PAP", cell); a word with no column has no key."""
-    one = Fraction(1)
     words = model.words
     tables = {}
     for cell in sorted(model.J):
-        alpha = model.alpha[cell]
-        cre = {w: (((cell,) + w, alpha),) for w in words
+        cre = {w: (cell,) + w for w in words
                if len(w) < model.depth and can_prepend(cell, w)}
-        ann = {w: ((w[1:], alpha),) for w in words if w and w[0] == cell}
+        ann = {w: w[1:] for w in words if w and w[0] == cell}
         ws = model.weights[cell]
         unit = UnitElement.internal_unit(*cell)
         cols: Dict = {}
@@ -680,18 +678,16 @@ def eager_tables(model: FockModel) -> Dict:
                 cols.setdefault(w, []).append((w2, coeff))
 
         for w in words:
-            for w2, a in cre.get(w, ()):
-                add(w, w2, a)
+            if w in cre:
+                add(w, cre[w], Fraction(1))
             if ws:
                 add(w, w, ws[0] * unit.component(q_class(w)))
-            tail, amp = w, one
-            for k in range(2, len(ws) + 1):
-                hit = ann.get(tail)
-                if not hit:
+            tail = w
+            for r in ws[1:]:
+                tail = ann.get(tail)
+                if tail is None:
                     break
-                tail, a = hit[0]
-                amp *= a
-                add(w, tail, ws[k - 1] * amp)
+                add(w, tail, r)
         tables["a", cell] = {w: tuple(v) for w, v in cols.items()}
     merged: Dict = {}
     for cell in sorted(model.J):
@@ -869,20 +865,26 @@ def reinverting_reconstruct(model: FockModel, order: int) -> UnitSeries:
 # -- the creation relation on the whole word basis ---------------------------
 
 
-def full_relation_violations(model: FockModel) -> list:
-    """l*_c l_c = alpha^2 1_c checked on every basis word shorter than the
-    depth, for every cell of J, in basis order; the violation messages
-    are those of ``FockModel.creation_relation_violations``."""
+def full_relation_violations(model: FockModel, create=None) -> list:
+    """l*_c l_c = 1_c checked on every basis word shorter than the depth,
+    for every cell of J, in basis order, with an annihilation table built
+    here and the creation rule *create* (cell, word, depth) -> word or
+    None, by default one written here: prepend under ``can_prepend``
+    below the depth.  The violation messages are those of
+    ``FockModel.creation_relation_violations``."""
+    if create is None:
+        def create(cell, w, depth):
+            ok = len(w) < depth and can_prepend(cell, w)
+            return (cell,) + w if ok else None
     bad = []
     for cell in sorted(model.J):
-        a2 = model.alpha[cell] * model.alpha[cell]
-        cre, ann = model.creation(cell), model.annihilation(cell)
-        want = {qc: a2 * model.units[cell].component(qc) for qc in QCELLS}
+        unit = UnitElement.internal_unit(*cell)
         for w in model.words:
             if len(w) >= model.depth:
                 continue
-            lhs = ann.apply(cre.apply(FockVector({w: 1})))
-            if len(lhs.entries) > 1 or lhs.read(w) != want[q_class(w)]:
+            up = create(cell, w, model.depth)
+            back = up[1:] if up and up[0] == cell else None
+            if back != (w if unit.component(q_class(w)) == 1 else None):
                 bad.append("relation fails on cell %r word %r" % (cell, w))
     return bad
 

@@ -333,7 +333,7 @@ def test_criterion_09_fock_axioms():
         cums = {cell: tuple(F(rng.randint(-3, 3)) for _ in range(5))
                 for cell in SHAPES["square"]}
         arr = DistributionArray.from_cumulants(cums)
-        model = FockModel(arr, 5, alpha={(1, 1): F(2), (2, 2): F(1, 2)})
+        model = FockModel(arr, 5)
         from smfconv import UnitElement
         for i in (1, 2):
             for j in (1, 2):

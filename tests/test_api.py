@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 from fractions import Fraction as F
 
@@ -42,6 +43,15 @@ def test_public_names_are_pinned():
     for name in PUBLIC_NAMES:
         assert getattr(smfconv, name) is not None
 
+
+def test_fock_model_takes_the_array_and_the_depth():
+    # no gauge knob, and the creation and annihilation rules are module
+    # functions that the cell operators and the relation check share
+    params = inspect.signature(smfconv.FockModel).parameters
+    assert list(params) == ["array", "depth"]
+    assert all(p.default is p.empty for p in params.values())
+    for name in ("creation", "annihilation", "alpha"):
+        assert not hasattr(smfconv.FockModel, name), name
 
 
 def _value_cases():

@@ -4,16 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 import smfconv.fock
-from oracles import (CountingOp, apply_scalars, column_scalars,
-                     dict_state_moment, eager_tables,
-                     full_relation_violations, module_imports, padded,
-                     poly_columns, q_projection, single_cell_r, to_scalars,
-                     to_vector, word_is_valid)
+from oracles import (apply_scalars, column_scalars, dict_state_moment,
+                     eager_tables, full_relation_violations, module_imports,
+                     padded, poly_columns, q_projection, single_cell_r,
+                     to_scalars, to_vector, word_is_valid)
 from smfconv import (ALL_CELLS, FLOAT, RATIONAL, DistributionArray,
                      FockModel, SHAPES, TruncatedSeries, UnitElement,
                      compression, smf_moments)
-from smfconv.fock import LinearOp, can_prepend, enumerate_words
-from smfconv.series import common_denominator
+from smfconv.fock import can_prepend, created, enumerate_words, stripped
 
 
 def square_array(rng, order=6):
@@ -51,13 +49,13 @@ def test_basis_size_square_shape():
 
 
 def test_creation_examples():
-    arr = square_array(random.Random(0))
-    model = FockModel(arr, 4)
-    lc = model.creation((1, 2))
-    assert apply_scalars(lc, {(): F(1)}) == {}    # vacuum killed
-    ld = model.creation((1, 1))
-    assert apply_scalars(ld, {(): F(1)}) == {((1, 1),): F(1)}
-    assert apply_scalars(lc, {((1, 1),): F(1)}) == {}  # chaining
+    assert created((1, 2), (), 4) is None               # vacuum killed
+    assert created((1, 1), (), 4) == ((1, 1),)
+    assert created((1, 2), ((1, 1),), 4) is None        # chaining
+    assert created((1, 1), ((1, 1),) * 4, 4) is None    # depth cap
+    assert stripped((1, 1), ((1, 1), (1, 1))) == ((1, 1),)
+    assert stripped((1, 2), ((1, 1),)) is None
+    assert stripped((1, 1), ()) is None
 
 
 def test_unit_expectations():
@@ -108,46 +106,33 @@ def test_single_cell_r_reproduces_cumulants():
         TruncatedSeries([0, 0])
 
 
-def test_alpha_is_a_gauge_knob():
-    rng = random.Random(5)
-    arr = square_array(rng)
-    plain = FockModel(arr, 6)
-    scaled = FockModel(arr, 6, alpha={(1, 1): F(2), (2, 1): F(1, 3),
-                                      (1, 2): F(5, 2), (2, 2): F(1)})
-    assert plain.moments(6) == scaled.moments(6)
-    for cell in sorted(arr.J):
-        assert single_cell_r(scaled, cell, 5) == \
-            single_cell_r(plain, cell, 5)
-
-
 def test_creation_annihilation_relation_below_boundary():
     rng = random.Random(6)
     for J in (SHAPES["square"], SHAPES["column"]):
         cums = {cell: tuple(F(rng.randint(-2, 2)) for _ in range(4))
                 for cell in J}
         arr = DistributionArray.from_cumulants(cums)
-        model = FockModel(arr, 5, alpha={cell: F(3, 2) for cell in J})
+        model = FockModel(arr, 5)
         assert model.creation_relation_violations() == []
 
 
-def broken_creation(model, cell, cap=0, flip=None, factor=1):
-    """Make model.creation(cell) prepend with the depth cap moved by
-    *cap*, with the prepend condition negated on words whose head (or
-    vacuum) is *flip*, and with its weight multiplied by *factor*."""
-    (a,), den = common_denominator([model.alpha[cell]])
-    depth, plain = model.depth + cap, model.creation
+def broken_creation(cell, cap=0, flip=None):
+    """The creation rule with, on *cell* alone, the depth cap moved by
+    *cap* and the prepend condition negated on words whose head (or
+    vacuum) is *flip*."""
 
-    def rule(w):
-        ok = can_prepend(cell, w) != (flip is not None and w[:1] == flip)
-        return (((cell,) + w, a * factor),) if ok and len(w) < depth else ()
-    op = LinearOp(rule, den)
-    model.creation = lambda c: op if c == cell else plain(c)
+    def rule(c, w, depth):
+        if c != cell:
+            return created(c, w, depth)
+        ok = can_prepend(c, w) != (flip is not None and w[:1] == flip)
+        return (c,) + w if ok and len(w) < depth + cap else None
+    return rule
 
 
-def test_relation_check_matches_full_basis_walk():
+def test_relation_check_matches_full_basis_walk(monkeypatch):
     # per head class the check decides the relation exactly as the walk
     # over every word below the depth does, on correct models and on
-    # models with one creation rule broken
+    # models whose creation rule is broken on one cell
     rng = random.Random(23)
     heads = [()] + [(letter,) for letter in ALL_CELLS]
     flagged = 0
@@ -156,17 +141,16 @@ def test_relation_check_matches_full_basis_walk():
             cums = {cell: tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
                                 for _ in range(2)) for cell in J}
             arr = DistributionArray.from_cumulants(cums, mode)
-            gauge = {cell: F(rng.randint(1, 5), rng.randint(1, 3))
-                     for cell in J}
             for depth in range(1, 11):
                 breaks = [{}, {"cap": -1}, {"cap": 1},
-                          {"flip": rng.choice(heads)}, {"factor": 2}]
+                          {"flip": rng.choice(heads)}]
                 for brk in breaks:
-                    model = FockModel(arr, depth, alpha=gauge)
-                    if brk:
-                        broken_creation(model, rng.choice(sorted(J)), **brk)
+                    model = FockModel(arr, depth)
+                    rule = broken_creation(rng.choice(sorted(J)), **brk) \
+                        if brk else created
+                    monkeypatch.setattr(smfconv.fock, "created", rule)
                     got = model.creation_relation_violations()
-                    want = full_relation_violations(model)
+                    want = full_relation_violations(model, rule)
                     assert bool(got) == bool(want)
                     assert set(got) <= set(want)
                     assert brk or not got
@@ -174,21 +158,20 @@ def test_relation_check_matches_full_basis_walk():
     assert flagged > 100
 
 
-def test_relation_check_applies_creation_nine_times_per_cell():
+def test_relation_check_applies_creation_nine_times_per_cell(monkeypatch):
     # the vacuum and two words per head letter, not the 1,023 basis
     # words below depth 10
     model = FockModel(square_array(random.Random(24), 10), 10)
-    counters = {}
+    calls = {}
 
-    def counted(cell):
-        op = FockModel.creation(model, cell)
-        counters.setdefault(cell, CountingOp(op))
-        return counters[cell]
-    model.creation = counted
+    def counted(cell, w, depth):
+        calls[cell] = calls.get(cell, 0) + 1
+        return created(cell, w, depth)
+    monkeypatch.setattr(smfconv.fock, "created", counted)
     assert model.creation_relation_violations() == []
-    assert sorted(counters) == sorted(ALL_CELLS)
-    assert all(c.calls <= 9 for c in counters.values())
-    assert sum(c.calls for c in counters.values()) == 4 * 9
+    assert sorted(calls) == sorted(ALL_CELLS)
+    assert all(n <= 9 for n in calls.values())
+    assert sum(calls.values()) == 4 * 9
 
 
 def test_q_projections_partition_unity():
@@ -297,27 +280,23 @@ def test_compressed_total_is_compression_of_total():
 def test_on_demand_columns_match_eager_tables():
     # every column computed from the head of a word must equal the table
     # built over the whole basis, entries in the same order, for every
-    # shape, in both modes, with and without a non-trivial alpha gauge
+    # shape, in both modes
     rng = random.Random(16)
     for mode in (RATIONAL, FLOAT):
         for J in SHAPES.values():
             cums = {cell: tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
                                 for _ in range(5)) for cell in J}
             arr = DistributionArray.from_cumulants(cums, mode)
-            gauge = {cell: F(rng.randint(1, 5), rng.randint(1, 3))
-                     for cell in J}
-            for alpha in (None, gauge):
-                model = FockModel(arr, 5, alpha=alpha)
-                tables = eager_tables(model)
-                ops = {("a", cell): model.toeplitz(cell) for cell in J}
-                ops["A"] = model.total()
-                ops.update({("PAP", cell): model.compressed_total(cell)
-                            for cell in J})
-                assert set(ops) == set(tables)
-                for key, op in ops.items():
-                    for w in model.words:
-                        assert column_scalars(op, w) == \
-                            tables[key].get(w, ())
+            model = FockModel(arr, 5)
+            tables = eager_tables(model)
+            ops = {("a", cell): model.toeplitz(cell) for cell in J}
+            ops["A"] = model.total()
+            ops.update({("PAP", cell): model.compressed_total(cell)
+                        for cell in J})
+            assert set(ops) == set(tables)
+            for key, op in ops.items():
+                for w in model.words:
+                    assert column_scalars(op, w) == tables[key].get(w, ())
 
 
 def test_pruned_moments_equal_unpruned_products():
@@ -330,7 +309,7 @@ def test_pruned_moments_equal_unpruned_products():
             cums = {cell: tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
                                 for _ in range(7)) for cell in J}
             arr = DistributionArray.from_cumulants(cums, mode)
-            model = FockModel(arr, 7, alpha={cell: F(3, 2) for cell in J})
+            model = FockModel(arr, 7)
             got = model.moments(7).coeffs
             for m in range(1, 8):
                 want = model.state_moment("phi", [model.total()] * m)

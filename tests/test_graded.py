@@ -1,7 +1,10 @@
-"""The partition and analytic engines sum over graded integers
-(``DistributionArray.graded``).  Whatever the cumulant denominators, they
-must agree exactly with the oracles, and no product in their inner loops
-may go through ``Fraction``."""
+"""The partition and analytic engines sum over graded integers r(k) lam^k:
+the partition engine reads them from ``DistributionArray.graded``, and
+the analytic engine grades the cumulants itself, so that a defect in one
+grading cannot give both engines the same wrong moments (a mutant of
+``graded`` in tests/test_mutants.py pins that).  Whatever the cumulant
+denominators, both must agree exactly with the oracles, and no product
+in their inner loops may go through ``Fraction``."""
 
 import fractions
 import random

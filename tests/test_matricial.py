@@ -344,14 +344,12 @@ def _same(got, want):
 def test_vectors_match_fraction_dict_reference(shape, depth, data):
     # the numerator-over-denominator vectors must read exactly what the
     # Fraction-dict operators give: state moments of random products,
-    # moment sequences and every alternating sum, non-integer alpha
-    # gauges, zero cumulants and denominators up to 97 included; a float
-    # array and float coefficients act through their binary values
+    # moment sequences and every alternating sum, zero cumulants and
+    # denominators up to 97 included; a float array and float
+    # coefficients act through their binary values
     J = sorted(SHAPES[shape])
     cums = {cell: data.draw(st.lists(_VALUES, min_size=depth,
                                      max_size=depth)) for cell in J}
-    alpha = {cell: data.draw(st.sampled_from((F(1), F(3, 2), F(2, 3))))
-             for cell in J}
     state = data.draw(st.sampled_from(("phi", "phi1", "phi2")))
     heavy = depth - (state != "phi")
     plan = data.draw(st.lists(st.tuples(
@@ -362,7 +360,7 @@ def test_vectors_match_fraction_dict_reference(shape, depth, data):
             if step[0] == "unit" or k < heavy]
     for mode in (RATIONAL, FLOAT):
         model = FockModel(DistributionArray.from_cumulants(cums, mode),
-                          depth, alpha=alpha)
+                          depth)
         ref = {key: DictOp(table)
                for key, table in eager_tables(model).items()}
         lib = {"A": model.total()}

@@ -19,15 +19,26 @@ Float jobs decide agreement, ``eq56`` and ``eq611`` by equality of the
 reported values, as rational jobs do, so a defect whose effect is 1e-12
 of a moment still makes a float job exit 1.  A tolerance of 1e-9 would
 let each float mutant below pass.
+
+Two mutants pin what the engines do not share.  The Fock creation rule
+with its depth cap one short must fail the ``axioms`` relation check on
+the README square Meixner job with the Fock engine alone: the check
+applies the rule the cell operators apply, so it sees the cap at words
+of length depth - 1, which no moment of that job reaches.  And
+``DistributionArray.graded`` scaling r(k) by lam^(k+1) from k = 4 on
+must make a partition,analytic job exit 1: the analytic engine grades
+the cumulants itself, so only the partition engine reads the defect.
+The job needs a cumulant of order 4 or more; the README job has none.
 """
 
 import inspect
 import json
+import textwrap
 
 import pytest
 
 from oracles import perfbench_workloads
-from smfconv import DistributionArray, analytic, fock, matricial
+from smfconv import DistributionArray, analytic, arrays, fock, matricial
 from smfconv.cli import main, parse_config
 
 ORDER = 6
@@ -59,18 +70,24 @@ def send_cell_21_to_class_21(monkeypatch):
     monkeypatch.setitem(analytic.CELL_CLASS, (2, 1), (2, 1))
 
 
+def recompiled(module, function, old, new):
+    """*function* compiled in *module*'s namespace from its source with
+    the text *old*, which occurs exactly once in the module, replaced by
+    *new*: the mutant where no data hook reaches the defect."""
+    assert inspect.getsource(module).count(old) == 1
+    source = textwrap.dedent(inspect.getsource(function))
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"),
+         namespace)
+    return namespace[function.__name__]
+
+
 def drop_the_q22_power_table_update(monkeypatch):
-    # no data hook reaches one class's table, so the engine is recompiled
-    # from its source with the update of class (2,2) skipped
-    source = inspect.getsource(analytic._series_fixed_point)
+    # the engine with the update of class (2,2)'s power table skipped
     line = "                g[q][t] = out[q][t - 1]\n"
-    assert source.count(line) == 1
     skip = "                if q == (2, 2):\n                    continue\n"
-    namespace = dict(vars(analytic))
-    exec(compile(source.replace(line, skip + line), analytic.__file__,
-                 "exec"), namespace)
-    monkeypatch.setattr(analytic, "_series_fixed_point",
-                        namespace["_series_fixed_point"])
+    monkeypatch.setattr(analytic, "_series_fixed_point", recompiled(
+        analytic, analytic._series_fixed_point, line, skip + line))
 
 
 def test_the_jobs_pass_unmutated(configs, tmp_path, capsys):
@@ -165,3 +182,51 @@ def test_uniqueness_mutant_exits_one(mutate, uniqueness_job, tmp_path,
                                      capsys, monkeypatch):
     mutate(monkeypatch)
     assert exit_codes([uniqueness_job], tmp_path, capsys) == [1]
+
+
+# the README square Meixner job on the Fock engine with ``axioms``, and a
+# rational square job with cumulants up to order 4 on the two engines
+# that do not build the Fock model
+README_FOCK_AXIOMS = {
+    "shape": "square", "precision": "rational", "order": ORDER,
+    "cells": {"1,1": {"kind": "semicircle", "a": "1"},
+              "1,2": {"kind": "point_mass", "b": "1/2"},
+              "2,1": {"kind": "point_mass", "b": "1/2"},
+              "2,2": {"kind": "semicircle", "a": "1"}},
+    "engines": ["fock"], "checks": ["axioms"]}
+FOURTH_CUMULANTS_PARTITION_ANALYTIC = {
+    "shape": "square", "precision": "rational", "order": ORDER,
+    "cells": {"1,1": [0, "1/3", 0, "1/5"], "1,2": ["1/2", "1/7"],
+              "2,1": ["1/2", 0, "1/3"], "2,2": ["1/3", "1/3", "1/4", "1/9"]},
+    "engines": ["partition", "analytic"]}
+
+
+def cap_creation_one_below_the_depth(monkeypatch):
+    monkeypatch.setattr(fock, "created", recompiled(
+        fock, fock.created, "len(w) < depth", "len(w) < depth - 1"))
+
+
+def grade_past_the_third_cumulant_by_one_more_power(monkeypatch):
+    monkeypatch.setattr(arrays.DistributionArray, "graded", recompiled(
+        arrays, arrays.DistributionArray.graded, "lam ** k",
+        "lam ** (k + (k > 2))"))
+
+
+SPLIT_MUTANTS = [
+    (cap_creation_one_below_the_depth, README_FOCK_AXIOMS),
+    (grade_past_the_third_cumulant_by_one_more_power,
+     FOURTH_CUMULANTS_PARTITION_ANALYTIC)]
+
+
+def test_the_split_jobs_pass_unmutated(tmp_path, capsys):
+    assert exit_codes([README_FOCK_AXIOMS,
+                       FOURTH_CUMULANTS_PARTITION_ANALYTIC], tmp_path,
+                      capsys) == [0, 0]
+
+
+@pytest.mark.parametrize("mutate, config", SPLIT_MUTANTS,
+                         ids=[m.__name__ for m, _ in SPLIT_MUTANTS])
+def test_split_mutant_exits_one(mutate, config, tmp_path, capsys,
+                                monkeypatch):
+    mutate(monkeypatch)
+    assert exit_codes([config], tmp_path, capsys) == [1]

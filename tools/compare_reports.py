@@ -22,7 +22,8 @@ The list:
   ``uniqueness``, ``eq56,uniqueness`` and ``eq611,uniqueness``, in
   rational and in float precision;
 * engines_r10 jobs 0-4 (one per named shape) with ``--order 6 --checks
-  eq56,eq611,uniqueness``.
+  eq56,eq611,uniqueness``, and with ``--order 6 --checks axioms`` in
+  rational and in float precision.
 
 Configs come from perfbench/workloads.py, loaded from its path and not
 changed.  Config files are written to a temporary directory that is
@@ -108,10 +109,14 @@ def invocations(workloads):
                         ["--checks", checks, "--precision", precision],
                         False))
     for index in range(5):
-        out.append(("engines_r10/%d/order6-checks" % index,
-                    workloads.job_config("engines_r10", SEED, index),
+        job = workloads.job_config("engines_r10", SEED, index)
+        out.append(("engines_r10/%d/order6-checks" % index, job,
                     ["--order", "6", "--checks", "eq56,eq611,uniqueness"],
                     False))
+        for precision in ("rational", "float"):
+            out.append(("engines_r10/%d/order6-axioms/%s" % (index, precision),
+                        job, ["--order", "6", "--checks", "axioms",
+                              "--precision", precision], False))
     return out
 
 
