@@ -192,9 +192,10 @@ def _newton(r, z: complex, g):
 
     Class q solves f(u) = u (z - K(u) - c) - 1, with K the sum of the
     tails of its cells that read q and c the sum of the others, read at
-    the classes already solved.  A root is accepted when a step falls
-    below CAUCHY_TOL within NEWTON_MAX_ITER steps, Im u <= 0 and the map
-    u -> 1/(z - K(u) - c) attracts there, |K'(u) u^2| < 1: the
+    the classes already solved; *r* are the full tails of ``_tails``, so
+    that K sums tails of equal length.  A root is accepted when a step
+    falls below CAUCHY_TOL within NEWTON_MAX_ITER steps, Im u <= 0 and the
+    map u -> 1/(z - K(u) - c) attracts there, |K'(u) u^2| < 1: the
     Denjoy-Wolff point that the damped map converges to.
     """
     roots = {}
@@ -219,14 +220,27 @@ def _newton(r, z: complex, g):
     return roots
 
 
-def _cauchy(array: DistributionArray, z: complex):
+def _tails(array: DistributionArray):
+    """(full, trimmed): each cell's float R-transform tail highest order
+    first, for Horner evaluation, and the same tail cut to start at its
+    highest nonzero cumulant, keeping at least one entry.  The steps cut
+    are 0.0 * u + 0.0, so Horner over either gives the same value."""
+    full = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
+            for cell in ALL_CELLS}
+    trimmed = {}
+    for cell, tail in full.items():
+        top = next((i for i, c in enumerate(tail) if c), len(tail) - 1)
+        trimmed[cell] = tail[top:]
+    return full, trimmed
+
+
+def _cauchy(array: DistributionArray, z: complex, tails=None):
     """(G(z), converged): ``cauchy_value`` and whether its fixed point
-    converged."""
+    converged.  *tails* are the array's ``_tails``, built here when not
+    given: the damped map reads the trimmed ones, Newton the full ones."""
     if z.imag <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
-    # cumulant tails highest order first, for Horner evaluation
-    r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
-         for cell in ALL_CELLS}
+    r, trimmed = tails or _tails(array)
 
     def resolvents(g):
         """One step of the fixed point: G_q for each class of
@@ -234,7 +248,7 @@ def _cauchy(array: DistributionArray, z: complex):
         k = {}
         for cell, q in CELL_CLASS.items():
             total, u = 0.0, g[q]
-            for c in r[cell]:
+            for c in trimmed[cell]:
                 total = total * u + c
             k[cell] = total
         return {q: 1.0 / (z - k[a] - k[b])
@@ -280,22 +294,24 @@ def stieltjes_density(array: DistributionArray, grid: Sequence[float],
 
     Uses the closed form when the array matches the semicircle/point-mass
     pattern (then atoms come from residues); otherwise evaluates the
-    subordination fixed point numerically and reports no atoms.  The x of
-    each point whose fixed point did not converge is appended to
-    *unconverged* when a list is given.
+    subordination fixed point numerically, from cell tails built once for
+    the whole grid, and reports no atoms.  The x of each point whose fixed
+    point did not converge is appended to *unconverged* when a list is
+    given.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     if array.mode != FLOAT:
         raise ValueError("density extraction requires float mode")
     params = meixner_parameters(array)
+    tails = None if params else _tails(array)
     rows = []
     for x in grid:
         z = complex(x, eps)
         if params:
             g = meixner_cauchy(params[0], params[1], z)
         else:
-            g, converged = _cauchy(array, z)
+            g, converged = _cauchy(array, z, tails)
             if not converged and unconverged is not None:
                 unconverged.append(float(x))
         rows.append((float(x), -g.imag / math.pi))

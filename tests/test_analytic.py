@@ -1,11 +1,13 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from scipy.integrate import quad
 
 import smfconv.analytic
+import smfconv.arrays
 from oracles import (binary_convolutions, binary_fixed_point_rhs, compose,
                      cut_pass_fixed_point, f_compose_moments,
                      four_unknown_cauchy, law_moments, meixner_density,
@@ -406,6 +408,61 @@ def test_newton_finds_the_attracting_root_of_custom_arrays():
                 finished += steps > CAUCHY_DAMPED_ITER
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
     assert compared >= 80 and finished >= 4
+
+
+# arrays whose float tails start with zeros, or with a denormal: absent
+# cells (all-zero tails), top cumulants 0.0 and -0.0, and 5e-324 on top.
+# The off-diagonal tails of the square arrays are constants, so the
+# reference's two off-diagonal unknowns iterate the same resolvent
+TRIMMED_TAIL_ARRAYS = [
+    {(1, 1): (0.2, 1.0, 0.1, 0.05), (2, 1): (0.3, 0.2, -0.1, 0.0),
+     (2, 2): (-0.1, 0.7, 0.0, -0.0)},
+    {(1, 1): (0.1, 0.9, -0.2, 0.1), (2, 1): (-0.2, 0.4, 0.1, -0.0)},
+    {(1, 1): (0.2, 1.0, 0.1, 0.0), (2, 2): (-0.1, 0.8, -0.05, -0.0),
+     (1, 2): (0.3, 0.0, 0.0, -0.0), (2, 1): (-0.25, -0.0, 0.0, 0.0)},
+    {(1, 1): (0.1, 1.0, 0.0, 5e-324), (2, 2): (0.0, 0.6, 0.2, 5e-324),
+     (1, 2): (0.2, 0.0, 0.0, 0.0), (2, 1): (-0.3, 0.0, 0.0, 5e-324)},
+]
+
+
+@pytest.mark.parametrize("cumulants", TRIMMED_TAIL_ARRAYS)
+def test_trimmed_tails_leave_the_damped_map_bit_identical(cumulants):
+    # the damped map reads each tail from its highest nonzero cumulant;
+    # the reference reads the full tails, and the steps it has more are
+    # 0.0 * u + 0.0, so wherever it settles within CAUCHY_DAMPED_ITER
+    # steps the two values are the same floats, down to the sign of zero
+    arr = DistributionArray.from_cumulants(cumulants, mode=FLOAT)
+    compared = 0
+    for eps in (1e-3, 0.1, 1.0):
+        for k in range(25):
+            z = complex(-3.0 + 0.25 * k, eps)
+            want, converged, steps = four_unknown_cauchy(arr, z)
+            if converged and steps <= CAUCHY_DAMPED_ITER:
+                compared += 1
+                got = cauchy_value(arr, z)
+                assert got == want and repr(got) == repr(want)
+    assert compared >= 30
+
+
+def test_density_builds_each_cell_tail_once():
+    # one float tail per cell for the whole grid, not four per point
+    arr = split_array(*SPLIT_ARRAY)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        code = frame.f_code
+        if event == "call" and code.co_name == "r_series" \
+                and code.co_filename == smfconv.arrays.__file__:
+            calls += 1
+
+    grid = [-4.0 + 0.08 * k for k in range(101)]
+    sys.setprofile(profile)
+    try:
+        stieltjes_density(arr, grid, 1e-3)
+    finally:
+        sys.setprofile(None)
+    assert 1 <= calls <= 4
 
 
 def test_fixed_point_requires_upper_half_plane():

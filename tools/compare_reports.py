@@ -16,6 +16,9 @@ The list:
   ``--config``, ``--out csv`` and on stdin with ``--order 8 --engines
   partition,analytic``, each in rational and in float precision, and
   the README density block on it in float precision;
+* two float density jobs on the general (fixed-point) path, in json and
+  in csv: a lower-triangular array with an absent cell, and a square
+  array of custom cells whose top cumulants are 0.0 and -0.0;
 * the README job at order 20 with all four checks, in both precisions;
 * checks_r8 jobs 0-2 with ``--precision float``;
 * checks_r8 job 0 with ``--checks`` set to each of ``eq56``, ``eq611``,
@@ -61,6 +64,30 @@ README_JOB = {
 }
 README_DENSITY = {"grid_min": -2.0, "grid_max": 3.0, "points": 201,
                   "eps": 1e-4}
+# float density jobs off the closed form, one per shape: a lower-triangular
+# array, whose absent cell has an all-zero tail, and a square array of
+# custom cells whose top cumulants are 0.0 and -0.0
+GENERAL_DENSITY_JOB = {
+    "version": 1,
+    "order": 6,
+    "engines": ["partition", "fock", "analytic"],
+    "precision": "float",
+    "density": {"grid_min": -4.0, "grid_max": 4.0, "points": 401,
+                "eps": 1e-3},
+}
+GENERAL_DENSITY_CELLS = {
+    "lower_triangular": {
+        "1,1": {"kind": "semicircle", "a": "1"},
+        "2,1": [0.2, 0.3, -0.1, 0.05, 0.0, 0.0],
+        "2,2": {"kind": "semicircle", "a": "0.7"},
+    },
+    "square": {
+        "1,1": [0.2, 1.0, 0.1, 0.0],
+        "1,2": [0.3, 0.0, 0.0, -0.0],
+        "2,1": [-0.25, -0.0, 0.0, 0.0],
+        "2,2": [-0.1, 0.8, -0.05, -0.0],
+    },
+}
 # the subsets of the three table checks that the all-checks jobs never run
 CHECK_SUBSETS = ("eq56", "eq611", "uniqueness", "eq56,uniqueness",
                  "eq611,uniqueness")
@@ -98,6 +125,11 @@ def invocations(workloads):
     out.append(("readme/float/density",
                 dict(README_JOB, precision="float", density=README_DENSITY),
                 [], False))
+    for shape, cells in GENERAL_DENSITY_CELLS.items():
+        job = dict(GENERAL_DENSITY_JOB, shape=shape, cells=cells)
+        for fmt in ("json", "csv"):
+            out.append(("density/%s/%s" % (shape, fmt), job, ["--out", fmt],
+                        False))
     for index in range(3):
         out.append(("checks_r8/%d/float" % index,
                     workloads.job_config("checks_r8", SEED, index),
