@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "analytic": ("cauchy_value", "master_cauchy", "meixner_atoms",
-                 "meixner_cauchy", "meixner_parameters", "stieltjes_density"),
+    "analytic": ("cauchy_value", "master_cauchy", "stieltjes_density"),
     "arrays": ("ALL_CELLS", "DistributionArray", "NamedLaw", "SHAPES"),
     "fock": ("FockModel",),
     "matricial": ("UnitSeries", "assemble_matricial_r",

@@ -28,9 +28,8 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .arrays import ALL_CELLS, DistributionArray
-from .series import FLOAT, TruncatedSeries, as_scalar, \
-    extend_pole_inverse, reported
+from .arrays import ALL_CELLS, DistributionArray, NamedLaw
+from .series import FLOAT, TruncatedSeries, extend_pole_inverse, reported
 
 # cauchy_value damps the fixed point for CAUCHY_DAMPED_ITER steps, then
 # tries Newton for NEWTON_MAX_ITER steps, then damps on to CAUCHY_MAX_ITER
@@ -128,23 +127,15 @@ def master_cauchy(array: DistributionArray, order: int) -> TruncatedSeries:
 
 def meixner_parameters(array: DistributionArray):
     """(a, b) when the array is square with semicircle(a) diagonal cells and
-    equal point-mass(b) off-diagonal cells (a shared rate, b = c); else None.
-    """
-    if array.J != frozenset(ALL_CELLS):
-        return None
-    p = array.order
-    zero = as_scalar(0, array.mode)
-
-    def matches(cell, pattern):
-        return all(array.r(cell, k) == pattern.get(k, zero)
-                   for k in range(1, p + 1))
-
-    a = array.r((1, 1), 2) if p >= 2 else zero
+    equal point-mass(b) off-diagonal cells (a shared rate a != 0, b = c);
+    else None."""
+    a = array.r((1, 1), 2) if array.order > 1 else 0
     b = array.r((1, 2), 1)
-    if a == 0:
-        return None
-    if not (matches((1, 1), {2: a}) and matches((2, 2), {2: a})
-            and matches((1, 2), {1: b}) and matches((2, 1), {1: b})):
+    semicircle, point_mass = NamedLaw.semicircle(a), NamedLaw.point_mass(b)
+    meixner = DistributionArray.from_laws(
+        {(1, 1): semicircle, (2, 2): semicircle,
+         (1, 2): point_mass, (2, 1): point_mass}, array.order, array.mode)
+    if a == 0 or array.cumulant_map() != meixner.cumulant_map():
         return None
     return float(a), float(b)
 
@@ -165,7 +156,10 @@ def meixner_cauchy(a: float, b: float, z: complex) -> complex:
 def meixner_atoms(a: float, b: float) -> List[Tuple[float, float]]:
     """Atoms as residues of the closed form at the real zeros of the
     denominator z = b +- sqrt(b^2 + 4a); only one carries positive weight
-    (none for b = 0)."""
+    (none for b = 0), and none when b^2 + 4a <= 0: a negative rate can
+    leave the denominator no simple real zero."""
+    if b * b + 4 * a <= 0:
+        return []
     s = math.sqrt(b * b + 4 * a)
     out = []
     for z0, w in ((b + s, (b - abs(b)) / (-2 * s)),
@@ -191,18 +185,19 @@ def _newton(r, z: complex, g):
     OverflowError.
 
     Class q solves f(u) = u (z - K(u) - c) - 1, with K the sum of the
-    tails of its cells that read q and c the sum of the others, read at
-    the classes already solved; *r* are the full tails of ``_tails``, so
-    that K sums tails of equal length.  A root is accepted when a step
-    falls below CAUCHY_TOL within NEWTON_MAX_ITER steps, Im u <= 0 and the
-    map u -> 1/(z - K(u) - c) attracts there, |K'(u) u^2| < 1: the
-    Denjoy-Wolff point that the damped map converges to.
+    tails *r* (``_tails``) of its cells that read q and c the sum of the
+    others, read at the classes already solved.  The tails are summed
+    aligned at their constant terms, the shorter one padded with leading
+    0.0.  A root is accepted when a step falls below CAUCHY_TOL within
+    NEWTON_MAX_ITER steps, Im u <= 0 and the map u -> 1/(z - K(u) - c)
+    attracts there, |K'(u) u^2| < 1: the Denjoy-Wolff point that the
+    damped map converges to.
     """
     roots = {}
     for q in NEWTON_ORDER:
-        # every cell has the array's cumulant order
+        own = [r[cell] for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] == q]
         coeffs = [sum(col) for col in zip(*(
-            r[cell] for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] == q))]
+            [0.0] * (max(map(len, own)) - len(tail)) + tail for tail in own))]
         c = sum(_horner(r[cell], roots[CELL_CLASS[cell]])[0]
                 for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] != q)
         u = g[q]
@@ -221,26 +216,23 @@ def _newton(r, z: complex, g):
 
 
 def _tails(array: DistributionArray):
-    """(full, trimmed): each cell's float R-transform tail highest order
-    first, for Horner evaluation, and the same tail cut to start at its
-    highest nonzero cumulant, keeping at least one entry.  The steps cut
-    are 0.0 * u + 0.0, so Horner over either gives the same value."""
-    full = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
-            for cell in ALL_CELLS}
-    trimmed = {}
-    for cell, tail in full.items():
-        top = next((i for i, c in enumerate(tail) if c), len(tail) - 1)
-        trimmed[cell] = tail[top:]
-    return full, trimmed
+    """Each cell's float R-transform tail, highest order first for Horner
+    evaluation, starting at its highest nonzero cumulant and keeping at
+    least one entry.  The steps this leaves out of Horner are
+    0.0 * u + 0.0, so the value is the one of the full tail."""
+    tails = {}
+    for cell in ALL_CELLS:
+        tail = [float(v) for v in reversed(array.r_series(cell).coeffs)]
+        del tail[:next((i for i, c in enumerate(tail) if c), len(tail) - 1)]
+        tails[cell] = tail
+    return tails
 
 
-def _cauchy(array: DistributionArray, z: complex, tails=None):
-    """(G(z), converged): ``cauchy_value`` and whether its fixed point
-    converged.  *tails* are the array's ``_tails``, built here when not
-    given: the damped map reads the trimmed ones, Newton the full ones."""
+def _cauchy(tails, z: complex):
+    """(G(z), converged): ``cauchy_value`` of the array whose ``_tails``
+    are *tails*, and whether its fixed point converged."""
     if z.imag <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
-    r, trimmed = tails or _tails(array)
 
     def resolvents(g):
         """One step of the fixed point: G_q for each class of
@@ -248,7 +240,7 @@ def _cauchy(array: DistributionArray, z: complex, tails=None):
         k = {}
         for cell, q in CELL_CLASS.items():
             total, u = 0.0, g[q]
-            for c in trimmed[cell]:
+            for c in tails[cell]:
                 total = total * u + c
             k[cell] = total
         return {q: 1.0 / (z - k[a] - k[b])
@@ -267,7 +259,7 @@ def _cauchy(array: DistributionArray, z: complex, tails=None):
                         CAUCHY_DAMPED_ITER)
     if not converged:
         try:
-            roots = _newton(r, z, g)
+            roots = _newton(tails, z, g)
         except (ZeroDivisionError, OverflowError):
             roots = None
         if roots is not None:
@@ -285,7 +277,7 @@ def cauchy_value(array: DistributionArray, z: complex) -> complex:
     when Newton finds the attracting root, and otherwise damped on to
     CAUCHY_MAX_ITER steps, whose last iterate is returned.
     """
-    return _cauchy(array, z)[0]
+    return _cauchy(_tails(array), z)[0]
 
 
 def stieltjes_density(array: DistributionArray, grid: Sequence[float],
@@ -311,7 +303,7 @@ def stieltjes_density(array: DistributionArray, grid: Sequence[float],
         if params:
             g = meixner_cauchy(params[0], params[1], z)
         else:
-            g, converged = _cauchy(array, z, tails)
+            g, converged = _cauchy(tails, z)
             if not converged and unconverged is not None:
                 unconverged.append(float(x))
         rows.append((float(x), -g.imag / math.pi))

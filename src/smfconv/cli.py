@@ -313,6 +313,8 @@ def run(config: JobConfig) -> Tuple[dict, int]:
             rows, atoms = stieltjes_density(array, grid, eps, unconverged)
         except OverflowError:
             raise ConfigError("density grid overflows float precision")
+        except ZeroDivisionError:
+            raise ConfigError("density grid meets a pole of the transform")
         if unconverged:     # out of band: the report's shape is unchanged
             print("density: %d of %d grid points did not converge"
                   % (len(unconverged), pts), file=sys.stderr)

@@ -19,7 +19,8 @@ shift and reciprocal defined here.  ``reinverting_reconstruct`` inverts
 every transform tail anew at each step, and ``full_relation_violations``
 checks the creation relation on the whole word basis.
 ``four_unknown_cauchy`` iterates the numeric fixed point with one unknown
-per cell, the off-diagonal resolvent twice.  Two thin wrappers
+per cell, the off-diagonal resolvent twice, and ``full_tail_newton``
+finishes it by Newton on full-length cell tails.  Two thin wrappers
 drive the subordination engine on single laws and on the binary
 convolution kinds, ``perfbench_workloads`` loads the benchmark's job
 configs, and ``module_imports`` reads a module's imports for the
@@ -60,6 +61,7 @@ from smfconv import (FLOAT, QCELLS, RATIONAL, SHAPES, DistributionArray,
                      enumerate_nc, invert_pole_series, master_cauchy,
                      q_class)
 from smfconv.analytic import (CAUCHY_MAX_ITER, CAUCHY_TOL, CELL_CLASS,
+                              NEWTON_MAX_ITER, NEWTON_ORDER, Q_RESOLVENTS,
                               _series_fixed_point)
 from smfconv.arrays import ALL_CELLS
 from smfconv.fock import ResolventTable, can_prepend, runs
@@ -1018,6 +1020,43 @@ def four_unknown_cauchy(array: DistributionArray, z: complex,
         if delta < CAUCHY_TOL:
             return family(g)[None], True, step
     return family(g)[None], False, max_iter
+
+
+def full_tail_newton(array: DistributionArray, z: complex, g):
+    """The Newton finish of ``cauchy_value`` on full-length tails: each
+    cell's float tail keeps every coefficient, so the tails of a class's
+    own cells have equal length and are summed column by column.  Same
+    steps, tolerance and root test as the library's ``_newton``, which
+    reads tails cut at their highest nonzero cumulant."""
+    r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
+         for cell in ALL_CELLS}
+
+    def horner(coeffs, u):
+        k = dk = 0.0
+        for c in coeffs:
+            dk = dk * u + k
+            k = k * u + c
+        return k, dk
+
+    roots = {}
+    for q in NEWTON_ORDER:
+        coeffs = [sum(col) for col in zip(*(
+            r[cell] for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] == q))]
+        c = sum(horner(r[cell], roots[CELL_CLASS[cell]])[0]
+                for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] != q)
+        u = g[q]
+        for _ in range(NEWTON_MAX_ITER):
+            k, dk = horner(coeffs, u)
+            step = (u * (z - k - c) - 1) / (z - k - c - u * dk)
+            u -= step
+            if abs(step) < CAUCHY_TOL:
+                break
+        else:
+            return None
+        if not (u.imag <= 0 and abs(horner(coeffs, u)[1] * u * u) < 1):
+            return None
+        roots[q] = u
+    return roots
 
 
 # -- the benchmark's job configs ---------------------------------------------

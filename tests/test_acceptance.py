@@ -26,8 +26,9 @@ from oracles import (compose, enumerate_admissible, f_compose_moments,
 from smfconv import (DistributionArray, FockModel, NCPartition, NamedLaw,
                      SHAPES, TruncatedSeries, assemble_matricial_r,
                      compressed_residuals, enumerate_nc, invert_C,
-                     linearization_residuals, master_cauchy, meixner_atoms,
+                     linearization_residuals, master_cauchy,
                      reconstruct_unique, smf_moments)
+from smfconv.analytic import meixner_atoms
 
 SEED = 20260809
 

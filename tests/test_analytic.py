@@ -10,16 +10,16 @@ import smfconv.analytic
 import smfconv.arrays
 from oracles import (binary_convolutions, binary_fixed_point_rhs, compose,
                      cut_pass_fixed_point, f_compose_moments,
-                     four_unknown_cauchy, law_moments, meixner_density,
-                     module_imports, moments_from_cumulants,
+                     four_unknown_cauchy, full_tail_newton, law_moments,
+                     meixner_density, module_imports, moments_from_cumulants,
                      perfbench_workloads, reciprocal, shift,
                      solve_subordination, split_semicircle_cauchy)
 from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
                      TruncatedSeries, cauchy_value, master_cauchy,
-                     meixner_atoms, meixner_cauchy, meixner_parameters,
                      smf_moments, stieltjes_density)
 from smfconv.analytic import CAUCHY_DAMPED_ITER, _cauchy, \
-    _series_fixed_point
+    _series_fixed_point, _tails, meixner_atoms, meixner_cauchy, \
+    meixner_parameters
 
 SEMI = NamedLaw.semicircle(1)
 
@@ -244,14 +244,69 @@ def meixner_array(mode="float", order=6):
     return DistributionArray.from_laws(MEIXNER, order, mode)
 
 
+def meixner_variant(laws, mode="rational"):
+    """The README Meixner array with the laws of some cells replaced."""
+    return DistributionArray.from_laws({**MEIXNER, **laws}, 6, mode)
+
+
+# custom float cells of the README array, padded with 0.0 and -0.0
+SIGNED_ZERO_MEIXNER = {(1, 1): (0.0, 1.0, 0.0, -0.0),
+                       (2, 2): (-0.0, 1.0, -0.0, 0.0),
+                       (1, 2): (0.5, 0.0, -0.0, 0.0),
+                       (2, 1): (0.5, -0.0, 0.0, -0.0)}
+NEGATIVE_RATE = NamedLaw.semicircle("-1/4")
+
+# (case, array, parameters): the README array in both modes and its
+# near misses
+MEIXNER_CASES = [
+    ("readme", meixner_array("rational"), (1.0, 0.5)),
+    ("float", meixner_array("float"), (1.0, 0.5)),
+    ("order_1", meixner_array("rational", order=1), None),
+    ("zero_rate", meixner_variant({(1, 1): NamedLaw.semicircle(0),
+                                   (2, 2): NamedLaw.semicircle(0)}), None),
+    ("negative_rate", meixner_variant({(1, 1): NEGATIVE_RATE,
+                                       (2, 2): NEGATIVE_RATE}, FLOAT),
+     (-0.25, 0.5)),
+    ("b12_ne_b21", meixner_variant({(2, 1): NamedLaw.point_mass("1/3")}),
+     None),
+    ("a11_ne_a22", meixner_variant({(2, 2): NamedLaw.semicircle(2)}), None),
+    ("extra_r3", meixner_variant({(1, 1): NamedLaw.custom((0, 1, "1/10"))}),
+     None),
+    ("missing_cell", DistributionArray.from_laws(
+        {cell: law for cell, law in MEIXNER.items() if cell != (2, 1)}, 6),
+     None),
+    ("one_cell", DistributionArray.from_laws({(1, 1): SEMI}, 6), None),
+    ("signed_zero_tails",
+     DistributionArray.from_cumulants(SIGNED_ZERO_MEIXNER, FLOAT),
+     (1.0, 0.5)),
+    ("signed_zero_tails_extra_r3", DistributionArray.from_cumulants(
+        {**SIGNED_ZERO_MEIXNER, (1, 1): (0.0, 1.0, 0.1, -0.0)}, FLOAT), None),
+    ("unsorted", DistributionArray(tuple(reversed(meixner_array().cells)),
+                                   FLOAT), (1.0, 0.5)),
+    ("unsorted_b12_ne_b21", DistributionArray(tuple(reversed(meixner_variant(
+        {(1, 2): NamedLaw.point_mass(1)}).cells))), None),
+]
+
+
 def test_meixner_pattern_recognized():
-    arr = meixner_array("rational")
-    assert meixner_parameters(arr) == (1.0, 0.5)
-    skew = DistributionArray.from_laws(
-        {**MEIXNER, (2, 1): NamedLaw.point_mass("1/3")}, 6, "rational")
-    assert meixner_parameters(skew) is None
-    assert meixner_parameters(
-        DistributionArray.from_laws({(1, 1): SEMI}, 6)) is None
+    # one comparison with the Meixner array of the array's own r11(2) and
+    # r12(1); the answer is floats in either mode, and the order in which
+    # the cells are stored does not matter
+    for case, arr, want in MEIXNER_CASES:
+        got = meixner_parameters(arr)
+        assert got == want, case
+        if want is not None:
+            assert all(type(v) is float for v in got), case
+        in_order = DistributionArray(tuple(sorted(arr.cells)), arr.mode)
+        assert meixner_parameters(in_order) == got, case
+
+
+@pytest.mark.parametrize("a,b", [(-1.0, 0.5), (-0.0625, 0.5), (-0.25, 1.0),
+                                 (-2.5e-7, 0.0)])
+def test_no_atom_without_a_simple_real_pole(a, b):
+    # b^2 + 4a < 0 leaves the denominator 4a + 2bz - z^2 no real zero and
+    # b^2 + 4a = 0 a double one: the closed form carries no atom
+    assert meixner_atoms(a, b) == []
 
 
 def test_closed_form_mass_and_moments():
@@ -380,7 +435,7 @@ def test_every_density_array_converges_to_the_split_closed_form():
         for k in range(index % 16, points, 16):
             z = complex(-half + 2 * half * k / (points - 1),
                         workloads.DENSITY_EPS)
-            got, converged = _cauchy(arr, z)
+            got, converged = _cauchy(_tails(arr), z)
             assert converged
             assert abs(got - split_semicircle_cauchy(*params, z)) \
                 <= 1e-12 * max(1.0, abs(got))
@@ -401,7 +456,7 @@ def test_newton_finds_the_attracting_root_of_custom_arrays():
              for cell in SHAPES["square"]}, mode=FLOAT)
         for _ in range(12):
             z = complex(rng.uniform(-3, 3), rng.choice((1e-3, 0.1, 1.0)))
-            got, settled = _cauchy(arr, z)
+            got, settled = _cauchy(_tails(arr), z)
             want, converged, steps = four_unknown_cauchy(arr, z, 20_000)
             if converged and settled:
                 compared += 1
@@ -442,6 +497,40 @@ def test_trimmed_tails_leave_the_damped_map_bit_identical(cumulants):
                 got = cauchy_value(arr, z)
                 assert got == want and repr(got) == repr(want)
     assert compared >= 30
+
+
+NEWTON_GUARD_ARRAYS = [
+    pytest.param(index, id="density_%d" % index)
+    for index in (0, 8, 16)] + [
+    pytest.param(cumulants, id=name) for name, cumulants in zip(
+        ("lower_triangular", "column", "signed_zero_top", "denormal_top"),
+        TRIMMED_TAIL_ARRAYS)]
+
+
+@pytest.mark.parametrize("case", NEWTON_GUARD_ARRAYS)
+def test_newton_on_trimmed_tails_matches_full_tails(case, monkeypatch):
+    # _newton sums the tails of a class's own cells aligned at their
+    # constant terms, the shorter one padded with leading 0.0; the
+    # reference sums full-length tails column by column.  At every point
+    # the damped map hands to Newton the roots are the same floats
+    if isinstance(case, int):
+        arr = split_array(*perfbench_workloads().DENSITY_ARRAYS[case])
+    else:
+        arr = DistributionArray.from_cumulants(case, mode=FLOAT)
+    newton = smfconv.analytic._newton
+    handed = []
+    monkeypatch.setattr(smfconv.analytic, "_newton",
+                        lambda r, z, g: handed.append((z, g)) or
+                        newton(r, z, g))
+    for k in range(121):
+        cauchy_value(arr, complex(-3.0 + 0.05 * k, 1e-3))
+    tails = _tails(arr)
+    finished = 0
+    for z, g in handed:
+        got = newton(tails, z, g)
+        assert repr(got) == repr(full_tail_newton(arr, z, g))
+        finished += got is not None
+    assert finished >= 7
 
 
 def test_density_builds_each_cell_tail_once():

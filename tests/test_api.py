@@ -18,8 +18,8 @@ PUBLIC_NAMES = [
     "UnitElement", "UnitSeries", "as_scalar", "assemble_matricial_r",
     "cauchy_value", "compression", "compressed_residuals", "enumerate_nc",
     "invert_C", "invert_pole_series", "linearization_residuals",
-    "master_cauchy", "meixner_atoms", "meixner_cauchy", "meixner_parameters",
-    "q_class", "reconstruct_unique", "smf_moments", "stieltjes_density",
+    "master_cauchy", "q_class", "reconstruct_unique", "smf_moments",
+    "stieltjes_density",
 ]
 
 # moved to tests/oracles.py: only the tests call them
@@ -27,15 +27,17 @@ TEST_ONLY_NAMES = ["b_elements", "meixner_density", "r_from_moments",
                    "row_identical_array", "solve_subordination",
                    "word_is_valid"]
 
-# still in smfconv.fock, but no longer public: only the Fock model, the
-# oracles and the tests call them
-UNEXPORTED_NAMES = ["can_prepend", "enumerate_words"]
+# still in smfconv.fock and smfconv.analytic, but no longer public: only
+# the Fock model, the density extraction, the oracles and the tests call
+# them
+UNEXPORTED_NAMES = ["can_prepend", "enumerate_words", "meixner_atoms",
+                    "meixner_cauchy", "meixner_parameters"]
 
 
 def test_public_names_are_pinned():
     # reference oracles live in tests/oracles.py, not in the library
     assert sorted(smfconv.__all__) == sorted(PUBLIC_NAMES)
-    assert len(smfconv.__all__) == 29
+    assert len(smfconv.__all__) == 26
     for name in TEST_ONLY_NAMES + UNEXPORTED_NAMES:
         assert not hasattr(smfconv, name), name
     assert not hasattr(smfconv.matricial, "b_elements")

@@ -687,6 +687,39 @@ def test_density_grid_overflow_exits_two(tmp_path, capsys):
     assert err == "config error: density grid overflows float precision\n"
 
 
+def negative_rate_job(a, b, grid_min, grid_max, points):
+    semicircle = {"kind": "semicircle", "a": a}
+    point_mass = {"kind": "point_mass", "b": b}
+    return {"version": 1, "shape": "square",
+            "cells": {"1,1": semicircle, "2,2": semicircle,
+                      "1,2": point_mass, "2,1": point_mass},
+            "order": 4, "precision": "float",
+            "density": {"grid_min": grid_min, "grid_max": grid_max,
+                        "points": points, "eps": 1e-3}}
+
+
+@pytest.mark.parametrize("a,b", [("-1", "1/2"), ("-1/16", "1/2")],
+                         ids=["no_real_pole", "double_pole"])
+def test_negative_rate_meixner_density_has_no_atom(tmp_path, capsys, a, b):
+    # b^2 + 4a < 0 and = 0: the closed form's denominator has no simple
+    # real zero, so the density carries no atom
+    code, out, err = run_cli(tmp_path, negative_rate_job(a, b, -2, 2, 5),
+                             capsys=capsys)
+    assert (code, err) == (0, "")
+    density = json.loads(out)["density"]
+    assert density["atoms"] == []
+    assert [x for x, _ in density["grid"]] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
+def test_density_grid_on_a_pole_exits_two(tmp_path, capsys):
+    # a = -2.5e-7, b = 0 puts a pole of the closed form at i 1e-3 = z(0)
+    cfg = negative_rate_job("-2.5e-7", "0", -1, 1, 3)
+    code, out, err = run_cli(tmp_path, cfg, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: density grid meets a pole of the " \
+        "transform\n"
+
+
 @pytest.mark.parametrize("cells,message", [
     ({key: [1e308, 1e308] for key in ("1,1", "1,2", "2,1", "2,2")},
      "partition moments not finite"),

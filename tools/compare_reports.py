@@ -19,6 +19,10 @@ The list:
 * two float density jobs on the general (fixed-point) path, in json and
   in csv: a lower-triangular array with an absent cell, and a square
   array of custom cells whose top cumulants are 0.0 and -0.0;
+* two float density jobs in json at the edge of the closed form: the
+  README array written as custom cumulant lists padded with 0.0 and
+  -0.0, which takes the closed form and reports an atom, and the same
+  with r(3) = 0.1 on cell (1,1), which takes the fixed point;
 * the README job at order 20 with all four checks, in both precisions;
 * checks_r8 jobs 0-2 with ``--precision float``;
 * checks_r8 job 0 with ``--checks`` set to each of ``eq56``, ``eq611``,
@@ -88,6 +92,16 @@ GENERAL_DENSITY_CELLS = {
         "2,2": [-0.1, 0.8, -0.05, -0.0],
     },
 }
+# the README array as custom cumulant lists padded with 0.0 and -0.0, and
+# the same with one extra cumulant, which is no longer of the closed form
+MEIXNER_CUSTOM_CELLS = {"1,1": [0.0, 1.0, 0.0, -0.0],
+                        "1,2": [0.5, 0.0, -0.0, 0.0],
+                        "2,1": [0.5, -0.0, 0.0, -0.0],
+                        "2,2": [-0.0, 1.0, -0.0, 0.0]}
+MEIXNER_EDGE_CELLS = {
+    "closed_form": MEIXNER_CUSTOM_CELLS,
+    "extra_r3": {**MEIXNER_CUSTOM_CELLS, "1,1": [0.0, 1.0, 0.1, -0.0]},
+}
 # the subsets of the three table checks that the all-checks jobs never run
 CHECK_SUBSETS = ("eq56", "eq611", "uniqueness", "eq56,uniqueness",
                  "eq611,uniqueness")
@@ -130,6 +144,9 @@ def invocations(workloads):
         for fmt in ("json", "csv"):
             out.append(("density/%s/%s" % (shape, fmt), job, ["--out", fmt],
                         False))
+    for name, cells in MEIXNER_EDGE_CELLS.items():
+        job = dict(GENERAL_DENSITY_JOB, shape="square", cells=cells)
+        out.append(("density/meixner_%s/json" % name, job, [], False))
     for index in range(3):
         out.append(("checks_r8/%d/float" % index,
                     workloads.job_config("checks_r8", SEED, index),
