@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
 from .arrays import ALL_CELLS, DistributionArray, NamedLaw
@@ -51,6 +52,12 @@ CELL_CLASS = {(1, 1): (2, 1), (2, 2): (1, 2), (1, 2): (2, 2), (2, 1): (2, 2)}
 # the classes that cells read, in an order where each reads only itself
 # and the classes before it: class (2,2) resolves alone
 NEWTON_ORDER = ((2, 2), (2, 1), (1, 2))
+# the damped map's slots: slot i holds the resolvent of CLASSES[i], the
+# classes that cells read in CELL_CLASS order; _CELL_PAIRS gives each
+# class's two cells as indices into CELL_CLASS
+CLASSES = tuple(dict.fromkeys(CELL_CLASS.values()))
+_CELL_PAIRS = {q: tuple(map(list(CELL_CLASS).index, cells))
+               for q, cells in Q_RESOLVENTS.items()}
 
 
 def _product_coefficient(a, b, s):
@@ -233,39 +240,43 @@ def _cauchy(tails, z: complex):
     are *tails*, and whether its fixed point converged."""
     if z.imag <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
+    reads = [(tails[cell], CLASSES.index(q)) for cell, q in CELL_CLASS.items()]
+    slot_pairs = [_CELL_PAIRS[q] for q in CLASSES]
 
-    def resolvents(g):
-        """One step of the fixed point: G_q for each class of
-        ``Q_RESOLVENTS``, each K_c read at g of the class of cell c."""
-        k = {}
-        for cell, q in CELL_CLASS.items():
-            total, u = 0.0, g[q]
-            for c in tails[cell]:
+    def resolvents(g, pairs=slot_pairs):
+        """G_q = 1/(z - K_a - K_b) for each cell pair (a, b) of *pairs*,
+        each K_c read at the slot of g of the class of cell c: by default
+        one step of the fixed point over the slots."""
+        k = []
+        for tail, slot in reads:
+            total, u = 0.0, g[slot]
+            for c in tail:
                 total = total * u + c
-            k[cell] = total
-        return {q: 1.0 / (z - k[a] - k[b])
-                for q, (a, b) in Q_RESOLVENTS.items()}
+            k.append(total)
+        return [1.0 / (z - k[a] - k[b]) for a, b in pairs]
 
     def damp(g, steps):
         for _ in range(steps):
             new = resolvents(g)
-            delta = max(abs(new[q] - g[q]) for q in g)
-            g = {q: 0.5 * g[q] + 0.5 * new[q] for q in g}
+            # in slot order: max is NaN only when the first slot's step is
+            delta = max(map(abs, map(sub, new, g)))
+            g = [0.5 * o + 0.5 * n for o, n in zip(g, new)]
             if delta < CAUCHY_TOL:
                 return g, True
         return g, False
 
-    g, converged = damp({q: 1.0 / z for q in CELL_CLASS.values()},
-                        CAUCHY_DAMPED_ITER)
+    g, converged = damp([1.0 / z] * len(CLASSES), CAUCHY_DAMPED_ITER)
     if not converged:
         try:
-            roots = _newton(tails, z, g)
+            roots = _newton(tails, z, dict(zip(CLASSES, g)))
         except (ZeroDivisionError, OverflowError):
             roots = None
         if roots is not None:
-            return resolvents(roots)[(1, 1)], True
-        g, converged = damp(g, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
-    return resolvents(g)[(1, 1)], converged
+            g, converged = [roots[q] for q in CLASSES], True
+        else:
+            g, converged = damp(g, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
+    # G_(1,1), which no cell reads, once from the final slots
+    return resolvents(g, [_CELL_PAIRS[(1, 1)]])[0], converged
 
 
 def cauchy_value(array: DistributionArray, z: complex) -> complex:

@@ -315,6 +315,7 @@ def run(config: JobConfig) -> Tuple[dict, int]:
             raise ConfigError("density grid overflows float precision")
         except ZeroDivisionError:
             raise ConfigError("density grid meets a pole of the transform")
+        _require_finite([y for _, y in rows], "density")
         if unconverged:     # out of band: the report's shape is unchanged
             print("density: %d of %d grid points did not converge"
                   % (len(unconverged), pts), file=sys.stderr)

@@ -19,8 +19,10 @@ shift and reciprocal defined here.  ``reinverting_reconstruct`` inverts
 every transform tail anew at each step, and ``full_relation_violations``
 checks the creation relation on the whole word basis.
 ``four_unknown_cauchy`` iterates the numeric fixed point with one unknown
-per cell, the off-diagonal resolvent twice, and ``full_tail_newton``
-finishes it by Newton on full-length cell tails.  Two thin wrappers
+per cell, the off-diagonal resolvent twice, ``full_tail_newton``
+finishes it by Newton on full-length cell tails, and
+``dict_keyed_cauchy`` runs the library's damped map over dicts keyed by
+cell and class, forming G_(1,1) at every step.  Two thin wrappers
 drive the subordination engine on single laws and on the binary
 convolution kinds, ``perfbench_workloads`` loads the benchmark's job
 configs, and ``module_imports`` reads a module's imports for the
@@ -60,8 +62,9 @@ from smfconv import (FLOAT, QCELLS, RATIONAL, SHAPES, DistributionArray,
                      UnitElement, UnitSeries, as_scalar, compression,
                      enumerate_nc, invert_pole_series, master_cauchy,
                      q_class)
-from smfconv.analytic import (CAUCHY_MAX_ITER, CAUCHY_TOL, CELL_CLASS,
-                              NEWTON_MAX_ITER, NEWTON_ORDER, Q_RESOLVENTS,
+from smfconv.analytic import (CAUCHY_DAMPED_ITER, CAUCHY_MAX_ITER,
+                              CAUCHY_TOL, CELL_CLASS, NEWTON_MAX_ITER,
+                              NEWTON_ORDER, Q_RESOLVENTS, _newton,
                               _series_fixed_point)
 from smfconv.arrays import ALL_CELLS
 from smfconv.fock import ResolventTable, can_prepend, runs
@@ -1057,6 +1060,47 @@ def full_tail_newton(array: DistributionArray, z: complex, g):
             return None
         roots[q] = u
     return roots
+
+
+def dict_keyed_cauchy(tails, z: complex):
+    """(G(z), converged) of ``_cauchy`` as the library computed it before
+    its damped map moved to class slots: each step builds a dict of the
+    four cell transforms and a dict of all four class resolvents, G_(1,1)
+    included, keyed by cell and class.  Same float operations in the same
+    order, the same three phases and the library's ``_newton``."""
+    if z.imag <= 0:
+        raise ValueError("evaluation point must be in the upper half plane")
+
+    def resolvents(g):
+        k = {}
+        for cell, q in CELL_CLASS.items():
+            total, u = 0.0, g[q]
+            for c in tails[cell]:
+                total = total * u + c
+            k[cell] = total
+        return {q: 1.0 / (z - k[a] - k[b])
+                for q, (a, b) in Q_RESOLVENTS.items()}
+
+    def damp(g, steps):
+        for _ in range(steps):
+            new = resolvents(g)
+            delta = max(abs(new[q] - g[q]) for q in g)
+            g = {q: 0.5 * g[q] + 0.5 * new[q] for q in g}
+            if delta < CAUCHY_TOL:
+                return g, True
+        return g, False
+
+    g, converged = damp({q: 1.0 / z for q in CELL_CLASS.values()},
+                        CAUCHY_DAMPED_ITER)
+    if not converged:
+        try:
+            roots = _newton(tails, z, g)
+        except (ZeroDivisionError, OverflowError):
+            roots = None
+        if roots is not None:
+            return resolvents(roots)[(1, 1)], True
+        g, converged = damp(g, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
+    return resolvents(g)[(1, 1)], converged
 
 
 # -- the benchmark's job configs ---------------------------------------------

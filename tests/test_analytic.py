@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import sys
@@ -9,9 +10,10 @@ from scipy.integrate import quad
 import smfconv.analytic
 import smfconv.arrays
 from oracles import (binary_convolutions, binary_fixed_point_rhs, compose,
-                     cut_pass_fixed_point, f_compose_moments,
-                     four_unknown_cauchy, full_tail_newton, law_moments,
-                     meixner_density, module_imports, moments_from_cumulants,
+                     cut_pass_fixed_point, dict_keyed_cauchy,
+                     f_compose_moments, four_unknown_cauchy,
+                     full_tail_newton, law_moments, meixner_density,
+                     module_imports, moments_from_cumulants,
                      perfbench_workloads, reciprocal, shift,
                      solve_subordination, split_semicircle_cauchy)
 from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
@@ -531,6 +533,64 @@ def test_newton_on_trimmed_tails_matches_full_tails(case, monkeypatch):
         assert repr(got) == repr(full_tail_newton(arr, z, g))
         finished += got is not None
     assert finished >= 7
+
+
+def slotted_map_cases():
+    """(array, points) on which the class-slot damped map is compared
+    with the dict-keyed one: the whole density_f10 grid of every 8th
+    density array, the trimmed-tail arrays on three eps, the imaginary-
+    axis array of the config fuzz at x = 0, the subnormal-eps point whose
+    damped map starts from 1/z = -inf i and yields NaN, and an array whose
+    cell (1,1) overflows near 0, so that only the slot of class (2,1)
+    turns NaN: where max meets a NaN, its value hangs on the slot order."""
+    workloads = perfbench_workloads()
+    n = workloads.DENSITY_POINTS
+    for a11, a22, b12, b21 in workloads.DENSITY_ARRAYS[::8]:
+        half = 4.0 * (a11 + a22) ** 0.5 + 2.0 * (abs(b12) + abs(b21)) + 2.0
+        yield split_array(a11, a22, b12, b21), [
+            complex(-half + 2 * half * k / (n - 1), workloads.DENSITY_EPS)
+            for k in range(n)]
+    for cumulants in TRIMMED_TAIL_ARRAYS:
+        yield DistributionArray.from_cumulants(cumulants, mode=FLOAT), [
+            complex(-3.0 + 0.25 * k, eps)
+            for eps in (1e-3, 0.1, 1.0) for k in range(25)]
+    yield DistributionArray.from_cumulants(
+        {(1, 1): (0.0, 0.0), (1, 2): (0.0, -1.0)}, mode=FLOAT), [1e-3j]
+    yield DistributionArray.from_laws(
+        {(1, 1): NamedLaw.semicircle("0.9"), (2, 2): NamedLaw.semicircle("1.1"),
+         (1, 2): NamedLaw.point_mass("0.2"),
+         (2, 1): NamedLaw.point_mass("-0.3")}, 4, FLOAT), [5e-324j]
+    yield split_array(1e308, 1.0, 0.2, -0.3), [
+        complex(x, 0.1) for x in (-0.2, 0.1, 0.2, 1.0, 3.0)]
+
+
+def test_class_slots_leave_the_damped_map_bit_identical(monkeypatch):
+    # the damped map steps over lists indexed by class and forms G_(1,1)
+    # once; the reference steps over dicts and forms it at every step.
+    # Every (G, converged) is the same floats, NaN included, in each of
+    # the three phases: settled by the damped map, finished by Newton,
+    # and damped on to CAUCHY_MAX_ITER steps
+    newton = smfconv.analytic._newton
+    finishes = []
+
+    def recorded(r, z, g):
+        finishes.append(None)       # stays None when Newton raises
+        finishes[-1] = newton(r, z, g)
+        return finishes[-1]
+
+    monkeypatch.setattr(smfconv.analytic, "_newton", recorded)
+    points = nan = 0
+    for arr, zs in slotted_map_cases():
+        tails = _tails(arr)
+        for z in zs:
+            got = _cauchy(tails, z)
+            assert repr(got) == repr(dict_keyed_cauchy(tails, z))
+            points += 1
+            nan += cmath.isnan(got[0])
+    newton_finished = sum(roots is not None for roots in finishes)
+    assert points - len(finishes) > 5000
+    assert newton_finished >= 100
+    assert len(finishes) - newton_finished >= 5 and nan == 4
 
 
 def test_density_builds_each_cell_tail_once():

@@ -22,7 +22,7 @@ def tool():
 def test_the_list_covers_every_workload_and_the_readme_jobs(tool):
     runs = tool.invocations(tool.load_workloads())
     labels = [label for label, *_ in runs]
-    assert len(labels) == len(set(labels)) == 103
+    assert len(labels) == len(set(labels)) == 105
     assert sum(label.startswith("readme/") for label in labels) == 9
     assert [args for label, _, args, _ in runs
             if label.endswith("order20")] == [

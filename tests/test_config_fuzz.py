@@ -7,6 +7,7 @@ Whatever the document, the exit code says what happened:
 
 * 0, 1 or 2, and no exception escapes;
 * 2 is a config error: empty stdout and one line on stderr;
+* on 0 or 1, the report is strict JSON, with no NaN or Infinity;
 * 1 is a disagreement or a failed check, named in the report;
 * on 0 or 1, stderr may open with one line counting the density points
   whose fixed point did not converge, which leaves the exit code alone;
@@ -145,6 +146,27 @@ IMAGINARY_AXIS = {
     "order": 2, "version": 1, "precision": "float",
     "density": {"grid_min": 0.0, "grid_max": 0.0, "points": 2},
 }
+# the smallest subnormal eps puts the grid point x = 0 at z = 5e-324 i,
+# where the damped map starts from 1/z = -inf i and reaches only NaN: the
+# density there is NaN, which a JSON report cannot hold, so the job exits 2
+SUBNORMAL_EPS = {
+    "version": 1, "shape": "square", "order": 4, "engines": ["analytic"],
+    "precision": "float",
+    "cells": {"1,1": {"kind": "semicircle", "a": 0.9},
+              "2,2": {"kind": "semicircle", "a": 1.1},
+              "1,2": {"kind": "point_mass", "b": 0.2},
+              "2,1": {"kind": "point_mass", "b": -0.3}},
+    "density": {"grid_min": -1.0, "grid_max": 1.0, "points": 3,
+                "eps": 5e-324},
+}
+
+
+def strict_json(text):
+    """*text* parsed as JSON, raising on NaN and +-Infinity, which Python
+    prints but JSON does not allow."""
+    def reject(constant):
+        raise ValueError("report holds %s" % constant)
+    return json.loads(text, parse_constant=reject)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -152,6 +174,7 @@ IMAGINARY_AXIS = {
 @example(doc=BIG_POINT_MASS)
 @example(doc=DIAGONAL_THEN_KERNEL)
 @example(doc=IMAGINARY_AXIS)
+@example(doc=SUBNORMAL_EPS)
 def test_any_document_exits_zero_one_or_two(doc):
     code, out, err = run_main(doc)
     event("exit %s" % code)
@@ -160,7 +183,7 @@ def test_any_document_exits_zero_one_or_two(doc):
         assert out == ""
         assert err.startswith("config error: ") and err.count("\n") == 1
         return
-    report = json.loads(out)
+    report = strict_json(out)
     err = re.sub(r"\Adensity: \d+ of %d grid points did not converge\n"
                  % len(report.get("density", {}).get("grid", ())), "", err)
     checks = report.get("checks", {}).values()

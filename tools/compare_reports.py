@@ -23,6 +23,9 @@ The list:
   README array written as custom cumulant lists padded with 0.0 and
   -0.0, which takes the closed form and reports an atom, and the same
   with r(3) = 0.1 on cell (1,1), which takes the fixed point;
+* the subnormal-eps density job, in json and in csv: a square split
+  array (semicircle diagonals, point-mass off-diagonals) at eps 5e-324,
+  whose grid point x = 0 has a NaN density;
 * the README job at order 20 with all four checks, in both precisions;
 * checks_r8 jobs 0-2 with ``--precision float``;
 * checks_r8 job 0 with ``--checks`` set to each of ``eq56``, ``eq611``,
@@ -102,6 +105,23 @@ MEIXNER_EDGE_CELLS = {
     "closed_form": MEIXNER_CUSTOM_CELLS,
     "extra_r3": {**MEIXNER_CUSTOM_CELLS, "1,1": [0.0, 1.0, 0.1, -0.0]},
 }
+# eps 5e-324 puts x = 0 at z = 5e-324 i, where 1/z overflows and the
+# fixed point of this array yields a NaN density
+SUBNORMAL_EPS_JOB = {
+    "version": 1,
+    "shape": "square",
+    "cells": {
+        "1,1": {"kind": "semicircle", "a": 0.9},
+        "1,2": {"kind": "point_mass", "b": 0.2},
+        "2,1": {"kind": "point_mass", "b": -0.3},
+        "2,2": {"kind": "semicircle", "a": 1.1},
+    },
+    "order": 4,
+    "engines": ["analytic"],
+    "precision": "float",
+    "density": {"grid_min": -1.0, "grid_max": 1.0, "points": 3,
+                "eps": 5e-324},
+}
 # the subsets of the three table checks that the all-checks jobs never run
 CHECK_SUBSETS = ("eq56", "eq611", "uniqueness", "eq56,uniqueness",
                  "eq611,uniqueness")
@@ -147,6 +167,9 @@ def invocations(workloads):
     for name, cells in MEIXNER_EDGE_CELLS.items():
         job = dict(GENERAL_DENSITY_JOB, shape="square", cells=cells)
         out.append(("density/meixner_%s/json" % name, job, [], False))
+    for fmt in ("json", "csv"):
+        out.append(("density/subnormal_eps/%s" % fmt, SUBNORMAL_EPS_JOB,
+                    ["--out", fmt], False))
     for index in range(3):
         out.append(("checks_r8/%d/float" % index,
                     workloads.job_config("checks_r8", SEED, index),
