@@ -196,9 +196,14 @@ def _newton(r, z: complex, g):
     others, read at the classes already solved.  The tails are summed
     aligned at their constant terms, the shorter one padded with leading
     0.0.  A root is accepted when a step falls below CAUCHY_TOL within
-    NEWTON_MAX_ITER steps, Im u <= 0 and the map u -> 1/(z - K(u) - c)
-    attracts there, |K'(u) u^2| < 1: the Denjoy-Wolff point that the
-    damped map converges to.
+    NEWTON_MAX_ITER steps, Im u <= 0 and the damped map attracts there:
+    the Denjoy-Wolff point that it converges to.  With F_q(u) =
+    1/(z - K(u) - c), F_q'(u) = K'(u) F_q(u)^2 = K'(u) u^2 at the root.
+    Each class reads only itself and the classes before it, so the
+    Jacobian J of the slot map is triangular in this order, with
+    diagonal F_q', and the damped map's Jacobian 0.5 I + 0.5 J has the
+    eigenvalues 0.5 (1 + F_q').  So it attracts when every
+    |1 + K'(u) u^2| < 2, which holds wherever |K'(u) u^2| < 1 does.
     """
     roots = {}
     for q in NEWTON_ORDER:
@@ -216,7 +221,7 @@ def _newton(r, z: complex, g):
                 break
         else:
             return None
-        if not (u.imag <= 0 and abs(_horner(coeffs, u)[1] * u * u) < 1):
+        if not (u.imag <= 0 and abs(1 + _horner(coeffs, u)[1] * u * u) < 2):
             return None
         roots[q] = u
     return roots
@@ -258,10 +263,13 @@ def _cauchy(tails, z: complex):
     def damp(g, steps):
         for _ in range(steps):
             new = resolvents(g)
-            # in slot order: max is NaN only when the first slot's step is
+            # in slot order: max is NaN only when the first slot's step is,
+            # so a stop checks that no slot's step is NaN
             delta = max(map(abs, map(sub, new, g)))
+            stop = delta < CAUCHY_TOL and not any(map(
+                cmath.isnan, map(sub, new, g)))
             g = [0.5 * o + 0.5 * n for o, n in zip(g, new)]
-            if delta < CAUCHY_TOL:
+            if stop:
                 return g, True
         return g, False
 

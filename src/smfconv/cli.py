@@ -41,21 +41,17 @@ def _shown(value, form=repr) -> str:
 
 
 class JobConfig(Record):
-    """A parsed job; unlike the other records it may be changed in place,
-    so it has no hash."""
+    """A parsed job.  Its laws are a dict, so it has no hash."""
 
     _fields = ("shape", "laws", "order", "engines", "precision", "checks",
                "density")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, shape: str, laws: Dict[Tuple[int, int], NamedLaw],
                  order: int, engines: Tuple[str, ...], precision: str,
                  checks: Tuple[str, ...], density: Optional[dict] = None):
-        self.shape, self.laws, self.order = shape, laws, order
-        self.engines, self.precision = engines, precision
-        self.checks, self.density = checks, density
+        for name, value in zip(self._fields, (shape, laws, order, engines,
+                                              precision, checks, density)):
+            object.__setattr__(self, name, value)
 
 
 def _parse_cell_key(key: str) -> Tuple[int, int]:

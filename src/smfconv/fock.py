@@ -24,16 +24,17 @@ every vector, operator and check is exact in both precisions, and only
 :class:`~smfconv.units.FockVector`, integer numerators {word: num} over
 one positive denominator.  An operator is anything with
 ``apply(vec) -> vec``: a :class:`LinearOp` given by a column rule (the
-cell operators, the total A and its compressions), a
-:class:`CellPolynomial`, or a :class:`~smfconv.units.UnitElement`, which
-scales each word by its q-class component.  Every operator has a
-denominator ``den`` fixed when it is built, the lcm of the denominators
-of every entry it can produce, and supplies its entries as numerators
-over it; the output denominator is the input denominator times the
-operator's.  So no entry of a vector costs a gcd.  A scalar leaves the
-vector layer only where it is read (``state_moment``, the resolvent
-tables, ``creation_relation_violations``), as one ``Fraction(num, den)``
-per read.
+cell operators and the total A), a :class:`CellPolynomial`, a
+:class:`~smfconv.units.UnitElement`, which scales each word by its
+q-class component, or a :class:`Product` of operators.  Every operator
+but a product has a denominator ``den`` fixed when it is built, the lcm
+of the denominators of every entry it can produce, and supplies its
+entries as numerators over it; the output denominator is the input
+denominator times the operator's.  So no entry of a vector costs a gcd.
+A scalar leaves the vector layer only where it is read
+(``state_moment``, the resolvent tables,
+``creation_relation_violations``), as one ``Fraction(num, den)`` per
+read.
 
 No operator enumerates the word basis.  A cell operator reads only the
 head of a word, so its column at w is, in this entry order: the creation
@@ -42,10 +43,12 @@ itself with weight r(1) times the cell unit's component at the q class
 of w; and for k = 2, 3, ... while ``stripped`` finds the cell at the
 head, w with k - 1 letters stripped, with weight r(k).  The column of A
 merges the cell columns in sorted cell order over the lcm of the cell
-denominators, summing repeated targets in that order, and a compression
-keeps the entries of A whose source and target lie in its range, over
-the same denominator.  A :class:`LinearOp` computes a column the first
-time a vector reaches its word and caches it in ``columns``.
+denominators, summing repeated targets in that order.  A
+:class:`LinearOp` computes a column the first time a vector reaches its
+word and caches it in ``columns``.  A compression P A P is the product
+of A with the cell's compression projection P on each side, so it keeps
+the entries of A whose source and target lie in the range of P, in A's
+order, and only A and the cell operators cache columns.
 
 The relation l*_c l_c = 1_c is checked with the two rules the cell
 operator applies, on words shorter than the depth, but not on all of
@@ -173,6 +176,18 @@ class LinearOp:
                 out[w2] = out.get(w2, 0) + a * c
         return FockVector({w: c for w, c in out.items() if c != 0},
                           vec.den * self.den)
+
+
+class Product(tuple):
+    """The operator product of its factors, listed left to right as
+    written, so ``apply`` runs them right to left."""
+
+    __slots__ = ()
+
+    def apply(self, vec: FockVector) -> FockVector:
+        for f in reversed(self):
+            vec = f.apply(vec)
+        return vec
 
 
 def runs(word: Word) -> int:
@@ -372,23 +387,12 @@ class FockModel:
             self._ops["A"] = LinearOp(rule, den)
         return self._ops["A"]
 
-    def compressed_total(self, cell: Cell) -> LinearOp:
-        """P_{i,j} A P_{i,j} with the compression projection of the cell:
-        the entries of A whose source and target words both lie in the
-        range of P (its components are all 0 or 1)."""
-        key = ("PAP", cell)
-        if key not in self._ops:
-            p = compression(*cell)
-            kept = {qc for qc in QCELLS if p.component(qc) != 0}
-            total = self.total()
-
-            def rule(w):
-                if q_class(w) not in kept:
-                    return ()
-                return tuple(e for e in total.column(w)
-                             if q_class(e[0]) in kept)
-            self._ops[key] = LinearOp(rule, total.den)
-        return self._ops[key]
+    def compressed_total(self, cell: Cell) -> Product:
+        """P_{i,j} A P_{i,j}, the product of A with the compression
+        projection P of the cell on each side; it caches no columns of
+        its own, as A caches them."""
+        p = compression(*cell)
+        return Product((p, self.total(), p))
 
     # -- states ------------------------------------------------------------
 
@@ -402,18 +406,16 @@ class FockModel:
 
         Factors are operators listed left to right as written in the
         product; unit elements do not count against the depth budget, and
-        any other operator (a LinearOp, a CellPolynomial) counts as one
-        factor (callers building composite operators keep their own depth
-        accounting).
+        any other operator (a LinearOp, a CellPolynomial, a Product)
+        counts as one factor (callers building composite operators keep
+        their own depth accounting).
         """
         heavy = sum(1 for f in factors if not isinstance(f, UnitElement))
         base = 0 if state == "phi" else 1
         if heavy + base > self.depth:
             raise ValueError("product needs depth %d > model depth %d"
                              % (heavy + base, self.depth))
-        vec = self.state_vector(state)
-        for f in reversed(list(factors)):
-            vec = f.apply(vec)
+        vec = Product(factors).apply(self.state_vector(state))
         return vec.read(STATE_WORDS[state])
 
     def prune(self, vec: FockVector, max_runs: int) -> FockVector:

@@ -135,13 +135,6 @@ class TruncatedSeries:
     def one(cls, order: int, mode: str = RATIONAL) -> "TruncatedSeries":
         return cls([1] + [0] * order, mode)
 
-    @classmethod
-    def identity(cls, order: int, mode: str = RATIONAL) -> "TruncatedSeries":
-        """The series z (requires order >= 1)."""
-        if order < 1:
-            raise ValueError("identity series needs order >= 1")
-        return cls([0, 1] + [0] * (order - 1), mode)
-
     def _check(self, other: "TruncatedSeries") -> None:
         if self.mode != other.mode:
             raise ValueError("scalar mode mismatch: %s vs %s"
@@ -176,10 +169,6 @@ class TruncatedSeries:
             for j in range(n + 1 - i):
                 out[i + j] += a * other.coeffs[j]
         return TruncatedSeries(out, self.mode)
-
-    def scale(self, factor: Number) -> "TruncatedSeries":
-        f = as_scalar(factor, self.mode)
-        return TruncatedSeries([f * c for c in self.coeffs], self.mode)
 
     def __eq__(self, other) -> bool:
         """Coefficientwise equality up to the common order."""

@@ -79,10 +79,6 @@ class UnitElement(Record):
             for head in (None, *_UNIT_DECOMP)})
 
     @classmethod
-    def zero(cls) -> "UnitElement":
-        return cls((0, 0, 0, 0))
-
-    @classmethod
     def identity(cls) -> "UnitElement":
         return cls((1, 1, 1, 1))
 
@@ -113,10 +109,6 @@ class UnitElement(Record):
 
     def __mul__(self, other: "UnitElement") -> "UnitElement":
         return UnitElement(tuple(a * b for a, b in zip(self.beta, other.beta)))
-
-    def scale(self, factor) -> "UnitElement":
-        f = as_scalar(factor, RATIONAL)
-        return UnitElement(tuple(f * b for b in self.beta))
 
     def state_value(self, state: str):
         """Value of the element under phi, phi1 or phi2."""

@@ -1001,7 +1001,8 @@ def four_unknown_cauchy(array: DistributionArray, z: complex,
     iterated twice, once per off-diagonal cell.  Same damping and
     tolerance as the damped map of ``cauchy_value``, which has one unknown
     per q-class that a cell reads, run to at most *max_iter* steps with no
-    Newton finish; *steps* counts the steps taken."""
+    Newton finish, stopping when every unknown's step is below
+    CAUCHY_TOL; *steps* counts the steps taken."""
     r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
          for cell in ALL_CELLS}
 
@@ -1018,9 +1019,9 @@ def four_unknown_cauchy(array: DistributionArray, z: complex,
     g = {cell: 1.0 / z for cell in ALL_CELLS}
     for step in range(1, max_iter + 1):
         new = family(g)
-        delta = max(abs(new[c] - g[c]) for c in ALL_CELLS)
+        stop = all(abs(new[c] - g[c]) < CAUCHY_TOL for c in ALL_CELLS)
         g = {c: 0.5 * g[c] + 0.5 * new[c] for c in ALL_CELLS}
-        if delta < CAUCHY_TOL:
+        if stop:
             return family(g)[None], True, step
     return family(g)[None], False, max_iter
 
@@ -1056,7 +1057,7 @@ def full_tail_newton(array: DistributionArray, z: complex, g):
                 break
         else:
             return None
-        if not (u.imag <= 0 and abs(horner(coeffs, u)[1] * u * u) < 1):
+        if not (u.imag <= 0 and abs(1 + horner(coeffs, u)[1] * u * u) < 2):
             return None
         roots[q] = u
     return roots
@@ -1067,7 +1068,8 @@ def dict_keyed_cauchy(tails, z: complex):
     its damped map moved to class slots: each step builds a dict of the
     four cell transforms and a dict of all four class resolvents, G_(1,1)
     included, keyed by cell and class.  Same float operations in the same
-    order, the same three phases and the library's ``_newton``."""
+    order, the same three phases and the library's ``_newton``; the damped
+    map stops when every class's step is below CAUCHY_TOL."""
     if z.imag <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
 
@@ -1084,9 +1086,9 @@ def dict_keyed_cauchy(tails, z: complex):
     def damp(g, steps):
         for _ in range(steps):
             new = resolvents(g)
-            delta = max(abs(new[q] - g[q]) for q in g)
+            stop = all(abs(new[q] - g[q]) < CAUCHY_TOL for q in g)
             g = {q: 0.5 * g[q] + 0.5 * new[q] for q in g}
-            if delta < CAUCHY_TOL:
+            if stop:
                 return g, True
         return g, False
 

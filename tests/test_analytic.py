@@ -19,8 +19,8 @@ from oracles import (binary_convolutions, binary_fixed_point_rhs, compose,
 from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
                      TruncatedSeries, cauchy_value, master_cauchy,
                      smf_moments, stieltjes_density)
-from smfconv.analytic import CAUCHY_DAMPED_ITER, _cauchy, \
-    _series_fixed_point, _tails, meixner_atoms, meixner_cauchy, \
+from smfconv.analytic import CAUCHY_DAMPED_ITER, CAUCHY_MAX_ITER, \
+    _cauchy, _series_fixed_point, _tails, meixner_atoms, meixner_cauchy, \
     meixner_parameters
 
 SEMI = NamedLaw.semicircle(1)
@@ -467,6 +467,22 @@ def test_newton_finds_the_attracting_root_of_custom_arrays():
     assert compared >= 80 and finished >= 4
 
 
+def test_newton_accepts_roots_where_the_damped_map_attracts():
+    # the README array with r(3) = 0.1 on cell (1,1): at these points the
+    # root of class (2,1) has |K'(u) u^2| = 1.001 and 1.002, so it repels
+    # the undamped map, but |1 + K'(u) u^2| < 2, so it attracts the damped
+    # one.  The damped map alone needs more than CAUCHY_MAX_ITER steps;
+    # run long it settles within 1e-12 of Newton's value
+    arr = DistributionArray.from_cumulants(
+        {**SIGNED_ZERO_MEIXNER, (1, 1): (0.0, 1.0, 0.1, -0.0)}, FLOAT)
+    for x in (-1.30, -1.28):
+        z = complex(x, 1e-3)
+        got, settled = _cauchy(_tails(arr), z)
+        want, converged, steps = four_unknown_cauchy(arr, z, 20_000)
+        assert settled and converged and steps > CAUCHY_MAX_ITER
+        assert abs(got - want) <= 1e-12
+
+
 # arrays whose float tails start with zeros, or with a denormal: absent
 # cells (all-zero tails), top cumulants 0.0 and -0.0, and 5e-324 on top.
 # The off-diagonal tails of the square arrays are constants, so the
@@ -591,6 +607,17 @@ def test_class_slots_leave_the_damped_map_bit_identical(monkeypatch):
     assert points - len(finishes) > 5000
     assert newton_finished >= 100
     assert len(finishes) - newton_finished >= 5 and nan == 4
+
+
+def test_a_nan_in_a_later_slot_is_not_converged():
+    # cell (2,2) overflows near 0, so the slot of class (1,2), the second,
+    # is NaN at every step while the others settle; max skips a NaN after
+    # the first slot, and the damped map must still not stop on it
+    unconverged = []
+    rows, _ = stieltjes_density(split_array(1.0, 1e308, 0.2, -0.3), [0.01],
+                                1e-3, unconverged)
+    assert math.isnan(rows[0][1])
+    assert unconverged == [0.01]
 
 
 def test_density_builds_each_cell_tail_once():

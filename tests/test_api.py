@@ -107,15 +107,11 @@ def test_value_class_contract(cls, args, kwargs, text):
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
     first = next(iter(kwargs))
-    if cls is JobConfig:                      # the one mutable record
-        a.order = 4
-        assert a != b and a.order == 4
-    else:
-        with pytest.raises(AttributeError):
-            setattr(a, first, getattr(a, first))
-        with pytest.raises(AttributeError):
-            a.extra = 1
-        assert a == b
+    with pytest.raises(AttributeError):
+        setattr(a, first, getattr(a, first))
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
 
 
 def _invalid(message, make):

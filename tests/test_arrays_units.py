@@ -76,7 +76,6 @@ def test_unit_element_algebra():
     assert (u + v).beta == (3, 2, 4, 3)
     assert (u * v).beta == (2, 0, 3, -4)
     assert (u - v).beta == (-1, 2, 2, 5)
-    assert u.scale(F(1, 2)).beta == (F(1, 2), F(1), F(3, 2), F(2))
     assert not is_projection(u)
     assert is_projection(UnitElement.identity())
     assert is_projection(UnitElement.internal_unit(1, 2))

@@ -4,13 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 import smfconv.fock
-from oracles import (apply_scalars, column_scalars, dict_state_moment,
-                     eager_tables, full_relation_violations, module_imports,
-                     padded, poly_columns, q_projection, single_cell_r,
-                     to_scalars, to_vector, word_is_valid)
+from oracles import (DictOp, apply_scalars, column_scalars,
+                     dict_state_moment, eager_tables, full_relation_violations,
+                     module_imports, padded, poly_columns, q_projection,
+                     single_cell_r, word_is_valid)
 from smfconv import (ALL_CELLS, FLOAT, RATIONAL, DistributionArray,
                      FockModel, SHAPES, TruncatedSeries, UnitElement,
-                     compression, smf_moments)
+                     smf_moments)
 from smfconv.fock import can_prepend, created, enumerate_words, stripped
 
 
@@ -200,7 +200,7 @@ def test_unit_correspondences_as_matrix_identities():
         (1, 2): q[(1, 2)] + q[(2, 2)],
         (2, 1): q[(2, 1)] + q[(2, 2)],
     }
-    total = sum(q.values(), UnitElement.zero())
+    total = sum(q.values(), UnitElement((0, 0, 0, 0)))
     assert total == UnitElement.identity()
     for (i, j), combo in pairs.items():
         unit = UnitElement.internal_unit(i, j)
@@ -258,29 +258,31 @@ def test_cell_polynomials_match_column_oracle():
 
 
 def test_compressed_total_is_compression_of_total():
-    # the column table must equal P A P applied factor by factor, on every
-    # basis word, with P the cell's compression and A the total operator;
-    # a float array builds the model on its exact binary values
+    # the product P A P applied to random vectors must equal the eager
+    # table that keeps the entries of A whose source and target lie in the
+    # range of P, with P the cell's compression; a float array builds the
+    # model on its exact binary values
     rng = random.Random(15)
     for mode in (RATIONAL, FLOAT):
         for J in SHAPES.values():
             cums = {cell: tuple(F(rng.randint(-3, 3), rng.randint(1, 3))
                                 for _ in range(5)) for cell in J}
             model = FockModel(DistributionArray.from_cumulants(cums, mode), 5)
-            total = model.total()
+            tables = eager_tables(model)
             for cell in sorted(J):
-                p = compression(*cell)
                 pap = model.compressed_total(cell)
-                for w in model.words:
-                    vec = to_vector({w: F(1)})
-                    assert to_scalars(pap.apply(vec)) == to_scalars(
-                        p.apply(total.apply(p.apply(vec))))
+                table = DictOp(tables["PAP", cell])
+                for _ in range(20):
+                    vec = {w: F(rng.randint(-3, 3), rng.randint(1, 3))
+                           for w in rng.sample(model.words, 6)}
+                    assert apply_scalars(pap, vec) == table.apply(vec)
 
 
 def test_on_demand_columns_match_eager_tables():
     # every column computed from the head of a word must equal the table
     # built over the whole basis, entries in the same order, for every
-    # shape, in both modes
+    # shape, in both modes; a compression, which caches no columns, must
+    # give the same entries in the same order applied to the word alone
     rng = random.Random(16)
     for mode in (RATIONAL, FLOAT):
         for J in SHAPES.values():
@@ -291,12 +293,16 @@ def test_on_demand_columns_match_eager_tables():
             tables = eager_tables(model)
             ops = {("a", cell): model.toeplitz(cell) for cell in J}
             ops["A"] = model.total()
-            ops.update({("PAP", cell): model.compressed_total(cell)
-                        for cell in J})
-            assert set(ops) == set(tables)
+            paps = {("PAP", cell): model.compressed_total(cell)
+                    for cell in J}
+            assert set(ops) | set(paps) == set(tables)
             for key, op in ops.items():
                 for w in model.words:
                     assert column_scalars(op, w) == tables[key].get(w, ())
+            for key, op in paps.items():
+                for w in model.words:
+                    assert tuple(apply_scalars(op, {w: F(1)}).items()) == \
+                        tables[key].get(w, ())
 
 
 def test_pruned_moments_equal_unpruned_products():
