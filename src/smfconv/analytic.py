@@ -32,14 +32,18 @@ from typing import List, Optional, Sequence, Tuple
 from .arrays import ALL_CELLS, DistributionArray, NamedLaw
 from .series import FLOAT, TruncatedSeries, extend_pole_inverse, reported
 
-# cauchy_value damps the fixed point for CAUCHY_DAMPED_ITER steps, then
-# tries Newton for NEWTON_MAX_ITER steps, then damps on to CAUCHY_MAX_ITER
-# steps; each stops at a step below CAUCHY_TOL.  meixner_atoms keeps the
-# residues above ATOM_WEIGHT_FLOOR
-CAUCHY_DAMPED_ITER = 200
+# cauchy_value damps the fixed point for at most CAUCHY_DAMPED_ITER steps,
+# the halvings that take a unit step below CAUCHY_TOL: a point still moving
+# then contracts by less than 1/2 per step, where a step below the
+# tolerance no longer bounds the error.  Newton then polishes every point
+# in at most NEWTON_MAX_ITER steps; a point it refuses that the damped map
+# left moving is damped on to CAUCHY_MAX_ITER steps.  Each stops at a step
+# below CAUCHY_TOL.  meixner_atoms keeps the residues above
+# ATOM_WEIGHT_FLOOR
+CAUCHY_TOL = 1e-13
+CAUCHY_DAMPED_ITER = math.ceil(-math.log2(CAUCHY_TOL))
 NEWTON_MAX_ITER = 50
 CAUCHY_MAX_ITER = 500
-CAUCHY_TOL = 1e-13
 ATOM_WEIGHT_FLOOR = 1e-12
 
 # q-class <- the two cell transforms of its resolvent G_q = 1/(z - K_a - K_b),
@@ -189,7 +193,9 @@ def _newton(r, z: complex, g):
     """The resolvents of the classes that cells read, by Newton from *g*
     along ``NEWTON_ORDER``; None when a class finds no root it accepts.
     A zero derivative or an overflow raises ZeroDivisionError or
-    OverflowError.
+    OverflowError.  ``_cauchy`` calls it on every point: from a point the
+    damped map settled, it polishes the last bits; from one still moving,
+    it finishes the point.
 
     Class q solves f(u) = u (z - K(u) - c) - 1, with K the sum of the
     tails *r* (``_tails``) of its cells that read q and c the sum of the
@@ -242,7 +248,13 @@ def _tails(array: DistributionArray):
 
 def _cauchy(tails, z: complex):
     """(G(z), converged): ``cauchy_value`` of the array whose ``_tails``
-    are *tails*, and whether its fixed point converged."""
+    are *tails*, and whether its fixed point converged.
+
+    The damped map runs at most CAUCHY_DAMPED_ITER steps, and ``_newton``
+    then starts from its slots whether they settled or not.  An accepted
+    root replaces the slots.  Where Newton refuses, a settled point keeps
+    its damped value and counts as converged, and a point still moving is
+    damped on to CAUCHY_MAX_ITER steps."""
     if z.imag <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
     reads = [(tails[cell], CLASSES.index(q)) for cell, q in CELL_CLASS.items()]
@@ -274,15 +286,14 @@ def _cauchy(tails, z: complex):
         return g, False
 
     g, converged = damp([1.0 / z] * len(CLASSES), CAUCHY_DAMPED_ITER)
-    if not converged:
-        try:
-            roots = _newton(tails, z, dict(zip(CLASSES, g)))
-        except (ZeroDivisionError, OverflowError):
-            roots = None
-        if roots is not None:
-            g, converged = [roots[q] for q in CLASSES], True
-        else:
-            g, converged = damp(g, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
+    try:
+        roots = _newton(tails, z, dict(zip(CLASSES, g)))
+    except (ZeroDivisionError, OverflowError):
+        roots = None
+    if roots is not None:
+        g, converged = [roots[q] for q in CLASSES], True
+    elif not converged:
+        g, converged = damp(g, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
     # G_(1,1), which no cell reads, once from the final slots
     return resolvents(g, [_CELL_PAIRS[(1, 1)]])[0], converged
 
@@ -291,10 +302,12 @@ def cauchy_value(array: DistributionArray, z: complex) -> complex:
     """Numeric G(z) of the subordination fixed point.
 
     Works for any array with finitely many cumulants; Im z > 0 required.
-    The damped iteration runs CAUCHY_DAMPED_ITER steps; a point it leaves
-    unconverged is finished by Newton on the classes in ``NEWTON_ORDER``
-    when Newton finds the attracting root, and otherwise damped on to
-    CAUCHY_MAX_ITER steps, whose last iterate is returned.
+    The damped iteration runs at most CAUCHY_DAMPED_ITER steps, enough to
+    take a unit step below CAUCHY_TOL; its stop rule bounds the last step,
+    not the error.  Newton on the classes in ``NEWTON_ORDER`` then
+    polishes every point to the attracting root.  Where Newton finds none,
+    a settled point keeps its damped value, and one still moving is damped
+    on to CAUCHY_MAX_ITER steps, whose last iterate is returned.
     """
     return _cauchy(_tails(array), z)[0]
 

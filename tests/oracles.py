@@ -18,11 +18,12 @@ series from scratch at every order, with the series composition,
 shift and reciprocal defined here.  ``reinverting_reconstruct`` inverts
 every transform tail anew at each step, and ``full_relation_violations``
 checks the creation relation on the whole word basis.
-``four_unknown_cauchy`` iterates the numeric fixed point with one unknown
+``four_unknown_damped`` iterates the numeric fixed point with one unknown
 per cell, the off-diagonal resolvent twice, ``full_tail_newton``
-finishes it by Newton on full-length cell tails, and
-``dict_keyed_cauchy`` runs the library's damped map over dicts keyed by
-cell and class, forming G_(1,1) at every step.  Two thin wrappers
+polishes it by Newton on full-length cell tails, ``four_unknown_cauchy``
+runs the two in the library's phases, and ``dict_keyed_cauchy`` runs the
+library's damped map over dicts keyed by cell and class, forming G_(1,1)
+at every step.  Two thin wrappers
 drive the subordination engine on single laws and on the binary
 convolution kinds, ``perfbench_workloads`` loads the benchmark's job
 configs, and ``module_imports`` reads a module's imports for the
@@ -64,8 +65,8 @@ from smfconv import (FLOAT, QCELLS, RATIONAL, SHAPES, DistributionArray,
                      q_class)
 from smfconv.analytic import (CAUCHY_DAMPED_ITER, CAUCHY_MAX_ITER,
                               CAUCHY_TOL, CELL_CLASS, NEWTON_MAX_ITER,
-                              NEWTON_ORDER, Q_RESOLVENTS, _newton,
-                              _series_fixed_point)
+                              NEWTON_ORDER, Q_RESOLVENTS,
+                              _series_fixed_point, _tails)
 from smfconv.arrays import ALL_CELLS
 from smfconv.fock import ResolventTable, can_prepend, runs
 from smfconv.series import scalars_close
@@ -994,15 +995,12 @@ CELL_PAIRING = (((1, 1), ((1, 1), (2, 1))), ((1, 2), ((1, 2), (2, 1))),
                 (None, ((1, 1), (2, 2))))
 
 
-def four_unknown_cauchy(array: DistributionArray, z: complex,
-                        max_iter: int = CAUCHY_MAX_ITER):
-    """(G(z), converged, steps): the damped fixed-point iteration with one
-    unknown per cell, so the off-diagonal resolvent 1/(z - K12 - K21) is
-    iterated twice, once per off-diagonal cell.  Same damping and
-    tolerance as the damped map of ``cauchy_value``, which has one unknown
-    per q-class that a cell reads, run to at most *max_iter* steps with no
-    Newton finish, stopping when every unknown's step is below
-    CAUCHY_TOL; *steps* counts the steps taken."""
+def _four_unknown_map(array: DistributionArray, z: complex):
+    """(family, damp): the damped fixed-point iteration with one unknown
+    per cell on the array's full-length float tails.  family(g) maps the
+    cell-keyed unknowns to every member of ``CELL_PAIRING``; damp(g, steps)
+    runs at most *steps* steps from *g* and returns (g, settled, steps
+    taken), settled when every unknown's step is below CAUCHY_TOL."""
     r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
          for cell in ALL_CELLS}
 
@@ -1016,14 +1014,54 @@ def four_unknown_cauchy(array: DistributionArray, z: complex,
         return {member: 1.0 / (z - k[a] - k[b])
                 for member, (a, b) in CELL_PAIRING}
 
-    g = {cell: 1.0 / z for cell in ALL_CELLS}
-    for step in range(1, max_iter + 1):
-        new = family(g)
-        stop = all(abs(new[c] - g[c]) < CAUCHY_TOL for c in ALL_CELLS)
-        g = {c: 0.5 * g[c] + 0.5 * new[c] for c in ALL_CELLS}
-        if stop:
-            return family(g)[None], True, step
-    return family(g)[None], False, max_iter
+    def damp(g, steps):
+        for step in range(1, steps + 1):
+            new = family(g)
+            stop = all(abs(new[c] - g[c]) < CAUCHY_TOL for c in ALL_CELLS)
+            g = {c: 0.5 * g[c] + 0.5 * new[c] for c in ALL_CELLS}
+            if stop:
+                return g, True, step
+        return g, False, steps
+
+    return family, damp
+
+
+def four_unknown_damped(array: DistributionArray, z: complex, max_iter: int):
+    """(G(z), converged, steps): the damped fixed-point iteration with one
+    unknown per cell, so the off-diagonal resolvent 1/(z - K12 - K21) is
+    iterated twice, once per off-diagonal cell.  Same damping and
+    tolerance as the damped map of ``cauchy_value``, which has one unknown
+    per q-class that a cell reads, run to at most *max_iter* steps with no
+    Newton polish; *steps* counts the steps taken."""
+    family, damp = _four_unknown_map(array, z)
+    g, converged, steps = damp({cell: 1.0 / z for cell in ALL_CELLS},
+                               max_iter)
+    return family(g)[None], converged, steps
+
+
+def four_unknown_cauchy(array: DistributionArray, z: complex):
+    """(G(z), converged, steps): ``cauchy_value`` in its three phases over
+    ``four_unknown_damped``'s map.  It damps for CAUCHY_DAMPED_ITER steps,
+    then polishes by ``full_tail_newton``, starting each class from the
+    unknown of the cell that reads it (class (2,2) from cell (1,2), whose
+    member pairs K12 with K21 in the order of ``Q_RESOLVENTS``).  A point
+    Newton refuses keeps its damped value when it settled, and is damped
+    on to CAUCHY_MAX_ITER steps when it did not.  *steps* counts the
+    damped steps taken."""
+    family, damp = _four_unknown_map(array, z)
+    g, converged, steps = damp({cell: 1.0 / z for cell in ALL_CELLS},
+                               CAUCHY_DAMPED_ITER)
+    try:
+        roots = full_tail_newton(array, z, {
+            CELL_CLASS[cell]: g[cell] for cell in ((1, 1), (2, 2), (1, 2))})
+    except (ZeroDivisionError, OverflowError):
+        roots = None
+    if roots is not None:
+        g, converged = {c: roots[CELL_CLASS[c]] for c in ALL_CELLS}, True
+    elif not converged:
+        g, converged, more = damp(g, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
+        steps += more
+    return family(g)[None], converged, steps
 
 
 def full_tail_newton(array: DistributionArray, z: complex, g):
@@ -1063,15 +1101,17 @@ def full_tail_newton(array: DistributionArray, z: complex, g):
     return roots
 
 
-def dict_keyed_cauchy(tails, z: complex):
+def dict_keyed_cauchy(array: DistributionArray, z: complex):
     """(G(z), converged) of ``_cauchy`` as the library computed it before
     its damped map moved to class slots: each step builds a dict of the
     four cell transforms and a dict of all four class resolvents, G_(1,1)
     included, keyed by cell and class.  Same float operations in the same
-    order, the same three phases and the library's ``_newton``; the damped
-    map stops when every class's step is below CAUCHY_TOL."""
+    order on the library's ``_tails``, the same three phases and the same
+    polish, through ``full_tail_newton``; the damped map stops when every
+    class's step is below CAUCHY_TOL."""
     if z.imag <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
+    tails = _tails(array)
 
     def resolvents(g):
         k = {}
@@ -1094,13 +1134,13 @@ def dict_keyed_cauchy(tails, z: complex):
 
     g, converged = damp({q: 1.0 / z for q in CELL_CLASS.values()},
                         CAUCHY_DAMPED_ITER)
+    try:
+        roots = full_tail_newton(array, z, g)
+    except (ZeroDivisionError, OverflowError):
+        roots = None
+    if roots is not None:
+        return resolvents(roots)[(1, 1)], True
     if not converged:
-        try:
-            roots = _newton(tails, z, g)
-        except (ZeroDivisionError, OverflowError):
-            roots = None
-        if roots is not None:
-            return resolvents(roots)[(1, 1)], True
         g, converged = damp(g, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
     return resolvents(g)[(1, 1)], converged
 

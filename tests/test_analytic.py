@@ -12,8 +12,8 @@ import smfconv.arrays
 from oracles import (binary_convolutions, binary_fixed_point_rhs, compose,
                      cut_pass_fixed_point, dict_keyed_cauchy,
                      f_compose_moments, four_unknown_cauchy,
-                     full_tail_newton, law_moments, meixner_density,
-                     module_imports, moments_from_cumulants,
+                     four_unknown_damped, full_tail_newton, law_moments,
+                     meixner_density, module_imports, moments_from_cumulants,
                      perfbench_workloads, reciprocal, shift,
                      solve_subordination, split_semicircle_cauchy)
 from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
@@ -392,8 +392,8 @@ def test_three_unknowns_match_the_four_unknown_iteration():
     # with point-mass off-diagonals K12 and K21 are constants, so the two
     # off-diagonal unknowns of the reference iterate the same resolvent
     # and the one class (2,2) replaces them bit for bit while the damped
-    # map runs; a point it leaves after CAUCHY_DAMPED_ITER steps Newton
-    # finishes to rounding
+    # map runs; the reference polishes on full-length tails, which
+    # gives the same roots, so every point is the same float
     workloads = perfbench_workloads()
     rng = random.Random(29)
     for a11, a22, b12, b21 in workloads.DENSITY_ARRAYS:
@@ -401,12 +401,9 @@ def test_three_unknowns_match_the_four_unknown_iteration():
         edge = 2 * math.sqrt(max(a11, a22)) + abs(b12) + abs(b21)
         for _ in range(4):
             z = complex(rng.uniform(-edge, edge), workloads.DENSITY_EPS)
-            want, converged, steps = four_unknown_cauchy(arr, z)
-            if steps <= CAUCHY_DAMPED_ITER:
-                assert cauchy_value(arr, z) == want
-            elif converged:
-                assert abs(cauchy_value(arr, z) - want) \
-                    <= 1e-12 * max(1.0, abs(want))
+            want, converged, _ = four_unknown_cauchy(arr, z)
+            got = cauchy_value(arr, z)
+            assert converged and repr(got) == repr(want)
     # off-diagonal R-transforms that depend on g: the two unknowns of the
     # reference round z - K12 - K21 in two orders, so the values agree
     # to rounding wherever the reference converged
@@ -427,7 +424,8 @@ def test_three_unknowns_match_the_four_unknown_iteration():
 
 def test_every_density_array_converges_to_the_split_closed_form():
     # a sixteenth of each density_f10 grid, at an offset that moves with
-    # the array: 3,002 points, 195 of them finished by Newton
+    # the array: 3,002 points, every one polished by Newton.  The damped
+    # map's stop rule alone left points up to 7.5e-13 from the closed form
     workloads = perfbench_workloads()
     points = workloads.DENSITY_POINTS
     for index, params in enumerate(workloads.DENSITY_ARRAYS):
@@ -440,7 +438,7 @@ def test_every_density_array_converges_to_the_split_closed_form():
             got, converged = _cauchy(_tails(arr), z)
             assert converged
             assert abs(got - split_semicircle_cauchy(*params, z)) \
-                <= 1e-12 * max(1.0, abs(got))
+                <= 2e-14 * max(1.0, abs(got))
 
 
 def test_newton_finds_the_attracting_root_of_custom_arrays():
@@ -459,7 +457,7 @@ def test_newton_finds_the_attracting_root_of_custom_arrays():
         for _ in range(12):
             z = complex(rng.uniform(-3, 3), rng.choice((1e-3, 0.1, 1.0)))
             got, settled = _cauchy(_tails(arr), z)
-            want, converged, steps = four_unknown_cauchy(arr, z, 20_000)
+            want, converged, steps = four_unknown_damped(arr, z, 20_000)
             if converged and settled:
                 compared += 1
                 finished += steps > CAUCHY_DAMPED_ITER
@@ -478,9 +476,29 @@ def test_newton_accepts_roots_where_the_damped_map_attracts():
     for x in (-1.30, -1.28):
         z = complex(x, 1e-3)
         got, settled = _cauchy(_tails(arr), z)
-        want, converged, steps = four_unknown_cauchy(arr, z, 20_000)
+        want, converged, steps = four_unknown_damped(arr, z, 20_000)
         assert settled and converged and steps > CAUCHY_MAX_ITER
         assert abs(got - want) <= 1e-12
+
+
+def test_refused_newton_keeps_the_damped_value(monkeypatch):
+    # Newton polishes every point; where it refuses, a point the damped
+    # map settled within CAUCHY_DAMPED_ITER steps keeps its damped value
+    # and counts as converged, and a point still moving then is damped on
+    # to CAUCHY_MAX_ITER steps.  The split array's off-diagonal tails are
+    # constants, so the damped reference gives the same floats
+    monkeypatch.setattr(smfconv.analytic, "_newton", lambda r, z, g: None)
+    arr = split_array(*SPLIT_ARRAY)
+    tails = _tails(arr)
+    phases = []
+    for k in range(121):
+        z = complex(-3.0 + 0.05 * k, 1e-3)
+        want, converged, steps = four_unknown_damped(arr, z, CAUCHY_MAX_ITER)
+        assert repr(_cauchy(tails, z)) == repr((want, converged))
+        phases.append((steps <= CAUCHY_DAMPED_ITER, converged))
+    assert phases.count((True, True)) >= 20
+    assert phases.count((False, True)) >= 80
+    assert phases.count((False, False)) >= 5
 
 
 # arrays whose float tails start with zeros, or with a denormal: absent
@@ -502,15 +520,16 @@ TRIMMED_TAIL_ARRAYS = [
 def test_trimmed_tails_leave_the_damped_map_bit_identical(cumulants):
     # the damped map reads each tail from its highest nonzero cumulant;
     # the reference reads the full tails, and the steps it has more are
-    # 0.0 * u + 0.0, so wherever it settles within CAUCHY_DAMPED_ITER
-    # steps the two values are the same floats, down to the sign of zero
+    # 0.0 * u + 0.0, so wherever it converges, in the damped map or by
+    # the Newton polish on full tails, the two values are the same
+    # floats, down to the sign of zero
     arr = DistributionArray.from_cumulants(cumulants, mode=FLOAT)
     compared = 0
     for eps in (1e-3, 0.1, 1.0):
         for k in range(25):
             z = complex(-3.0 + 0.25 * k, eps)
-            want, converged, steps = four_unknown_cauchy(arr, z)
-            if converged and steps <= CAUCHY_DAMPED_ITER:
+            want, converged, _ = four_unknown_cauchy(arr, z)
+            if converged:
                 compared += 1
                 got = cauchy_value(arr, z)
                 assert got == want and repr(got) == repr(want)
@@ -584,8 +603,10 @@ def test_class_slots_leave_the_damped_map_bit_identical(monkeypatch):
     # the damped map steps over lists indexed by class and forms G_(1,1)
     # once; the reference steps over dicts and forms it at every step.
     # Every (G, converged) is the same floats, NaN included, in each of
-    # the three phases: settled by the damped map, finished by Newton,
-    # and damped on to CAUCHY_MAX_ITER steps
+    # the phases: polished by Newton, and where Newton refuses, damped on
+    # to CAUCHY_MAX_ITER steps, settling there or not.  None of these
+    # points settles within CAUCHY_DAMPED_ITER steps and is refused;
+    # test_refused_newton_keeps_the_damped_value covers that phase
     newton = smfconv.analytic._newton
     finishes = []
 
@@ -595,18 +616,19 @@ def test_class_slots_leave_the_damped_map_bit_identical(monkeypatch):
         return finishes[-1]
 
     monkeypatch.setattr(smfconv.analytic, "_newton", recorded)
-    points = nan = 0
+    points = nan = damped_on = 0
     for arr, zs in slotted_map_cases():
         tails = _tails(arr)
         for z in zs:
             got = _cauchy(tails, z)
-            assert repr(got) == repr(dict_keyed_cauchy(tails, z))
+            assert repr(got) == repr(dict_keyed_cauchy(arr, z))
             points += 1
             nan += cmath.isnan(got[0])
-    newton_finished = sum(roots is not None for roots in finishes)
-    assert points - len(finishes) > 5000
-    assert newton_finished >= 100
-    assert len(finishes) - newton_finished >= 5 and nan == 4
+            damped_on += finishes[-1] is None and got[1]
+    polished = sum(roots is not None for roots in finishes)
+    assert len(finishes) == points and polished > 6000
+    assert damped_on >= 5 and points - polished - damped_on >= 5
+    assert nan == 4
 
 
 def test_a_nan_in_a_later_slot_is_not_converged():

@@ -391,7 +391,10 @@ def test_density_symmetric_without_shift(tmp_path, capsys):
 # Two density values were re-recorded when Newton came to finish the points
 # the damped map leaves after CAUCHY_DAMPED_ITER steps: x = -2.4, which the
 # damped map never converged at, moved by 2.8e-11 onto the closed form, and
-# x = 1.6 (222 damped steps) by 2.2e-14.
+# x = 1.6 (222 damped steps) by 2.2e-14.  Nine were re-recorded when Newton
+# came to polish every point after at most 44 damped steps: each moved by
+# at most 8.6e-13 relative, and all eleven now sit within 3.1e-16 relative
+# of the closed form, where they sat up to 8.6e-13 from it.
 PINNED_FLOAT_CONFIG = {
     "version": 1,
     "shape": "square",
@@ -409,12 +412,12 @@ PINNED_FLOAT_CONFIG = {
 
 PINNED_FLOAT_REPORT = (
     '{"agreement":true,"density":{"atoms":[],"eps":0.001,"grid":[[-4.0,'
-    '3.1454444964309384e-05],[-3.2,7.147868539174836e-05],[-2.4,'
-    '0.09002792802791999],[-1.6,0.3312489835417363],[-0.7999999999999998,'
-    '0.17772381037890012],[0.0,0.16148897293061798],[0.7999999999999998,'
+    '3.1454444964315543e-05],[-3.2,7.147868539179293e-05],[-2.4,'
+    '0.09002792802791994],[-1.6,0.3312489835417552],[-0.7999999999999998,'
+    '0.17772381037889923],[0.0,0.16148897293061795],[0.7999999999999998,'
     '0.17695656063580725],[1.5999999999999996,0.2810033885491095],'
-    '[2.4000000000000004,0.0003022011454564263],[3.2,'
-    '6.403067316148639e-05],[4.0,3.034957277358017e-05]]},'
+    '[2.4000000000000004,0.0003022011454566849],[3.2,'
+    '6.403067316150021e-05],[4.0,3.0349572773584083e-05]]},'
     '"engines":["partition","fock","analytic"],'
     '"moments":{"analytic":[1.0,0.0,2.0,-0.15999999999999998,'
     '6.2379999999999995,-1.4758999999999995,22.488045],"fock":[1.0,0.0,'

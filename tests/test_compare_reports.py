@@ -43,3 +43,34 @@ def test_one_line_per_differing_part(tool, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("readme: stdout differs at byte 1 (")
     assert out[1] == "1 invocations, 1 differences"
+
+
+def test_density_reports_give_their_largest_change(tool, tmp_path, capsys):
+    # two trees whose density values differ at one grid point, by 1e-12
+    # absolute on 0.25: the stdout line gives both figures, in json and
+    # in csv, and a report with no grid gives none
+    grids = {"parent": [[-1.0, 0.0], [0.0, 0.25], [1.0, 0.5]],
+             "change": [[-1.0, 0.0], [0.0, 0.25 + 1e-12], [1.0, 0.5]]}
+    trees = {}
+    for name, grid in grids.items():
+        pkg = tmp_path / name / "smfconv"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        report = {"density": {"atoms": [], "eps": 0.001, "grid": grid}}
+        csv = "\n".join(["x,density"] + ["%r,%r" % (x, y) for x, y in grid]
+                        + ["atom_position,atom_weight"])
+        (pkg / "__main__.py").write_text(
+            "import json, sys\n"
+            "print(%r if '--out' in sys.argv else json.dumps(%r))\n"
+            % (csv, report))
+        trees[name] = pkg.parent
+    runs = [("json", tool.README_JOB, [], False),
+            ("csv", tool.README_JOB, ["--out", "csv"], False)]
+    assert tool.compare(trees["parent"], trees["change"], runs) == 2
+    out = capsys.readouterr().out.splitlines()
+    for line, label in zip(out, ("json", "csv")):
+        assert line.startswith(label + ": stdout differs at byte ")
+        assert line.endswith(
+            "; density max change 1e-12 absolute, 4e-12 relative")
+    assert tool.density_change(b'{"moments":{}}\n', b'{}\n') is None
+    assert tool.density_change(b"", b"x,density\n0.0,1.0\n") is None

@@ -7,7 +7,10 @@ Each invocation runs in a fresh ``python3 -m smfconv`` process with
 PYTHONPATH set to one tree's ``src`` directory, once per tree, and the two
 runs' stdout, stderr and exit code are compared byte for byte.  One line
 is printed per difference, then a summary; the exit code is 1 when any
-invocation differs and 0 otherwise.
+invocation differs and 0 otherwise.  When the two stdouts differ and both
+hold a density grid of the same length, in json or in csv, the line also
+gives the largest absolute and the largest relative change of the density
+values, each pair's change relative to the larger of its two magnitudes.
 
 The list:
 
@@ -206,6 +209,34 @@ def run_job(src, config_path: Path, args, on_stdin: bool):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def density_values(stdout: bytes):
+    """The density values of a report in json or csv, or None when it
+    holds no density grid."""
+    text = stdout.decode(errors="replace")
+    try:
+        report = json.loads(text)
+    except ValueError:
+        lines = text.splitlines() + ["atom_position,atom_weight"]
+        if lines[0] != "x,density":
+            return None
+        end = lines.index("atom_position,atom_weight")
+        return [float(line.split(",")[1]) for line in lines[1:end]]
+    if isinstance(report, dict) and "density" in report:
+        return [y for _, y in report["density"]["grid"]]
+    return None
+
+
+def density_change(parent_out: bytes, change_out: bytes):
+    """(largest absolute, largest relative) change between the density
+    values of two reports, or None unless both hold a grid of one length."""
+    a, b = density_values(parent_out), density_values(change_out)
+    if a is None or b is None or len(a) != len(b):
+        return None
+    return (max((abs(x - y) for x, y in zip(a, b)), default=0.0),
+            max((abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+                 for x, y in zip(a, b)), default=0.0))
+
+
 def differences(label: str, parent, change):
     """One line per part of the two runs that differs."""
     lines = []
@@ -216,8 +247,13 @@ def differences(label: str, parent, change):
         if a != b:
             at = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
                       min(len(a), len(b)))
-            lines.append("%s: %s differs at byte %d (%d vs %d bytes)"
-                         % (label, part, at, len(a), len(b)))
+            line = ("%s: %s differs at byte %d (%d vs %d bytes)"
+                    % (label, part, at, len(a), len(b)))
+            change_of = density_change(a, b) if part == "stdout" else None
+            if change_of is not None:
+                line += ("; density max change %.2g absolute, %.2g relative"
+                         % change_of)
+            lines.append(line)
     return lines
 
 
