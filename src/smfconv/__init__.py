@@ -16,19 +16,18 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# module -> the public names it defines
+# module -> the public names it defines; partitions defines none, but
+# smfconv.partitions loads on first use like every other module
 _EXPORTS = {
     "analytic": ("cauchy_value", "master_cauchy", "stieltjes_density"),
     "arrays": ("ALL_CELLS", "DistributionArray", "NamedLaw", "SHAPES"),
     "fock": ("FockModel",),
-    "matricial": ("UnitSeries", "assemble_matricial_r",
-                  "compressed_residuals", "invert_C",
-                  "linearization_residuals", "reconstruct_unique"),
+    "matricial": ("UnitSeries", "assemble_matricial_r", "check_residuals",
+                  "invert_C", "reconstruct_unique"),
     "moments": ("smf_moments",),
-    "partitions": ("NCPartition", "enumerate_nc"),
-    "series": ("FLOAT", "RATIONAL", "TruncatedSeries", "as_scalar",
-               "invert_pole_series"),
-    "units": ("QCELLS", "UnitElement", "compression", "q_class"),
+    "partitions": (),
+    "series": ("FLOAT", "RATIONAL", "TruncatedSeries"),
+    "units": ("QCELLS", "UnitElement"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

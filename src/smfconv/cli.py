@@ -65,6 +65,18 @@ def _parse_cell_key(key: str) -> Tuple[int, int]:
     return cell
 
 
+def _json_int(value) -> bool:
+    """A JSON integer: an int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _known_fields(fields, known, what: str) -> None:
+    unknown = set(fields) - set(known)
+    if unknown:
+        raise ConfigError("unknown %s fields %s"
+                          % (what, _shown(sorted(unknown))))
+
+
 def _law_value(value):
     """A law parameter or cumulant: a JSON number (not a bool) or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
@@ -78,22 +90,25 @@ def _law_values(values) -> list:
     return [_law_value(v) for v in values]
 
 
+# law kind, which names its NamedLaw constructor -> its one parameter
+LAW_PARAMETERS = {"semicircle": "a", "point_mass": "b",
+                  "custom": "cumulants"}
+
+
 def _parse_law(spec) -> NamedLaw:
     if isinstance(spec, list):
         return NamedLaw.custom(_law_values(spec))
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("law must be a cumulant list or a kind object")
     kind = spec["kind"]
-    try:
-        if kind == "semicircle":
-            return NamedLaw.semicircle(_law_value(spec["a"]))
-        if kind == "point_mass":
-            return NamedLaw.point_mass(_law_value(spec["b"]))
-        if kind == "custom":
-            return NamedLaw.custom(_law_values(spec["cumulants"]))
-    except KeyError as exc:
-        raise ConfigError("law %r missing parameter %s" % (kind, exc))
-    raise ConfigError("unknown law kind %s" % _shown(kind))
+    if not isinstance(kind, str) or kind not in LAW_PARAMETERS:
+        raise ConfigError("unknown law kind %s" % _shown(kind))
+    param = LAW_PARAMETERS[kind]
+    if param not in spec:
+        raise ConfigError("law %r missing parameter %r" % (kind, param))
+    _known_fields(spec, ("kind", param), "law")
+    read = _law_values if kind == "custom" else _law_value
+    return getattr(NamedLaw, kind)(read(spec[param]))
 
 
 def _finite_number(value) -> bool:
@@ -122,13 +137,11 @@ def _string_list(data: dict, key: str, default: list) -> Tuple[str, ...]:
 def parse_config(data: dict) -> JobConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    if data.get("version", 1) != 1:
-        raise ConfigError("unsupported config version %s"
-                          % _shown(data["version"]))
-    unknown = set(data) - {"version", "shape", "cells", "order", "engines",
-                           "precision", "checks", "density"}
-    if unknown:
-        raise ConfigError("unknown config fields %s" % _shown(sorted(unknown)))
+    version = data.get("version", 1)
+    if not (_json_int(version) and version == 1):
+        raise ConfigError("unsupported config version %s" % _shown(version))
+    _known_fields(data, ("version", "shape", "cells", "order", "engines",
+                         "precision", "checks", "density"), "config")
 
     shape = data.get("shape", "custom")
     if not isinstance(shape, str):
@@ -140,8 +153,7 @@ def parse_config(data: dict) -> JobConfig:
         raise ConfigError("config needs a non-empty cells object")
 
     order = data.get("order", 6)
-    if (isinstance(order, bool) or not isinstance(order, int)
-            or not 1 <= order <= MAX_ORDER):
+    if not (_json_int(order) and 1 <= order <= MAX_ORDER):
         raise ConfigError("order must be an integer in 1..%d" % MAX_ORDER)
 
     engines = _string_list(data, "engines", list(ENGINES))
@@ -191,6 +203,7 @@ def parse_config(data: dict) -> JobConfig:
         need = {"grid_min", "grid_max", "points"}
         if not isinstance(density, dict) or not need <= set(density):
             raise ConfigError("density block needs grid_min, grid_max, points")
+        _known_fields(density, need | {"eps"}, "density")
         if precision != FLOAT:
             raise ConfigError("density extraction requires float precision")
         for key in ("grid_min", "grid_max"):
@@ -203,8 +216,7 @@ def parse_config(data: dict) -> JobConfig:
         if not (_finite_number(eps) and eps > 0):
             raise ConfigError("density eps must be positive and finite")
         points = density["points"]
-        if (isinstance(points, bool) or not isinstance(points, int)
-                or not 2 <= points <= MAX_DENSITY_POINTS):
+        if not (_json_int(points) and 2 <= points <= MAX_DENSITY_POINTS):
             raise ConfigError("density points must be an integer in 2..%d"
                               % MAX_DENSITY_POINTS)
 

@@ -15,7 +15,9 @@ the identities expect 1, 0, 0, ...  One table per operator and state
 serves eq56, eq611 and uniqueness (:func:`check_residuals`), so a job
 forms no B.  The tables and the reconstruction are exact whatever the
 array's precision; only the residuals a float job reports are rounded,
-once each.
+once each.  ``linearization_residuals`` and ``compressed_residuals``,
+which take B, are adapters over :func:`check_residuals`, kept for
+perfbench's replay of a job.
 """
 
 from __future__ import annotations
@@ -120,38 +122,6 @@ def _q22(r: Dict):
     return r[(2, 1)] + r[(1, 2)] - r[(1, 1)]
 
 
-def _r_elements(model: FockModel, B: UnitSeries,
-                m_max: int) -> List[UnitElement]:
-    """r_0..r_{m_max-2} of R = invert_C(B), the pole inverse being an
-    involution on tails; the levels up to m_max need no more."""
-    if m_max > model.depth:
-        raise ValueError("m_max %d exceeds model depth %d"
-                         % (m_max, model.depth))
-    if m_max > B.order + 1:
-        raise ValueError("B holds b_1..b_%d, requested b_%d"
-                         % (B.order + 1, m_max))
-    R = invert_C(B)
-    return [R.coefficient(j) for j in range(m_max - 1)]
-
-
-def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
-    """Residuals of the vacuum-state linearization identity, in the
-    model's precision; the expected value is 1 at m = 1 and 0 for every
-    larger m."""
-    table = _tables(model, _r_elements(model, B, m_max), {None: m_max})
-    return reported(table[None].sums(), model.mode)
-
-
-def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
-    """Per-cell residuals of the compressed identity, in the model's
-    precision: cell (i,j) pairs P_{i,j} A P_{i,j} (P = 1 - q11 on the
-    diagonal, 1 - 1_{j,j} off it) with the state at e_{i,i}."""
-    tables = _tables(model, _r_elements(model, B, m_max),
-                     dict.fromkeys(sorted(model.J), m_max))
-    return {cell: reported(table.sums(), model.mode)
-            for cell, table in tables.items()}
-
-
 def check_residuals(model: FockModel, R: UnitSeries, m_max: int,
                     checks) -> Dict[str, tuple]:
     """{check: (pass, residuals)} for each of eq56, eq611 and uniqueness
@@ -167,7 +137,11 @@ def check_residuals(model: FockModel, R: UnitSeries, m_max: int,
     must read 0 at d = 2..m_max+1, and R must satisfy q22 = ``_q22``.
     """
     if m_max > model.depth:
-        raise ValueError("need model depth >= m_max")
+        raise ValueError("m_max %d exceeds model depth %d"
+                         % (m_max, model.depth))
+    if m_max > R.order + 1:
+        raise ValueError("R holds r_0..r_%d, requested r_%d"
+                         % (R.order, m_max - 1))
     r_ops = [R.coefficient(j) for j in range(m_max)]
     unique = (None, *_row_cells(model.J)) if "uniqueness" in checks else ()
     keys = {"eq56": [None], "eq611": sorted(model.J)}
@@ -196,6 +170,18 @@ def check_residuals(model: FockModel, R: UnitSeries, m_max: int,
             r.component((2, 2)) == _q22(dict(zip(QCELLS, r.beta)))
             for r in r_ops), None)
     return out
+
+
+def linearization_residuals(model: FockModel, B: UnitSeries, m_max: int):
+    """eq56's residuals, R read off B by the pole inverse, an involution
+    on tails."""
+    return check_residuals(model, invert_C(B), m_max, ("eq56",))["eq56"][1]
+
+
+def compressed_residuals(model: FockModel, B: UnitSeries, m_max: int):
+    """eq611's residuals by cell, R read off B as above."""
+    return check_residuals(model, invert_C(B), m_max,
+                           ("eq611",))["eq611"][1]
 
 
 def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:

@@ -59,18 +59,17 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from smfconv import (FLOAT, QCELLS, RATIONAL, SHAPES, DistributionArray,
-                     FockModel, NamedLaw, NCPartition, TruncatedSeries,
-                     UnitElement, UnitSeries, as_scalar, compression,
-                     enumerate_nc, invert_pole_series, master_cauchy,
-                     q_class)
+                     FockModel, NamedLaw, TruncatedSeries, UnitElement,
+                     UnitSeries, master_cauchy)
 from smfconv.analytic import (CAUCHY_DAMPED_ITER, CAUCHY_MAX_ITER,
                               CAUCHY_TOL, CELL_CLASS, NEWTON_MAX_ITER,
                               NEWTON_ORDER, Q_RESOLVENTS,
                               _series_fixed_point, _tails)
 from smfconv.arrays import ALL_CELLS
 from smfconv.fock import ResolventTable, can_prepend, runs
-from smfconv.series import scalars_close
-from smfconv.units import FockVector
+from smfconv.partitions import NCPartition, enumerate_nc
+from smfconv.series import as_scalar, invert_pole_series, scalars_close
+from smfconv.units import FockVector, compression, q_class
 
 Label = Tuple[int, int]
 

@@ -23,12 +23,12 @@ from oracles import (compose, enumerate_admissible, f_compose_moments,
                      meixner_density, moments_from_cumulants, padded,
                      partition_contribution, r_from_moments, reciprocal,
                      scalar_r_as_unit_series, shift)
-from smfconv import (DistributionArray, FockModel, NCPartition, NamedLaw,
-                     SHAPES, TruncatedSeries, assemble_matricial_r,
-                     compressed_residuals, enumerate_nc, invert_C,
-                     linearization_residuals, master_cauchy,
-                     reconstruct_unique, smf_moments)
+from smfconv import (DistributionArray, FockModel, NamedLaw, SHAPES,
+                     TruncatedSeries, assemble_matricial_r, invert_C,
+                     master_cauchy, reconstruct_unique, smf_moments)
 from smfconv.analytic import meixner_atoms
+from smfconv.matricial import compressed_residuals, linearization_residuals
+from smfconv.partitions import NCPartition, enumerate_nc
 
 SEED = 20260809
 

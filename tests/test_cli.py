@@ -173,6 +173,11 @@ class _EngineReached(Exception):
     lambda c: c.update(engines=["fock", "fock"]),
     lambda c: c.update(engines=["fock", "analytic", "fock"]),
     lambda c: c.update(checks=["eq56", "eq56"]),
+    lambda c: c.update(version=True),
+    lambda c: c.update(version=1.0),
+    lambda c: c["cells"]["1,2"].update(b=5),
+    lambda c: c.update(precision="float",
+                       density=dict(MEIXNER["density"], epss=0.5)),
 ])
 def test_bad_configs_exit_two(tmp_path, capsys, monkeypatch, mutate):
     # every one is rejected before the job starts

@@ -15,12 +15,12 @@ from oracles import (CountingOp, DictOp, DictPoly, DictUnit, b_elements,
                      scalar_r_as_unit_series)
 from smfconv import (FLOAT, QCELLS, RATIONAL, DistributionArray, FockModel,
                      NamedLaw, SHAPES, TruncatedSeries, UnitElement,
-                     UnitSeries, as_scalar, assemble_matricial_r, cli,
-                     compressed_residuals, fock, invert_C,
-                     linearization_residuals, matricial, reconstruct_unique,
-                     series, smf_moments)
+                     UnitSeries, assemble_matricial_r, check_residuals, cli,
+                     fock, invert_C, matricial, reconstruct_unique, series,
+                     smf_moments)
 from smfconv.fock import ResolventTable
-from smfconv.matricial import check_residuals
+from smfconv.matricial import compressed_residuals, linearization_residuals
+from smfconv.series import as_scalar, reported
 
 
 def random_array(rng, J, order=8):
@@ -94,7 +94,7 @@ def test_invert_c_trivial_and_first_coefficient():
 
 
 def test_invert_c_row_identical_components_match_scalar_route():
-    from smfconv import invert_pole_series
+    from smfconv.series import invert_pole_series
     r1 = tuple(F(v) for v in (1, -1, 2, 0, 1))
     r2 = tuple(F(v) for v in (2, 0, -1, 1, 0))
     arr = DistributionArray.from_cumulants(
@@ -141,7 +141,7 @@ def test_per_cell_residuals_all_shapes():
 
 
 def test_compression_projections():
-    from smfconv import UnitElement, compression
+    from smfconv.units import UnitElement, compression
     q = {qc: q_projection(qc)
          for qc in ((1, 1), (1, 2), (2, 1), (2, 2))}
     off_vacuum = q[(1, 2)] + q[(2, 1)] + q[(2, 2)]
@@ -521,6 +521,9 @@ def test_depth_guards():
         linearization_residuals(deep, B, 7)
     with pytest.raises(ValueError):
         compressed_residuals(deep, B, 7)
+    # R holds r_0..r_2: no table reaches level 7
+    with pytest.raises(ValueError, match=r"R holds r_0\.\.r_2"):
+        check_residuals(deep, assemble_matricial_r(arr, 2), 7, ("eq56",))
 
 
 def test_unit_series_validation():
@@ -547,25 +550,35 @@ def _perturbed(R: UnitSeries, j: int, deltas: dict) -> UnitSeries:
 CHECKS = ("eq56", "eq611", "uniqueness")
 
 
-def _verdicts_of_the_separate_checks(model, R, m_max):
+def _reference_verdicts(model, ref, R, m_max):
+    """The verdicts of the Fraction-dict oracles: the alternating sums of
+    B = invert_C(R) over the eager column tables *ref*, each reported in
+    the model's precision, and the reconstruction from moments."""
     def passed(res):
         return res[0] == 1 and not any(res[1:])
 
-    B = invert_C(R)
-    res = linearization_residuals(model, B, m_max)
-    rows = compressed_residuals(model, B, m_max)
+    b_ops = [DictUnit(b) for b in b_elements(invert_C(R), m_max)]
+
+    def residuals(key, state):
+        return reported(dict_alternating_sums(b_ops, ref[key], state, m_max),
+                        model.mode)
+
+    res = residuals("A", "phi")
+    rows = {cell: residuals(("PAP", cell), "phi%d" % cell[0])
+            for cell in sorted(model.J)}
     return {"eq56": (passed(res), res),
             "eq611": (all(map(passed, rows.values())), rows),
             "uniqueness": (reconstruct_unique(model, m_max - 1) == R, None)}
 
 
 def test_check_residuals_match_the_separate_checks():
-    # one set of tables gives the residuals of the B-taking functions and
-    # the verdict of the reconstruction, on the assembled R and on R with
-    # one coefficient perturbed: of q22, of the last order, or any other;
-    # and on R with its last q21 and q22 coefficients moved together, which
-    # keeps R22 = R21 + R12 - R11, so only level m_max + 1 sees it.  Each
-    # check requested alone reads the same
+    # one set of tables gives the residuals of the oracles' B-side
+    # alternating sums and the verdict of the reconstruction, on the
+    # assembled R and on R with one coefficient perturbed: of q22, of the
+    # last order, or any other; and on R with its last q21 and q22
+    # coefficients moved together, which keeps R22 = R21 + R12 - R11, so
+    # only level m_max + 1 sees it.  Each check requested alone reads the
+    # same
     rng = random.Random(79)
     failed = set()
     for shape in sorted(SHAPES):
@@ -577,6 +590,8 @@ def test_check_residuals_match_the_separate_checks():
                         {cell: tuple(float(v) / 3 for v in seq)
                          for cell, seq in exact.cells}, mode)
                 model = FockModel(arr, m_max)
+                ref = {key: DictOp(table)
+                       for key, table in eager_tables(model).items()}
                 assembled = assemble_matricial_r(arr, m_max - 1)
                 delta = F(rng.choice((-1, 1)), rng.randint(1, 5))
                 last = m_max - 1
@@ -588,8 +603,7 @@ def test_check_residuals_match_the_separate_checks():
                                   (rng.choice(QCELLS), rng.randrange(m_max)))]
                 for qc, R in runs:
                     got = check_residuals(model, R, m_max, CHECKS)
-                    assert got == _verdicts_of_the_separate_checks(
-                        model, R, m_max)
+                    assert got == _reference_verdicts(model, ref, R, m_max)
                     for check in CHECKS:
                         assert check_residuals(model, R, m_max, (check,)) \
                             == {check: got[check]}

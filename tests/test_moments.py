@@ -10,8 +10,9 @@ from oracles import (enumerate_admissible, f_compose_moments,
                      forest_moments, label_and_admit, module_imports,
                      moments_from_cumulants, padded, partition_contribution,
                      reciprocal)
-from smfconv import (DistributionArray, FLOAT, NCPartition, SHAPES,
-                     TruncatedSeries, enumerate_nc, smf_moments)
+from smfconv import (DistributionArray, FLOAT, SHAPES, TruncatedSeries,
+                     smf_moments)
+from smfconv.partitions import NCPartition, enumerate_nc
 
 
 def array_of(cums, order=None):

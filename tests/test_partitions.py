@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from oracles import enumerate_admissible, label_and_admit, label_blocks
-from smfconv import NCPartition, enumerate_nc
 from smfconv.arrays import SHAPES
+from smfconv.partitions import NCPartition, enumerate_nc
 
 SQUARE = SHAPES["square"]
 

@@ -5,7 +5,8 @@ import pytest
 
 from oracles import (compose, moments_from_cumulants, pole_product_is_one,
                      r_from_moments, reciprocal, shift)
-from smfconv import FLOAT, RATIONAL, TruncatedSeries, invert_pole_series
+from smfconv import FLOAT, RATIONAL, TruncatedSeries
+from smfconv.series import invert_pole_series
 
 
 def S(*coeffs, mode=RATIONAL):
