@@ -26,20 +26,19 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
 from .arrays import ALL_CELLS, DistributionArray, NamedLaw
 from .series import FLOAT, TruncatedSeries, extend_pole_inverse, reported
 
-# cauchy_value damps the fixed point for at most CAUCHY_DAMPED_ITER steps,
-# the halvings that take a unit step below CAUCHY_TOL: a point still moving
-# then contracts by less than 1/2 per step, where a step below the
-# tolerance no longer bounds the error.  Newton then polishes every point
-# in at most NEWTON_MAX_ITER steps; a point it refuses that the damped map
-# left moving is damped on to CAUCHY_MAX_ITER steps.  Each stops at a step
-# below CAUCHY_TOL.  meixner_atoms keeps the residues above
-# ATOM_WEIGHT_FLOOR
+# _solver steps the damped map over three class slots at most
+# CAUCHY_DAMPED_ITER times, the halvings that take a unit step below
+# CAUCHY_TOL: a point still moving then contracts by less than 1/2 per
+# step, where a step below the tolerance no longer bounds the error.
+# Newton then polishes every point in at most NEWTON_MAX_ITER steps; a
+# point it refuses that the damped map left moving is damped on to
+# CAUCHY_MAX_ITER steps.  Each stops at a step below CAUCHY_TOL.
+# meixner_atoms keeps the residues above ATOM_WEIGHT_FLOOR
 CAUCHY_TOL = 1e-13
 CAUCHY_DAMPED_ITER = math.ceil(-math.log2(CAUCHY_TOL))
 NEWTON_MAX_ITER = 50
@@ -56,12 +55,11 @@ CELL_CLASS = {(1, 1): (2, 1), (2, 2): (1, 2), (1, 2): (2, 2), (2, 1): (2, 2)}
 # the classes that cells read, in an order where each reads only itself
 # and the classes before it: class (2,2) resolves alone
 NEWTON_ORDER = ((2, 2), (2, 1), (1, 2))
-# the damped map's slots: slot i holds the resolvent of CLASSES[i], the
-# classes that cells read in CELL_CLASS order; _CELL_PAIRS gives each
-# class's two cells as indices into CELL_CLASS
-CLASSES = tuple(dict.fromkeys(CELL_CLASS.values()))
-_CELL_PAIRS = {q: tuple(map(list(CELL_CLASS).index, cells))
-               for q, cells in Q_RESOLVENTS.items()}
+# per class of NEWTON_ORDER: the cells that read it, whose tails _tails
+# sums, and its other cell with the class it reads, solved before it
+_NEWTON_CELLS = [(q, tuple(c for c in Q_RESOLVENTS[q] if CELL_CLASS[c] == q),
+                  [(c, CELL_CLASS[c]) for c in Q_RESOLVENTS[q]
+                   if CELL_CLASS[c] != q]) for q in NEWTON_ORDER]
 
 
 def _product_coefficient(a, b, s):
@@ -193,31 +191,26 @@ def _newton(r, z: complex, g):
     """The resolvents of the classes that cells read, by Newton from *g*
     along ``NEWTON_ORDER``; None when a class finds no root it accepts.
     A zero derivative or an overflow raises ZeroDivisionError or
-    OverflowError.  ``_cauchy`` calls it on every point: from a point the
-    damped map settled, it polishes the last bits; from one still moving,
-    it finishes the point.
+    OverflowError.  ``_solver`` calls it on every point: it polishes the
+    last bits of a point the damped map settled, and finishes the others.
 
-    Class q solves f(u) = u (z - K(u) - c) - 1, with K the sum of the
-    tails *r* (``_tails``) of its cells that read q and c the sum of the
-    others, read at the classes already solved.  The tails are summed
-    aligned at their constant terms, the shorter one padded with leading
-    0.0.  A root is accepted when a step falls below CAUCHY_TOL within
+    Class q solves f(u) = u (z - K(u) - c) - 1, with K the tail of *r*
+    (``_tails``) summed once per grid over the cells that read q, and c
+    the sum of its other cells' tails, read at the classes already
+    solved.  A root is accepted when a step falls below CAUCHY_TOL within
     NEWTON_MAX_ITER steps, Im u <= 0 and the damped map attracts there:
     the Denjoy-Wolff point that it converges to.  With F_q(u) =
     1/(z - K(u) - c), F_q'(u) = K'(u) F_q(u)^2 = K'(u) u^2 at the root.
     Each class reads only itself and the classes before it, so the
-    Jacobian J of the slot map is triangular in this order, with
+    Jacobian J of the undamped map is triangular in this order, with
     diagonal F_q', and the damped map's Jacobian 0.5 I + 0.5 J has the
     eigenvalues 0.5 (1 + F_q').  So it attracts when every
     |1 + K'(u) u^2| < 2, which holds wherever |K'(u) u^2| < 1 does.
     """
     roots = {}
-    for q in NEWTON_ORDER:
-        own = [r[cell] for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] == q]
-        coeffs = [sum(col) for col in zip(*(
-            [0.0] * (max(map(len, own)) - len(tail)) + tail for tail in own))]
-        c = sum(_horner(r[cell], roots[CELL_CLASS[cell]])[0]
-                for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] != q)
+    for q, own, others in _NEWTON_CELLS:
+        coeffs = r[own]
+        c = sum(_horner(r[cell], roots[p])[0] for cell, p in others)
         u = g[q]
         for _ in range(NEWTON_MAX_ITER):
             k, dk = _horner(coeffs, u)
@@ -235,80 +228,87 @@ def _newton(r, z: complex, g):
 
 def _tails(array: DistributionArray):
     """Each cell's float R-transform tail, highest order first for Horner
-    evaluation, starting at its highest nonzero cumulant and keeping at
-    least one entry.  The steps this leaves out of Horner are
-    0.0 * u + 0.0, so the value is the one of the full tail."""
+    evaluation, from its highest nonzero cumulant on and at least one
+    entry long: the steps left out are 0.0 * u + 0.0, so the value is the
+    one of the full tail.  Under the tuple of the cells that read each
+    class, their tails summed aligned at the constant term, the shorter
+    one padded with leading 0.0: the tail ``_newton`` solves it on."""
     tails = {}
     for cell in ALL_CELLS:
         tail = [float(v) for v in reversed(array.r_series(cell).coeffs)]
         del tail[:next((i for i, c in enumerate(tail) if c), len(tail) - 1)]
         tails[cell] = tail
+    for _, own, _ in _NEWTON_CELLS:
+        width = max(len(tails[cell]) for cell in own)
+        tails[own] = [sum(col) for col in zip(*(
+            [0.0] * (width - len(tails[cell])) + tails[cell] for cell in own))]
     return tails
 
 
-def _cauchy(tails, z: complex):
-    """(G(z), converged): ``cauchy_value`` of the array whose ``_tails``
-    are *tails*, and whether its fixed point converged.
+def _solver(tails):
+    """z -> (G(z), converged) of the array whose ``_tails`` are *tails*,
+    built once per grid.  The damped map runs at most CAUCHY_DAMPED_ITER
+    steps; ``_newton`` starts from its slots, settled or not, and an
+    accepted root replaces them.  Where Newton refuses, a settled point
+    keeps its damped value and counts as converged, and a point still
+    moving is damped on to CAUCHY_MAX_ITER steps."""
+    t11, t22, t12, t21 = tails[1, 1], tails[2, 2], tails[1, 2], tails[2, 1]
+    classes = ((2, 1), (1, 2), (2, 2))      # the slots g21, g12, g22
 
-    The damped map runs at most CAUCHY_DAMPED_ITER steps, and ``_newton``
-    then starts from its slots whether they settled or not.  An accepted
-    root replaces the slots.  Where Newton refuses, a settled point keeps
-    its damped value and counts as converged, and a point still moving is
-    damped on to CAUCHY_MAX_ITER steps."""
+    def damp(z, g21, g12, g22, steps):
+        # each cell's tail at the slot of the class it reads, the resolvents
+        # of Q_RESOLVENTS, the stop (no NaN is below CAUCHY_TOL), the average
+        for _ in range(steps):
+            k11 = k22 = k12 = k21 = 0.0
+            for c in t11:
+                k11 = k11 * g21 + c
+            for c in t22:
+                k22 = k22 * g12 + c
+            for c in t12:
+                k12 = k12 * g22 + c
+            for c in t21:
+                k21 = k21 * g22 + c
+            n21 = 1.0 / (z - k11 - k21)
+            n12 = 1.0 / (z - k22 - k12)
+            n22 = 1.0 / (z - k12 - k21)
+            d21, d12, d22 = abs(n21 - g21), abs(n12 - g12), abs(n22 - g22)
+            g21, g12, g22 = (0.5 * g21 + 0.5 * n21, 0.5 * g12 + 0.5 * n12,
+                             0.5 * g22 + 0.5 * n22)
+            if d21 < CAUCHY_TOL and d12 < CAUCHY_TOL and d22 < CAUCHY_TOL:
+                return (g21, g12, g22), True
+        return (g21, g12, g22), False
+
+    def solve(z):
+        g = 1.0 / z
+        slots, converged = damp(z, g, g, g, CAUCHY_DAMPED_ITER)
+        try:
+            roots = _newton(tails, z, dict(zip(classes, slots)))
+        except (ZeroDivisionError, OverflowError):
+            roots = None
+        if roots is not None:
+            slots, converged = tuple(roots[q] for q in classes), True
+        elif not converged:
+            slots, converged = damp(z, *slots,
+                                    CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
+        # G_(1,1), which no cell reads, once from the final slots
+        k11, k22 = _horner(t11, slots[0])[0], _horner(t22, slots[1])[0]
+        return 1.0 / (z - k11 - k22), converged
+
+    return solve
+
+
+def _cauchy(tails, z: complex):
+    """(G(z), converged) at one point *z*, by ``_solver`` of *tails*."""
     if z.imag <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
-    reads = [(tails[cell], CLASSES.index(q)) for cell, q in CELL_CLASS.items()]
-    slot_pairs = [_CELL_PAIRS[q] for q in CLASSES]
-
-    def resolvents(g, pairs=slot_pairs):
-        """G_q = 1/(z - K_a - K_b) for each cell pair (a, b) of *pairs*,
-        each K_c read at the slot of g of the class of cell c: by default
-        one step of the fixed point over the slots."""
-        k = []
-        for tail, slot in reads:
-            total, u = 0.0, g[slot]
-            for c in tail:
-                total = total * u + c
-            k.append(total)
-        return [1.0 / (z - k[a] - k[b]) for a, b in pairs]
-
-    def damp(g, steps):
-        for _ in range(steps):
-            new = resolvents(g)
-            # in slot order: max is NaN only when the first slot's step is,
-            # so a stop checks that no slot's step is NaN
-            delta = max(map(abs, map(sub, new, g)))
-            stop = delta < CAUCHY_TOL and not any(map(
-                cmath.isnan, map(sub, new, g)))
-            g = [0.5 * o + 0.5 * n for o, n in zip(g, new)]
-            if stop:
-                return g, True
-        return g, False
-
-    g, converged = damp([1.0 / z] * len(CLASSES), CAUCHY_DAMPED_ITER)
-    try:
-        roots = _newton(tails, z, dict(zip(CLASSES, g)))
-    except (ZeroDivisionError, OverflowError):
-        roots = None
-    if roots is not None:
-        g, converged = [roots[q] for q in CLASSES], True
-    elif not converged:
-        g, converged = damp(g, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
-    # G_(1,1), which no cell reads, once from the final slots
-    return resolvents(g, [_CELL_PAIRS[(1, 1)]])[0], converged
+    return _solver(tails)(z)
 
 
 def cauchy_value(array: DistributionArray, z: complex) -> complex:
-    """Numeric G(z) of the subordination fixed point.
-
-    Works for any array with finitely many cumulants; Im z > 0 required.
-    The damped iteration runs at most CAUCHY_DAMPED_ITER steps, enough to
-    take a unit step below CAUCHY_TOL; its stop rule bounds the last step,
-    not the error.  Newton on the classes in ``NEWTON_ORDER`` then
-    polishes every point to the attracting root.  Where Newton finds none,
-    a settled point keeps its damped value, and one still moving is damped
-    on to CAUCHY_MAX_ITER steps, whose last iterate is returned.
-    """
+    """Numeric G(z) of the subordination fixed point, for any array with
+    finitely many cumulants; Im z > 0 required.  The damped map, Newton's
+    polish and the damped fallback are those of ``_solver``; a point that
+    converges in neither way returns the last iterate."""
     return _cauchy(_tails(array), z)[0]
 
 
@@ -328,14 +328,14 @@ def stieltjes_density(array: DistributionArray, grid: Sequence[float],
     if array.mode != FLOAT:
         raise ValueError("density extraction requires float mode")
     params = meixner_parameters(array)
-    tails = None if params else _tails(array)
+    solve = None if params else _solver(_tails(array))
     rows = []
     for x in grid:
         z = complex(x, eps)
         if params:
             g = meixner_cauchy(params[0], params[1], z)
         else:
-            g, converged = _cauchy(tails, z)
+            g, converged = solve(z)
             if not converged and unconverged is not None:
                 unconverged.append(float(x))
         rows.append((float(x), -g.imag / math.pi))

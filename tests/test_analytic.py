@@ -546,8 +546,8 @@ NEWTON_GUARD_ARRAYS = [
 
 @pytest.mark.parametrize("case", NEWTON_GUARD_ARRAYS)
 def test_newton_on_trimmed_tails_matches_full_tails(case, monkeypatch):
-    # _newton sums the tails of a class's own cells aligned at their
-    # constant terms, the shorter one padded with leading 0.0; the
+    # _newton reads the tails of a class's own cells summed aligned at
+    # their constant terms, the shorter one padded with leading 0.0; the
     # reference sums full-length tails column by column.  At every point
     # the damped map hands to Newton the roots are the same floats
     if isinstance(case, int):
@@ -570,14 +570,24 @@ def test_newton_on_trimmed_tails_matches_full_tails(case, monkeypatch):
     assert finished >= 7
 
 
+# a square array whose four tails are distinct and all depend on g, r(2)
+# and r(3) nonzero on both off-diagonal cells: without it, a damped map
+# that reads K12 at the slot of class (1,2), or forms G_(2,2) as
+# 1/(z - K21 - K12), passes the bit-identity test below
+WIRING_ARRAY = {(1, 1): (0.1, 0.9, 0.2, 0.05), (2, 2): (-0.2, 0.7, -0.1, 0.03),
+                (1, 2): (0.3, 0.25, 0.1, 0.02),
+                (2, 1): (-0.25, 0.15, -0.08, -0.01)}
+
+
 def slotted_map_cases():
-    """(array, points) on which the class-slot damped map is compared
+    """(array, points) on which the straight-line damped map is compared
     with the dict-keyed one: the whole density_f10 grid of every 8th
-    density array, the trimmed-tail arrays on three eps, the imaginary-
-    axis array of the config fuzz at x = 0, the subnormal-eps point whose
-    damped map starts from 1/z = -inf i and yields NaN, and an array whose
-    cell (1,1) overflows near 0, so that only the slot of class (2,1)
-    turns NaN: where max meets a NaN, its value hangs on the slot order."""
+    density array, the trimmed-tail arrays and the wiring array on three
+    eps, the imaginary-axis array of the config fuzz at x = 0, the
+    subnormal-eps point whose damped map starts from 1/z = -inf i and
+    yields NaN, and an array whose cell (1,1) overflows near 0, so that
+    only the slot of class (2,1) turns NaN: a NaN in one slot must not
+    let the map stop on the others."""
     workloads = perfbench_workloads()
     n = workloads.DENSITY_POINTS
     for a11, a22, b12, b21 in workloads.DENSITY_ARRAYS[::8]:
@@ -585,7 +595,7 @@ def slotted_map_cases():
         yield split_array(a11, a22, b12, b21), [
             complex(-half + 2 * half * k / (n - 1), workloads.DENSITY_EPS)
             for k in range(n)]
-    for cumulants in TRIMMED_TAIL_ARRAYS:
+    for cumulants in TRIMMED_TAIL_ARRAYS + [WIRING_ARRAY]:
         yield DistributionArray.from_cumulants(cumulants, mode=FLOAT), [
             complex(-3.0 + 0.25 * k, eps)
             for eps in (1e-3, 0.1, 1.0) for k in range(25)]
@@ -599,9 +609,11 @@ def slotted_map_cases():
         complex(x, 0.1) for x in (-0.2, 0.1, 0.2, 1.0, 3.0)]
 
 
-def test_class_slots_leave_the_damped_map_bit_identical(monkeypatch):
-    # the damped map steps over lists indexed by class and forms G_(1,1)
-    # once; the reference steps over dicts and forms it at every step.
+def test_straight_line_loop_leaves_the_damped_map_bit_identical(
+        monkeypatch):
+    # the damped map steps three class slots as local variables, built
+    # once per grid, and forms G_(1,1) once; the reference steps over
+    # dicts and forms it at every step.
     # Every (G, converged) is the same floats, NaN included, in each of
     # the phases: polished by Newton, and where Newton refuses, damped on
     # to CAUCHY_MAX_ITER steps, settling there or not.  None of these

@@ -5,8 +5,14 @@ order-6 jobs exit 1 through ``cli.main``.
 The jobs are perfbench's engines_r10 jobs 0-4 at seed 1, one per named
 shape, and its checks_r8 job 0, each at order 6.  Which job kills a
 mutant depends on the shape: the diagonal job has no off-diagonal cell
-and survives all three, and on point-mass off-diagonals K12 and K21 do
-not depend on g, so a stale (2,2) power table changes nothing there.
+and survives the three mutants of the subordination engine, and on
+point-mass off-diagonals K12 and K21 do not depend on g, so a stale
+(2,2) power table changes nothing there.
+The same jobs kill two defects of the Fock model.  ``can_prepend``
+without its repeated-letter clause drops every word with a repeated
+letter from the basis and from creation, and every job exits 1.  The
+state words of phi1 and phi2 swapped are read only by the checks, so
+only checks_r8 job 0 exits 1.
 
 Two mutants of the q22 component run on checks_r8 job 0 with
 ``uniqueness`` alone, so that check must catch each by itself: R's q22
@@ -90,13 +96,26 @@ def drop_the_q22_power_table_update(monkeypatch):
         analytic, analytic._series_fixed_point, line, skip + line))
 
 
+def prepend_no_repeated_letter(monkeypatch):
+    # can_prepend without its first clause: no letter may repeat the head
+    monkeypatch.setattr(fock, "can_prepend", recompiled(
+        fock, fock.can_prepend, "letter == head or ", ""))
+
+
+def swap_the_states_phi1_and_phi2(monkeypatch):
+    phi1, phi2 = fock.STATE_WORDS["phi1"], fock.STATE_WORDS["phi2"]
+    monkeypatch.setitem(fock.STATE_WORDS, "phi1", phi2)
+    monkeypatch.setitem(fock.STATE_WORDS, "phi2", phi1)
+
+
 def test_the_jobs_pass_unmutated(configs, tmp_path, capsys):
     assert exit_codes(configs, tmp_path, capsys) == [0] * len(JOBS)
 
 
 @pytest.mark.parametrize("mutate", [
     swap_a_cell_in_a_class, send_cell_21_to_class_21,
-    drop_the_q22_power_table_update])
+    drop_the_q22_power_table_update, prepend_no_repeated_letter,
+    swap_the_states_phi1_and_phi2])
 def test_mutant_makes_a_job_exit_one(mutate, configs, tmp_path, capsys,
                                      monkeypatch):
     mutate(monkeypatch)

@@ -22,6 +22,9 @@ The list:
 * two float density jobs on the general (fixed-point) path, in json and
   in csv: a lower-triangular array with an absent cell, and a square
   array of custom cells whose top cumulants are 0.0 and -0.0;
+* a float density job in json on the general path whose four cells'
+  tails are distinct and all depend on g, so that each wire of the
+  damped map shows in the report;
 * two float density jobs in json at the edge of the closed form: the
   README array written as custom cumulant lists padded with 0.0 and
   -0.0, which takes the closed form and reports an atom, and the same
@@ -98,6 +101,11 @@ GENERAL_DENSITY_CELLS = {
         "2,2": [-0.1, 0.8, -0.05, -0.0],
     },
 }
+# a square array whose four tails are distinct and all depend on g: r(2)
+# and r(3) are nonzero on both off-diagonal cells
+WIRING_CELLS = {"1,1": [0.1, 0.9, 0.2, 0.05], "1,2": [0.3, 0.25, 0.1, 0.02],
+                "2,1": [-0.25, 0.15, -0.08, -0.01],
+                "2,2": [-0.2, 0.7, -0.1, 0.03]}
 # the README array as custom cumulant lists padded with 0.0 and -0.0, and
 # the same with one extra cumulant, which is no longer of the closed form
 MEIXNER_CUSTOM_CELLS = {"1,1": [0.0, 1.0, 0.0, -0.0],
@@ -167,6 +175,8 @@ def invocations(workloads):
         for fmt in ("json", "csv"):
             out.append(("density/%s/%s" % (shape, fmt), job, ["--out", fmt],
                         False))
+    out.append(("density/wiring/json", dict(
+        GENERAL_DENSITY_JOB, shape="square", cells=WIRING_CELLS), [], False))
     for name, cells in MEIXNER_EDGE_CELLS.items():
         job = dict(GENERAL_DENSITY_JOB, shape="square", cells=cells)
         out.append(("density/meixner_%s/json" % name, job, [], False))
