@@ -52,14 +52,6 @@ Q_RESOLVENTS = {(1, 1): ((1, 1), (2, 2)), (2, 1): ((1, 1), (2, 1)),
                 (1, 2): ((2, 2), (1, 2)), (2, 2): ((1, 2), (2, 1))}
 # cell -> the class of the words it starts, whose resolvent g_c reads
 CELL_CLASS = {(1, 1): (2, 1), (2, 2): (1, 2), (1, 2): (2, 2), (2, 1): (2, 2)}
-# the classes that cells read, in an order where each reads only itself
-# and the classes before it: class (2,2) resolves alone
-NEWTON_ORDER = ((2, 2), (2, 1), (1, 2))
-# per class of NEWTON_ORDER: the cells that read it, whose tails _tails
-# sums, and its other cell with the class it reads, solved before it
-_NEWTON_CELLS = [(q, tuple(c for c in Q_RESOLVENTS[q] if CELL_CLASS[c] == q),
-                  [(c, CELL_CLASS[c]) for c in Q_RESOLVENTS[q]
-                   if CELL_CLASS[c] != q]) for q in NEWTON_ORDER]
 
 
 def _product_coefficient(a, b, s):
@@ -187,19 +179,52 @@ def _horner(coeffs, u):
     return k, dk
 
 
-def _newton(r, z: complex, g):
-    """The resolvents of the classes that cells read, by Newton from *g*
-    along ``NEWTON_ORDER``; None when a class finds no root it accepts.
-    A zero derivative or an overflow raises ZeroDivisionError or
-    OverflowError.  ``_solver`` calls it on every point: it polishes the
-    last bits of a point the damped map settled, and finishes the others.
+def _root(poly, z: complex, c, u: complex) -> complex:
+    """The root of f(u) = u (z - K(u) - c) - 1 that Newton reaches from
+    *u*, K the polynomial *poly*: one class of ``_solver``.  Raises
+    ArithmeticError unless a step falls below CAUCHY_TOL within
+    NEWTON_MAX_ITER steps at a root with Im u <= 0 where the damped map
+    attracts, |1 + K'(u) u^2| < 2; a zero derivative or an overflow
+    raises ZeroDivisionError or OverflowError, both ArithmeticError."""
+    for _ in range(NEWTON_MAX_ITER):
+        k, dk = _horner(poly, u)
+        step = (u * (z - k - c) - 1) / (z - k - c - u * dk)
+        u -= step
+        if abs(step) < CAUCHY_TOL:
+            if u.imag <= 0 and abs(1 + _horner(poly, u)[1] * u * u) < 2:
+                return u
+            break
+    raise ArithmeticError("no root that the damped map attracts")
 
-    Class q solves f(u) = u (z - K(u) - c) - 1, with K the tail of *r*
-    (``_tails``) summed once per grid over the cells that read q, and c
-    the sum of its other cells' tails, read at the classes already
-    solved.  A root is accepted when a step falls below CAUCHY_TOL within
-    NEWTON_MAX_ITER steps, Im u <= 0 and the damped map attracts there:
-    the Denjoy-Wolff point that it converges to.  With F_q(u) =
+
+def _tails(array: DistributionArray):
+    """Each cell's float R-transform tail, highest order first for Horner
+    evaluation, from its highest nonzero cumulant on and at least one
+    entry long: the steps left out are 0.0 * u + 0.0, so the value is the
+    one of the full tail."""
+    tails = {}
+    for cell in ALL_CELLS:
+        tail = [float(v) for v in reversed(array.r_series(cell).coeffs)]
+        del tail[:next((i for i, c in enumerate(tail) if c), len(tail) - 1)]
+        tails[cell] = tail
+    return tails
+
+
+def _solver(tails):
+    """z -> (G(z), converged) of the array whose ``_tails`` are *tails*,
+    built once per grid; Im z > 0 required.  The damped map runs at most
+    CAUCHY_DAMPED_ITER steps, then Newton (``_root``) starts from its
+    slots, settled or not, and accepted roots replace them.  Where Newton
+    refuses, a settled point keeps its damped value and counts as
+    converged, and a point still moving is damped on to CAUCHY_MAX_ITER
+    steps.
+
+    Class q solves f(u) = u (z - K(u) - c) - 1, with K the sum of the
+    tails of the cells that read q, built once per grid, and c the tail
+    of its other cell, read at the class already solved: class (2,2)
+    alone on K12 + K21, then (2,1) on K11 with K21 at the (2,2) root and
+    (1,2) on K22 with K12 there.  The accepted root is the Denjoy-Wolff
+    point that the damped map converges to.  With F_q(u) =
     1/(z - K(u) - c), F_q'(u) = K'(u) F_q(u)^2 = K'(u) u^2 at the root.
     Each class reads only itself and the classes before it, so the
     Jacobian J of the undamped map is triangular in this order, with
@@ -207,53 +232,16 @@ def _newton(r, z: complex, g):
     eigenvalues 0.5 (1 + F_q').  So it attracts when every
     |1 + K'(u) u^2| < 2, which holds wherever |K'(u) u^2| < 1 does.
     """
-    roots = {}
-    for q, own, others in _NEWTON_CELLS:
-        coeffs = r[own]
-        c = sum(_horner(r[cell], roots[p])[0] for cell, p in others)
-        u = g[q]
-        for _ in range(NEWTON_MAX_ITER):
-            k, dk = _horner(coeffs, u)
-            step = (u * (z - k - c) - 1) / (z - k - c - u * dk)
-            u -= step
-            if abs(step) < CAUCHY_TOL:
-                break
-        else:
-            return None
-        if not (u.imag <= 0 and abs(1 + _horner(coeffs, u)[1] * u * u) < 2):
-            return None
-        roots[q] = u
-    return roots
-
-
-def _tails(array: DistributionArray):
-    """Each cell's float R-transform tail, highest order first for Horner
-    evaluation, from its highest nonzero cumulant on and at least one
-    entry long: the steps left out are 0.0 * u + 0.0, so the value is the
-    one of the full tail.  Under the tuple of the cells that read each
-    class, their tails summed aligned at the constant term, the shorter
-    one padded with leading 0.0: the tail ``_newton`` solves it on."""
-    tails = {}
-    for cell in ALL_CELLS:
-        tail = [float(v) for v in reversed(array.r_series(cell).coeffs)]
-        del tail[:next((i for i, c in enumerate(tail) if c), len(tail) - 1)]
-        tails[cell] = tail
-    for _, own, _ in _NEWTON_CELLS:
-        width = max(len(tails[cell]) for cell in own)
-        tails[own] = [sum(col) for col in zip(*(
-            [0.0] * (width - len(tails[cell])) + tails[cell] for cell in own))]
-    return tails
-
-
-def _solver(tails):
-    """z -> (G(z), converged) of the array whose ``_tails`` are *tails*,
-    built once per grid.  The damped map runs at most CAUCHY_DAMPED_ITER
-    steps; ``_newton`` starts from its slots, settled or not, and an
-    accepted root replaces them.  Where Newton refuses, a settled point
-    keeps its damped value and counts as converged, and a point still
-    moving is damped on to CAUCHY_MAX_ITER steps."""
     t11, t22, t12, t21 = tails[1, 1], tails[2, 2], tails[1, 2], tails[2, 1]
-    classes = ((2, 1), (1, 2), (2, 2))      # the slots g21, g12, g22
+
+    def summed(*cells):
+        # aligned at the constant term, the shorter padded with leading 0.0;
+        # sum starts from int 0, so a -0.0 sums to 0.0, as 0 + K does for c
+        width = max(map(len, cells))
+        return [sum(col) for col in zip(
+            *([0.0] * (width - len(tail)) + tail for tail in cells))]
+
+    p21, p12, p22 = summed(t11), summed(t22), summed(t12, t21)
 
     def damp(z, g21, g12, g22, steps):
         # each cell's tail at the slot of the class it reads, the resolvents
@@ -275,41 +263,40 @@ def _solver(tails):
             g21, g12, g22 = (0.5 * g21 + 0.5 * n21, 0.5 * g12 + 0.5 * n12,
                              0.5 * g22 + 0.5 * n22)
             if d21 < CAUCHY_TOL and d12 < CAUCHY_TOL and d22 < CAUCHY_TOL:
-                return (g21, g12, g22), True
-        return (g21, g12, g22), False
+                return g21, g12, g22, True
+        return g21, g12, g22, False
 
     def solve(z):
+        if z.imag <= 0:
+            raise ValueError(
+                "evaluation point must be in the upper half plane")
         g = 1.0 / z
-        slots, converged = damp(z, g, g, g, CAUCHY_DAMPED_ITER)
+        g21, g12, g22, converged = damp(z, g, g, g, CAUCHY_DAMPED_ITER)
         try:
-            roots = _newton(tails, z, dict(zip(classes, slots)))
-        except (ZeroDivisionError, OverflowError):
-            roots = None
-        if roots is not None:
-            slots, converged = tuple(roots[q] for q in classes), True
-        elif not converged:
-            slots, converged = damp(z, *slots,
-                                    CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
+            u22 = _root(p22, z, 0, g22)
+            g21, g12, converged = (
+                _root(p21, z, 0 + _horner(t21, u22)[0], g21),
+                _root(p12, z, 0 + _horner(t12, u22)[0], g12), True)
+        except ArithmeticError:
+            if not converged:
+                g21, g12, g22, converged = damp(
+                    z, g21, g12, g22, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
         # G_(1,1), which no cell reads, once from the final slots
-        k11, k22 = _horner(t11, slots[0])[0], _horner(t22, slots[1])[0]
+        k11, k22 = _horner(t11, g21)[0], _horner(t22, g12)[0]
         return 1.0 / (z - k11 - k22), converged
 
     return solve
-
-
-def _cauchy(tails, z: complex):
-    """(G(z), converged) at one point *z*, by ``_solver`` of *tails*."""
-    if z.imag <= 0:
-        raise ValueError("evaluation point must be in the upper half plane")
-    return _solver(tails)(z)
 
 
 def cauchy_value(array: DistributionArray, z: complex) -> complex:
     """Numeric G(z) of the subordination fixed point, for any array with
     finitely many cumulants; Im z > 0 required.  The damped map, Newton's
     polish and the damped fallback are those of ``_solver``; a point that
-    converges in neither way returns the last iterate."""
-    return _cauchy(_tails(array), z)[0]
+    converges in neither way raises ArithmeticError naming *z*."""
+    g, converged = _solver(_tails(array))(z)
+    if not converged:
+        raise ArithmeticError("no converged G(z) at z = %r" % (z,))
+    return g
 
 
 def stieltjes_density(array: DistributionArray, grid: Sequence[float],
@@ -328,16 +315,13 @@ def stieltjes_density(array: DistributionArray, grid: Sequence[float],
     if array.mode != FLOAT:
         raise ValueError("density extraction requires float mode")
     params = meixner_parameters(array)
-    solve = None if params else _solver(_tails(array))
+    solve = ((lambda z: (meixner_cauchy(*params, z), True)) if params
+             else _solver(_tails(array)))
     rows = []
     for x in grid:
-        z = complex(x, eps)
-        if params:
-            g = meixner_cauchy(params[0], params[1], z)
-        else:
-            g, converged = solve(z)
-            if not converged and unconverged is not None:
-                unconverged.append(float(x))
+        g, converged = solve(complex(x, eps))
+        if not converged and unconverged is not None:
+            unconverged.append(float(x))
         rows.append((float(x), -g.imag / math.pi))
     atoms = meixner_atoms(*params) if params else []
     return rows, atoms

@@ -44,23 +44,18 @@ class NamedLaw(Record):
         return cls("custom", tuple(cumulants))
 
     def cumulants(self, order: int, mode: str = RATIONAL) -> tuple:
-        """r(1..order) for this law."""
-        zero = as_scalar(0, mode)
+        """r(1..order) for this law: its cumulants (0, a), (b,) or the
+        list, each converted whatever the order, cut or padded with
+        zeros to *order*."""
         if self.kind == "semicircle":
-            out = [zero] * order
-            if order >= 2:
-                out[1] = as_scalar(self.params[0], mode)
-            return tuple(out)
-        if self.kind == "point_mass":
-            out = [zero] * order
-            if order >= 1:
-                out[0] = as_scalar(self.params[0], mode)
-            return tuple(out)
-        if self.kind == "custom":
-            vals = [as_scalar(v, mode) for v in self.params]
-            vals += [zero] * (order - len(vals))
-            return tuple(vals[:order])
-        raise ValueError("unknown law kind %r" % (self.kind,))
+            prefix = (0,) + self.params
+        elif self.kind in ("point_mass", "custom"):
+            prefix = self.params
+        else:
+            raise ValueError("unknown law kind %r" % (self.kind,))
+        vals = [as_scalar(v, mode) for v in prefix]
+        vals += [as_scalar(0, mode)] * (order - len(vals))
+        return tuple(vals[:order])
 
 
 class DistributionArray(Record):

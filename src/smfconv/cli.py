@@ -397,7 +397,7 @@ def main(argv=None) -> int:
             raise ConfigError("config must be a JSON object")
         if args.order is not None:
             data["order"] = args.order
-        if args.engines:
+        if args.engines is not None:
             data["engines"] = args.engines.split(",")
         if args.precision:
             data["precision"] = args.precision

@@ -63,8 +63,7 @@ from smfconv import (FLOAT, QCELLS, RATIONAL, SHAPES, DistributionArray,
                      UnitSeries, master_cauchy)
 from smfconv.analytic import (CAUCHY_DAMPED_ITER, CAUCHY_MAX_ITER,
                               CAUCHY_TOL, CELL_CLASS, NEWTON_MAX_ITER,
-                              NEWTON_ORDER, Q_RESOLVENTS,
-                              _series_fixed_point, _tails)
+                              Q_RESOLVENTS, _series_fixed_point, _tails)
 from smfconv.arrays import ALL_CELLS
 from smfconv.fock import ResolventTable, can_prepend, runs
 from smfconv.partitions import NCPartition, enumerate_nc
@@ -1063,12 +1062,21 @@ def four_unknown_cauchy(array: DistributionArray, z: complex):
     return family(g)[None], converged, steps
 
 
+# the classes that cells read, in an order where each reads only itself
+# and the classes before it: class (2,2) resolves alone
+NEWTON_ORDER = ((2, 2), (2, 1), (1, 2))
+
+
 def full_tail_newton(array: DistributionArray, z: complex, g):
-    """The Newton finish of ``cauchy_value`` on full-length tails: each
-    cell's float tail keeps every coefficient, so the tails of a class's
-    own cells have equal length and are summed column by column.  Same
-    steps, tolerance and root test as the library's ``_newton``, which
-    reads tails cut at their highest nonzero cumulant."""
+    """The Newton finish of ``cauchy_value`` on full-length tails, from
+    the class-keyed start *g*: the class resolvents that cells read, along
+    ``NEWTON_ORDER``, or None when a class finds no root it accepts.  Each
+    class's polynomial and cross term come from ``Q_RESOLVENTS`` and
+    ``CELL_CLASS``.  Each cell's float tail keeps every coefficient, so
+    the tails of a class's own cells have equal length and are summed
+    column by column.  Same steps, tolerance and root test as the
+    library's ``_root``, which ``_solver`` runs on tails cut at their
+    highest nonzero cumulant, with its three classes written out."""
     r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
          for cell in ALL_CELLS}
 
@@ -1101,7 +1109,7 @@ def full_tail_newton(array: DistributionArray, z: complex, g):
 
 
 def dict_keyed_cauchy(array: DistributionArray, z: complex):
-    """(G(z), converged) of ``_cauchy`` as the library computed it before
+    """(G(z), converged) of ``_solver`` as the library computed it before
     its damped map moved to class slots: each step builds a dict of the
     four cell transforms and a dict of all four class resolvents, G_(1,1)
     included, keyed by cell and class.  Same float operations in the same

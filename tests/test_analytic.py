@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -9,18 +10,19 @@ from scipy.integrate import quad
 
 import smfconv.analytic
 import smfconv.arrays
-from oracles import (binary_convolutions, binary_fixed_point_rhs, compose,
-                     cut_pass_fixed_point, dict_keyed_cauchy,
-                     f_compose_moments, four_unknown_cauchy,
-                     four_unknown_damped, full_tail_newton, law_moments,
-                     meixner_density, module_imports, moments_from_cumulants,
+from oracles import (NEWTON_ORDER, binary_convolutions,
+                     binary_fixed_point_rhs, compose, cut_pass_fixed_point,
+                     dict_keyed_cauchy, f_compose_moments,
+                     four_unknown_cauchy, four_unknown_damped,
+                     full_tail_newton, law_moments, meixner_density,
+                     module_imports, moments_from_cumulants,
                      perfbench_workloads, reciprocal, shift,
                      solve_subordination, split_semicircle_cauchy)
 from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
                      TruncatedSeries, cauchy_value, master_cauchy,
                      smf_moments, stieltjes_density)
 from smfconv.analytic import CAUCHY_DAMPED_ITER, CAUCHY_MAX_ITER, \
-    _cauchy, _series_fixed_point, _tails, meixner_atoms, meixner_cauchy, \
+    _series_fixed_point, _solver, _tails, meixner_atoms, meixner_cauchy, \
     meixner_parameters
 
 SEMI = NamedLaw.semicircle(1)
@@ -429,13 +431,13 @@ def test_every_density_array_converges_to_the_split_closed_form():
     workloads = perfbench_workloads()
     points = workloads.DENSITY_POINTS
     for index, params in enumerate(workloads.DENSITY_ARRAYS):
-        arr = split_array(*params)
+        solve = _solver(_tails(split_array(*params)))
         a11, a22, b12, b21 = params
         half = 4.0 * (a11 + a22) ** 0.5 + 2.0 * (abs(b12) + abs(b21)) + 2.0
         for k in range(index % 16, points, 16):
             z = complex(-half + 2 * half * k / (points - 1),
                         workloads.DENSITY_EPS)
-            got, converged = _cauchy(_tails(arr), z)
+            got, converged = solve(z)
             assert converged
             assert abs(got - split_semicircle_cauchy(*params, z)) \
                 <= 2e-14 * max(1.0, abs(got))
@@ -456,7 +458,7 @@ def test_newton_finds_the_attracting_root_of_custom_arrays():
              for cell in SHAPES["square"]}, mode=FLOAT)
         for _ in range(12):
             z = complex(rng.uniform(-3, 3), rng.choice((1e-3, 0.1, 1.0)))
-            got, settled = _cauchy(_tails(arr), z)
+            got, settled = _solver(_tails(arr))(z)
             want, converged, steps = four_unknown_damped(arr, z, 20_000)
             if converged and settled:
                 compared += 1
@@ -475,30 +477,54 @@ def test_newton_accepts_roots_where_the_damped_map_attracts():
         {**SIGNED_ZERO_MEIXNER, (1, 1): (0.0, 1.0, 0.1, -0.0)}, FLOAT)
     for x in (-1.30, -1.28):
         z = complex(x, 1e-3)
-        got, settled = _cauchy(_tails(arr), z)
+        got, settled = _solver(_tails(arr))(z)
         want, converged, steps = four_unknown_damped(arr, z, 20_000)
         assert settled and converged and steps > CAUCHY_MAX_ITER
         assert abs(got - want) <= 1e-12
+
+
+def refuse(poly, z, c, u):
+    # _root finding no root that it accepts
+    raise ArithmeticError
+
+
+def refuse_the_last_class(monkeypatch):
+    # _root refusing class (1,2), the third of a point, after accepting
+    # the roots of (2,2) and (2,1)
+    root, seen = smfconv.analytic._root, []
+
+    def last_refused(poly, z, c, u):
+        seen.append(z)
+        if seen[-3:] == [z] * 3:
+            raise ArithmeticError
+        return root(poly, z, c, u)
+
+    monkeypatch.setattr(smfconv.analytic, "_root", last_refused)
 
 
 def test_refused_newton_keeps_the_damped_value(monkeypatch):
     # Newton polishes every point; where it refuses, a point the damped
     # map settled within CAUCHY_DAMPED_ITER steps keeps its damped value
     # and counts as converged, and a point still moving then is damped on
-    # to CAUCHY_MAX_ITER steps.  The split array's off-diagonal tails are
+    # to CAUCHY_MAX_ITER steps.  A refusal at the last class discards the
+    # roots accepted before it.  The split array's off-diagonal tails are
     # constants, so the damped reference gives the same floats
-    monkeypatch.setattr(smfconv.analytic, "_newton", lambda r, z, g: None)
     arr = split_array(*SPLIT_ARRAY)
-    tails = _tails(arr)
-    phases = []
-    for k in range(121):
-        z = complex(-3.0 + 0.05 * k, 1e-3)
-        want, converged, steps = four_unknown_damped(arr, z, CAUCHY_MAX_ITER)
-        assert repr(_cauchy(tails, z)) == repr((want, converged))
-        phases.append((steps <= CAUCHY_DAMPED_ITER, converged))
-    assert phases.count((True, True)) >= 20
-    assert phases.count((False, True)) >= 80
-    assert phases.count((False, False)) >= 5
+    for refusal in (lambda m: m.setattr(smfconv.analytic, "_root", refuse),
+                    refuse_the_last_class):
+        refusal(monkeypatch)
+        solve = _solver(_tails(arr))
+        phases = []
+        for k in range(121):
+            z = complex(-3.0 + 0.05 * k, 1e-3)
+            want, converged, steps = four_unknown_damped(arr, z,
+                                                         CAUCHY_MAX_ITER)
+            assert repr(solve(z)) == repr((want, converged))
+            phases.append((steps <= CAUCHY_DAMPED_ITER, converged))
+        assert phases.count((True, True)) >= 20
+        assert phases.count((False, True)) >= 80
+        assert phases.count((False, False)) >= 5
+        monkeypatch.undo()
 
 
 # arrays whose float tails start with zeros, or with a denormal: absent
@@ -546,26 +572,36 @@ NEWTON_GUARD_ARRAYS = [
 
 @pytest.mark.parametrize("case", NEWTON_GUARD_ARRAYS)
 def test_newton_on_trimmed_tails_matches_full_tails(case, monkeypatch):
-    # _newton reads the tails of a class's own cells summed aligned at
+    # Newton reads the tails of a class's own cells summed aligned at
     # their constant terms, the shorter one padded with leading 0.0; the
-    # reference sums full-length tails column by column.  At every point
-    # the damped map hands to Newton the roots are the same floats
+    # reference sums full-length tails column by column.  At every point,
+    # from the slots the damped map hands to Newton, the roots are the
+    # same floats, and a class refuses where the reference's refuses
     if isinstance(case, int):
         arr = split_array(*perfbench_workloads().DENSITY_ARRAYS[case])
     else:
         arr = DistributionArray.from_cumulants(case, mode=FLOAT)
-    newton = smfconv.analytic._newton
-    handed = []
-    monkeypatch.setattr(smfconv.analytic, "_newton",
-                        lambda r, z, g: handed.append((z, g)) or
-                        newton(r, z, g))
-    for k in range(121):
-        cauchy_value(arr, complex(-3.0 + 0.05 * k, 1e-3))
-    tails = _tails(arr)
+    root = smfconv.analytic._root
+    calls = []
+
+    def recorded(poly, z, c, u):
+        calls[-1].append([u, None])     # the start, then the root
+        calls[-1][-1][1] = root(poly, z, c, u)
+        return calls[-1][-1][1]
+
+    monkeypatch.setattr(smfconv.analytic, "_root", recorded)
+    solve = _solver(_tails(arr))
     finished = 0
-    for z, g in handed:
-        got = newton(tails, z, g)
-        assert repr(got) == repr(full_tail_newton(arr, z, g))
+    for k in range(121):
+        z = complex(-3.0 + 0.05 * k, 1e-3)
+        calls.append([])
+        solve(z)
+        # the classes in the reference's order, up to the one refused
+        handed = dict(zip(NEWTON_ORDER, calls[-1]))
+        got = {q: u for q, (_, u) in handed.items()}
+        got = None if None in got.values() else got
+        assert repr(got) == repr(full_tail_newton(
+            arr, z, {q: g for q, (g, _) in handed.items()}))
         finished += got is not None
     assert finished >= 7
 
@@ -619,25 +655,26 @@ def test_straight_line_loop_leaves_the_damped_map_bit_identical(
     # to CAUCHY_MAX_ITER steps, settling there or not.  None of these
     # points settles within CAUCHY_DAMPED_ITER steps and is refused;
     # test_refused_newton_keeps_the_damped_value covers that phase
-    newton = smfconv.analytic._newton
-    finishes = []
+    root = smfconv.analytic._root
+    finishes = []                   # per point, the classes Newton solved
 
-    def recorded(r, z, g):
-        finishes.append(None)       # stays None when Newton raises
-        finishes[-1] = newton(r, z, g)
-        return finishes[-1]
+    def recorded(poly, z, c, u):
+        u = root(poly, z, c, u)
+        finishes[-1] += 1
+        return u
 
-    monkeypatch.setattr(smfconv.analytic, "_newton", recorded)
+    monkeypatch.setattr(smfconv.analytic, "_root", recorded)
     points = nan = damped_on = 0
     for arr, zs in slotted_map_cases():
-        tails = _tails(arr)
+        solve = _solver(_tails(arr))
         for z in zs:
-            got = _cauchy(tails, z)
+            finishes.append(0)
+            got = solve(z)
             assert repr(got) == repr(dict_keyed_cauchy(arr, z))
             points += 1
             nan += cmath.isnan(got[0])
-            damped_on += finishes[-1] is None and got[1]
-    polished = sum(roots is not None for roots in finishes)
+            damped_on += finishes[-1] < 3 and got[1]
+    polished = finishes.count(3)
     assert len(finishes) == points and polished > 6000
     assert damped_on >= 5 and points - polished - damped_on >= 5
     assert nan == 4
@@ -678,6 +715,19 @@ def test_density_builds_each_cell_tail_once():
 def test_fixed_point_requires_upper_half_plane():
     with pytest.raises(ValueError):
         cauchy_value(meixner_array(), complex(0.0, -1.0))
+
+
+def test_an_unconverged_point_raises():
+    # at z = -1.2 + 0.01i this array's fixed point converges neither in
+    # the damped map nor by Newton: cauchy_value raises, naming z, where
+    # it once returned the last iterate
+    arr = DistributionArray.from_cumulants(
+        {(1, 1): (-0.28, 0.38, 0.68), (1, 2): (-0.94, -0.07, 0.89),
+         (2, 1): (-0.77, 0, 0), (2, 2): (-0.24, 0, 0)}, mode=FLOAT)
+    z = complex(-1.2, 0.01)
+    assert _solver(_tails(arr))(z)[1] is False
+    with pytest.raises(ArithmeticError, match=re.escape(repr(z))):
+        cauchy_value(arr, z)
 
 
 def test_stieltjes_grid_and_guards():

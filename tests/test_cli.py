@@ -95,6 +95,15 @@ def test_flag_overrides(tmp_path, capsys):
     assert sorted(report["moments"]) == ["analytic", "partition"]
 
 
+def test_empty_engines_flag_is_an_empty_engine_list(tmp_path, capsys):
+    # as "engines": [] in the config, not the config's own engines
+    for config, args in ((dict(SQUARE_SEMI, engines=[]), ()),
+                         (SQUARE_SEMI, ("--engines", ""))):
+        code, out, err = run_cli(tmp_path, config, *args, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: engines must be a non-empty")
+
+
 def test_csv_moments(tmp_path, capsys):
     code, out, _ = run_cli(tmp_path, SQUARE_SEMI, "--out", "csv",
                            capsys=capsys)
@@ -178,6 +187,10 @@ class _EngineReached(Exception):
     lambda c: c["cells"]["1,2"].update(b=5),
     lambda c: c.update(precision="float",
                        density=dict(MEIXNER["density"], epss=0.5)),
+    # a semicircle's rate is read at every order, r(2) past it or not
+    lambda c: c.update(order=1) or c["cells"]["1,1"].update(a="abc"),
+    lambda c: c.update(order=1, precision="float")
+    or c["cells"]["1,1"].update(a="1e999"),
 ])
 def test_bad_configs_exit_two(tmp_path, capsys, monkeypatch, mutate):
     # every one is rejected before the job starts
@@ -491,6 +504,11 @@ EDGE_JOB = {
 }
 
 
+def refuse(poly, z, c, u):
+    # Newton finding no root that it accepts, at every class
+    raise ArithmeticError
+
+
 def test_unconverged_density_points_are_counted_on_stderr(
         tmp_path, capsys, monkeypatch):
     reports = {}
@@ -499,7 +517,7 @@ def test_unconverged_density_points_are_counted_on_stderr(
                                  capsys=capsys)
         assert (code, err) == (0, "")
         reports[out_format] = out
-    monkeypatch.setattr("smfconv.analytic._newton", lambda r, z, g: None)
+    monkeypatch.setattr("smfconv.analytic._root", refuse)
     code, out, err = run_cli(tmp_path, EDGE_JOB, capsys=capsys)
     assert code == 0
     assert err == "density: 5 of 6 grid points did not converge\n"
@@ -513,6 +531,29 @@ def test_unconverged_density_points_are_counted_on_stderr(
     assert err == "density: 5 of 6 grid points did not converge\n"
     assert [line.split(",")[0] for line in out.splitlines()] \
         == [line.split(",")[0] for line in reports["csv"].splitlines()]
+
+
+# a custom float array whose fixed point converges neither in the damped
+# map nor by Newton at 10 of these 101 grid points, with nothing patched
+UNCONVERGED_JOB = {
+    "version": 1,
+    "shape": "square",
+    "cells": {"1,1": [-0.28, 0.38, 0.68], "1,2": [-0.94, -0.07, 0.89],
+              "2,1": [-0.77, 0, 0], "2,2": [-0.24, 0, 0]},
+    "order": 3,
+    "engines": ["analytic"],
+    "precision": "float",
+    "density": {"grid_min": -3.0, "grid_max": 3.0, "points": 101,
+                "eps": 0.01},
+}
+
+
+def test_unconverged_points_of_an_unpatched_job_are_counted(tmp_path,
+                                                            capsys):
+    code, out, err = run_cli(tmp_path, UNCONVERGED_JOB, capsys=capsys)
+    assert code == 0
+    assert err == "density: 10 of 101 grid points did not converge\n"
+    assert len(json.loads(out)["density"]["grid"]) == 101
 
 
 # An array of one cell has no alternating sequence of two cells; the axiom

@@ -12,7 +12,16 @@ The same jobs kill two defects of the Fock model.  ``can_prepend``
 without its repeated-letter clause drops every word with a repeated
 letter from the basis and from creation, and every job exits 1.  The
 state words of phi1 and phi2 swapped are read only by the checks, so
-only checks_r8 job 0 exits 1.
+only checks_r8 job 0 exits 1.  So do three defects of the unit algebra
+and of the partition engine.  The units 1_{1,2} and 1_{2,1} swapped in
+``_UNIT_DECOMP`` reach the Fock cell operators, and the square and
+upper anti-triangular jobs and checks_r8 job 0 exit 1.  The compressions
+transposed, P_{i,j} = 1 - 1_{i,i} off the diagonal, are read only by the
+tables of the checks, and checks_r8 job 0 exits 1 on ``eq611``, the one
+check that compresses the off-diagonal cells.  A block in context T1 of
+``smf_moments`` reading r_{1,2} where it reads r_{2,1} makes every
+engines_r10 job with an off-diagonal cell exit 1; checks_r8 job 0 runs
+no partition engine.
 
 Two mutants of the q22 component run on checks_r8 job 0 with
 ``uniqueness`` alone, so that check must catch each by itself: R's q22
@@ -44,7 +53,8 @@ import textwrap
 import pytest
 
 from oracles import perfbench_workloads
-from smfconv import DistributionArray, analytic, arrays, fock, matricial
+from smfconv import (DistributionArray, analytic, arrays, fock, matricial,
+                     moments, units)
 from smfconv.cli import main, parse_config
 
 ORDER = 6
@@ -108,6 +118,25 @@ def swap_the_states_phi1_and_phi2(monkeypatch):
     monkeypatch.setitem(fock.STATE_WORDS, "phi2", phi1)
 
 
+def swap_the_off_diagonal_units(monkeypatch):
+    # 1_{1,2} = q21 + q22 and 1_{2,1} = q12 + q22 in the cell operators
+    decomp = units._UNIT_DECOMP
+    monkeypatch.setitem(decomp, (1, 2), decomp[2, 1])
+    monkeypatch.setitem(decomp, (2, 1), decomp[1, 2])
+
+
+def transpose_the_compressions(monkeypatch):
+    # P_{i,j} = 1 - 1_{i,i} off the diagonal, where it is 1 - 1_{j,j}
+    monkeypatch.setattr(fock, "compression",
+                        lambda i, j: units.compression(j, i))
+
+
+def read_r12_in_the_t1_context(monkeypatch):
+    # a block in context T1 starts the mixed chain with r_{1,2}, not r_{2,1}
+    monkeypatch.setattr(moments, "smf_moments", recompiled(
+        moments, moments.smf_moments, '(r21, "X")', '(r12, "X")'))
+
+
 def test_the_jobs_pass_unmutated(configs, tmp_path, capsys):
     assert exit_codes(configs, tmp_path, capsys) == [0] * len(JOBS)
 
@@ -115,7 +144,8 @@ def test_the_jobs_pass_unmutated(configs, tmp_path, capsys):
 @pytest.mark.parametrize("mutate", [
     swap_a_cell_in_a_class, send_cell_21_to_class_21,
     drop_the_q22_power_table_update, prepend_no_repeated_letter,
-    swap_the_states_phi1_and_phi2])
+    swap_the_states_phi1_and_phi2, swap_the_off_diagonal_units,
+    transpose_the_compressions, read_r12_in_the_t1_context])
 def test_mutant_makes_a_job_exit_one(mutate, configs, tmp_path, capsys,
                                      monkeypatch):
     mutate(monkeypatch)

@@ -12,7 +12,7 @@ hold a density grid of the same length, in json or in csv, the line also
 gives the largest absolute and the largest relative change of the density
 values, each pair's change relative to the larger of its two magnitudes.
 
-The list:
+The list, 107 invocations:
 
 * jobs 0-9 of each perfbench workload at seed 1, in json and in csv;
 * the README job (square Meixner array, order 6, all four checks) as
@@ -25,6 +25,9 @@ The list:
 * a float density job in json on the general path whose four cells'
   tails are distinct and all depend on g, so that each wire of the
   damped map shows in the report;
+* a float density job in json on the general path that converges at
+  91 of its 101 grid points, so that stderr carries the count of the
+  others;
 * two float density jobs in json at the edge of the closed form: the
   README array written as custom cumulant lists padded with 0.0 and
   -0.0, which takes the closed form and reports an atom, and the same
@@ -106,6 +109,19 @@ GENERAL_DENSITY_CELLS = {
 WIRING_CELLS = {"1,1": [0.1, 0.9, 0.2, 0.05], "1,2": [0.3, 0.25, 0.1, 0.02],
                 "2,1": [-0.25, 0.15, -0.08, -0.01],
                 "2,2": [-0.2, 0.7, -0.1, 0.03]}
+# a square custom array whose fixed point converges neither in the damped
+# map nor by Newton at 10 of the 101 grid points
+UNCONVERGED_JOB = {
+    "version": 1,
+    "shape": "square",
+    "cells": {"1,1": [-0.28, 0.38, 0.68], "1,2": [-0.94, -0.07, 0.89],
+              "2,1": [-0.77, 0, 0], "2,2": [-0.24, 0, 0]},
+    "order": 3,
+    "engines": ["analytic"],
+    "precision": "float",
+    "density": {"grid_min": -3.0, "grid_max": 3.0, "points": 101,
+                "eps": 0.01},
+}
 # the README array as custom cumulant lists padded with 0.0 and -0.0, and
 # the same with one extra cumulant, which is no longer of the closed form
 MEIXNER_CUSTOM_CELLS = {"1,1": [0.0, 1.0, 0.0, -0.0],
@@ -177,6 +193,7 @@ def invocations(workloads):
                         False))
     out.append(("density/wiring/json", dict(
         GENERAL_DENSITY_JOB, shape="square", cells=WIRING_CELLS), [], False))
+    out.append(("density/unconverged/json", UNCONVERGED_JOB, [], False))
     for name, cells in MEIXNER_EDGE_CELLS.items():
         job = dict(GENERAL_DENSITY_JOB, shape="square", cells=cells)
         out.append(("density/meixner_%s/json" % name, job, [], False))
