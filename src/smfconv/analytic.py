@@ -78,12 +78,13 @@ def _series_fixed_point(array: DistributionArray, order: int):
     oracle recomposition at full order, ``cut_pass_fixed_point`` in
     tests/oracles.py.
     """
-    if array.order < order:
+    if len(array.cells[0][1]) < order:
         raise ValueError("cumulant order %d < requested order %d"
-                         % (array.order, order))
-    # graded here, not by DistributionArray.graded as the partition engine
-    # is, so that no defect there reaches both: f[c][k-1] = r_c(k) lam^k
-    cums = array.exact().cumulant_map()
+                         % (len(array.cells[0][1]), order))
+    # the exact cells graded here, not by the DistributionArray methods the
+    # partition engine calls, so that no defect there reaches both:
+    # f[c][k-1] = r_c(k) lam^k
+    cums = dict(array.exact().cells)
     lam = math.lcm(*(v.denominator for seq in cums.values() for v in seq))
     f = {cell: [v.numerator * lam ** k // v.denominator
                 for k, v in enumerate(cums.get(cell, ()), 1)]

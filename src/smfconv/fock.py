@@ -215,21 +215,21 @@ class ResolventTable:
     """S_1..S_top of the module docstring's recursion for one state.
 
     Level d + 1 applies M to Y_d and each nonzero r_j, j <= d - 2, to
-    Y_{d-j}: Z_{d+1} is their difference, pruned at once, as the last
-    term, r_{d-1} v, only adds a scalar at ref: to S_{d+1} and, once
-    built, to Y_{d+1}.  Z_top is left unpruned, as only its entry at ref
-    is read.  An r_{d-1} not yet in r_ops counts as zero in S_{d+1}:
-    reconstruct_unique solves for it, then appends it before level d + 1
-    is built.  Level L reads r_0..r_{L-2}, so an r_ops shorter than that
-    is complete.  Y_1 = v is dropped at once, as r_{d-1} v enters only as
-    that scalar at ref; Y_k is dropped once no nonzero or missing r_j
-    reaches it at a level k + j yet to come, so with no coefficients a
-    table keeps one level.
+    Y_{d-j}: Z_{d+1} is their difference, pruned at once, as the last term,
+    r_{d-1} v, only adds a scalar at ref: to S_{d+1} and, once built, to
+    Y_{d+1}.  The prune counts each word's runs, with no memo, at every
+    level; at the top its bound is runs(ref), which keeps ref.  An r_{d-1}
+    not yet in r_ops counts as zero in S_{d+1}: reconstruct_unique solves
+    for it, then appends it before level d + 1 is built.  Level L reads
+    r_0..r_{L-2}, so an r_ops shorter than that is complete.  Y_1 = v is
+    dropped at once, as r_{d-1} v enters only as that scalar at ref; Y_k is
+    dropped once no nonzero or missing r_j reaches it at a level k + j yet
+    to come, so with no coefficients a table keeps one level.
     """
 
-    def __init__(self, model: FockModel, r_ops: Sequence[UnitElement],
-                 mid_op, state: str, top: int):
-        self.model, self.r_ops, self.mid, self.top = model, r_ops, mid_op, top
+    def __init__(self, r_ops: Sequence[UnitElement], mid_op, state: str,
+                 top: int):
+        self.r_ops, self.mid, self.top = r_ops, mid_op, top
         self.ref = STATE_WORDS[state]
         self.qref, self.ref_runs = q_class(self.ref), runs(self.ref)
         self.Y: list = [None]             # Y_d at index d, or None
@@ -254,8 +254,9 @@ class ResolventTable:
             Z = _difference(self.mid.apply(Y[level]), [
                 r.apply(Y[level - j])
                 for j, r in enumerate(self.r_ops[:level - 1]) if any(r.beta)])
-            self.Z = Z if level + 1 == self.top else self.model.prune(
-                Z, self.top - level - 1 + self.ref_runs)
+            bound = self.top - level - 1 + self.ref_runs
+            self.Z = FockVector({w: c for w, c in Z.entries.items()
+                                 if c != 0 and runs(w) <= bound}, Z.den)
             self.at_ref.append(self.Z.read(self.ref))
             n, Y[1] = len(self.r_ops), None
             for k in range(2, level + 1):
@@ -316,7 +317,6 @@ class FockModel:
                       for cell in ALL_CELLS}
         self._words = None
         self._ops: Dict = {}
-        self._runs: Dict[Word, int] = {}    # word -> runs(word)
 
     @property
     def words(self) -> Tuple[Word, ...]:
@@ -418,25 +418,11 @@ class FockModel:
         vec = Product(factors).apply(self.state_vector(state))
         return vec.read(STATE_WORDS[state])
 
-    def prune(self, vec: FockVector, max_runs: int) -> FockVector:
-        """The nonzero entries of vec on words of at most max_runs runs.
-        The tables of one model meet the same words at every level, so
-        each word's runs are counted once per model."""
-        counted, kept = self._runs, {}
-        for w, c in vec.entries.items():
-            if c != 0:
-                n = counted.get(w)
-                if n is None:
-                    n = counted[w] = runs(w)
-                if n <= max_runs:
-                    kept[w] = c
-        return FockVector(kept, vec.den)
-
     def moments(self, order: int) -> TruncatedSeries:
         """phi(A^m) for m = 0..order, in the array's precision."""
         if order > self.depth:
             raise ValueError("order %d exceeds depth %d" % (order, self.depth))
-        table = ResolventTable(self, (), self.total(), "phi", order + 1)
+        table = ResolventTable((), self.total(), "phi", order + 1)
         return TruncatedSeries(reported(table.sums(), self.mode), self.mode)
 
     # -- verification -------------------------------------------------------

@@ -102,8 +102,7 @@ def _tables(model: FockModel, r_ops, tops: Dict) -> Dict:
     to its own top level: key None is the table of A in the vacuum state
     phi, a cell that of the cell's compressed total in its row's state."""
     return {key: ResolventTable(
-        model, r_ops,
-        model.total() if key is None else model.compressed_total(key),
+        r_ops, model.total() if key is None else model.compressed_total(key),
         "phi" if key is None else "phi%d" % key[0], top)
         for key, top in tops.items()}
 

@@ -16,6 +16,8 @@ regular part and treat the 1/z term implicitly.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
 
@@ -24,20 +26,30 @@ FLOAT = "float"
 
 Number = Union[int, float, Fraction, str]
 
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
 
 def as_scalar(value: Number, mode: str):
     """Coerce *value* to the scalar type of *mode*.
 
-    Rational mode accepts ints, Fractions and "p/q" strings; float mode
-    accepts anything float() does.
+    Rational mode accepts ints, Fractions and the strings Fraction()
+    does; float mode accepts numbers and those strings, read exactly and
+    rounded once.  A string whose decimal exponent exceeds the
+    interpreter's int-string limit in magnitude raises ValueError before
+    Fraction() builds 10**exponent.
     """
+    if isinstance(value, str):
+        limit, m = sys.get_int_max_str_digits(), _EXPONENT.search(value)
+        if limit and m:
+            digits = m.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+                raise ValueError("decimal exponent past %d" % limit)
+        value = Fraction(value)
     if mode == RATIONAL:
         if isinstance(value, float):
             raise ValueError("float value %r in rational mode" % (value,))
         return value if isinstance(value, Fraction) else Fraction(value)
     if mode == FLOAT:
-        if isinstance(value, str):
-            return float(Fraction(value))
         return float(value)
     raise ValueError("unknown scalar mode %r" % (mode,))
 

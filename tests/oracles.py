@@ -106,8 +106,8 @@ def single_cell_r(model: FockModel, cell, order: int) -> TruncatedSeries:
     in the cell's state; must reproduce the input cumulants."""
     if order + 1 > model.depth:
         raise ValueError("need depth >= order + 1")
-    table = ResolventTable(model, (), model.toeplitz(cell),
-                           model._cell_state(cell), order + 1)
+    table = ResolventTable((), model.toeplitz(cell), model._cell_state(cell),
+                           order + 1)
     return r_from_moments(TruncatedSeries(table.sums()))
 
 

@@ -784,6 +784,27 @@ def test_non_finite_float_values_exit_two(tmp_path, capsys, cells, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cell,precision", [
+    (["1e10000000", "1"], "rational"),
+    (["1e1000000", "1"], "rational"),
+    ({"kind": "semicircle", "a": "1e10000000"}, "float"),
+    ({"kind": "point_mass", "b": "1e10000000"}, "rational"),
+], ids=["rational_1e7", "rational_1e6", "float_semicircle", "point_mass"])
+def test_huge_decimal_exponents_exit_two_at_once(cell, precision):
+    # Fraction builds 10**exponent before anything is checked, so a
+    # string exponent past the int-string limit is refused before it is
+    cfg = {"version": 1, "shape": "custom", "cells": {"1,1": cell},
+           "order": 2, "precision": precision}
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(smfconv.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "smfconv"],
+                          input=json.dumps(cfg).encode(), capture_output=True,
+                          env=env, timeout=3)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"config error: cell 1,1: bad law parameter " \
+        b"(decimal exponent past %d)\n" % sys.get_int_max_str_digits()
+
+
 def test_report_value_past_the_digit_limit_exits_two(tmp_path, capsys):
     # a valid rational job whose moments need more digits than Python
     # converts to text: one line naming the limit, not the interpreter's

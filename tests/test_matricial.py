@@ -252,8 +252,8 @@ def test_tables_apply_the_middle_operator_once_per_level():
                for c, ref_runs in zip(counters, (0, 1, 1)))
 
     R = assemble_matricial_r(arr, 7)
-    table = ResolventTable(model, [R.coefficient(j) for j in range(7)],
-                           total, "phi", 8)
+    table = ResolventTable([R.coefficient(j) for j in range(7)], total,
+                           "phi", 8)
     assert table.sum(8) == 0
     with pytest.raises(ValueError):
         table.sum(9)
@@ -277,13 +277,13 @@ def test_tables_free_the_levels_no_coefficient_reaches():
             held.append([k for k, y in enumerate(table.Y) if y is not None])
             return model.total().apply(vec)
 
-    table = ResolventTable(model, (), Watched(), "phi", 8)
+    table = ResolventTable((), Watched(), "phi", 8)
     assert table.sums() == list(model.moments(7).coeffs)
     assert held == [[L] for L in range(1, 8)]
 
     held.clear()
     r_ops = []
-    table = ResolventTable(model, r_ops, Watched(), "phi", 8)
+    table = ResolventTable(r_ops, Watched(), "phi", 8)
     for m in range(7):
         assert table.sum(m + 2) == R.coefficient(m).component((1, 1))
         r_ops.append(R.coefficient(m))
@@ -399,7 +399,7 @@ def test_vectors_match_fraction_dict_reference(shape, depth, data):
         pairs = [("A", "phi", depth)] + [
             (("a", cell), model._cell_state(cell), depth - 1) for cell in J]
         for key, st_, order in pairs:
-            table = ResolventTable(model, (), lib[key], st_, order + 1)
+            table = ResolventTable((), lib[key], st_, order + 1)
             got = table.sums()
             want = dict_power_moments(ref[key], st_, order)
             assert all(_same(g, w) for g, w in zip(got, want))
@@ -411,7 +411,7 @@ def test_vectors_match_fraction_dict_reference(shape, depth, data):
         tables = [("A", "phi")] + [(("PAP", cell), "phi1" if cell[0] == 1
                                     else "phi2") for cell in J]
         for key, st_ in tables:
-            table = ResolventTable(model, r_ops, lib[key], st_, depth)
+            table = ResolventTable(r_ops, lib[key], st_, depth)
             want = dict_alternating_sums(dict_b, ref[key], st_, depth)
             assert all(_same(table.sum(d), w)
                        for d, w in zip(range(1, depth + 1), want))

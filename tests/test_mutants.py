@@ -21,7 +21,23 @@ tables of the checks, and checks_r8 job 0 exits 1 on ``eq611``, the one
 check that compresses the off-diagonal cells.  A block in context T1 of
 ``smf_moments`` reading r_{1,2} where it reads r_{2,1} makes every
 engines_r10 job with an off-diagonal cell exit 1; checks_r8 job 0 runs
-no partition engine.
+no partition engine.  Its mirror, context T2 reading r_{2,1} for
+r_{1,2}, makes the square and lower triangular jobs exit 1; context X
+reading r_{1,2} alone for r_{1,2} + r_{2,1} makes every engines_r10 job
+with r_{2,1} exit 1; and a covering block of color 2 in context D
+reading r_{1,1} for r_{2,2} makes every engines_r10 job exit 1.
+
+One mutant is equivalent: the diagonal compression 1 - 1_{3-i,3-i} in
+place of 1 - q11.  For cell (1,1) it is q21 + q22 where P is q12 + q21
++ q22, so the two differ only on words headed by (2,2), class q12.
+Cell (1,1)'s table starts at the word ((1,1),).  There a diagonal
+letter can be prepended only to the vacuum or to its own run, so no
+word headed by (2,2) is created; and stripping never exposes one, as
+every reachable word ends in the run of (1,1), whose stripping reaches
+the vacuum, which P removes.  So P's q12 component is never read.  Cell
+(2,2), from ((2,2),), mirrors this with q21.
+``test_the_diagonal_compressions_never_meet_the_other_diagonal_head``
+records every vector they are applied to and shows it.
 
 Two mutants of the q22 component run on checks_r8 job 0 with
 ``uniqueness`` alone, so that check must catch each by itself: R's q22
@@ -48,12 +64,15 @@ The job needs a cumulant of order 4 or more; the README job has none.
 
 import inspect
 import json
+import random
 import textwrap
+from fractions import Fraction
 
 import pytest
 
 from oracles import perfbench_workloads
-from smfconv import (DistributionArray, analytic, arrays, fock, matricial,
+from smfconv import (SHAPES, DistributionArray, FockModel, analytic, arrays,
+                     assemble_matricial_r, check_residuals, fock, matricial,
                      moments, units)
 from smfconv.cli import main, parse_config
 
@@ -137,6 +156,24 @@ def read_r12_in_the_t1_context(monkeypatch):
         moments, moments.smf_moments, '(r21, "X")', '(r12, "X")'))
 
 
+def read_r21_in_the_t2_context(monkeypatch):
+    # a block in context T2 starts the mixed chain with r_{2,1}, not r_{1,2}
+    monkeypatch.setattr(moments, "smf_moments", recompiled(
+        moments, moments.smf_moments, '(r12, "X")', '(r21, "X")'))
+
+
+def read_r12_alone_in_the_x_context(monkeypatch):
+    # a block in context X reads r_{1,2}, not r_{1,2} + r_{2,1}
+    monkeypatch.setattr(moments, "smf_moments", recompiled(
+        moments, moments.smf_moments, '(rmix, "X")', '(r12, "X")'))
+
+
+def read_r11_for_color_2_in_the_d_context(monkeypatch):
+    # a covering block of color 2 reads r_{1,1}, not r_{2,2}
+    monkeypatch.setattr(moments, "smf_moments", recompiled(
+        moments, moments.smf_moments, '(r22, "T2"))}', '(r11, "T2"))}'))
+
+
 def test_the_jobs_pass_unmutated(configs, tmp_path, capsys):
     assert exit_codes(configs, tmp_path, capsys) == [0] * len(JOBS)
 
@@ -145,7 +182,9 @@ def test_the_jobs_pass_unmutated(configs, tmp_path, capsys):
     swap_a_cell_in_a_class, send_cell_21_to_class_21,
     drop_the_q22_power_table_update, prepend_no_repeated_letter,
     swap_the_states_phi1_and_phi2, swap_the_off_diagonal_units,
-    transpose_the_compressions, read_r12_in_the_t1_context])
+    transpose_the_compressions, read_r12_in_the_t1_context,
+    read_r21_in_the_t2_context, read_r12_alone_in_the_x_context,
+    read_r11_for_color_2_in_the_d_context])
 def test_mutant_makes_a_job_exit_one(mutate, configs, tmp_path, capsys,
                                      monkeypatch):
     mutate(monkeypatch)
@@ -279,3 +318,37 @@ def test_split_mutant_exits_one(mutate, config, tmp_path, capsys,
                                 monkeypatch):
     mutate(monkeypatch)
     assert exit_codes([config], tmp_path, capsys) == [1]
+
+
+def test_the_diagonal_compressions_never_meet_the_other_diagonal_head(
+        monkeypatch):
+    # the equivalent diagonal-compression mutant: eq611 applies P_{i,i}
+    # to no word headed by (3-i,3-i), where alone the mutant differs
+    seen = {(1, 1): [], (2, 2): []}
+    build = fock.compression
+
+    class Recorded:
+        def __init__(self, p, log):
+            self.p, self.log = p, log
+
+        def apply(self, vec):
+            self.log.append(vec)
+            return self.p.apply(vec)
+
+    def recorded(i, j):
+        p = build(i, j)
+        return Recorded(p, seen[i, j]) if i == j else p
+
+    monkeypatch.setattr(fock, "compression", recorded)
+    rng = random.Random(97)
+    for _ in range(3):
+        arr = DistributionArray.from_cumulants(
+            {cell: [Fraction(rng.randint(-3, 3)) for _ in range(8)]
+             for cell in SHAPES["square"]})
+        model = FockModel(arr, 8)
+        R = assemble_matricial_r(arr, 7)
+        assert check_residuals(model, R, 8, ("eq611",))["eq611"][0]
+    for cell, other in (((1, 1), (2, 2)), ((2, 2), (1, 1))):
+        words = [w for vec in seen[cell] for w in vec.entries]
+        assert len(seen[cell]) == 3 * 2 * 7 and len(words) > 100
+        assert not any(w and w[0] == other for w in words)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -6,11 +7,28 @@ import pytest
 from oracles import (compose, moments_from_cumulants, pole_product_is_one,
                      r_from_moments, reciprocal, shift)
 from smfconv import FLOAT, RATIONAL, TruncatedSeries
-from smfconv.series import invert_pole_series
+from smfconv.series import as_scalar, invert_pole_series
 
 
 def S(*coeffs, mode=RATIONAL):
     return TruncatedSeries(coeffs, mode)
+
+
+def test_string_exponents_stop_at_the_int_string_limit(monkeypatch):
+    # Fraction builds 10**exponent, so an exponent past the limit that
+    # json.loads applies to integers is refused before it does
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 50)
+    for text, value in (("1e50", F(10) ** 50), ("-2E-5_0 ", F(-2, 10 ** 50)),
+                        ("1e00000050", F(10) ** 50)):
+        assert as_scalar(text, RATIONAL) == value
+        assert as_scalar(text, FLOAT) == float(value)
+    for text in ("1e51", "1e-51", "1e+5_1", "3.5e%s" % ("9" * 60)):
+        for mode in (RATIONAL, FLOAT):
+            with pytest.raises(ValueError, match="exponent past 50"):
+                as_scalar(text, mode)
+    # with no limit set, every exponent reaches Fraction
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert as_scalar("1e51", RATIONAL) == F(10) ** 51
 
 
 def test_add_identities():

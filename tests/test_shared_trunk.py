@@ -36,14 +36,10 @@ CONFIG_PARSING = {
 # beyond config parsing, the engines may share only these two
 ALLOWED = {"arrays.DistributionArray.exact", "series.reported"}
 # shared beyond the allowed set: every engine wraps its moments in a
-# TruncatedSeries, whose constructor converts each coefficient again, and
-# the partition and analytic engines both read the exact array's cells
-# through cumulant_map and its order through the order property
+# TruncatedSeries, whose constructor converts each coefficient again
 SHARED_TODAY = {
     ("partition", "fock"): {"series.TruncatedSeries.__init__"},
-    ("partition", "analytic"): {"series.TruncatedSeries.__init__",
-                                "arrays.DistributionArray.cumulant_map",
-                                "arrays.DistributionArray.order"},
+    ("partition", "analytic"): {"series.TruncatedSeries.__init__"},
     ("fock", "analytic"): {"series.TruncatedSeries.__init__"},
 }
 # seed 1, job 0, at order 6 without checks or density: checks_r8's is

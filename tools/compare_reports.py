@@ -12,7 +12,7 @@ hold a density grid of the same length, in json or in csv, the line also
 gives the largest absolute and the largest relative change of the density
 values, each pair's change relative to the larger of its two magnitudes.
 
-The list, 107 invocations:
+The list, 108 invocations:
 
 * jobs 0-9 of each perfbench workload at seed 1, in json and in csv;
 * the README job (square Meixner array, order 6, all four checks) as
@@ -35,6 +35,9 @@ The list, 107 invocations:
 * the subnormal-eps density job, in json and in csv: a square split
   array (semicircle diagonals, point-mass off-diagonals) at eps 5e-324,
   whose grid point x = 0 has a NaN density;
+* a rational job whose string cumulant "1e4300" has its decimal exponent
+  at the int-string limit, the largest exponent a string may have, in a
+  place no reported moment reaches;
 * the README job at order 20 with all four checks, in both precisions;
 * checks_r8 jobs 0-2 with ``--precision float``;
 * checks_r8 job 0 with ``--checks`` set to each of ``eq56``, ``eq611``,
@@ -149,6 +152,15 @@ SUBNORMAL_EPS_JOB = {
     "density": {"grid_min": -1.0, "grid_max": 1.0, "points": 3,
                 "eps": 5e-324},
 }
+# a cumulant whose decimal exponent is the default int-string limit:
+# (1,2)'s sixth, read by no moment of order 6
+EXPONENT_BOUND_JOB = {
+    "version": 1,
+    "shape": "custom",
+    "cells": {"1,1": ["1", "1"],
+              "1,2": ["1/2", "0", "0", "0", "0", "1e4300"]},
+    "order": 6,
+}
 # the subsets of the three table checks that the all-checks jobs never run
 CHECK_SUBSETS = ("eq56", "eq611", "uniqueness", "eq56,uniqueness",
                  "eq611,uniqueness")
@@ -200,6 +212,7 @@ def invocations(workloads):
     for fmt in ("json", "csv"):
         out.append(("density/subnormal_eps/%s" % fmt, SUBNORMAL_EPS_JOB,
                     ["--out", fmt], False))
+    out.append(("custom/exponent_bound/json", EXPONENT_BOUND_JOB, [], False))
     for index in range(3):
         out.append(("checks_r8/%d/float" % index,
                     workloads.job_config("checks_r8", SEED, index),
