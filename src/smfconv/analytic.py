@@ -310,6 +310,13 @@ def stieltjes_density(array: DistributionArray, grid: Sequence[float],
     the whole grid, and reports no atoms.  The x of each point whose fixed
     point did not converge is appended to *unconverged* when a list is
     given.
+
+    The closed form stays because the fixed point does not hold at small
+    eps: on the README array, 801 points on [-4, 4], the general path
+    leaves 1 point unconverged at eps 1e-8, 1.8e-4 off the closed form,
+    and 399 at eps 1e-300, 0.318 off.  The closed form is exact there,
+    and ``test_meixner_density_positive_for_tiny_eps`` pins it at eps
+    1e-200, 5e-324 and 1e-12.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

@@ -260,7 +260,10 @@ def run(config: JobConfig) -> Tuple[dict, int]:
     }
     failed = False
 
+    # each engine's moments are rendered as it returns, so a value past
+    # the int-string limit exits before the next engine runs
     moments: Dict[str, TruncatedSeries] = {}
+    report["moments"] = {}
     for engine in config.engines:
         if engine == "partition":
             from .moments import smf_moments
@@ -274,7 +277,7 @@ def run(config: JobConfig) -> Tuple[dict, int]:
             moments[engine] = master_cauchy(array, config.order)
         if mode == FLOAT:
             _require_finite(moments[engine].coeffs, "%s moments" % engine)
-    report["moments"] = {e: _render_series(m) for e, m in moments.items()}
+        report["moments"][engine] = _render_series(moments[engine])
 
     names = list(moments)
     agree = all(_series_agree(moments[names[0]], moments[e], mode)

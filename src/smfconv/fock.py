@@ -26,12 +26,16 @@ one positive denominator.  An operator is anything with
 ``apply(vec) -> vec``: a :class:`LinearOp` given by a column rule (the
 cell operators and the total A), a :class:`CellPolynomial`, a
 :class:`~smfconv.units.UnitElement`, which scales each word by its
-q-class component, or a :class:`Product` of operators.  Every operator
-but a product has a denominator ``den`` fixed when it is built, the lcm
-of the denominators of every entry it can produce, and supplies its
-entries as numerators over it; the output denominator is the input
-denominator times the operator's.  So no entry of a vector costs a gcd.
-A scalar leaves the vector layer only where it is read
+q-class component, or a :class:`Product` of operators.  A
+:class:`LinearOp` and a unit element have a denominator ``den`` fixed
+when they are built, the lcm of the denominators of every entry they can
+produce, and supply their entries as numerators over it; the output
+denominator is the input denominator times the operator's.  Vectors are
+summed in one place, :func:`combination`, over the lcm of the terms'
+denominators, each multiplier's own denominator included: a cell
+polynomial sums its powers of a there when it is applied, and the
+resolvent tables sum their levels there.  So no entry of a vector costs
+a gcd.  A scalar leaves the vector layer only where it is read
 (``state_moment``, the resolvent tables,
 ``creation_relation_violations``), as one ``Fraction(num, den)`` per
 read.
@@ -195,19 +199,24 @@ def runs(word: Word) -> int:
     return 1 + sum(map(ne, word, word[1:])) if word else 0
 
 
-def _difference(v: FockVector, minus: Sequence[FockVector]) -> FockVector:
-    """v less the sum of the vectors *minus*, over the lcm of their
-    denominators, zero entries kept; v itself when *minus* is empty."""
-    if not minus:
-        return v
-    den = math.lcm(v.den, *(u.den for u in minus))
-    f = den // v.den
-    out = dict(v.entries) if f == 1 else \
-        {w: c * f for w, c in v.entries.items()}
-    for u in minus:
-        f = den // u.den
-        for w, c in u.entries.items():
-            out[w] = out.get(w, 0) - (c if f == 1 else c * f)
+def combination(terms: Iterable[Tuple[object, FockVector]]) -> FockVector:
+    """The sum of m u over the pairs (m, u) of *terms*, each multiplier m an
+    int or a Fraction, over the lcm of the denominators of m / u.den, zero
+    entries kept.  Terms with m = 0 are skipped, and a sole term with
+    m = 1 is returned as it is."""
+    terms = [(m, u) for m, u in terms if m]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    den = math.lcm(*(m.denominator * u.den for m, u in terms))
+    out: dict = {}
+    for k, (m, u) in enumerate(terms):
+        f = m.numerator * (den // (m.denominator * u.den))
+        if k == 0:
+            out = dict(u.entries) if f == 1 else \
+                {w: f * c for w, c in u.entries.items()}
+        else:
+            for w, c in u.entries.items():
+                out[w] = out.get(w, 0) + f * c
     return FockVector(out, den)
 
 
@@ -215,16 +224,17 @@ class ResolventTable:
     """S_1..S_top of the module docstring's recursion for one state.
 
     Level d + 1 applies M to Y_d and each nonzero r_j, j <= d - 2, to
-    Y_{d-j}: Z_{d+1} is their difference, pruned at once, as the last term,
-    r_{d-1} v, only adds a scalar at ref: to S_{d+1} and, once built, to
-    Y_{d+1}.  The prune counts each word's runs, with no memo, at every
-    level; at the top its bound is runs(ref), which keeps ref.  An r_{d-1}
-    not yet in r_ops counts as zero in S_{d+1}: reconstruct_unique solves
-    for it, then appends it before level d + 1 is built.  Level L reads
-    r_0..r_{L-2}, so an r_ops shorter than that is complete.  Y_1 = v is
-    dropped at once, as r_{d-1} v enters only as that scalar at ref; Y_k is
-    dropped once no nonzero or missing r_j reaches it at a level k + j yet
-    to come, so with no coefficients a table keeps one level.
+    Y_{d-j}: Z_{d+1} = M Y_d - sum_j r_j Y_{d-j}, pruned at once, as the
+    last term, r_{d-1} v, only adds a scalar at ref: to S_{d+1} and, once
+    built, to Y_{d+1} = Z_{d+1} - r_{d-1}[q_ref] v.  Both sums go through
+    :func:`combination`.  The prune counts each word's runs, with no memo,
+    at every level; at the top its bound is runs(ref), which keeps ref.  An
+    r_{d-1} not yet in r_ops counts as zero in S_{d+1}: reconstruct_unique
+    solves for it, then appends it before level d + 1 is built.  Level L
+    reads r_0..r_{L-2}, so an r_ops shorter than that is complete.  Y_1 = v
+    is dropped at once, as r_{d-1} v enters only as that scalar at ref; Y_k
+    is dropped once no nonzero or missing r_j reaches it at a level k + j
+    yet to come, so with no coefficients a table keeps one level.
     """
 
     def __init__(self, r_ops: Sequence[UnitElement], mid_op, state: str,
@@ -233,7 +243,8 @@ class ResolventTable:
         self.ref = STATE_WORDS[state]
         self.qref, self.ref_runs = q_class(self.ref), runs(self.ref)
         self.Y: list = [None]             # Y_d at index d, or None
-        self.Z = FockVector({self.ref: 1})    # Z_d for d = len(Y), pruned
+        # v, and Z_d for d = len(Y), pruned
+        self.v = self.Z = FockVector({self.ref: 1})
         self.at_ref = [None, self.Z.read(self.ref)]   # <Z_d, v> at index d
 
     def _scalar(self, d: int):
@@ -248,11 +259,11 @@ class ResolventTable:
                              % (d, self.top))
         Y = self.Y
         while len(Y) < d:
-            level, x = len(Y), self._scalar(len(Y))
-            Y.append(_difference(self.Z, [FockVector(
-                {self.ref: x.numerator}, x.denominator)] if x else []))
-            Z = _difference(self.mid.apply(Y[level]), [
-                r.apply(Y[level - j])
+            level = len(Y)
+            Y.append(combination(
+                ((1, self.Z), (-self._scalar(level), self.v))))
+            Z = combination([(1, self.mid.apply(Y[level]))] + [
+                (-1, r.apply(Y[level - j]))
                 for j, r in enumerate(self.r_ops[:level - 1]) if any(r.beta)])
             bound = self.top - level - 1 + self.ref_runs
             self.Z = FockVector({w: c for w, c in Z.entries.items()
@@ -274,31 +285,22 @@ class ResolventTable:
 class CellPolynomial:
     """c0 1_cell + c1 a + c2 a^2 + ... for one cell operator a, applied to
     a vector one power of a at a time; the constant term sits on the
-    internal unit 1_cell, never on the global identity.
+    internal unit 1_cell, never on the global identity.  The terms are
+    summed by :func:`combination`, zero entries dropped."""
 
-    Term k reaches the input denominator times s_k = den(1_cell) for
-    k = 0 and den(a)^k for k >= 1, so the terms are added with integer
-    multipliers ``mults``, c_k / s_k over ``den``, the lcm of their
-    denominators."""
-
-    __slots__ = ("unit", "a_op", "mults", "den")
+    __slots__ = ("unit", "a_op", "coeffs")
 
     def __init__(self, unit: UnitElement, a_op: LinearOp, coeffs: Sequence):
-        self.unit, self.a_op = unit, a_op
-        term_dens = [unit.den] + [a_op.den ** k
-                                  for k in range(1, len(coeffs))]
-        self.mults, self.den = common_denominator(coeffs, term_dens)
+        self.unit, self.a_op, self.coeffs = unit, a_op, tuple(coeffs)
 
     def apply(self, vec: FockVector) -> FockVector:
-        den = vec.den * self.den
-        m0 = self.mults[0]
-        out = {w: m0 * v for w, v in self.unit.apply(vec).entries.items()}
-        for m in self.mults[1:]:
+        terms = [(self.coeffs[0], self.unit.apply(vec))]
+        for c in self.coeffs[1:]:
             vec = self.a_op.apply(vec)
-            if m != 0:
-                for w, v in vec.entries.items():
-                    out[w] = out.get(w, 0) + m * v
-        return FockVector({w: v for w, v in out.items() if v != 0}, den)
+            terms.append((c, vec))
+        out = combination(terms)
+        return FockVector({w: v for w, v in out.entries.items() if v != 0},
+                          out.den)
 
 
 class FockModel:
@@ -338,24 +340,21 @@ class FockModel:
             if cell not in self.J:
                 raise ValueError("cell %r not in the array" % (cell,))
             depth, ws, unit = self.depth, self.weights[cell], self.units[cell]
-            # r(1) times the unit's component, per q class of the word
-            diag = [ws[0] * unit.component(qc) for qc in QCELLS] \
-                if ws else []
-            # all entries as numerators over one denominator, creation's
-            # weight 1 being den
-            nums, den = common_denominator([*diag, *ws[1:]])
-            diag, strips = dict(zip(QCELLS, nums[:len(diag)])), \
-                nums[len(diag):]
+            # r(1) times the unit's component, per q class of the word,
+            # and r(2), r(3), ... as numerators over one denominator,
+            # creation's weight 1 being den
+            nums, den = common_denominator(
+                [*(ws[0] * unit.component(qc) for qc in QCELLS), *ws[1:]])
+            diag, strips = dict(zip(QCELLS, nums)), nums[len(QCELLS):]
 
             def rule(w):
                 col = []
                 up = created(cell, w, depth)
                 if up is not None:
                     col.append((up, den))
-                if diag:
-                    d = diag[q_class(w)]
-                    if d != 0:
-                        col.append((w, d))
+                d = diag[q_class(w)]
+                if d != 0:
+                    col.append((w, d))
                 tail = w
                 for c in strips:
                     tail = stripped(cell, tail)

@@ -30,7 +30,7 @@ class NCPartition(Record):
             raise ValueError("blocks must be sorted")
         if tuple(sorted(blocks, key=min)) != blocks:
             raise ValueError("blocks must be ordered by minimum element")
-        if self._crossing():
+        if self.parents() is None:
             raise ValueError("partition is crossing")
 
     @classmethod
@@ -39,38 +39,14 @@ class NCPartition(Record):
         ordered = tuple(sorted((tuple(sorted(b)) for b in blocks), key=min))
         return cls(m, ordered)
 
-    def _crossing(self) -> bool:
-        # classic stack scan: opening a block pushes it, a block may only
-        # continue while it is on top of the stack
-        owner = {}
-        for idx, b in enumerate(self.blocks):
-            for x in b:
-                owner[x] = idx
-        stack = []
-        nxt = {b: 0 for b in range(len(self.blocks))}
-        for x in range(1, self.m + 1):
-            idx = owner[x]
-            if nxt[idx] == 0:
-                stack.append(idx)
-            elif not stack or stack[-1] != idx:
-                return True
-            nxt[idx] += 1
-            if nxt[idx] == len(self.blocks[idx]):
-                if not stack or stack[-1] != idx:
-                    return True
-                stack.pop()
-        return False
+    def parents(self) -> Tuple[int | None, ...] | None:
+        """Index of the nearest enclosing block per block (None = covering),
+        or None when two blocks cross, which ``__init__`` refuses.
 
-    def parents(self) -> Tuple[int | None, ...]:
-        """Index of the nearest enclosing block per block (None = covering).
-
-        Linear stack scan: when a block opens, the block currently open
-        and unclosed on top of the stack is its nearest enclosure."""
-        owner = {}
-        for idx, b in enumerate(self.blocks):
-            for x in b:
-                owner[x] = idx
-        sizes = [len(b) for b in self.blocks]
+        Linear stack scan: opening a block pushes it, and a block may
+        continue or close only while it is on top of the stack, so the
+        block on top when a block opens is its nearest enclosure."""
+        owner = {x: idx for idx, b in enumerate(self.blocks) for x in b}
         seen = [0] * len(self.blocks)
         parents: list = [None] * len(self.blocks)
         stack: list = []
@@ -79,8 +55,10 @@ class NCPartition(Record):
             if seen[idx] == 0:
                 parents[idx] = stack[-1] if stack else None
                 stack.append(idx)
+            elif stack[-1] != idx:
+                return None
             seen[idx] += 1
-            if seen[idx] == sizes[idx]:
+            if seen[idx] == len(self.blocks[idx]):
                 stack.pop()
         return tuple(parents)
 
@@ -117,9 +95,5 @@ def enumerate_nc(m: int) -> Tuple[NCPartition, ...]:
     """All non-crossing partitions of {1..m}; |result| = Catalan(m)."""
     if not 1 <= m <= MAX_POINTS:
         raise ValueError("m must be in 1..%d, got %d" % (MAX_POINTS, m))
-    points = tuple(range(1, m + 1))
-    out = []
-    for blocks in _nc_blocks(points):
-        ordered = tuple(sorted((tuple(sorted(b)) for b in blocks), key=min))
-        out.append(NCPartition(m, ordered))
-    return tuple(out)
+    return tuple(NCPartition.from_blocks(m, blocks)
+                 for blocks in _nc_blocks(tuple(range(1, m + 1))))

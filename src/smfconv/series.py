@@ -77,16 +77,13 @@ def reported(values, mode: str) -> list:
     return out
 
 
-def common_denominator(values, scales=None):
-    """(numerators, d) with values[k] / scales[k] = numerators[k] / d: the
-    numerators are integers and d is the lcm of the denominators of the
-    rationals values[k] times scales[k] (integers, 1 by default)."""
+def common_denominator(values):
+    """(numerators, d) with values[k] = numerators[k] / d: the numerators
+    are integers and d is the lcm of the denominators of the rationals
+    values[k]."""
     values = tuple(values)
-    dens = [v.denominator for v in values]
-    if scales is not None:
-        dens = [d * s for d, s in zip(dens, scales)]
-    d = math.lcm(*dens)
-    return tuple(v.numerator * (d // e) for v, e in zip(values, dens)), d
+    d = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values), d
 
 
 class Record:

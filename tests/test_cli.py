@@ -815,3 +815,19 @@ def test_report_value_past_the_digit_limit_exits_two(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "config error: a report value needs more than %d digits\n" \
         % sys.get_int_max_str_digits()
+
+
+def test_a_moment_past_the_digit_limit_exits_before_the_next_engine(
+        tmp_path, capsys, monkeypatch):
+    # m_1 = 10**4300 has one digit more than the limit allows, so the
+    # partition engine's moments cannot be printed and the Fock engine,
+    # patched to fail the test, never runs
+    def build(*args):
+        raise AssertionError("the fock engine ran")
+    monkeypatch.setattr(smfconv.fock, "FockModel", build)
+    cfg = {"cells": {"1,1": ["1e%d" % sys.get_int_max_str_digits()]},
+           "order": 1, "engines": ["partition", "fock"]}
+    code, out, err = run_cli(tmp_path, cfg, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: a report value needs more than %d digits\n" \
+        % sys.get_int_max_str_digits()

@@ -27,17 +27,40 @@ reading r_{1,2} alone for r_{1,2} + r_{2,1} makes every engines_r10 job
 with r_{2,1} exit 1; and a covering block of color 2 in context D
 reading r_{1,1} for r_{2,2} makes every engines_r10 job exit 1.
 
-One mutant is equivalent: the diagonal compression 1 - 1_{3-i,3-i} in
-place of 1 - q11.  For cell (1,1) it is q21 + q22 where P is q12 + q21
-+ q22, so the two differ only on words headed by (2,2), class q12.
-Cell (1,1)'s table starts at the word ((1,1),).  There a diagonal
-letter can be prepended only to the vacuum or to its own run, so no
-word headed by (2,2) is created; and stripping never exposes one, as
-every reachable word ends in the run of (1,1), whose stripping reaches
-the vacuum, which P removes.  So P's q12 component is never read.  Cell
-(2,2), from ((2,2),), mirrors this with q21.
+Four mutants are equivalent.  The first is the diagonal compression
+1 - 1_{3-i,3-i} in place of 1 - q11.  For cell (1,1) it is q21 + q22
+where P is q12 + q21 + q22, so the two differ only on words headed by
+(2,2), class q12.  Cell (1,1)'s table starts at the word ((1,1),).
+There a diagonal letter can be prepended only to the vacuum or to its
+own run, so no word headed by (2,2) is created; and stripping never
+exposes one, as every reachable word ends in the run of (1,1), whose
+stripping reaches the vacuum, which P removes.  So P's q12 component is
+never read.  Cell (2,2), from ((2,2),), mirrors this with q21.
 ``test_the_diagonal_compressions_never_meet_the_other_diagonal_head``
 records every vector they are applied to and shows it.
+
+The second is ``created``'s cap ``len(w) <= depth`` in place of
+``len(w) < depth``.  It creates a word of length depth + 1 only from one
+of length depth.  A product within the depth budget reaches that length
+only at its last factor: a table only in its top level, a cell
+polynomial only in its last power.  No column rule is applied to what
+they produce there, only units, which keep every word, and the read at
+the reference word, of length at most 1.  So no created word reaches a
+read entry; ``test_no_operator_meets_a_word_created_at_the_cap`` records
+the word lengths every column rule meets.
+
+The third is ``can_prepend``'s off-diagonal test ``letter[0] !=
+head[0]`` in place of ``letter[1] == head[0]``.  An off-diagonal letter
+is (i, 3 - i), so its second index equals the head's first exactly when
+its first index does not, on every head of the 2x2 index set.
+
+The fourth is ``compressed_total`` as A P, which keeps the targets of A
+outside the range of P.  The units r_j keep q classes, so they commute
+with P, and A P kills what left the range at the next level; so P Z_d
+of the mutant's table is Z_d of the table over P A P at every level, by
+induction.  The reference word lies in the range of P, so every S_d is
+unchanged.  ``test_the_right_compression_agrees_with_p_a_p_inside_the_range``
+compares the levels.
 
 Two mutants of the q22 component run on checks_r8 job 0 with
 ``uniqueness`` alone, so that check must catch each by itself: R's q22
@@ -352,3 +375,105 @@ def test_the_diagonal_compressions_never_meet_the_other_diagonal_head(
         words = [w for vec in seen[cell] for w in vec.entries]
         assert len(seen[cell]) == 3 * 2 * 7 and len(words) > 100
         assert not any(w and w[0] == other for w in words)
+
+
+# the last three equivalent mutants of the module docstring, run on the
+# JOBS and the README square job with all four checks
+README_ALL_CHECKS = dict(README_FOCK_AXIOMS,
+                         engines=["partition", "fock", "analytic"],
+                         checks=["axioms", "eq56", "eq611", "uniqueness"])
+
+
+def cap_creation_at_the_depth(monkeypatch):
+    monkeypatch.setattr(fock, "created", recompiled(
+        fock, fock.created, "len(w) < depth", "len(w) <= depth"))
+
+
+def prepend_off_diagonal_by_first_index(monkeypatch):
+    monkeypatch.setattr(fock, "can_prepend", recompiled(
+        fock, fock.can_prepend, "letter[1] == head[0]",
+        "letter[0] != head[0]"))
+
+
+def compress_on_the_right_only(monkeypatch):
+    # A P, which keeps the targets of A outside the range of P
+    monkeypatch.setattr(
+        fock.FockModel, "compressed_total",
+        lambda self, cell: fock.Product((self.total(),
+                                         fock.compression(*cell))))
+
+
+@pytest.mark.parametrize("mutate", [cap_creation_at_the_depth,
+                                    prepend_off_diagonal_by_first_index,
+                                    compress_on_the_right_only])
+def test_equivalent_mutant_leaves_every_job_at_exit_zero(
+        mutate, configs, tmp_path, capsys, monkeypatch):
+    mutate(monkeypatch)
+    assert exit_codes(configs + [README_ALL_CHECKS], tmp_path, capsys) == \
+        [0] * (len(JOBS) + 1)
+
+
+def test_no_operator_meets_a_word_created_at_the_cap(configs, tmp_path,
+                                                     capsys, monkeypatch):
+    # with the cap at the depth, words of length depth + 1 are created,
+    # but no column rule is applied to one, so none is mapped to the
+    # reference word a table or check reads
+    cap_creation_at_the_depth(monkeypatch)
+    apply, lengths = fock.LinearOp.apply, {"in": 0, "out": 0}
+
+    def recorded(self, vec):
+        out = apply(self, vec)
+        for key, v in (("in", vec), ("out", out)):
+            lengths[key] = max(lengths[key], *map(len, v.entries), 0)
+        return out
+
+    monkeypatch.setattr(fock.LinearOp, "apply", recorded)
+    jobs = [configs[JOBS.index(("checks_r8", 0))], README_ALL_CHECKS]
+    assert exit_codes(jobs, tmp_path, capsys) == [0, 0]
+    assert lengths == {"in": ORDER, "out": ORDER + 1}
+
+
+def test_the_off_diagonal_prepend_tests_agree_on_every_head():
+    # an off-diagonal letter is (i, 3 - i), so its second index matches
+    # the head's first exactly when its first index does not
+    mutant = recompiled(fock, fock.can_prepend, "letter[1] == head[0]",
+                        "letter[0] != head[0]")
+    words = [fock.VACUUM] + [(head,) for head in arrays.ALL_CELLS]
+    assert all(mutant(letter, w) == fock.can_prepend(letter, w)
+               for letter in arrays.ALL_CELLS for w in words)
+
+
+def test_the_right_compression_agrees_with_p_a_p_inside_the_range(
+        monkeypatch):
+    # every level Z_d of a table over A P, projected by P, is that of
+    # the table over P A P: units keep q classes and A P kills what left
+    # the range, and the reference word lies in the range
+    def exact(vec):
+        return {w: Fraction(c, vec.den) for w, c in vec.entries.items()
+                if c}
+
+    rng = random.Random(41)
+    outside = 0
+    for _ in range(3):
+        arr = DistributionArray.from_cumulants(
+            {cell: [Fraction(rng.randint(-3, 3)) for _ in range(8)]
+             for cell in SHAPES["square"]})
+        model = FockModel(arr, 8)
+        R = assemble_matricial_r(arr, 7)
+        r_ops = [R.coefficient(j) for j in range(8)]
+        tables = {cell: fock.ResolventTable(
+            r_ops, model.compressed_total(cell), "phi%d" % cell[0], 9)
+            for cell in SHAPES["square"]}
+        with monkeypatch.context() as patch:
+            compress_on_the_right_only(patch)
+            mutants = {cell: fock.ResolventTable(
+                r_ops, model.compressed_total(cell), "phi%d" % cell[0], 9)
+                for cell in SHAPES["square"]}
+        for cell, table in tables.items():
+            p = fock.compression(*cell)
+            assert p.component(fock.q_class(table.ref)) == 1
+            for d in range(1, 10):
+                assert mutants[cell].sum(d) == table.sum(d)
+                assert exact(p.apply(mutants[cell].Z)) == exact(table.Z)
+                outside += exact(mutants[cell].Z) != exact(table.Z)
+    assert outside > 0
