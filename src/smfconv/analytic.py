@@ -24,7 +24,10 @@ for density extraction run in binary64.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
+import types
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,7 +40,9 @@ from .series import FLOAT, TruncatedSeries, extend_pole_inverse, reported
 # step, where a step below the tolerance no longer bounds the error.
 # Newton then polishes every point in at most NEWTON_MAX_ITER steps; a
 # point it refuses that the damped map left moving is damped on to
-# CAUCHY_MAX_ITER steps.  Each stops at a step below CAUCHY_TOL.
+# CAUCHY_MAX_ITER steps.  Each stops at a step below CAUCHY_TOL.  The
+# damped map tests its three slots' steps lazily, one abs at a time, and
+# NaN < CAUCHY_TOL is False, so a NaN slot never stops it.
 # meixner_atoms keeps the residues above ATOM_WEIGHT_FLOOR
 CAUCHY_TOL = 1e-13
 CAUCHY_DAMPED_ITER = math.ceil(-math.log2(CAUCHY_TOL))
@@ -187,14 +192,23 @@ def _root(poly, z: complex, c, u: complex) -> complex:
     NEWTON_MAX_ITER steps at a root with Im u <= 0 where the damped map
     attracts, |1 + K'(u) u^2| < 2; a zero derivative or an overflow
     raises ZeroDivisionError or OverflowError, both ArithmeticError."""
-    for _ in range(NEWTON_MAX_ITER):
-        k, dk = _horner(poly, u)
-        step = (u * (z - k - c) - 1) / (z - k - c - u * dk)
-        u -= step
-        if abs(step) < CAUCHY_TOL:
-            if u.imag <= 0 and abs(1 + _horner(poly, u)[1] * u * u) < 2:
+    steps = 0
+    while True:
+        # K(u) and K'(u): for the step from u, or, once a step fell below
+        # CAUCHY_TOL, for the test of the root u that it reached
+        k = dk = 0.0
+        for a in poly:
+            dk = dk * u + k
+            k = k * u + a
+        if steps and abs(step) < CAUCHY_TOL:
+            if u.imag <= 0 and abs(1 + dk * u * u) < 2:
                 return u
             break
+        if steps == NEWTON_MAX_ITER:
+            break
+        step = (u * (z - k - c) - 1) / (z - k - c - u * dk)
+        u -= step
+        steps += 1
     raise ArithmeticError("no root that the damped map attracts")
 
 
@@ -211,6 +225,62 @@ def _tails(array: DistributionArray):
     return tails
 
 
+# the damped map's step: each cell's tail at the slot of the class it reads,
+# unrolled by _damped_step, the resolvents of Q_RESOLVENTS, the stop, tested
+# before the average, and the average
+_DAMPED_MAP = """\
+def damp(z, g21, g12, g22, steps, tol, {coefficients}):
+    for _ in range(steps):
+{horner}
+        n21 = 1.0 / (z - k11 - k21)
+        n12 = 1.0 / (z - k22 - k12)
+        n22 = 1.0 / (z - k12 - k21)
+        if (abs(n21 - g21) < tol and abs(n12 - g12) < tol
+                and abs(n22 - g22) < tol):
+            return (0.5 * g21 + 0.5 * n21, 0.5 * g12 + 0.5 * n12,
+                    0.5 * g22 + 0.5 * n22, True)
+        g21, g12, g22 = (0.5 * g21 + 0.5 * n21, 0.5 * g12 + 0.5 * n12,
+                         0.5 * g22 + 0.5 * n22)
+    return g21, g12, g22, False
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _damped_step(shape):
+    """The damped map's function for tails of *shape*, the pairs (cell,
+    tail length) in the order of ``_tails``, compiled once per shape:
+    ``cauchy_value`` builds a solver per point, and a compile costs more
+    than a point.
+    Cell c's Horner is unrolled over its tail as k = 0.0 * g + c_0, then
+    k = k * g + c_n, the operations of a loop from k = 0.0, with g the
+    slot of the class CELL_CLASS gives c; the coefficients c_n are
+    parameters, so no float is written as text."""
+    names, horner = [], []
+    for (i, j), length in shape:
+        k, g = "k%d%d" % (i, j), "g%d%d" % CELL_CLASS[i, j]
+        acc = "0.0"
+        for n in range(length):
+            names.append("%s_%d" % (k, n))
+            horner.append("        %s = %s * %s + %s" % (k, acc, g, names[-1]))
+            acc = k
+    namespace = {}
+    exec(compile(_DAMPED_MAP.format(coefficients=", ".join(names),
+                                    horner="\n".join(horner)),
+                 "<damped map>", "exec"), namespace)
+    return namespace["damp"]
+
+
+def _damped_map(tails):
+    """damp(z, g21, g12, g22, steps) -> (g21, g12, g22, settled): the
+    damped map of ``_solver`` on *tails*, built once per grid from the
+    compiled function of their shape, with the coefficients and
+    CAUCHY_TOL bound as its default arguments."""
+    step = _damped_step(tuple((cell, len(tail))
+                              for cell, tail in tails.items()))
+    return types.FunctionType(step.__code__, step.__globals__, step.__name__,
+                              (CAUCHY_TOL, *itertools.chain(*tails.values())))
+
+
 def _solver(tails):
     """z -> (G(z), converged) of the array whose ``_tails`` are *tails*,
     built once per grid; Im z > 0 required.  The damped map runs at most
@@ -219,6 +289,13 @@ def _solver(tails):
     refuses, a settled point keeps its damped value and counts as
     converged, and a point still moving is damped on to CAUCHY_MAX_ITER
     steps.
+
+    The damped map is straight-line code built once per grid by
+    ``_damped_map``, and each step does the float operations of the
+    loop over tails it replaced, in the same order.  It stops at the
+    step where every slot moved by less than CAUCHY_TOL, tested slot by
+    slot before the average, so one abs usually decides; NaN < CAUCHY_TOL
+    is False, so a NaN in any slot never stops it.
 
     Class q solves f(u) = u (z - K(u) - c) - 1, with K the sum of the
     tails of the cells that read q, built once per grid, and c the tail
@@ -244,28 +321,7 @@ def _solver(tails):
 
     p21, p12, p22 = summed(t11), summed(t22), summed(t12, t21)
 
-    def damp(z, g21, g12, g22, steps):
-        # each cell's tail at the slot of the class it reads, the resolvents
-        # of Q_RESOLVENTS, the stop (no NaN is below CAUCHY_TOL), the average
-        for _ in range(steps):
-            k11 = k22 = k12 = k21 = 0.0
-            for c in t11:
-                k11 = k11 * g21 + c
-            for c in t22:
-                k22 = k22 * g12 + c
-            for c in t12:
-                k12 = k12 * g22 + c
-            for c in t21:
-                k21 = k21 * g22 + c
-            n21 = 1.0 / (z - k11 - k21)
-            n12 = 1.0 / (z - k22 - k12)
-            n22 = 1.0 / (z - k12 - k21)
-            d21, d12, d22 = abs(n21 - g21), abs(n12 - g12), abs(n22 - g22)
-            g21, g12, g22 = (0.5 * g21 + 0.5 * n21, 0.5 * g12 + 0.5 * n12,
-                             0.5 * g22 + 0.5 * n22)
-            if d21 < CAUCHY_TOL and d12 < CAUCHY_TOL and d22 < CAUCHY_TOL:
-                return g21, g12, g22, True
-        return g21, g12, g22, False
+    damp = _damped_map(tails)
 
     def solve(z):
         if z.imag <= 0:

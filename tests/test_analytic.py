@@ -712,6 +712,31 @@ def test_density_builds_each_cell_tail_once():
     assert 1 <= calls <= 4
 
 
+def test_density_builds_the_damped_step_once():
+    # one straight-line damped step for the whole grid, run at every
+    # point, not one built per point
+    arr = split_array(*SPLIT_ARRAY)
+    built = runs = 0
+
+    def profile(frame, event, arg):
+        nonlocal built, runs
+        code = frame.f_code
+        if event == "call" and code.co_name == "_damped_map" \
+                and code.co_filename == smfconv.analytic.__file__:
+            built += 1
+        elif event == "call" and code.co_name == "damp" \
+                and code.co_filename == "<damped map>":
+            runs += 1
+
+    grid = [-4.0 + 0.08 * k for k in range(101)]
+    sys.setprofile(profile)
+    try:
+        stieltjes_density(arr, grid, 1e-3)
+    finally:
+        sys.setprofile(None)
+    assert built == 1 and runs >= len(grid)
+
+
 def test_fixed_point_requires_upper_half_plane():
     with pytest.raises(ValueError):
         cauchy_value(meixner_array(), complex(0.0, -1.0))

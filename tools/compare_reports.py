@@ -12,9 +12,12 @@ hold a density grid of the same length, in json or in csv, the line also
 gives the largest absolute and the largest relative change of the density
 values, each pair's change relative to the larger of its two magnitudes.
 
-The list, 108 invocations:
+The list, 124 invocations:
 
 * jobs 0-9 of each perfbench workload at seed 1, in json and in csv;
+* for each of the 16 density_f10 arrays that those jobs never draw, the
+  first later density_f10 job at seed 1 that draws it, in json, so that
+  every array of ``DENSITY_ARRAYS`` is compared;
 * the README job (square Meixner array, order 6, all four checks) as
   ``--config``, ``--out csv`` and on stdin with ``--order 8 --engines
   partition,analytic``, each in rational and in float precision, and
@@ -174,6 +177,14 @@ def load_workloads():
     return module
 
 
+def density_array(config):
+    """The ``DENSITY_ARRAYS`` entry (a11, a22, b12, b21) of a density_f10
+    job config."""
+    cells = config["cells"]
+    return (float(cells["1,1"]["a"]), float(cells["2,2"]["a"]),
+            float(cells["1,2"]["b"]), float(cells["2,1"]["b"]))
+
+
 def invocations(workloads):
     """(label, config, args, on_stdin) for every compared run."""
     out = []
@@ -183,6 +194,17 @@ def invocations(workloads):
             for fmt in ("json", "csv"):
                 out.append(("%s/%d/%s" % (name, index, fmt), config,
                             ["--out", fmt], False))
+    drawn = {density_array(workloads.job_config("density_f10", SEED, index))
+             for index in range(JOBS_PER_WORKLOAD)}
+    index = JOBS_PER_WORKLOAD
+    while not drawn.issuperset(workloads.DENSITY_ARRAYS):
+        config = workloads.job_config("density_f10", SEED, index)
+        array = density_array(config)
+        if array not in drawn:
+            drawn.add(array)
+            out.append(("density_f10/%d/json" % index, config,
+                        ["--out", "json"], False))
+        index += 1
     for precision in ("rational", "float"):
         flag = ["--precision", precision]
         out += [
