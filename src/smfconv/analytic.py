@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
-import types
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -40,9 +38,11 @@ from .series import FLOAT, TruncatedSeries, extend_pole_inverse, reported
 # step, where a step below the tolerance no longer bounds the error.
 # Newton then polishes every point in at most NEWTON_MAX_ITER steps; a
 # point it refuses that the damped map left moving is damped on to
-# CAUCHY_MAX_ITER steps.  Each stops at a step below CAUCHY_TOL.  The
-# damped map tests its three slots' steps lazily, one abs at a time, and
-# NaN < CAUCHY_TOL is False, so a NaN slot never stops it.
+# CAUCHY_MAX_ITER steps.  Each stops at a step below CAUCHY_TOL, which
+# the compiled damped step reads as the head of its per-grid tuple of
+# coefficients.  The damped map tests its three slots' steps lazily, one
+# abs at a time, and NaN < CAUCHY_TOL is False, so a NaN slot never
+# stops it.
 # meixner_atoms keeps the residues above ATOM_WEIGHT_FLOOR
 CAUCHY_TOL = 1e-13
 CAUCHY_DAMPED_ITER = math.ceil(-math.log2(CAUCHY_TOL))
@@ -176,15 +176,6 @@ def meixner_atoms(a: float, b: float) -> List[Tuple[float, float]]:
     return out
 
 
-def _horner(coeffs, u):
-    """(K(u), K'(u)) for the polynomial of *coeffs*, highest order first."""
-    k = dk = 0.0
-    for c in coeffs:
-        dk = dk * u + k
-        k = k * u + c
-    return k, dk
-
-
 def _root(poly, z: complex, c, u: complex) -> complex:
     """The root of f(u) = u (z - K(u) - c) - 1 that Newton reaches from
     *u*, K the polynomial *poly*: one class of ``_solver``.  Raises
@@ -227,11 +218,13 @@ def _tails(array: DistributionArray):
 
 # the damped map's step: each cell's tail at the slot of the class it reads,
 # unrolled by _damped_step, the resolvents of Q_RESOLVENTS, the stop, tested
-# before the average, and the average
+# before the average, and the average; cells is the same Horner block once,
+# the four cell transforms at the given slots
 _DAMPED_MAP = """\
-def damp(z, g21, g12, g22, steps, tol, {coefficients}):
+def damp(z, g21, g12, g22, steps, c):
+    tol, {coefficients} = c
     for _ in range(steps):
-{horner}
+        {step}
         n21 = 1.0 / (z - k11 - k21)
         n12 = 1.0 / (z - k22 - k12)
         n22 = 1.0 / (z - k12 - k21)
@@ -242,43 +235,41 @@ def damp(z, g21, g12, g22, steps, tol, {coefficients}):
         g21, g12, g22 = (0.5 * g21 + 0.5 * n21, 0.5 * g12 + 0.5 * n12,
                          0.5 * g22 + 0.5 * n22)
     return g21, g12, g22, False
+
+def cells(g21, g12, g22, c):
+    _, {coefficients} = c
+    {point}
+    return k11, k22, k12, k21
 """
 
 
 @functools.lru_cache(maxsize=None)
 def _damped_step(shape):
-    """The damped map's function for tails of *shape*, the pairs (cell,
-    tail length) in the order of ``_tails``, compiled once per shape:
-    ``cauchy_value`` builds a solver per point, and a compile costs more
-    than a point.
-    Cell c's Horner is unrolled over its tail as k = 0.0 * g + c_0, then
-    k = k * g + c_n, the operations of a loop from k = 0.0, with g the
-    slot of the class CELL_CLASS gives c; the coefficients c_n are
-    parameters, so no float is written as text."""
+    """(damp, cells) for tails of *shape*, the pairs (cell, tail length)
+    in the order of ``_tails``, compiled once per shape: ``cauchy_value``
+    builds a solver per point, and a compile costs more than a point.
+    damp(z, g21, g12, g22, steps, c) -> (g21, g12, g22, settled) is the
+    damped map of ``_solver``, cells(g21, g12, g22, c) -> (k11, k22, k12,
+    k21) the cell transforms, each at the slot of the class CELL_CLASS
+    gives it.  c is (CAUCHY_TOL, *the tail coefficients in ``_tails``
+    order), built once per grid and unpacked once per call, so no float
+    is written as text.  Each cell's Horner is unrolled over its tail as
+    k = 0.0 * g + c_0, then k = k * g + c_n, the operations of a loop
+    from k = 0.0."""
     names, horner = [], []
     for (i, j), length in shape:
         k, g = "k%d%d" % (i, j), "g%d%d" % CELL_CLASS[i, j]
         acc = "0.0"
         for n in range(length):
             names.append("%s_%d" % (k, n))
-            horner.append("        %s = %s * %s + %s" % (k, acc, g, names[-1]))
+            horner.append("%s = %s * %s + %s" % (k, acc, g, names[-1]))
             acc = k
     namespace = {}
     exec(compile(_DAMPED_MAP.format(coefficients=", ".join(names),
-                                    horner="\n".join(horner)),
+                                    step="\n        ".join(horner),
+                                    point="\n    ".join(horner)),
                  "<damped map>", "exec"), namespace)
-    return namespace["damp"]
-
-
-def _damped_map(tails):
-    """damp(z, g21, g12, g22, steps) -> (g21, g12, g22, settled): the
-    damped map of ``_solver`` on *tails*, built once per grid from the
-    compiled function of their shape, with the coefficients and
-    CAUCHY_TOL bound as its default arguments."""
-    step = _damped_step(tuple((cell, len(tail))
-                              for cell, tail in tails.items()))
-    return types.FunctionType(step.__code__, step.__globals__, step.__name__,
-                              (CAUCHY_TOL, *itertools.chain(*tails.values())))
+    return namespace["damp"], namespace["cells"]
 
 
 def _solver(tails):
@@ -290,12 +281,14 @@ def _solver(tails):
     converged, and a point still moving is damped on to CAUCHY_MAX_ITER
     steps.
 
-    The damped map is straight-line code built once per grid by
-    ``_damped_map``, and each step does the float operations of the
-    loop over tails it replaced, in the same order.  It stops at the
-    step where every slot moved by less than CAUCHY_TOL, tested slot by
-    slot before the average, so one abs usually decides; NaN < CAUCHY_TOL
-    is False, so a NaN in any slot never stops it.
+    The damped map and the cell transforms at the Newton cross terms and
+    at G_(1,1) are the straight-line code that ``_damped_step`` compiles
+    once per tail shape, run on this grid's coefficient tuple; each does
+    the float operations of a Horner loop over the tails, in the same
+    order.  The damped map stops at the step where every slot moved by
+    less than CAUCHY_TOL, tested slot by slot before the average, so one
+    abs usually decides; NaN < CAUCHY_TOL is False, so a NaN in any slot
+    never stops it.
 
     Class q solves f(u) = u (z - K(u) - c) - 1, with K the sum of the
     tails of the cells that read q, built once per grid, and c the tail
@@ -310,36 +303,37 @@ def _solver(tails):
     eigenvalues 0.5 (1 + F_q').  So it attracts when every
     |1 + K'(u) u^2| < 2, which holds wherever |K'(u) u^2| < 1 does.
     """
-    t11, t22, t12, t21 = tails[1, 1], tails[2, 2], tails[1, 2], tails[2, 1]
-
-    def summed(*cells):
+    def summed(*parts):
         # aligned at the constant term, the shorter padded with leading 0.0;
         # sum starts from int 0, so a -0.0 sums to 0.0, as 0 + K does for c
-        width = max(map(len, cells))
+        width = max(map(len, parts))
         return [sum(col) for col in zip(
-            *([0.0] * (width - len(tail)) + tail for tail in cells))]
+            *([0.0] * (width - len(tail)) + tail for tail in parts))]
 
-    p21, p12, p22 = summed(t11), summed(t22), summed(t12, t21)
+    p21, p12 = summed(tails[1, 1]), summed(tails[2, 2])
+    p22 = summed(tails[1, 2], tails[2, 1])
 
-    damp = _damped_map(tails)
+    damp, cells = _damped_step(tuple((cell, len(tail))
+                                     for cell, tail in tails.items()))
+    c = (CAUCHY_TOL, *(a for tail in tails.values() for a in tail))
 
     def solve(z):
         if z.imag <= 0:
             raise ValueError(
                 "evaluation point must be in the upper half plane")
         g = 1.0 / z
-        g21, g12, g22, converged = damp(z, g, g, g, CAUCHY_DAMPED_ITER)
+        g21, g12, g22, converged = damp(z, g, g, g, CAUCHY_DAMPED_ITER, c)
         try:
             u22 = _root(p22, z, 0, g22)
-            g21, g12, converged = (
-                _root(p21, z, 0 + _horner(t21, u22)[0], g21),
-                _root(p12, z, 0 + _horner(t12, u22)[0], g12), True)
+            _, _, k12, k21 = cells(g21, g12, u22, c)
+            g21, g12, converged = (_root(p21, z, 0 + k21, g21),
+                                   _root(p12, z, 0 + k12, g12), True)
         except ArithmeticError:
             if not converged:
                 g21, g12, g22, converged = damp(
-                    z, g21, g12, g22, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
+                    z, g21, g12, g22, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER, c)
         # G_(1,1), which no cell reads, once from the final slots
-        k11, k22 = _horner(t11, g21)[0], _horner(t22, g12)[0]
+        k11, k22, _, _ = cells(g21, g12, g22, c)
         return 1.0 / (z - k11 - k22), converged
 
     return solve

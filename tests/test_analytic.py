@@ -713,15 +713,16 @@ def test_density_builds_each_cell_tail_once():
 
 
 def test_density_builds_the_damped_step_once():
-    # one straight-line damped step for the whole grid, run at every
-    # point, not one built per point
-    arr = split_array(*SPLIT_ARRAY)
+    # one straight-line damped step per tail shape, shared by arrays of
+    # that shape with their own coefficients, one solver per grid, and
+    # the step run at every point, not one built per point
+    arrays = [split_array(*SPLIT_ARRAY), split_array(0.9, 1.1, 0.2, -0.3)]
     built = runs = 0
 
     def profile(frame, event, arg):
         nonlocal built, runs
         code = frame.f_code
-        if event == "call" and code.co_name == "_damped_map" \
+        if event == "call" and code.co_name == "_solver" \
                 and code.co_filename == smfconv.analytic.__file__:
             built += 1
         elif event == "call" and code.co_name == "damp" \
@@ -729,12 +730,16 @@ def test_density_builds_the_damped_step_once():
             runs += 1
 
     grid = [-4.0 + 0.08 * k for k in range(101)]
+    smfconv.analytic._damped_step.cache_clear()
     sys.setprofile(profile)
     try:
-        stieltjes_density(arr, grid, 1e-3)
+        densities = [stieltjes_density(arr, grid, 1e-3)[0] for arr in arrays]
     finally:
         sys.setprofile(None)
-    assert built == 1 and runs >= len(grid)
+    compiled = smfconv.analytic._damped_step.cache_info()
+    assert compiled.misses == 1 and compiled.hits == 1
+    assert densities[0] != densities[1]
+    assert built == len(arrays) and runs >= len(arrays) * len(grid)
 
 
 def test_fixed_point_requires_upper_half_plane():
