@@ -35,17 +35,24 @@ from .series import FLOAT, TruncatedSeries, extend_pole_inverse, reported
 # _solver steps the damped map over three class slots at most
 # CAUCHY_DAMPED_ITER times, the halvings that take a unit step below
 # CAUCHY_TOL: a point still moving then contracts by less than 1/2 per
-# step, where a step below the tolerance no longer bounds the error.
-# Newton then polishes every point in at most NEWTON_MAX_ITER steps; a
-# point it refuses that the damped map left moving is damped on to
-# CAUCHY_MAX_ITER steps.  Each stops at a step below CAUCHY_TOL, which
-# the compiled damped step reads as the head of its per-grid tuple of
-# coefficients.  The damped map tests its three slots' steps lazily, one
-# abs at a time, and NaN < CAUCHY_TOL is False, so a NaN slot never
-# stops it.
+# step, where a step below the tolerance no longer bounds the error.  It
+# hands the point to Newton earlier, once every slot's step is below
+# NEWTON_REACH and below NEWTON_REACH times the slot: Newton about
+# squares the error, so the damped steps from there down to CAUCHY_TOL
+# buy nothing.  Newton then polishes every point in at most
+# NEWTON_MAX_ITER steps.  A point it refuses after an early handoff is
+# damped on to CAUCHY_TOL within the same CAUCHY_DAMPED_ITER steps and
+# polished again; a point it still refuses that the damped map left
+# moving is damped on to CAUCHY_MAX_ITER steps in all.  The compiled
+# damped step reads CAUCHY_TOL as the head of its per-grid tuple of
+# coefficients, and its handoff bound as an argument, CAUCHY_TOL after
+# the first phase.  It tests its three slots' steps lazily against that
+# bound, one abs at a time, and NaN < bound is False, so a NaN slot
+# never stops it.
 # meixner_atoms keeps the residues above ATOM_WEIGHT_FLOOR
 CAUCHY_TOL = 1e-13
 CAUCHY_DAMPED_ITER = math.ceil(-math.log2(CAUCHY_TOL))
+NEWTON_REACH = math.sqrt(CAUCHY_TOL)
 NEWTON_MAX_ITER = 50
 CAUCHY_MAX_ITER = 500
 ATOM_WEIGHT_FLOOR = 1e-12
@@ -218,23 +225,29 @@ def _tails(array: DistributionArray):
 
 # the damped map's step: each cell's tail at the slot of the class it reads,
 # unrolled by _damped_step, the resolvents of Q_RESOLVENTS, the stop, tested
-# before the average, and the average; cells is the same Horner block once,
-# the four cell transforms at the given slots
+# before the average, and the average; the stop gates on every step below
+# reach, then takes a settled point or one whose steps are also below
+# |reach g| (reach < 1, so the product cannot overflow); cells is the same
+# Horner block once, the four cell transforms at the given slots
 _DAMPED_MAP = """\
-def damp(z, g21, g12, g22, steps, c):
+def damp(z, g21, g12, g22, steps, reach, c):
     tol, {coefficients} = c
-    for _ in range(steps):
+    for taken in range(1, steps + 1):
         {step}
         n21 = 1.0 / (z - k11 - k21)
         n12 = 1.0 / (z - k22 - k12)
         n22 = 1.0 / (z - k12 - k21)
-        if (abs(n21 - g21) < tol and abs(n12 - g12) < tol
-                and abs(n22 - g22) < tol):
-            return (0.5 * g21 + 0.5 * n21, 0.5 * g12 + 0.5 * n12,
-                    0.5 * g22 + 0.5 * n22, True)
+        if ((d21 := abs(n21 - g21)) < reach
+                and (d12 := abs(n12 - g12)) < reach
+                and (d22 := abs(n22 - g22)) < reach):
+            settled = d21 < tol and d12 < tol and d22 < tol
+            if settled or (d21 < abs(reach * g21) and d12 < abs(reach * g12)
+                           and d22 < abs(reach * g22)):
+                return (0.5 * g21 + 0.5 * n21, 0.5 * g12 + 0.5 * n12,
+                        0.5 * g22 + 0.5 * n22, settled, taken)
         g21, g12, g22 = (0.5 * g21 + 0.5 * n21, 0.5 * g12 + 0.5 * n12,
                          0.5 * g22 + 0.5 * n22)
-    return g21, g12, g22, False
+    return g21, g12, g22, False, steps
 
 def cells(g21, g12, g22, c):
     _, {coefficients} = c
@@ -248,12 +261,16 @@ def _damped_step(shape):
     """(damp, cells) for tails of *shape*, the pairs (cell, tail length)
     in the order of ``_tails``, compiled once per shape: ``cauchy_value``
     builds a solver per point, and a compile costs more than a point.
-    damp(z, g21, g12, g22, steps, c) -> (g21, g12, g22, settled) is the
-    damped map of ``_solver``, cells(g21, g12, g22, c) -> (k11, k22, k12,
-    k21) the cell transforms, each at the slot of the class CELL_CLASS
-    gives it.  c is (CAUCHY_TOL, *the tail coefficients in ``_tails``
-    order), built once per grid and unpacked once per call, so no float
-    is written as text.  Each cell's Horner is unrolled over its tail as
+    damp(z, g21, g12, g22, steps, reach, c) -> (g21, g12, g22, settled,
+    steps taken) is the damped map of ``_solver``: it stops settled at a
+    step where every slot moved by less than CAUCHY_TOL, and unsettled
+    where every slot moved by less than *reach* and less than *reach*
+    times the slot; at reach = CAUCHY_TOL it stops only settled.
+    cells(g21, g12, g22, c) -> (k11, k22, k12, k21) are the cell
+    transforms, each at the slot of the class CELL_CLASS gives it.  c is
+    (CAUCHY_TOL, *the tail coefficients in ``_tails`` order), built once
+    per grid and unpacked once per call, so no float is written as
+    text.  Each cell's Horner is unrolled over its tail as
     k = 0.0 * g + c_0, then k = k * g + c_n, the operations of a loop
     from k = 0.0."""
     names, horner = [], []
@@ -275,28 +292,39 @@ def _damped_step(shape):
 def _solver(tails):
     """z -> (G(z), converged) of the array whose ``_tails`` are *tails*,
     built once per grid; Im z > 0 required.  The damped map runs at most
-    CAUCHY_DAMPED_ITER steps, then Newton (``_root``) starts from its
-    slots, settled or not, and accepted roots replace them.  Where Newton
-    refuses, a settled point keeps its damped value and counts as
-    converged, and a point still moving is damped on to CAUCHY_MAX_ITER
-    steps.
+    CAUCHY_DAMPED_ITER steps and hands the point to Newton (``_root``) at
+    the first step where every slot moved by less than NEWTON_REACH and
+    by less than NEWTON_REACH times the slot, or by less than CAUCHY_TOL,
+    settled; slots much smaller than 1 so wait for a relative step.
+    Newton starts from the damped map's slots, settled or not, and
+    accepted roots replace them.  Where Newton refuses a point handed
+    over unsettled before CAUCHY_DAMPED_ITER steps, the damped map
+    resumes from where it stopped with the CAUCHY_TOL stop alone, up to
+    CAUCHY_DAMPED_ITER steps in all, and Newton polishes again, so a
+    refused point takes the path it took with the CAUCHY_TOL stop alone.
+    Where Newton still refuses, a settled point keeps its damped value
+    and counts as converged, and a point still moving is damped on to
+    CAUCHY_MAX_ITER steps in all.
 
     The damped map and the cell transforms at the Newton cross terms and
     at G_(1,1) are the straight-line code that ``_damped_step`` compiles
     once per tail shape, run on this grid's coefficient tuple; each does
     the float operations of a Horner loop over the tails, in the same
-    order.  The damped map stops at the step where every slot moved by
-    less than CAUCHY_TOL, tested slot by slot before the average, so one
-    abs usually decides; NaN < CAUCHY_TOL is False, so a NaN in any slot
-    never stops it.
+    order.  The stop is tested slot by slot before the average, so one
+    abs usually decides; NaN < NEWTON_REACH is False, so a NaN in any
+    slot never stops it.
 
     Class q solves f(u) = u (z - K(u) - c) - 1, with K the sum of the
     tails of the cells that read q, built once per grid, and c the tail
     of its other cell, read at the class already solved: class (2,2)
     alone on K12 + K21, then (2,1) on K11 with K21 at the (2,2) root and
-    (1,2) on K22 with K12 there.  The accepted root is the Denjoy-Wolff
-    point that the damped map converges to.  With F_q(u) =
-    1/(z - K(u) - c), F_q'(u) = K'(u) F_q(u)^2 = K'(u) u^2 at the root.
+    (1,2) on K22 with K12 there.  The accepted root is meant to be the
+    Denjoy-Wolff point that the damped map converges to; the test below
+    admits only roots where that map attracts, but not every such root
+    is its limit (the strict xfail
+    ``test_polish_accepts_only_the_damped_limit`` pins two points).
+    With F_q(u) = 1/(z - K(u) - c), F_q'(u) = K'(u) F_q(u)^2 = K'(u) u^2
+    at the root.
     Each class reads only itself and the classes before it, so the
     Jacobian J of the undamped map is triangular in this order, with
     diagonal F_q', and the damped map's Jacobian 0.5 I + 0.5 J has the
@@ -321,17 +349,24 @@ def _solver(tails):
         if z.imag <= 0:
             raise ValueError(
                 "evaluation point must be in the upper half plane")
-        g = 1.0 / z
-        g21, g12, g22, converged = damp(z, g, g, g, CAUCHY_DAMPED_ITER, c)
-        try:
-            u22 = _root(p22, z, 0, g22)
-            _, _, k12, k21 = cells(g21, g12, u22, c)
-            g21, g12, converged = (_root(p21, z, 0 + k21, g21),
-                                   _root(p12, z, 0 + k12, g12), True)
-        except ArithmeticError:
-            if not converged:
-                g21, g12, g22, converged = damp(
-                    z, g21, g12, g22, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER, c)
+        g21 = g12 = g22 = 1.0 / z
+        steps = 0
+        for reach in (NEWTON_REACH, CAUCHY_TOL):
+            g21, g12, g22, converged, taken = damp(
+                z, g21, g12, g22, CAUCHY_DAMPED_ITER - steps, reach, c)
+            steps += taken
+            try:
+                u22 = _root(p22, z, 0, g22)
+                _, _, k12, k21 = cells(g21, g12, u22, c)
+                g21, g12, converged = (_root(p21, z, 0 + k21, g21),
+                                       _root(p12, z, 0 + k12, g12), True)
+                break
+            except ArithmeticError:
+                if converged or steps == CAUCHY_DAMPED_ITER:
+                    break
+        if not converged:
+            g21, g12, g22, converged, _ = damp(
+                z, g21, g12, g22, CAUCHY_MAX_ITER - steps, CAUCHY_TOL, c)
         # G_(1,1), which no cell reads, once from the final slots
         k11, k22, _, _ = cells(g21, g12, g22, c)
         return 1.0 / (z - k11 - k22), converged

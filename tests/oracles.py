@@ -23,10 +23,11 @@ per cell, the off-diagonal resolvent twice, ``full_tail_newton``
 polishes it by Newton on full-length cell tails, ``four_unknown_cauchy``
 runs the two in the library's phases, and ``dict_keyed_cauchy`` runs the
 library's damped map over dicts keyed by cell and class, forming G_(1,1)
-at every step.  Two thin wrappers
-drive the subordination engine on single laws and on the binary
-convolution kinds, ``perfbench_workloads`` loads the benchmark's job
-configs, and ``module_imports`` reads a module's imports for the
+at every step, in the library's phases or, given reach = CAUCHY_TOL, in
+the phases before the damped map handed points to Newton early.  Two
+thin wrappers drive the subordination engine on single laws and on the
+binary convolution kinds, ``perfbench_workloads`` loads the benchmark's
+job configs, and ``module_imports`` reads a module's imports for the
 engine-independence guards.
 
 The test-only API lives here too: free cumulants from moments
@@ -63,7 +64,8 @@ from smfconv import (FLOAT, QCELLS, RATIONAL, SHAPES, DistributionArray,
                      UnitSeries, master_cauchy)
 from smfconv.analytic import (CAUCHY_DAMPED_ITER, CAUCHY_MAX_ITER,
                               CAUCHY_TOL, CELL_CLASS, NEWTON_MAX_ITER,
-                              Q_RESOLVENTS, _series_fixed_point, _tails)
+                              NEWTON_REACH, Q_RESOLVENTS,
+                              _series_fixed_point, _tails)
 from smfconv.arrays import ALL_CELLS
 from smfconv.fock import ResolventTable, can_prepend, runs
 from smfconv.partitions import NCPartition, enumerate_nc
@@ -993,12 +995,66 @@ CELL_PAIRING = (((1, 1), ((1, 1), (2, 1))), ((1, 2), ((1, 2), (2, 1))),
                 (None, ((1, 1), (2, 2))))
 
 
+def _damped_map(family, keys):
+    """damp(g, steps, reach) -> (g, settled, steps taken): at most *steps*
+    steps of the damped map g <- 0.5 g + 0.5 family(g) over the unknowns
+    *keys* from *g*, settled when every unknown's step is below
+    CAUCHY_TOL.  It also stops, unsettled, once every step is below
+    *reach* and below |reach g| at its unknown; with reach = CAUCHY_TOL
+    it stops only settled."""
+    def damp(g, steps, reach):
+        for step in range(1, steps + 1):
+            new = family(g)
+            settled = all(abs(new[k] - g[k]) < CAUCHY_TOL for k in keys)
+            stop = settled or all(
+                abs(new[k] - g[k]) < reach
+                and abs(new[k] - g[k]) < abs(reach * g[k]) for k in keys)
+            g = {k: 0.5 * g[k] + 0.5 * new[k] for k in keys}
+            if stop:
+                return g, settled, step
+        return g, False, steps
+
+    return damp
+
+
+def _library_phases(damp, polish, g, reach):
+    """(g, roots, converged, steps): the phases of ``_solver`` over an
+    oracle's damped map (see ``_damped_map``) and Newton polish, which
+    returns the class roots or None.  The map runs from *g* to at most
+    CAUCHY_DAMPED_ITER steps and stops at *reach*, then Newton polishes.
+    Where Newton refuses a point handed over unsettled before
+    CAUCHY_DAMPED_ITER steps, the map resumes to CAUCHY_TOL, up to
+    CAUCHY_DAMPED_ITER steps in all, and Newton polishes again.  Where it
+    still refuses, a settled point keeps its damped value and a point
+    still moving is damped on to CAUCHY_MAX_ITER steps in all.  With
+    reach = CAUCHY_TOL these are the library's phases before the early
+    handoff: the damped map to CAUCHY_TOL, one polish and the fallback."""
+    g, converged, steps = damp(g, CAUCHY_DAMPED_ITER, reach)
+    roots = polish(g)
+    if roots is None and not converged and steps < CAUCHY_DAMPED_ITER:
+        g, converged, more = damp(g, CAUCHY_DAMPED_ITER - steps, CAUCHY_TOL)
+        steps += more
+        roots = polish(g)
+    if roots is None and not converged:
+        g, converged, more = damp(g, CAUCHY_MAX_ITER - steps, CAUCHY_TOL)
+        steps += more
+    return g, roots, converged or roots is not None, steps
+
+
+def _polished(array: DistributionArray, z: complex, g):
+    """``full_tail_newton``'s roots from the class-keyed start *g*, or
+    None where it refuses, overflows or divides by zero."""
+    try:
+        return full_tail_newton(array, z, g)
+    except (ZeroDivisionError, OverflowError):
+        return None
+
+
 def _four_unknown_map(array: DistributionArray, z: complex):
     """(family, damp): the damped fixed-point iteration with one unknown
     per cell on the array's full-length float tails.  family(g) maps the
-    cell-keyed unknowns to every member of ``CELL_PAIRING``; damp(g, steps)
-    runs at most *steps* steps from *g* and returns (g, settled, steps
-    taken), settled when every unknown's step is below CAUCHY_TOL."""
+    cell-keyed unknowns to every member of ``CELL_PAIRING``; damp is
+    ``_damped_map`` over the four cells."""
     r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
          for cell in ALL_CELLS}
 
@@ -1012,16 +1068,7 @@ def _four_unknown_map(array: DistributionArray, z: complex):
         return {member: 1.0 / (z - k[a] - k[b])
                 for member, (a, b) in CELL_PAIRING}
 
-    def damp(g, steps):
-        for step in range(1, steps + 1):
-            new = family(g)
-            stop = all(abs(new[c] - g[c]) < CAUCHY_TOL for c in ALL_CELLS)
-            g = {c: 0.5 * g[c] + 0.5 * new[c] for c in ALL_CELLS}
-            if stop:
-                return g, True, step
-        return g, False, steps
-
-    return family, damp
+    return family, _damped_map(family, ALL_CELLS)
 
 
 def four_unknown_damped(array: DistributionArray, z: complex, max_iter: int):
@@ -1030,36 +1077,31 @@ def four_unknown_damped(array: DistributionArray, z: complex, max_iter: int):
     iterated twice, once per off-diagonal cell.  Same damping and
     tolerance as the damped map of ``cauchy_value``, which has one unknown
     per q-class that a cell reads, run to at most *max_iter* steps with no
-    Newton polish; *steps* counts the steps taken."""
+    handoff and no Newton polish; *steps* counts the steps taken."""
     family, damp = _four_unknown_map(array, z)
     g, converged, steps = damp({cell: 1.0 / z for cell in ALL_CELLS},
-                               max_iter)
+                               max_iter, CAUCHY_TOL)
     return family(g)[None], converged, steps
 
 
 def four_unknown_cauchy(array: DistributionArray, z: complex):
-    """(G(z), converged, steps): ``cauchy_value`` in its three phases over
-    ``four_unknown_damped``'s map.  It damps for CAUCHY_DAMPED_ITER steps,
-    then polishes by ``full_tail_newton``, starting each class from the
-    unknown of the cell that reads it (class (2,2) from cell (1,2), whose
-    member pairs K12 with K21 in the order of ``Q_RESOLVENTS``).  A point
-    Newton refuses keeps its damped value when it settled, and is damped
-    on to CAUCHY_MAX_ITER steps when it did not.  *steps* counts the
-    damped steps taken."""
+    """(G(z), converged, steps): ``cauchy_value`` in its phases
+    (``_library_phases`` at NEWTON_REACH) over ``four_unknown_damped``'s
+    map, polished by ``full_tail_newton``, which starts each class from
+    the unknown of the cell that reads it (class (2,2) from cell (1,2),
+    whose member pairs K12 with K21 in the order of ``Q_RESOLVENTS``).
+    The handoff tests all four unknowns.  *steps* counts the damped steps
+    taken."""
     family, damp = _four_unknown_map(array, z)
-    g, converged, steps = damp({cell: 1.0 / z for cell in ALL_CELLS},
-                               CAUCHY_DAMPED_ITER)
-    try:
-        roots = full_tail_newton(array, z, {
+
+    def polish(g):
+        roots = _polished(array, z, {
             CELL_CLASS[cell]: g[cell] for cell in ((1, 1), (2, 2), (1, 2))})
-    except (ZeroDivisionError, OverflowError):
-        roots = None
-    if roots is not None:
-        g, converged = {c: roots[CELL_CLASS[c]] for c in ALL_CELLS}, True
-    elif not converged:
-        g, converged, more = damp(g, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
-        steps += more
-    return family(g)[None], converged, steps
+        return roots and {c: roots[CELL_CLASS[c]] for c in ALL_CELLS}
+
+    g, roots, converged, steps = _library_phases(
+        damp, polish, {cell: 1.0 / z for cell in ALL_CELLS}, NEWTON_REACH)
+    return family(roots or g)[None], converged, steps
 
 
 # the classes that cells read, in an order where each reads only itself
@@ -1108,14 +1150,17 @@ def full_tail_newton(array: DistributionArray, z: complex, g):
     return roots
 
 
-def dict_keyed_cauchy(array: DistributionArray, z: complex):
+def dict_keyed_cauchy(array: DistributionArray, z: complex,
+                      reach: float = NEWTON_REACH):
     """(G(z), converged) of ``_solver`` as the library computed it before
     its damped map moved to class slots: each step builds a dict of the
     four cell transforms and a dict of all four class resolvents, G_(1,1)
     included, keyed by cell and class.  Same float operations in the same
-    order on the library's ``_tails``, the same three phases and the same
-    polish, through ``full_tail_newton``; the damped map stops when every
-    class's step is below CAUCHY_TOL."""
+    order on the library's ``_tails``, the same phases, run by
+    ``_library_phases`` with the handoff at *reach*, and the same polish,
+    through ``full_tail_newton``.  At reach = CAUCHY_TOL it is the solver
+    before the early handoff: damped to CAUCHY_TOL, one polish, then the
+    fallback."""
     if z.imag <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
     tails = _tails(array)
@@ -1130,26 +1175,12 @@ def dict_keyed_cauchy(array: DistributionArray, z: complex):
         return {q: 1.0 / (z - k[a] - k[b])
                 for q, (a, b) in Q_RESOLVENTS.items()}
 
-    def damp(g, steps):
-        for _ in range(steps):
-            new = resolvents(g)
-            stop = all(abs(new[q] - g[q]) < CAUCHY_TOL for q in g)
-            g = {q: 0.5 * g[q] + 0.5 * new[q] for q in g}
-            if stop:
-                return g, True
-        return g, False
-
-    g, converged = damp({q: 1.0 / z for q in CELL_CLASS.values()},
-                        CAUCHY_DAMPED_ITER)
-    try:
-        roots = full_tail_newton(array, z, g)
-    except (ZeroDivisionError, OverflowError):
-        roots = None
-    if roots is not None:
-        return resolvents(roots)[(1, 1)], True
-    if not converged:
-        g, converged = damp(g, CAUCHY_MAX_ITER - CAUCHY_DAMPED_ITER)
-    return resolvents(g)[(1, 1)], converged
+    classes = tuple(dict.fromkeys(CELL_CLASS.values()))
+    g, roots, converged, _ = _library_phases(
+        _damped_map(resolvents, classes),
+        lambda g: _polished(array, z, g),
+        {q: 1.0 / z for q in classes}, reach)
+    return resolvents(roots or g)[(1, 1)], converged
 
 
 # -- the benchmark's job configs ---------------------------------------------

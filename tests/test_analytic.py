@@ -22,8 +22,8 @@ from smfconv import (DistributionArray, FLOAT, FockModel, NamedLaw, SHAPES,
                      TruncatedSeries, cauchy_value, master_cauchy,
                      smf_moments, stieltjes_density)
 from smfconv.analytic import CAUCHY_DAMPED_ITER, CAUCHY_MAX_ITER, \
-    _series_fixed_point, _solver, _tails, meixner_atoms, meixner_cauchy, \
-    meixner_parameters
+    CAUCHY_TOL, _series_fixed_point, _solver, _tails, meixner_atoms, \
+    meixner_cauchy, meixner_parameters
 
 SEMI = NamedLaw.semicircle(1)
 
@@ -483,6 +483,71 @@ def test_newton_accepts_roots_where_the_damped_map_attracts():
         assert abs(got - want) <= 1e-12
 
 
+def root_selection_sample(seed):
+    """(array, points) of the root-selection guard: 40 custom square float
+    arrays of order 2 to 6, each cell kept with probability 0.8 and its
+    cumulants uniform in [-1, 1], one eps per array from 1e-8, 1e-5,
+    1e-3, 0.1 and 1, and 25 points per array with x uniform in [-3, 3]."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        order = rng.randint(2, 6)
+        cells = {}
+        while not cells:
+            cells = {cell: tuple(rng.uniform(-1, 1) for _ in range(order))
+                     for cell in sorted(SHAPES["square"])
+                     if rng.random() < 0.8}
+        eps = rng.choice((1e-8, 1e-5, 1e-3, 0.1, 1.0))
+        yield (DistributionArray.from_cumulants(cells, mode=FLOAT),
+               [complex(rng.uniform(-3, 3), eps) for _ in range(25)])
+
+
+def test_the_early_handoff_keeps_every_root_and_flag():
+    # arrays that are no distribution, where Newton from an early start
+    # can reach another root than from a late one.  Against the phases
+    # with the CAUCHY_TOL stop alone (damped to CAUCHY_TOL, one polish,
+    # then the fallback), every point converges or not as there, and
+    # every converged value lies within 1e-12.  A handoff once the steps'
+    # total exceeds half the one before flips 4 flags and moves 12 values
+    # here (7 flags where a refused point is damped on without a second
+    # polish), by 0.078 to 5.1
+    compared = 0
+    for arr, zs in root_selection_sample(35):
+        solve = _solver(_tails(arr))
+        for z in zs:
+            got, converged = solve(z)
+            want, today = dict_keyed_cauchy(arr, z, CAUCHY_TOL)
+            assert converged == today
+            if converged:
+                compared += 1
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    assert compared >= 900
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "Newton's acceptance test admits a root where the damped map "
+    "attracts that is not the damped map's limit"))
+def test_polish_accepts_only_the_damped_limit():
+    # two points drawn by the guard's generator at seeds 36 and 37, where
+    # the damped map alone converges, in 246 and 283 steps, and the
+    # polish accepts another root: G = 0.4949 - 0.1771i where the damped
+    # map gives 0.6860 - 0.5906i, and
+    # 0.429228706814909 - 0.0013211258198588822i where it gives
+    # 0.4292287068535106 + 0.0013211214111959915i.  The solver with the
+    # CAUCHY_TOL stop alone returns the same roots there
+    missed = []
+    for seed, z, steps in ((36, complex(0.2443839390558047, 1e-5), 246),
+                           (37, complex(1.4801430805010165, 1e-8), 283)):
+        arr = next(arr for arr, zs in root_selection_sample(seed)
+                   if z in zs)
+        want, converged, taken = four_unknown_damped(arr, z, 20_000)
+        if not (converged and taken == steps):
+            pytest.fail("the damped map no longer converges at %r in %d "
+                        "steps" % (z, steps))
+        if abs(cauchy_value(arr, z) - want) > 1e-9 * max(1.0, abs(want)):
+            missed.append(seed)
+    assert missed == []
+
+
 def refuse(poly, z, c, u):
     # _root finding no root that it accepts
     raise ArithmeticError
@@ -503,10 +568,13 @@ def refuse_the_last_class(monkeypatch):
 
 
 def test_refused_newton_keeps_the_damped_value(monkeypatch):
-    # Newton polishes every point; where it refuses, a point the damped
-    # map settled within CAUCHY_DAMPED_ITER steps keeps its damped value
-    # and counts as converged, and a point still moving then is damped on
-    # to CAUCHY_MAX_ITER steps.  A refusal at the last class discards the
+    # Newton polishes every point; where it refuses a point handed over
+    # early, the damped map resumes to CAUCHY_TOL and Newton polishes
+    # again, and where it still refuses, a point the damped map settled
+    # within CAUCHY_DAMPED_ITER steps keeps its damped value and counts
+    # as converged, and a point still moving then is damped on to
+    # CAUCHY_MAX_ITER steps.  So a refused point takes the damped map's
+    # path without the handoff.  A refusal at the last class discards the
     # roots accepted before it.  The split array's off-diagonal tails are
     # constants, so the damped reference gives the same floats
     arr = split_array(*SPLIT_ARRAY)
@@ -651,9 +719,11 @@ def test_straight_line_loop_leaves_the_damped_map_bit_identical(
     # once per grid, and forms G_(1,1) once; the reference steps over
     # dicts and forms it at every step.
     # Every (G, converged) is the same floats, NaN included, in each of
-    # the phases: polished by Newton, and where Newton refuses, damped on
-    # to CAUCHY_MAX_ITER steps, settling there or not.  None of these
-    # points settles within CAUCHY_DAMPED_ITER steps and is refused;
+    # the phases: polished by Newton after the handoff at NEWTON_REACH,
+    # and where Newton refuses, damped on to CAUCHY_MAX_ITER steps,
+    # settling there or not; two points are refused after an early
+    # handoff and resume to CAUCHY_TOL first.  None of these points
+    # settles within CAUCHY_DAMPED_ITER steps and is refused;
     # test_refused_newton_keeps_the_damped_value covers that phase
     root = smfconv.analytic._root
     finishes = []                   # per point, the classes Newton solved

@@ -12,7 +12,7 @@ hold a density grid of the same length, in json or in csv, the line also
 gives the largest absolute and the largest relative change of the density
 values, each pair's change relative to the larger of its two magnitudes.
 
-The list, 124 invocations:
+The list, 125 invocations:
 
 * jobs 0-9 of each perfbench workload at seed 1, in json and in csv;
 * for each of the 16 density_f10 arrays that those jobs never draw, the
@@ -31,6 +31,10 @@ The list, 124 invocations:
 * a float density job in json on the general path that converges at
   91 of its 101 grid points, so that stderr carries the count of the
   others;
+* a float density job in json on a custom square array of the
+  root-selection guard's sample at eps 1e-3, whose first grid point is
+  one where Newton from an earlier damped start reaches another root,
+  so that a moved root shows;
 * two float density jobs in json at the edge of the closed form: the
   README array written as custom cumulant lists padded with 0.0 and
   -0.0, which takes the closed form and reports an atom, and the same
@@ -127,6 +131,28 @@ UNCONVERGED_JOB = {
     "precision": "float",
     "density": {"grid_min": -3.0, "grid_max": 3.0, "points": 101,
                 "eps": 0.01},
+}
+# array 11 of the root-selection guard's sample (seed 35 in
+# tests/test_analytic.py) at its eps 1e-3: Newton started after a
+# contraction-based damped handoff reaches another root at the grid's
+# first point, 0.98 away
+ROOT_SELECTION_JOB = {
+    "version": 1,
+    "shape": "square",
+    "cells": {
+        "1,1": [-0.5999681873955094, 0.4979104394782152,
+                -0.7085385782841425, 0.2852619094280753],
+        "1,2": [-0.47974942195360226, 0.6109099943290892,
+                -0.8295695594614774, -0.7465698008559678],
+        "2,1": [-0.29587210255957097, 0.9260677607690604,
+                -0.6188038723831839, 0.8066476923446206],
+        "2,2": [-0.09954854177146055, 0.8470229702940759,
+                0.35811212975512663, 0.7794862240725635]},
+    "order": 4,
+    "engines": ["analytic"],
+    "precision": "float",
+    "density": {"grid_min": -0.010142445657000287, "grid_max": 3.0,
+                "points": 101, "eps": 1e-3},
 }
 # the README array as custom cumulant lists padded with 0.0 and -0.0, and
 # the same with one extra cumulant, which is no longer of the closed form
@@ -228,6 +254,8 @@ def invocations(workloads):
     out.append(("density/wiring/json", dict(
         GENERAL_DENSITY_JOB, shape="square", cells=WIRING_CELLS), [], False))
     out.append(("density/unconverged/json", UNCONVERGED_JOB, [], False))
+    out.append(("density/root_selection/json", ROOT_SELECTION_JOB, [],
+                False))
     for name, cells in MEIXNER_EDGE_CELLS.items():
         job = dict(GENERAL_DENSITY_JOB, shape="square", cells=cells)
         out.append(("density/meixner_%s/json" % name, job, [], False))
