@@ -23,7 +23,7 @@ _EXPORTS = {
     "arrays": ("ALL_CELLS", "DistributionArray", "NamedLaw", "SHAPES"),
     "fock": ("FockModel",),
     "matricial": ("UnitSeries", "assemble_matricial_r", "check_residuals",
-                  "invert_C", "reconstruct_unique"),
+                  "reconstruct_unique"),
     "moments": ("smf_moments",),
     "partitions": (),
     "series": ("FLOAT", "RATIONAL", "TruncatedSeries"),

@@ -25,6 +25,7 @@ from .series import FLOAT, RATIONAL, Record, TruncatedSeries
 
 MAX_ORDER = 20
 MAX_DENSITY_POINTS = 100_000
+DENSITY_EPS = 1e-3  # a density block's eps when it gives none
 ENGINES = ("partition", "fock", "analytic")
 CHECKS = ("axioms", "eq56", "eq611", "uniqueness")
 FLOAT_TOL = 1e-9    # read only by perfbench's replay of a job
@@ -212,7 +213,7 @@ def parse_config(data: dict) -> JobConfig:
         if not math.isfinite(float(density["grid_max"])
                              - float(density["grid_min"])):
             raise ConfigError("density window is wider than float precision")
-        eps = density.get("eps", 1e-3)
+        eps = density.get("eps", DENSITY_EPS)
         if not (_finite_number(eps) and eps > 0):
             raise ConfigError("density eps must be positive and finite")
         points = density["points"]
@@ -316,7 +317,7 @@ def run(config: JobConfig) -> Tuple[dict, int]:
         d = config.density
         pts = d["points"]
         lo, hi = float(d["grid_min"]), float(d["grid_max"])
-        eps = float(d.get("eps", 1e-3))
+        eps = float(d.get("eps", DENSITY_EPS))
         grid = [lo + (hi - lo) * k / (pts - 1) for k in range(pts)]
         from .analytic import stieltjes_density
         unconverged = []

@@ -1,6 +1,7 @@
-"""Unit-valued transform layer: assembling the matricial R-transform,
-checking the linearization identities in all states, and reconstructing
-the transform uniquely from moment data.
+"""Unit-valued transform layer: assembling the matricial R-transform
+R = sum over cells c of R_c 1_c from the internal units 1_c of
+:mod:`smfconv.units`, checking the linearization identities in all
+states, and reconstructing the transform uniquely from moment data.
 
 A unit-valued series is stored as four scalar series over the q basis.
 Transform series use the tail convention of :func:`series.invert_pole_series`:
@@ -16,7 +17,8 @@ serves eq56, eq611 and uniqueness (:func:`check_residuals`), so a job
 forms no B.  The tables and the reconstruction are exact whatever the
 array's precision; only the residuals a float job reports are rounded,
 once each.  ``linearization_residuals`` and ``compressed_residuals``,
-which take B, are adapters over :func:`check_residuals`, kept for
+which take B, are adapters over :func:`check_residuals`; they and
+``invert_C``, which forms B, are not exported, and are kept for
 perfbench's replay of a job.
 """
 
@@ -24,18 +26,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .arrays import DistributionArray
+from .arrays import ALL_CELLS, DistributionArray
 from .fock import FockModel, ResolventTable
 from .series import Record, TruncatedSeries, invert_pole_series, reported
 from .units import QCELLS, UnitElement
-
-# q-component of the assembled transform <- pairwise sums of cell transforms
-Q_SUMMANDS = {
-    (1, 1): ((1, 1), (2, 2)),
-    (2, 1): ((1, 1), (2, 1)),
-    (1, 2): ((2, 2), (1, 2)),
-    (2, 2): ((1, 2), (2, 1)),
-}
 
 
 class UnitSeries(Record):
@@ -73,21 +67,21 @@ class UnitSeries(Record):
 
 
 def assemble_matricial_r(array: DistributionArray, order: int) -> UnitSeries:
-    """Sum of the cell R-transforms weighted by their internal units.
-
-    Over the q basis each component is the sum of two cell transforms:
-    q11 <- (1,1)+(2,2), q21 <- (1,1)+(2,1), q12 <- (2,2)+(1,2),
-    q22 <- (1,2)+(2,1); each is the R-transform of the free convolution of
-    the two cell distributions.  The series are exact whatever the
-    array's precision.
+    """R = sum over cells c of R_c 1_c: the q component sums the
+    R-transforms of the cells whose internal unit covers q, the units the
+    cell operators and the compressions read.  Each component is the
+    R-transform of the free convolution of its cells' distributions.
+    The series are exact whatever the array's precision.
     """
     if array.order < order + 1:
         raise ValueError("need cumulants to order %d" % (order + 1))
     array = array.exact()
+    cells = [(UnitElement.internal_unit(*c), array.r_series(c))
+             for c in ALL_CELLS]
     comp = {}
-    for qc, (c1, c2) in Q_SUMMANDS.items():
-        s = (array.r_series(c1) + array.r_series(c2)).truncate(order)
-        comp[qc] = s
+    for qc in QCELLS:
+        first, *rest = [s for unit, s in cells if unit.component(qc)]
+        comp[qc] = sum(rest, first).truncate(order)
     return UnitSeries.from_map(comp)
 
 

@@ -24,7 +24,9 @@ polishes it by Newton on full-length cell tails, ``four_unknown_cauchy``
 runs the two in the library's phases, and ``dict_keyed_cauchy`` runs the
 library's damped map over dicts keyed by cell and class, forming G_(1,1)
 at every step, in the library's phases or, given reach = CAUCHY_TOL, in
-the phases before the damped map handed points to Newton early.  Two
+the phases before the damped map handed points to Newton early.
+``continued_cauchy`` follows the class roots down a vertical line from
+x + 64i, the branch that the moment series defines at large |z|.  Two
 thin wrappers drive the subordination engine on single laws and on the
 binary convolution kinds, ``perfbench_workloads`` loads the benchmark's
 job configs, and ``module_imports`` reads a module's imports for the
@@ -1055,8 +1057,7 @@ def _four_unknown_map(array: DistributionArray, z: complex):
     per cell on the array's full-length float tails.  family(g) maps the
     cell-keyed unknowns to every member of ``CELL_PAIRING``; damp is
     ``_damped_map`` over the four cells."""
-    r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
-         for cell in ALL_CELLS}
+    r = _full_tails(array)
 
     def family(g):
         k = {}
@@ -1109,45 +1110,140 @@ def four_unknown_cauchy(array: DistributionArray, z: complex):
 NEWTON_ORDER = ((2, 2), (2, 1), (1, 2))
 
 
-def full_tail_newton(array: DistributionArray, z: complex, g):
-    """The Newton finish of ``cauchy_value`` on full-length tails, from
-    the class-keyed start *g*: the class resolvents that cells read, along
-    ``NEWTON_ORDER``, or None when a class finds no root it accepts.  Each
-    class's polynomial and cross term come from ``Q_RESOLVENTS`` and
-    ``CELL_CLASS``.  Each cell's float tail keeps every coefficient, so
-    the tails of a class's own cells have equal length and are summed
-    column by column.  Same steps, tolerance and root test as the
-    library's ``_root``, which ``_solver`` runs on tails cut at their
-    highest nonzero cumulant, with its three classes written out."""
-    r = {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
-         for cell in ALL_CELLS}
+def _full_tails(array: DistributionArray):
+    """Each cell's float R-transform tail, highest order first, every
+    coefficient kept, so that all four have the array's length."""
+    return {cell: [float(v) for v in reversed(array.r_series(cell).coeffs)]
+            for cell in ALL_CELLS}
 
-    def horner(coeffs, u):
-        k = dk = 0.0
-        for c in coeffs:
-            dk = dk * u + k
-            k = k * u + c
-        return k, dk
 
+def _horner(coeffs, u):
+    """(K(u), K'(u)) of the polynomial *coeffs*, highest order first."""
+    k = dk = 0.0
+    for c in coeffs:
+        dk = dk * u + k
+        k = k * u + c
+    return k, dk
+
+
+def _class_polynomials(r):
+    """q -> (K, others) along ``NEWTON_ORDER``: K sums the tails *r* of
+    the cells that read q, column by column, and others are the cells of
+    q's resolvent that read another class (``Q_RESOLVENTS``,
+    ``CELL_CLASS``)."""
+    return {q: ([sum(col) for col in zip(*(
+        r[cell] for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] == q))],
+        [cell for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] != q])
+        for q in NEWTON_ORDER}
+
+
+def _class_roots(r, polys, z: complex, start, accept):
+    """The class roots along ``NEWTON_ORDER``, or None when one is not
+    found.  Class q solves f(u) = u (z - K(u) - c) - 1 by Newton from
+    start[q], with K and the other cells from *polys*
+    (``_class_polynomials``) and c the sum of those cells' tails *r*,
+    each at the root of the class it reads.  The root is found once a
+    step falls below CAUCHY_TOL within NEWTON_MAX_ITER steps and
+    accept(K, u, start[q]) holds."""
     roots = {}
-    for q in NEWTON_ORDER:
-        coeffs = [sum(col) for col in zip(*(
-            r[cell] for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] == q))]
-        c = sum(horner(r[cell], roots[CELL_CLASS[cell]])[0]
-                for cell in Q_RESOLVENTS[q] if CELL_CLASS[cell] != q)
-        u = g[q]
+    for q, (coeffs, others) in polys.items():
+        c = sum(_horner(r[cell], roots[CELL_CLASS[cell]])[0]
+                for cell in others)
+        u = start[q]
         for _ in range(NEWTON_MAX_ITER):
-            k, dk = horner(coeffs, u)
+            k, dk = _horner(coeffs, u)
             step = (u * (z - k - c) - 1) / (z - k - c - u * dk)
             u -= step
             if abs(step) < CAUCHY_TOL:
                 break
         else:
             return None
-        if not (u.imag <= 0 and abs(1 + horner(coeffs, u)[1] * u * u) < 2):
+        if not accept(coeffs, u, start[q]):
             return None
         roots[q] = u
     return roots
+
+
+def full_tail_newton(array: DistributionArray, z: complex, g):
+    """The Newton finish of ``cauchy_value`` on full-length tails, from
+    the class-keyed start *g*: the class resolvents that cells read, along
+    ``NEWTON_ORDER``, or None when a class finds no root it accepts.  Each
+    cell's float tail keeps every coefficient, so the tails of a class's
+    own cells have equal length (``_class_polynomials``).  Same steps,
+    tolerance and root test as the library's ``_root``, which ``_solver``
+    runs on tails cut at their highest nonzero cumulant, with its three
+    classes written out."""
+    def attracting(coeffs, u, _):
+        return u.imag <= 0 and abs(1 + _horner(coeffs, u)[1] * u * u) < 2
+
+    r = _full_tails(array)
+    return _class_roots(r, _class_polynomials(r), z, g, attracting)
+
+
+# continued_cauchy's path: it starts at Im z = CONTINUED_TOP, its widest
+# step down is 1/CONTINUED_STEPS of the way in log Im z, and a root may
+# move by CONTINUED_JUMP times its size per step.  On the guard sample of
+# tests/test_analytic.py (seeds 35-44, 10,000 points) a jump of 0.1 took
+# another branch at one point; 0.05 agrees at every point with a path of
+# 320 steps and a jump of 0.01
+CONTINUED_TOP = 64.0
+CONTINUED_STEPS = 32
+CONTINUED_JUMP = 0.05
+
+
+def continued_cauchy(array: DistributionArray, z: complex) -> complex:
+    """G(z) on the branch continued down the vertical line from
+    x + i CONTINUED_TOP to z = x + i eps, Im z > 0.
+
+    At the top the three class roots are the ones Newton reaches from
+    1/z, near which the moment series sums.  The path then steps down
+    geometrically in Im z.  At each step Newton solves each class along
+    ``NEWTON_ORDER`` from its root at the step before
+    (``_class_roots``), with no root test but the step's own: a step
+    halves, in log Im z, where Newton fails or a root moves by more than
+    CONTINUED_JUMP times its size, and grows by a quarter, up to the
+    widest step, after each step taken.  So the roots follow the moment
+    generating function down to the point the density samples.  On a
+    distribution the root is the unique one in the lower half-plane and
+    no path matters; on other arrays the vertical path is a convention.
+    The tails are cut at their highest nonzero coefficient.  Raises
+    ArithmeticError naming *z* where the step falls below 1e-12.
+
+    Background: Helton, Rashidi Far and Speicher, IMRN 2007, on the
+    unique fixed point of an operator-valued semicircle; Belinschi and
+    Bercovici, J. Anal. Math. 101 (2007), on the Denjoy-Wolff points of
+    subordination maps."""
+    if z.imag <= 0:
+        raise ValueError("evaluation point must be in the upper half plane")
+
+    def cut(coeffs):
+        return coeffs[next((i for i, c in enumerate(coeffs) if c),
+                           len(coeffs) - 1):]
+
+    def near(_, u, start):
+        return abs(u - start) <= CONTINUED_JUMP * abs(start)
+
+    full = _full_tails(array)
+    polys = {q: (cut(coeffs), others)
+             for q, (coeffs, others) in _class_polynomials(full).items()}
+    r = {cell: cut(tail) for cell, tail in full.items()}
+    y = max(CONTINUED_TOP, z.imag)
+    w = complex(z.real, y)
+    roots = _class_roots(r, polys, w, dict.fromkeys(NEWTON_ORDER, 1 / w),
+                         lambda *_: True)
+    widest = step = math.log(y / z.imag) / CONTINUED_STEPS
+    while roots is not None and y > z.imag and step >= 1e-12:
+        lower = max(z.imag, y * math.exp(-step))
+        found = _class_roots(r, polys, complex(z.real, lower), roots, near)
+        if found is None:
+            step /= 2
+        else:
+            y, roots, step = lower, found, min(1.25 * step, widest)
+    if roots is None or y > z.imag:
+        raise ArithmeticError("no continued branch at z = %r" % (z,))
+    k = sum(_horner(r[cell], roots[CELL_CLASS[cell]])[0]
+            for cell in Q_RESOLVENTS[1, 1])
+    return 1 / (z - k)
 
 
 def dict_keyed_cauchy(array: DistributionArray, z: complex,

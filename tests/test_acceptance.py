@@ -24,10 +24,11 @@ from oracles import (compose, enumerate_admissible, f_compose_moments,
                      partition_contribution, r_from_moments, reciprocal,
                      scalar_r_as_unit_series, shift)
 from smfconv import (DistributionArray, FockModel, NamedLaw, SHAPES,
-                     TruncatedSeries, assemble_matricial_r, invert_C,
-                     master_cauchy, reconstruct_unique, smf_moments)
+                     TruncatedSeries, assemble_matricial_r, master_cauchy,
+                     reconstruct_unique, smf_moments)
 from smfconv.analytic import meixner_atoms
-from smfconv.matricial import compressed_residuals, linearization_residuals
+from smfconv.matricial import (compressed_residuals, invert_C,
+                               linearization_residuals)
 from smfconv.partitions import NCPartition, enumerate_nc
 
 SEED = 20260809

@@ -11,7 +11,8 @@ from scipy.integrate import quad
 import smfconv.analytic
 import smfconv.arrays
 from oracles import (NEWTON_ORDER, binary_convolutions,
-                     binary_fixed_point_rhs, compose, cut_pass_fixed_point,
+                     binary_fixed_point_rhs, compose, continued_cauchy,
+                     cut_pass_fixed_point,
                      dict_keyed_cauchy, f_compose_moments,
                      four_unknown_cauchy, four_unknown_damped,
                      full_tail_newton, law_moments, meixner_density,
@@ -546,6 +547,45 @@ def test_polish_accepts_only_the_damped_limit():
         if abs(cauchy_value(arr, z) - want) > 1e-9 * max(1.0, abs(want)):
             missed.append(seed)
     assert missed == []
+
+
+def test_the_continued_branch_is_the_split_closed_form():
+    # every 40th point of each density_f10 grid, 1,224 points, within the
+    # bound of test_every_density_array_converges_to_the_split_closed_form
+    workloads = perfbench_workloads()
+    points = workloads.DENSITY_POINTS
+    for params in workloads.DENSITY_ARRAYS:
+        arr = split_array(*params)
+        a11, a22, b12, b21 = params
+        half = 4.0 * (a11 + a22) ** 0.5 + 2.0 * (abs(b12) + abs(b21)) + 2.0
+        for k in range(0, points, 40):
+            z = complex(-half + 2 * half * k / (points - 1),
+                        workloads.DENSITY_EPS)
+            got = continued_cauchy(arr, z)
+            assert abs(got - split_semicircle_cauchy(*params, z)) \
+                <= 2e-14 * max(1.0, abs(got))
+
+
+def test_the_continued_branch_is_the_meixner_closed_form():
+    # the README array, atoms and support edges inside the window
+    arr = meixner_array()
+    for k in range(81):
+        z = complex(-4 + k / 10, 1e-3)
+        want = meixner_cauchy(1.0, 0.5, z)
+        assert abs(continued_cauchy(arr, z) - want) \
+            <= 1e-13 * max(1.0, abs(want))
+
+
+def test_the_continued_branch_is_the_solver_root_the_damped_map_misses():
+    # the two points of test_polish_accepts_only_the_damped_limit: the
+    # solver's value, not the damped map's limit, is the branch continued
+    # from x + 64i
+    for seed, z in ((36, complex(0.2443839390558047, 1e-5)),
+                    (37, complex(1.4801430805010165, 1e-8))):
+        arr = next(arr for arr, zs in root_selection_sample(seed)
+                   if z in zs)
+        want = cauchy_value(arr, z)
+        assert abs(continued_cauchy(arr, z) - want) <= 1e-12 * abs(want)
 
 
 def refuse(poly, z, c, u):

@@ -16,10 +16,10 @@ from oracles import (CountingOp, DictOp, DictPoly, DictUnit, b_elements,
 from smfconv import (FLOAT, QCELLS, RATIONAL, DistributionArray, FockModel,
                      NamedLaw, SHAPES, TruncatedSeries, UnitElement,
                      UnitSeries, assemble_matricial_r, check_residuals, cli,
-                     fock, invert_C, matricial, reconstruct_unique, series,
-                     smf_moments)
+                     fock, matricial, reconstruct_unique, series, smf_moments)
 from smfconv.fock import ResolventTable
-from smfconv.matricial import compressed_residuals, linearization_residuals
+from smfconv.matricial import (compressed_residuals, invert_C,
+                               linearization_residuals)
 from smfconv.series import as_scalar, reported
 
 

@@ -14,18 +14,21 @@ letter from the basis and from creation, and every job exits 1.  The
 state words of phi1 and phi2 swapped are read only by the checks, so
 only checks_r8 job 0 exits 1.  So do three defects of the unit algebra
 and of the partition engine.  The units 1_{1,2} and 1_{2,1} swapped in
-``_UNIT_DECOMP`` reach the Fock cell operators, and the square and
-upper anti-triangular jobs and checks_r8 job 0 exit 1.  The compressions
-transposed, P_{i,j} = 1 - 1_{i,i} off the diagonal, are read only by the
-tables of the checks, and checks_r8 job 0 exits 1 on ``eq611``, the one
-check that compresses the off-diagonal cells.  A block in context T1 of
-``smf_moments`` reading r_{1,2} where it reads r_{2,1} makes every
-engines_r10 job with an off-diagonal cell exit 1; checks_r8 job 0 runs
-no partition engine.  Its mirror, context T2 reading r_{2,1} for
-r_{1,2}, makes the square and lower triangular jobs exit 1; context X
-reading r_{1,2} alone for r_{1,2} + r_{2,1} makes every engines_r10 job
-with r_{2,1} exit 1; and a covering block of color 2 in context D
-reading r_{1,1} for r_{2,2} makes every engines_r10 job exit 1.
+``_UNIT_DECOMP`` reach the Fock cell operators and the assembled R, and
+every job with an off-diagonal cell exits 1, that is, all but the
+diagonal one.  With ``eq56`` and ``eq611`` alone, each of checks_r8
+jobs 0-9 exits 1 under the swap, as R and the cell operators read one
+unit table.  The compressions transposed, P_{i,j} = 1 - 1_{i,i} off the
+diagonal, are read only by the tables of the checks, and checks_r8 job
+0 exits 1 on ``eq611``, the one check that compresses the off-diagonal
+cells.  A block in context T1 of ``smf_moments`` reading r_{1,2} where
+it reads r_{2,1} makes every engines_r10 job with an off-diagonal cell
+exit 1; checks_r8 job 0 runs no partition engine.  Its mirror, context
+T2 reading r_{2,1} for r_{1,2}, makes the square and lower triangular
+jobs exit 1; context X reading r_{1,2} alone for r_{1,2} + r_{2,1}
+makes every engines_r10 job with r_{2,1} exit 1; and a covering block
+of color 2 in context D reading r_{1,1} for r_{2,2} makes every
+engines_r10 job exit 1.
 
 Four mutants are equivalent.  The first is the diagonal compression
 1 - 1_{3-i,3-i} in place of 1 - q11.  For cell (1,1) it is q21 + q22
@@ -65,9 +68,12 @@ compares the levels.
 Two mutants of the q22 component run on checks_r8 job 0 with
 ``uniqueness`` alone, so that check must catch each by itself: R's q22
 summed from the wrong cells, and the relation R22 = R21 + R12 - R11
-without its R11 term.  Only ``uniqueness`` can see the second, as no
-table of ``eq56`` or ``eq611`` reads q22 at its reference word; it
-needs R11 != 0, which that job has.
+without its R11 term.  The first, like the float mutant with R's q21
+summed from the wrong cells, wraps ``matricial.assemble_matricial_r``,
+which ``cli.run`` reads through the module, and replaces that one
+component.  Only ``uniqueness`` can see the second, as no table of
+``eq56`` or ``eq611`` reads q22 at its reference word; it needs
+R11 != 0, which that job has.
 
 Float jobs decide agreement, ``eq56`` and ``eq611`` by equality of the
 reported values, as rational jobs do, so a defect whose effect is 1e-12
@@ -161,10 +167,11 @@ def swap_the_states_phi1_and_phi2(monkeypatch):
 
 
 def swap_the_off_diagonal_units(monkeypatch):
-    # 1_{1,2} = q21 + q22 and 1_{2,1} = q12 + q22 in the cell operators
+    # 1_{1,2} = q21 + q22 and 1_{2,1} = q12 + q22 wherever a unit is read
     decomp = units._UNIT_DECOMP
-    monkeypatch.setitem(decomp, (1, 2), decomp[2, 1])
-    monkeypatch.setitem(decomp, (2, 1), decomp[1, 2])
+    u12, u21 = decomp[1, 2], decomp[2, 1]
+    monkeypatch.setitem(decomp, (1, 2), u21)
+    monkeypatch.setitem(decomp, (2, 1), u12)
 
 
 def transpose_the_compressions(monkeypatch):
@@ -201,6 +208,18 @@ def test_the_jobs_pass_unmutated(configs, tmp_path, capsys):
     assert exit_codes(configs, tmp_path, capsys) == [0] * len(JOBS)
 
 
+def test_the_checks_see_the_off_diagonal_units_swapped(tmp_path, capsys,
+                                                       monkeypatch):
+    # R is assembled from the units the cell operators read, so eq56 and
+    # eq611 alone see the swap on every checks_r8 job
+    workloads = perfbench_workloads()
+    jobs = [dict(workloads.job_config("checks_r8", 1, index),
+                 checks=["eq56", "eq611"]) for index in range(10)]
+    assert exit_codes(jobs, tmp_path, capsys) == [0] * 10
+    swap_the_off_diagonal_units(monkeypatch)
+    assert exit_codes(jobs, tmp_path, capsys) == [1] * 10
+
+
 @pytest.mark.parametrize("mutate", [
     swap_a_cell_in_a_class, send_cell_21_to_class_21,
     drop_the_q22_power_table_update, prepend_no_repeated_letter,
@@ -230,9 +249,22 @@ FOURTH_CUMULANTS_1E12 = _float_job({
     "1,2": [0.5, 0.3, 0.2, 1e-12], "2,1": [0.4, 0.3, 0.1, 1e-12]})
 
 
+def sum_a_q_component_of_r(monkeypatch, qc, cells):
+    # cli.run's R with its *qc* component summed from the transforms of
+    # *cells*, every other component as assembled
+    assemble = matricial.assemble_matricial_r
+
+    def mutant(array, order):
+        comp = dict(assemble(array, order).components)
+        first, second = (array.exact().r_series(c) for c in cells)
+        comp[qc] = (first + second).truncate(order)
+        return matricial.UnitSeries.from_map(comp)
+    monkeypatch.setattr(matricial, "assemble_matricial_r", mutant)
+
+
 def swap_a_cell_in_a_q_summand(monkeypatch):
     # R's q21 component sums the (1,1) and (1,2) transforms, not (2,1)
-    monkeypatch.setitem(matricial.Q_SUMMANDS, (2, 1), ((1, 1), (1, 2)))
+    sum_a_q_component_of_r(monkeypatch, (2, 1), ((1, 1), (1, 2)))
 
 
 def truncate_the_cell_weights(monkeypatch):
@@ -265,7 +297,7 @@ def test_float_mutant_exits_one(mutate, config, tmp_path, capsys,
 
 def q22_sums_one_cell_twice(monkeypatch):
     # R's q22 component sums the (1,2) transform twice, not (1,2) and (2,1)
-    monkeypatch.setitem(matricial.Q_SUMMANDS, (2, 2), ((1, 2), (1, 2)))
+    sum_a_q_component_of_r(monkeypatch, (2, 2), ((1, 2), (1, 2)))
 
 
 def drop_r11_from_the_q22_relation(monkeypatch):
