@@ -131,6 +131,8 @@ def master_cauchy(array: DistributionArray, order: int) -> TruncatedSeries:
     """Moment series of the convolution via the subordination family:
     M = 1 / (1 - w [K_{1,1} + K_{2,2}]) with K_{j,j} = R_{j,j}(w M*_{j,j}),
     in the array's precision."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     lam, out = _series_fixed_point(array, order)
     exact = [Fraction(c, lam ** t) for t, c in enumerate(out[(1, 1)])]
     return TruncatedSeries(reported(exact, array.mode), array.mode)

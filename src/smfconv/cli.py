@@ -290,11 +290,12 @@ def run(config: JobConfig) -> Tuple[dict, int]:
         from .fock import FockModel
         model = model or FockModel(array, depth)
         checks_out = {}
-        if set(config.checks) - {"axioms"}:
+        tabled = tuple(c for c in config.checks if c != "axioms")
+        if tabled:
             from . import matricial
             verdicts = matricial.check_residuals(
                 model, matricial.assemble_matricial_r(array, config.order - 1),
-                config.order, config.checks)
+                config.order, tabled)
         for check in config.checks:
             if check == "axioms":
                 violations = model.axiom_check(

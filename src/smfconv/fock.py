@@ -40,19 +40,22 @@ a gcd.  A scalar leaves the vector layer only where it is read
 ``creation_relation_violations``), as one ``Fraction(num, den)`` per
 read.
 
-No operator enumerates the word basis.  A cell operator reads only the
-head of a word, so its column at w is, in this entry order: the creation
-entry ``created(cell, w, depth)`` with weight 1 when there is one; w
-itself with weight r(1) times the cell unit's component at the q class
-of w; and for k = 2, 3, ... while ``stripped`` finds the cell at the
-head, w with k - 1 letters stripped, with weight r(k).  The column of A
-merges the cell columns in sorted cell order over the lcm of the cell
-denominators, summing repeated targets in that order.  A
-:class:`LinearOp` computes a column the first time a vector reaches its
-word and caches it in ``columns``.  A compression P A P is the product
-of A with the cell's compression projection P on each side, so it keeps
-the entries of A whose source and target lie in the range of P, in A's
-order, and only A and the cell operators cache columns.
+No operator enumerates the word basis.  One column rule gives the sum
+of the operators of a sorted tuple of cells, ``toeplitz`` over one cell
+and A (``total``) over J, with every weight over one denominator.  It
+reads only the head of w, and lists, cell by cell in sorted order: the
+creation entry ``created(cell, w, depth)`` with weight 1 when there is
+one; w itself, with the cells' summed weights r(1) times the unit's
+component at the q class of w, at the first cell whose own weight is
+nonzero and only when the sum is; and at the head cell, for k = 2, 3,
+... while ``stripped`` finds it, w with k - 1 letters stripped, with
+weight r(k).  Only w is a target of two cells, so this is the order of
+the cell columns merged in sorted cell order.  A :class:`LinearOp`
+computes a column the first time a vector reaches its word and caches
+it in ``columns``.  A compression P A P is the product of A with the
+cell's compression projection P on each side, so it keeps the entries
+of A whose source and target lie in the range of P, in A's order, and
+only the sums of cells cache columns.
 
 The relation l*_c l_c = 1_c is checked with the two rules the cell
 operator applies, on words shorter than the depth, but not on all of
@@ -333,58 +336,55 @@ class FockModel:
 
     # -- operator constructors -------------------------------------------
 
+    def _summed(self, cells: Tuple[Cell, ...]) -> LinearOp:
+        """The sum of the operators of the sorted *cells*, by the one column
+        rule of the module docstring; cached by *cells*."""
+        if cells not in self._ops:
+            # per cell, r(1) times the unit's component at each q class,
+            # then r(2), r(3), ...: numerators over den, creation's 1 = den
+            nums, den = common_denominator(v for c in cells for v in (
+                *(self.weights[c][0] * self.units[c].component(qc)
+                  for qc in QCELLS), *self.weights[c][1:]))
+            # the cells share one order, so each has n numerators
+            depth, n = self.depth, len(nums) // len(cells)
+            own = {c: nums[k * n:(k + 1) * n] for k, c in enumerate(cells)}
+            # per q class, the summed weight of w and the first cell whose
+            # own weight there is nonzero, or 0 when the sum is 0
+            diag = {}
+            for k, qc in enumerate(QCELLS):
+                d = sum(own[c][k] for c in cells)
+                diag[qc] = d, d and next(c for c in cells if own[c][k])
+
+            def rule(w):
+                col, (d, at) = [], diag[q_class(w)]
+                head = w[0] if w else None
+                for cell in cells:
+                    up = created(cell, w, depth)
+                    if up is not None:
+                        col.append((up, den))
+                    if cell == at:
+                        col.append((w, d))
+                    if cell == head:
+                        tail = w
+                        for c in own[cell][len(QCELLS):]:
+                            tail = stripped(cell, tail)
+                            if tail is None:
+                                break
+                            if c != 0:
+                                col.append((tail, c))
+                return tuple(col)
+            self._ops[cells] = LinearOp(rule, den)
+        return self._ops[cells]
+
     def toeplitz(self, cell: Cell) -> LinearOp:
         """a_cell = creation + sum_k r(k) annihilation^(k-1)."""
-        key = ("a", cell)
-        if key not in self._ops:
-            if cell not in self.J:
-                raise ValueError("cell %r not in the array" % (cell,))
-            depth, ws, unit = self.depth, self.weights[cell], self.units[cell]
-            # r(1) times the unit's component, per q class of the word,
-            # and r(2), r(3), ... as numerators over one denominator,
-            # creation's weight 1 being den
-            nums, den = common_denominator(
-                [*(ws[0] * unit.component(qc) for qc in QCELLS), *ws[1:]])
-            diag, strips = dict(zip(QCELLS, nums)), nums[len(QCELLS):]
-
-            def rule(w):
-                col = []
-                up = created(cell, w, depth)
-                if up is not None:
-                    col.append((up, den))
-                d = diag[q_class(w)]
-                if d != 0:
-                    col.append((w, d))
-                tail = w
-                for c in strips:
-                    tail = stripped(cell, tail)
-                    if tail is None:
-                        break
-                    if c != 0:
-                        col.append((tail, c))
-                return tuple(col)
-            self._ops[key] = LinearOp(rule, den)
-        return self._ops[key]
+        if cell not in self.J:
+            raise ValueError("cell %r not in the array" % (cell,))
+        return self._summed((cell,))
 
     def total(self) -> LinearOp:
-        """A = sum of the cell operators, over the lcm of their
-        denominators, built from the cell rules: A caches its own columns,
-        so no cell column is cached a second time."""
-        if "A" not in self._ops:
-            cell_ops = [self.toeplitz(cell) for cell in sorted(self.J)]
-            den = math.lcm(*(op.den for op in cell_ops))
-            lifts = [(op, den // op.den) for op in cell_ops]
-
-            def rule(w):
-                tgt: Dict = {}
-                for op, f in lifts:
-                    for w2, a in op.rule(w):
-                        if f != 1:
-                            a *= f
-                        tgt[w2] = tgt.get(w2, 0) + a
-                return tuple((w2, a) for w2, a in tgt.items() if a != 0)
-            self._ops["A"] = LinearOp(rule, den)
-        return self._ops["A"]
+        """A, the sum of the cell operators (on one cell, its operator)."""
+        return self._summed(tuple(sorted(self.J)))
 
     def compressed_total(self, cell: Cell) -> Product:
         """P_{i,j} A P_{i,j}, the product of A with the compression

@@ -128,7 +128,14 @@ def check_residuals(model: FockModel, R: UnitSeries, m_max: int,
     word.  So by induction on m the r_m solved for is S_{m+2} plus R's r_m
     at that word's q class: the three tables, alone built to m_max + 1,
     must read 0 at d = 2..m_max+1, and R must satisfy q22 = ``_q22``.
+    ValueError names a *checks* that is a string or holds another name.
     """
+    if isinstance(checks, str) or \
+            not set(checks) <= {"eq56", "eq611", "uniqueness"}:
+        raise ValueError("checks must be a collection of eq56, eq611 and "
+                         "uniqueness, got %r" % (checks,))
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     if m_max > model.depth:
         raise ValueError("m_max %d exceeds model depth %d"
                          % (m_max, model.depth))

@@ -44,6 +44,8 @@ def smf_moments(array: DistributionArray, order: int) -> TruncatedSeries:
     with the literal coloring sum is pinned by tests against the oracles in
     tests/oracles.py.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if array.order < order:
         raise ValueError("cumulant order %d < requested moment order %d"
                          % (array.order, order))

@@ -145,6 +145,10 @@ def test_master_single_cell():
     cums = (F(1), F(1), F(0), F(2), F(0))
     arr = DistributionArray.from_cumulants({(1, 1): cums})
     assert master_cauchy(arr, 5) == moments_from_cumulants(cums, 5)
+    # order 0 is the one-term series; a negative order has no series
+    assert master_cauchy(arr, 0).coeffs == (1,)
+    with pytest.raises(ValueError):
+        master_cauchy(arr, -1)
 
 
 def test_free_kind_semicircle_sum():

@@ -22,7 +22,7 @@ def tool():
 def test_the_list_covers_every_workload_and_the_readme_jobs(tool):
     runs = tool.invocations(tool.load_workloads())
     labels = [label for label, *_ in runs]
-    assert len(labels) == len(set(labels)) == 125
+    assert len(labels) == len(set(labels)) == 127
     assert {tool.density_array(config) for label, config, *_ in runs
             if label.startswith("density_f10/")} \
         == set(tool.load_workloads().DENSITY_ARRAYS)

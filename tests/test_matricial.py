@@ -524,6 +524,13 @@ def test_depth_guards():
     # R holds r_0..r_2: no table reaches level 7
     with pytest.raises(ValueError, match=r"R holds r_0\.\.r_2"):
         check_residuals(deep, assemble_matricial_r(arr, 2), 7, ("eq56",))
+    # checks are a collection of the three table checks, and m_max >= 1
+    R = assemble_matricial_r(arr, 2)
+    for checks in (("eq65",), ("axioms",), "eq56,eq611", "eq56"):
+        with pytest.raises(ValueError, match="checks must be"):
+            check_residuals(model, R, 3, checks)
+    with pytest.raises(ValueError, match="m_max must be"):
+        check_residuals(model, R, 0, ("eq56",))
 
 
 def test_unit_series_validation():
@@ -652,11 +659,11 @@ def test_the_checks_share_their_tables_and_invert_nothing(
 
 def test_compressions_cache_no_columns_of_their_own():
     # each compression is the product P A P: once eq611 has run a table on
-    # every cell's compression, the model's only column caches are those
-    # of A and the cell operators
+    # every cell's compression, A's operator is the only one the model
+    # holds: no cell operator is built
     arr = random_array(random.Random(83), SHAPES["square"], 8)
     model = FockModel(arr, 8)
     R = assemble_matricial_r(arr, 7)
     assert check_residuals(model, R, 8, ("eq611",))["eq611"][0]
-    assert set(model._ops) == {"A", *(("a", cell) for cell in model.J)}
+    assert list(model._ops.values()) == [model.total()]
     assert model.total().columns

@@ -162,6 +162,9 @@ def test_order_guard():
     arr = array_of({(1, 1): (F(1),)})
     with pytest.raises(ValueError):
         smf_moments(arr, 2)
+    with pytest.raises(ValueError):
+        smf_moments(arr, -1)
+    assert smf_moments(arr, 0).coeffs == (1,)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -12,7 +12,7 @@ hold a density grid of the same length, in json or in csv, the line also
 gives the largest absolute and the largest relative change of the density
 values, each pair's change relative to the larger of its two magnitudes.
 
-The list, 125 invocations:
+The list, 127 invocations:
 
 * jobs 0-9 of each perfbench workload at seed 1, in json and in csv;
 * for each of the 16 density_f10 arrays that those jobs never draw, the
@@ -52,7 +52,10 @@ The list, 125 invocations:
   rational and in float precision;
 * engines_r10 jobs 0-4 (one per named shape) with ``--order 6 --checks
   eq56,eq611,uniqueness``, and with ``--order 6 --checks axioms`` in
-  rational and in float precision.
+  rational and in float precision;
+* a one-cell custom array, cell (1,2), at order 6 with the ``axioms``,
+  ``eq56`` and ``eq611`` checks, in rational and in float precision:
+  there the cell operator and A are one operator.
 
 Configs come from perfbench/workloads.py, loaded from its path and not
 changed.  Config files are written to a temporary directory that is
@@ -190,6 +193,14 @@ EXPONENT_BOUND_JOB = {
               "1,2": ["1/2", "0", "0", "0", "0", "1e4300"]},
     "order": 6,
 }
+# a one-cell array with checks: its cell operator is A
+ONE_CELL_JOB = {
+    "version": 1,
+    "shape": "custom",
+    "cells": {"1,2": ["1/2", "1", "-1/3"]},
+    "order": 6,
+    "checks": ["axioms", "eq56", "eq611"],
+}
 # the subsets of the three table checks that the all-checks jobs never run
 CHECK_SUBSETS = ("eq56", "eq611", "uniqueness", "eq56,uniqueness",
                  "eq611,uniqueness")
@@ -282,6 +293,9 @@ def invocations(workloads):
             out.append(("engines_r10/%d/order6-axioms/%s" % (index, precision),
                         job, ["--order", "6", "--checks", "axioms",
                               "--precision", precision], False))
+    for precision in ("rational", "float"):
+        out.append(("custom/one_cell/%s" % precision, ONE_CELL_JOB,
+                    ["--precision", precision], False))
     return out
 
 
