@@ -32,29 +32,23 @@ from typing import List, Optional, Sequence, Tuple
 from .arrays import ALL_CELLS, DistributionArray, NamedLaw
 from .series import FLOAT, TruncatedSeries, extend_pole_inverse, reported
 
-# _solver steps the damped map over three class slots at most
-# CAUCHY_DAMPED_ITER times, the halvings that take a unit step below
-# CAUCHY_TOL: a point still moving then contracts by less than 1/2 per
-# step, where a step below the tolerance no longer bounds the error.  It
-# hands the point to Newton earlier, once every slot's step is below
-# NEWTON_REACH and below NEWTON_REACH times the slot: Newton about
-# squares the error, so the damped steps from there down to CAUCHY_TOL
-# buy nothing.  Newton then polishes every point in at most
-# NEWTON_MAX_ITER steps.  A point it refuses after an early handoff is
-# damped on to CAUCHY_TOL within the same CAUCHY_DAMPED_ITER steps and
-# polished again; a point it still refuses that the damped map left
-# moving is damped on to CAUCHY_MAX_ITER steps in all.  The compiled
-# damped step reads CAUCHY_TOL as the head of its per-grid tuple of
-# coefficients, and its handoff bound as an argument, CAUCHY_TOL after
-# the first phase.  It tests its three slots' steps lazily against that
-# bound, one abs at a time, and NaN < bound is False, so a NaN slot
-# never stops it.
-# meixner_atoms keeps the residues above ATOM_WEIGHT_FLOOR
+# the bound on every slot's move that settles the damped map, and on the
+# Newton step that reaches a root
 CAUCHY_TOL = 1e-13
+# the damped steps before Newton: the halvings that take a unit step below
+# CAUCHY_TOL, so a point still moving contracts by less than 1/2 per step,
+# where a step below the tolerance no longer bounds the error
 CAUCHY_DAMPED_ITER = math.ceil(-math.log2(CAUCHY_TOL))
+# the damped map's handoff bound (``_damped_step``'s reach) before the first
+# polish: Newton about squares the error, so the damped steps from there
+# down to CAUCHY_TOL buy nothing
 NEWTON_REACH = math.sqrt(CAUCHY_TOL)
+# the Newton steps of one root, at most
 NEWTON_MAX_ITER = 50
+# the damped steps in all for a point Newton refuses and the damped map
+# left moving
 CAUCHY_MAX_ITER = 500
+# meixner_atoms keeps the residues above it
 ATOM_WEIGHT_FLOOR = 1e-12
 
 # q-class <- the two cell transforms of its resolvent G_q = 1/(z - K_a - K_b),
@@ -225,12 +219,7 @@ def _tails(array: DistributionArray):
     return tails
 
 
-# the damped map's step: each cell's tail at the slot of the class it reads,
-# unrolled by _damped_step, the resolvents of Q_RESOLVENTS, the stop, tested
-# before the average, and the average; the stop gates on every step below
-# reach, then takes a settled point or one whose steps are also below
-# |reach g| (reach < 1, so the product cannot overflow); cells is the same
-# Horner block once, the four cell transforms at the given slots
+# the source of the two functions that _damped_step compiles per tail shape
 _DAMPED_MAP = """\
 def damp(z, g21, g12, g22, steps, reach, c):
     tol, {coefficients} = c
@@ -263,15 +252,24 @@ def _damped_step(shape):
     """(damp, cells) for tails of *shape*, the pairs (cell, tail length)
     in the order of ``_tails``, compiled once per shape: ``cauchy_value``
     builds a solver per point, and a compile costs more than a point.
+
     damp(z, g21, g12, g22, steps, reach, c) -> (g21, g12, g22, settled,
-    steps taken) is the damped map of ``_solver``: it stops settled at a
-    step where every slot moved by less than CAUCHY_TOL, and unsettled
-    where every slot moved by less than *reach* and less than *reach*
-    times the slot; at reach = CAUCHY_TOL it stops only settled.
-    cells(g21, g12, g22, c) -> (k11, k22, k12, k21) are the cell
-    transforms, each at the slot of the class CELL_CLASS gives it.  c is
-    (CAUCHY_TOL, *the tail coefficients in ``_tails`` order), built once
-    per grid and unpacked once per call, so no float is written as
+    steps taken) runs at most *steps* steps of the damped map over the
+    three class slots.  A step evaluates each cell's tail at the slot of
+    the class CELL_CLASS gives it, the resolvents of Q_RESOLVENTS from
+    those, and the average of old and new slots.  Before the average it
+    tests the slots' moves against *reach* lazily, one abs at a time; a
+    NaN move compares False, so a NaN slot never stops the map.  Once
+    every move is below *reach*, it stops settled where every move is also
+    below CAUCHY_TOL, and unsettled where every move is also below
+    |reach g| for its slot g (reach < 1, so the product cannot overflow);
+    at reach = CAUCHY_TOL it stops only settled.  It returns the averaged
+    slots of its last step.
+    cells(g21, g12, g22, c) -> (k11, k22, k12, k21) are the four cell
+    transforms, each at the slot of the class CELL_CLASS gives it.
+
+    c is (CAUCHY_TOL, *the tail coefficients in ``_tails`` order), built
+    once per grid and unpacked once per call, so no float is written as
     text.  Each cell's Horner is unrolled over its tail as
     k = 0.0 * g + c_0, then k = k * g + c_n, the operations of a loop
     from k = 0.0."""
@@ -293,28 +291,20 @@ def _damped_step(shape):
 
 def _solver(tails):
     """z -> (G(z), converged) of the array whose ``_tails`` are *tails*,
-    built once per grid; Im z > 0 required.  The damped map runs at most
-    CAUCHY_DAMPED_ITER steps and hands the point to Newton (``_root``) at
-    the first step where every slot moved by less than NEWTON_REACH and
-    by less than NEWTON_REACH times the slot, or by less than CAUCHY_TOL,
-    settled; slots much smaller than 1 so wait for a relative step.
-    Newton starts from the damped map's slots, settled or not, and
-    accepted roots replace them.  Where Newton refuses a point handed
-    over unsettled before CAUCHY_DAMPED_ITER steps, the damped map
-    resumes from where it stopped with the CAUCHY_TOL stop alone, up to
-    CAUCHY_DAMPED_ITER steps in all, and Newton polishes again, so a
-    refused point takes the path it took with the CAUCHY_TOL stop alone.
-    Where Newton still refuses, a settled point keeps its damped value
-    and counts as converged, and a point still moving is damped on to
-    CAUCHY_MAX_ITER steps in all.
+    built once per grid; Im z > 0 required.  Each point runs these
+    phases:
 
-    The damped map and the cell transforms at the Newton cross terms and
-    at G_(1,1) are the straight-line code that ``_damped_step`` compiles
-    once per tail shape, run on this grid's coefficient tuple; each does
-    the float operations of a Horner loop over the tails, in the same
-    order.  The stop is tested slot by slot before the average, so one
-    abs usually decides; NaN < NEWTON_REACH is False, so a NaN in any
-    slot never stops it.
+    1. The damped map (``_damped_step``'s damp at reach NEWTON_REACH)
+       runs at most CAUCHY_DAMPED_ITER steps from 1/z.
+    2. Newton (``_root``) polishes the three classes from its slots,
+       settled or not; accepted roots replace them.
+    3. Where Newton refuses a point handed over unsettled before
+       CAUCHY_DAMPED_ITER steps, the damped map resumes from where it
+       stopped at reach CAUCHY_TOL, up to CAUCHY_DAMPED_ITER steps in
+       all, and Newton polishes again.
+    4. Where Newton still refuses, a settled point keeps its damped value
+       and counts as converged, and a point still moving is damped on to
+       CAUCHY_MAX_ITER steps in all.
 
     Class q solves f(u) = u (z - K(u) - c) - 1, with K the sum of the
     tails of the cells that read q, built once per grid, and c the tail

@@ -61,7 +61,9 @@ class NamedLaw(Record):
 class DistributionArray(Record):
     """Shape set J with a free-cumulant sequence r(1..p) per cell.
 
-    Cells outside J behave as identically zero cumulants.  All cells share
+    ``cells`` holds each cell of J once, sorted, so arrays of the same
+    cells are equal whatever order they were given in.  Cells of the 2x2
+    set outside J behave as identically zero cumulants.  All cells share
     one scalar mode and one cumulant order p.
     """
 
@@ -76,18 +78,19 @@ class DistributionArray(Record):
             raise ValueError("all cells must share one cumulant order")
         if orders == {0}:
             raise ValueError("cumulant sequences must have order >= 1")
-        for cell, _ in cells:
+        for n, (cell, _) in enumerate(cells):
             if cell not in ALL_CELLS:
                 raise ValueError("cell %r outside the 2x2 index set" % (cell,))
-        object.__setattr__(self, "cells", cells)
+            if cell in (c for c, _ in cells[:n]):
+                raise ValueError("cell %r given twice" % (cell,))
+        object.__setattr__(self, "cells", tuple(sorted(cells)))
         object.__setattr__(self, "mode", mode)
 
     @classmethod
     def from_cumulants(cls, cumulants: Mapping[Cell, Sequence],
                        mode: str = RATIONAL) -> "DistributionArray":
-        cells = tuple(sorted(
-            (cell, tuple(as_scalar(v, mode) for v in seq))
-            for cell, seq in cumulants.items()))
+        cells = tuple((cell, tuple(as_scalar(v, mode) for v in seq))
+                      for cell, seq in cumulants.items())
         return cls(cells, mode)
 
     @classmethod
@@ -134,17 +137,17 @@ class DistributionArray(Record):
         return dict(self.cells)
 
     def r(self, cell: Cell, k: int):
-        """Cumulant r_cell(k); zero outside J."""
+        """Cumulant r_cell(k); zero at a 2x2 cell outside J."""
         if not 1 <= k <= self.order:
             raise ValueError("cumulant order %d out of range" % k)
-        for c, seq in self.cells:
-            if c == cell:
-                return seq[k - 1]
-        return as_scalar(0, self.mode)
+        if cell not in ALL_CELLS:
+            raise ValueError("cell %r outside the 2x2 index set" % (cell,))
+        return self.cumulant_map().get(
+            cell, (as_scalar(0, self.mode),) * self.order)[k - 1]
 
     def r_series(self, cell: Cell) -> TruncatedSeries:
         """R-transform tail of the cell: coefficient of z^k is r(k+1)."""
-        for c, seq in self.cells:
-            if c == cell:
-                return TruncatedSeries(seq, self.mode)
-        return TruncatedSeries.zero(self.order - 1, self.mode)
+        if cell not in ALL_CELLS:
+            raise ValueError("cell %r outside the 2x2 index set" % (cell,))
+        return TruncatedSeries(
+            self.cumulant_map().get(cell, (0,) * self.order), self.mode)

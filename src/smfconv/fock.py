@@ -257,8 +257,8 @@ class ResolventTable:
         return 0
 
     def sum(self, d: int):
-        if d > self.top:
-            raise ValueError("level %d is above the table's top level %d"
+        if not 1 <= d <= self.top:
+            raise ValueError("level %d is outside the table's levels 1..%d"
                              % (d, self.top))
         Y = self.Y
         while len(Y) < d:
@@ -419,6 +419,8 @@ class FockModel:
 
     def moments(self, order: int) -> TruncatedSeries:
         """phi(A^m) for m = 0..order, in the array's precision."""
+        if order < 0:
+            raise ValueError("order must be >= 0")
         if order > self.depth:
             raise ValueError("order %d exceeds depth %d" % (order, self.depth))
         table = ResolventTable((), self.total(), "phi", order + 1)

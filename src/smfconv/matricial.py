@@ -73,6 +73,8 @@ def assemble_matricial_r(array: DistributionArray, order: int) -> UnitSeries:
     R-transform of the free convolution of its cells' distributions.
     The series are exact whatever the array's precision.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if array.order < order + 1:
         raise ValueError("need cumulants to order %d" % (order + 1))
     array = array.exact()
@@ -191,6 +193,8 @@ def reconstruct_unique(model: FockModel, order: int) -> UnitSeries:
     tables, read without r_m, gives r_m at the q class of each table's
     reference word (q11, q21, q12); q22 follows by ``_q22``.  Needs a cell
     in each row of J and model depth at least order + 1."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if order + 1 > model.depth:
         raise ValueError("need model depth >= order + 1")
     r_ops: List[UnitElement] = []

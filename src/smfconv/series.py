@@ -137,10 +137,6 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, order: int, mode: str = RATIONAL) -> "TruncatedSeries":
-        return cls([0] * (order + 1), mode)
-
-    @classmethod
     def one(cls, order: int, mode: str = RATIONAL) -> "TruncatedSeries":
         return cls([1] + [0] * order, mode)
 

@@ -300,7 +300,7 @@ MEIXNER_CASES = [
 def test_meixner_pattern_recognized():
     # one comparison with the Meixner array of the array's own r11(2) and
     # r12(1); the answer is floats in either mode, and the order in which
-    # the cells are stored does not matter
+    # the cells are given does not matter
     for case, arr, want in MEIXNER_CASES:
         got = meixner_parameters(arr)
         assert got == want, case

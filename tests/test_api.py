@@ -128,6 +128,8 @@ def _invalid(message, make):
     _invalid("order >= 1", lambda: DistributionArray((((1, 1), ()),))),
     _invalid("outside the 2x2", lambda: DistributionArray(
         (((1, 3), (1,)),))),
+    _invalid(r"cell \(1, 1\) given twice", lambda: DistributionArray(
+        (((1, 1), (1,)), ((1, 1), (2,))))),
     _invalid("four q-components", lambda: UnitElement((1, 2, 3))),
     _invalid("unknown scalar mode", lambda: DistributionArray.from_cumulants(
         {(1, 1): (1,)}, "decimal")),

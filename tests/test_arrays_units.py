@@ -28,10 +28,29 @@ def test_array_requires_uniform_order_and_known_cells():
         DistributionArray.from_cumulants({})
 
 
+def test_array_holds_its_cells_in_order():
+    # the constructor sorts the cells, so one array given in any order is
+    # equal and hashes equal to the sorted one
+    pairs = [((2, 2), (F(0), F(1))), ((1, 2), (F(1, 2), F(0))),
+             ((1, 1), (F(1), F(1)))]
+    arr = DistributionArray(tuple(sorted(pairs)))
+    for order in (pairs, pairs[::-1], pairs[1:] + pairs[:1]):
+        given = DistributionArray(tuple(order))
+        assert given == arr and hash(given) == hash(arr)
+        assert given.cells == tuple(sorted(pairs))
+    assert DistributionArray.from_cumulants(dict(pairs)) == arr
+
+
 def test_cumulant_lookup_and_padding():
     arr = DistributionArray.from_cumulants({(1, 1): (F(1), F(2))})
     assert arr.r((1, 1), 2) == 2
     assert arr.r((2, 2), 1) == 0          # outside J: identically zero
+    assert arr.r_series((2, 2)).coeffs == (0, 0)
+    for bad in ((3, 3), (0, 1)):          # outside the 2x2 set: no cell
+        with pytest.raises(ValueError, match="outside the 2x2 index set"):
+            arr.r(bad, 1)
+        with pytest.raises(ValueError, match="outside the 2x2 index set"):
+            arr.r_series(bad)
     with pytest.raises(ValueError):
         arr.r((1, 1), 3)
     longer = padded(arr, 4)

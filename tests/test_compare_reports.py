@@ -22,11 +22,14 @@ def tool():
 def test_the_list_covers_every_workload_and_the_readme_jobs(tool):
     runs = tool.invocations(tool.load_workloads())
     labels = [label for label, *_ in runs]
-    assert len(labels) == len(set(labels)) == 127
+    assert len(labels) == len(set(labels)) == 129
     assert {tool.density_array(config) for label, config, *_ in runs
             if label.startswith("density_f10/")} \
         == set(tool.load_workloads().DENSITY_ARRAYS)
     assert sum(label.startswith("readme/") for label in labels) == 9
+    assert [list(config["cells"]) for label, config, *_ in runs
+            if label.startswith("reversed_cells/")] == \
+        [["2,2", "2,1", "1,2", "1,1"]] * 2
     assert [args for label, _, args, _ in runs
             if label.endswith("order20")] == [
         ["--precision", "rational", "--order", "20"],
@@ -46,6 +49,25 @@ def test_one_line_per_differing_part(tool, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("readme: stdout differs at byte 1 (")
     assert out[1] == "1 invocations, 1 differences"
+
+
+def test_config_files_keep_the_order_of_their_keys(tool, tmp_path, capsys):
+    # a tree that prints the cell keys of its config file, against one
+    # that prints the reversed README order: no difference
+    trees = {}
+    for name, code in (
+            ("reads", "import json, sys\n"
+                      "print(list(json.load(open(sys.argv[2]))['cells']))\n"),
+            ("fixed", "print(%r)\n" % (["2,2", "2,1", "1,2", "1,1"],))):
+        pkg = tmp_path / name / "smfconv"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "__main__.py").write_text(code)
+        trees[name] = pkg.parent
+    runs = [run for run in tool.invocations(tool.load_workloads())
+            if run[0] == "reversed_cells/rational/json"]
+    assert tool.compare(trees["reads"], trees["fixed"], runs) == 0
+    assert capsys.readouterr().out == "1 invocations, 0 differences\n"
 
 
 def test_density_reports_give_their_largest_change(tool, tmp_path, capsys):

@@ -358,6 +358,8 @@ def test_depth_guards():
     model = FockModel(arr, 3)
     with pytest.raises(ValueError):
         model.moments(4)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        model.moments(-1)
     with pytest.raises(ValueError):
         model.state_moment("phi", [model.total()] * 4)
     with pytest.raises(ValueError):

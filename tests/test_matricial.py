@@ -255,8 +255,9 @@ def test_tables_apply_the_middle_operator_once_per_level():
     table = ResolventTable([R.coefficient(j) for j in range(7)], total,
                            "phi", 8)
     assert table.sum(8) == 0
-    with pytest.raises(ValueError):
-        table.sum(9)
+    for level in (9, 0, -1):
+        with pytest.raises(ValueError, match="level %d is outside" % level):
+            table.sum(level)
 
 
 def test_tables_free_the_levels_no_coefficient_reaches():
@@ -511,6 +512,11 @@ def test_depth_guards():
         compressed_residuals(model, B, 5)
     with pytest.raises(ValueError):
         reconstruct_unique(model, 4)
+    # a negative order is named as such, not as a series without c_0
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        reconstruct_unique(model, -1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        assemble_matricial_r(arr, -1)
     with pytest.raises(ValueError):
         check_residuals(model, assemble_matricial_r(arr, 4), 5, ("eq56",))
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ hold a density grid of the same length, in json or in csv, the line also
 gives the largest absolute and the largest relative change of the density
 values, each pair's change relative to the larger of its two magnitudes.
 
-The list, 127 invocations:
+The list, 129 invocations:
 
 * jobs 0-9 of each perfbench workload at seed 1, in json and in csv;
 * for each of the 16 density_f10 arrays that those jobs never draw, the
@@ -22,6 +22,9 @@ The list, 127 invocations:
   ``--config``, ``--out csv`` and on stdin with ``--order 8 --engines
   partition,analytic``, each in rational and in float precision, and
   the README density block on it in float precision;
+* the README job with its four cell keys in reverse order ("2,2" first),
+  in rational and in float precision, so that the array's cells reach
+  the program unsorted;
 * two float density jobs on the general (fixed-point) path, in json and
   in csv: a lower-triangular array with an absent cell, and a square
   array of custom cells whose top cumulants are 0.0 and -0.0;
@@ -58,8 +61,8 @@ The list, 127 invocations:
   there the cell operator and A are one operator.
 
 Configs come from perfbench/workloads.py, loaded from its path and not
-changed.  Config files are written to a temporary directory that is
-removed at exit.
+changed.  Config files are written, with their keys in the order given,
+to a temporary directory that is removed at exit.
 """
 
 from __future__ import annotations
@@ -257,6 +260,11 @@ def invocations(workloads):
     out.append(("readme/float/density",
                 dict(README_JOB, precision="float", density=README_DENSITY),
                 [], False))
+    reversed_cells = dict(reversed(README_JOB["cells"].items()))
+    for precision in ("rational", "float"):
+        out.append(("reversed_cells/%s/json" % precision,
+                    dict(README_JOB, cells=reversed_cells),
+                    ["--precision", precision], False))
     for shape, cells in GENERAL_DENSITY_CELLS.items():
         job = dict(GENERAL_DENSITY_JOB, shape=shape, cells=cells)
         for fmt in ("json", "csv"):
@@ -368,7 +376,7 @@ def compare(parent_src, change_src, runs) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_reports-") as tmp:
         for n, (label, config, args, on_stdin) in enumerate(runs):
             path = Path(tmp) / ("job%d.json" % n)
-            path.write_text(json.dumps(config, sort_keys=True, indent=1))
+            path.write_text(json.dumps(config, indent=1))
             lines = differences(
                 label, run_job(parent_src, path, args, on_stdin),
                 run_job(change_src, path, args, on_stdin))
